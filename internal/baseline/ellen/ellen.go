@@ -130,12 +130,18 @@ func (t *Tree) Insert(p *flock.Proc, k, v uint64) bool {
 			t.help(r.pupdate)
 			continue
 		}
+		// The replaced leaf goes under the new internal node as a fresh
+		// copy, as in the paper: op.l then leaves the tree for good, so a
+		// slow helper's child CAS from op.l can never succeed again (a
+		// later delete could otherwise promote op.l back under r.p and
+		// let that CAS resurrect the removed subtree).
 		nl := newLeaf(k, v)
+		sib := newLeaf(r.l.k, r.l.v)
 		var inner *node
 		if k < r.l.k {
-			inner = newInternal(r.l.k, nl, r.l)
+			inner = newInternal(r.l.k, nl, sib)
 		} else {
-			inner = newInternal(k, r.l, nl)
+			inner = newInternal(k, sib, nl)
 		}
 		op := &iinfo{p: r.p, newInternal: inner, l: r.l}
 		next := &upd{state: iflag, info: op}
@@ -234,9 +240,10 @@ func findFlag(op *dinfo) *upd {
 			return cur
 		}
 	}
-	// gp already cleaned or moved on: return a non-matching record; the
-	// CASes inside helpMarked will harmlessly fail.
-	return cur
+	// gp already cleaned or moved on, so op's splice is done: return nil,
+	// on which helpMarked's CASes fail. Returning cur would let its
+	// unflag CAS clear another operation's flag.
+	return nil
 }
 
 func (t *Tree) casChild(parent, old, new *node) {

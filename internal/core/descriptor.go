@@ -9,12 +9,13 @@ import "sync/atomic"
 type Thunk func(*Proc) bool
 
 // descriptor carries everything a helper needs to complete a critical
-// section: the thunk, its shared log, a done flag, and the epoch at which
+// section: the thunk, its shared log, a started flag, and the epoch at which
 // the owning operation was running (helpers lower themselves to it, §6).
 // The first log block is embedded so descriptor creation is a single
 // allocation — or none: descriptors come from the per-Proc freelist and
-// are recycled after an epoch grace period once a later acquisition
-// unlinks them from the lock word. A straggling helper that re-runs a
+// are recycled after an epoch grace period once the CAS that releases
+// their lock unlinks them from the lock word (an unlocked word never
+// holds a descriptor). A straggling helper that re-runs a
 // completed (but not yet recycled) descriptor replays against a full log
 // and already-installed boxes, so every one of its effects is discarded;
 // its epoch announcement is what delays the recycling (DESIGN.md S7 and
@@ -22,7 +23,11 @@ type Thunk func(*Proc) bool
 type descriptor struct {
 	thunk Thunk
 	birth uint64
-	done  atomic.Uint32 // update-once boolean
+	// started is an update-once boolean set by every run of the thunk
+	// before it executes (runAndUnlock): set means the descriptor was
+	// installed in its lock word. It is what an acquisition checks when
+	// the word no longer holds its descriptor (loadStarted).
+	started atomic.Uint32
 	// owner is the id of the Proc whose acquisition this descriptor
 	// represents; finisher is claimed (CAS from zero) by exactly one run
 	// when metrics are enabled, giving the obs layer exact helping
@@ -61,11 +66,11 @@ func (p *Proc) currentEpoch() uint64 {
 	return p.rt.epochs.GlobalEpoch()
 }
 
-// loadDone reads the descriptor's done flag with update-once semantics:
-// committed inside thunks (via the boolean sentinel encoding, no
-// allocation) so all helpers agree.
-func (d *descriptor) loadDone(p *Proc) bool {
-	v := d.done.Load() != 0
+// loadStarted reads the descriptor's started flag with update-once
+// semantics: committed inside thunks (via the boolean sentinel encoding,
+// no allocation) so all helpers agree.
+func (d *descriptor) loadStarted(p *Proc) bool {
+	v := d.started.Load() != 0
 	c, _ := p.commitBool(v)
 	return c
 }

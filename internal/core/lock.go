@@ -76,21 +76,27 @@ func (l *Lock) TryLock(p *Proc, f Thunk) bool {
 	if p.rt.blocking.Load() {
 		return l.tryLockBlocking(p, f)
 	}
+	if p.blk == nil {
+		// A top-level acquisition holds its own epoch guard from the
+		// descriptor's creation until it stops reading it (a no-op depth
+		// increment under a structure's Begin): a helper may release and
+		// park my while we still read loadStarted and finisher (DESIGN.md
+		// S7).
+		p.slot.Enter()
+		defer p.slot.Exit()
+	}
 	result := false
 	cur := l.state.Load(p)
 	if !cur.locked {
 		my := p.newDescriptor(f)
 		myLS := lockState{d: my, locked: true, ver: cur.ver + 1}
-		// camx reports whether our own CAS installed myLS; that run (and
-		// only that run) unlinked the previous acquisition's descriptor
-		// from the lock word, so it parks cur.d for pooled reuse after
-		// the epoch grace period (DESIGN.md S10).
+		// cur is unlocked, so it carries no descriptor: the releasing
+		// CAS of the previous acquisition already unlinked and parked
+		// it (runAndUnlock). camx reports whether our own CAS installed
+		// myLS, for the install-failure and trace accounting.
 		swapped := l.state.camx(p, cur, myLS)
 		if !swapped && obs.On() {
 			p.metrics.Inc(obs.InstallCASFails)
-		}
-		if swapped && cur.d != nil && cur.d != my {
-			p.retireDescriptor(cur.d)
 		}
 		if swapped && p.blk == nil {
 			// A top-level physical install always commits (once in the
@@ -100,11 +106,15 @@ func (l *Lock) TryLock(p *Proc, f Thunk) bool {
 			p.traceEmit(trace.AcqInstalled, lockID(l), p.id, myLS.ver)
 		}
 		cur2 := l.state.Load(p)
-		// The done check (Algorithm 3, line 20) is essential: our CAM may
-		// have succeeded and the descriptor already been helped to
-		// completion and replaced, in which case cur2 != myLS but the
-		// acquisition did happen and we must return its result.
-		if my.loadDone(p) || cur2 == myLS {
+		// The started check (the paper's done check, Algorithm 3, line
+		// 20) is essential: our CAM may have succeeded and the word
+		// already left myLS — released by a helper, or freed by the
+		// thunk's own hand-over-hand Unlock while it still runs — in
+		// which case cur2 != myLS but the acquisition did happen and we
+		// must return its result. Every run sets started before running
+		// the thunk, so before either release; done would come too late
+		// for the second (DESIGN.md S7).
+		if my.loadStarted(p) || cur2 == myLS {
 			if p.blk == nil {
 				p.maybeStall() // injected descheduling while holding the lock
 			}
@@ -146,6 +156,10 @@ func (l *Lock) Lock(p *Proc, f Thunk) bool {
 	if p.rt.blocking.Load() {
 		return l.lockBlocking(p, f)
 	}
+	if p.blk == nil {
+		p.slot.Enter() // own guard, as in TryLock
+		defer p.slot.Exit()
+	}
 	my := p.newDescriptor(f)
 	var spins uint64 // helping rounds while waiting (obs.StrictSpins)
 	for {
@@ -162,9 +176,6 @@ func (l *Lock) Lock(p *Proc, f Thunk) bool {
 		if !swapped && obs.On() {
 			p.metrics.Inc(obs.InstallCASFails)
 		}
-		if swapped && cur.d != nil && cur.d != my {
-			p.retireDescriptor(cur.d) // see TryLock: exactly-once unlink
-		}
 		if swapped && p.blk == nil {
 			p.traceEmit(trace.AcqInstalled, lockID(l), p.id, myLS.ver)
 			if spins > 0 {
@@ -172,7 +183,7 @@ func (l *Lock) Lock(p *Proc, f Thunk) bool {
 			}
 		}
 		cur2 := l.state.Load(p)
-		if my.loadDone(p) || cur2 == myLS {
+		if my.loadStarted(p) || cur2 == myLS { // see TryLock
 			if p.blk == nil {
 				p.maybeStall()
 			}
@@ -209,14 +220,14 @@ func (l *Lock) Unlock(p *Proc) {
 		return
 	}
 	cur := l.state.Load(p)
-	owner := uint64(0)
-	if cur.d != nil {
-		owner = cur.d.owner
-	}
 	// camx (same CAS CAM performs): only the run whose CAS physically
-	// released records the hand-over-hand release event.
-	if l.state.camx(p, cur, lockState{d: cur.d, locked: false, ver: cur.ver + 1}) && cur.locked {
-		p.traceEmit(trace.Release, lockID(l), owner, cur.ver)
+	// released unlinks the descriptor, so it alone parks it and records
+	// the hand-over-hand release event. The scope exit's runAndUnlock
+	// then finds the word moved on and releases nothing. (A locked
+	// lock-free word always carries its descriptor.)
+	if l.state.camx(p, cur, lockState{locked: false, ver: cur.ver + 1}) && cur.d != nil {
+		p.traceEmit(trace.Release, lockID(l), cur.d.owner, cur.ver)
+		p.retireDescriptor(cur.d)
 	}
 }
 
@@ -228,20 +239,25 @@ func (l *Lock) Held() bool {
 }
 
 // runAndUnlock completes the critical section of ls.d (running it for the
-// first time, or helping, or harmlessly replaying a finished thunk), sets
-// the done flag, and releases the lock if it still holds this descriptor.
+// first time, or helping, or harmlessly replaying a finished thunk) after
+// setting its started flag, and releases the lock if it still holds this
+// descriptor. The releasing CAS installs an unlocked word with no descriptor, so an
+// unlocked lock never pins its last critical section's descriptor and
+// thunk; the one run whose CAS released parks ls.d for pooled reuse
+// after the epoch grace period (DESIGN.md S7/S10).
 func (l *Lock) runAndUnlock(p *Proc, ls lockState) bool {
 	tr := trace.On()
 	if tr && ls.d.owner != p.id {
 		p.traceEmit(trace.HelpBegin, lockID(l), ls.d.owner, ls.ver)
 	}
+	ls.d.started.Store(1) // update-once: every run stores the same value
 	res := p.run(ls.d)
 	if obs.On() || tr {
 		// Exactly one run wins the completion claim, making helping
 		// attribution exact: claims partition committed thunks into
 		// own-completions and helps-given, and every losing run is a
-		// replay. The claim precedes the done store so the owner's
-		// post-acquisition read of finisher is never racing it. The
+		// replay. The owner reads finisher only after its own run's
+		// claim attempt, so by then the claim is resolved. The
 		// trace events mirror the obs counters one-for-one (the
 		// conservation law internal/core's trace test pins).
 		if ls.d.finisher.CompareAndSwap(0, p.id) {
@@ -260,11 +276,13 @@ func (l *Lock) runAndUnlock(p *Proc, ls lockState) bool {
 			}
 		}
 	}
-	ls.d.done.Store(1) // update-once: every run stores the same value
 	// camx: exactly one run physically releases, and that run (alone)
-	// emits the Release event for this generation.
-	if l.state.camx(p, ls, lockState{d: ls.d, locked: false, ver: ls.ver + 1}) && tr {
-		p.traceEmit(trace.Release, lockID(l), ls.d.owner, ls.ver)
+	// emits the Release event for this generation and parks ls.d.
+	if l.state.camx(p, ls, lockState{locked: false, ver: ls.ver + 1}) {
+		if tr {
+			p.traceEmit(trace.Release, lockID(l), ls.d.owner, ls.ver)
+		}
+		p.retireDescriptor(ls.d)
 	}
 	return res
 }

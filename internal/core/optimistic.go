@@ -117,5 +117,5 @@ func (rt *Runtime) OptimisticRead(p *Proc, l *Lock, fn Thunk) bool {
 	p.End()
 	p.metrics.Inc(obs.OptEscalations)
 	p.traceEmit(trace.OptEscalate, lockID(l), 0, 0)
-	return l.Lock(p, fn)
+	return l.Lock(p, fn) // holds its own epoch guard (DESIGN.md S7)
 }

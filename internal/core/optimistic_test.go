@@ -230,14 +230,19 @@ func TestOptimisticReadConcurrent(t *testing.T) {
 				defer wg.Done()
 				p := rt.Register()
 				defer p.Unregister()
-				var x, y uint64
 				for n := 0; n < perG; n++ {
+					// A fresh atomic pair per call: an escalated fn runs
+					// as a thunk that the owner and helpers may run at
+					// once, so it publishes through atomics, never plain
+					// writes to shared locals (OptimisticRead's
+					// contract). All runs store the same committed values.
+					var x, y atomic.Uint64
 					rt.OptimisticRead(p, &l, func(hp *Proc) bool {
-						x = a.Load(hp)
-						y = b.Load(hp)
+						x.Store(a.Load(hp))
+						y.Store(b.Load(hp))
 						return true
 					})
-					if x != y {
+					if x.Load() != y.Load() {
 						torn.Add(1)
 					}
 				}

@@ -199,7 +199,7 @@ func (p *Proc) scrubDescriptor(d *descriptor) {
 	d.birth = 0
 	d.owner = 0
 	d.finisher.Store(0)
-	d.done.Store(0)
+	d.started.Store(0)
 	if len(p.dfree) < maxPoolFree {
 		p.dfree = append(p.dfree, d)
 	} else {
@@ -237,9 +237,9 @@ func (p *Proc) releaseDescriptor(d *descriptor) {
 }
 
 // retireDescriptor parks a descriptor that was just unlinked from a lock
-// word (the acquisition CAS that replaced it succeeded in the calling
-// run). Reuse waits out the grace period so stragglers replaying it
-// stay safe (DESIGN.md S7/S10).
+// word (the CAS that released its lock succeeded in the calling run).
+// Reuse waits out the grace period so stragglers replaying it, and its
+// owner still reading it, stay safe (DESIGN.md S7/S10).
 func (p *Proc) retireDescriptor(d *descriptor) {
 	if d == nil || !p.rt.pooling {
 		return

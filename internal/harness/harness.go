@@ -766,13 +766,16 @@ func measure(spec Spec, worker func(w int, begin func(), stop *atomic.Bool, hist
 		}()
 	}
 	time.Sleep(spec.Duration)
-	stop.Store(true)
-	wg.Wait()
-	el := time.Since(t0)
 	if spec.Metrics {
+		// Stop the sampler while the workers still run, so no tick is
+		// stamped after el (the closing sample's time) and no tick's
+		// snapshot races a worker folding its block on exit.
 		close(samplerStop)
 		<-samplerDone
 	}
+	stop.Store(true)
+	wg.Wait()
+	el := time.Since(t0)
 	runtime.ReadMemStats(&ms1)
 
 	merged := NewLatencyHist()

@@ -106,6 +106,10 @@ func (c *Client) MultiGet(keys []uint64) (vals []uint64, oks []bool) {
 // stores are idempotent.
 func (c *Client) escalatedMultiGet(keys []uint64, shardOf, involved []int, vals []uint64, oks []bool) ([]uint64, []bool) {
 	st := c.st
+	// The bodies below run as thunks that a straggling helper may replay
+	// after MultiGet has returned, so they must not read the caller's
+	// slice, which the caller may reuse (shardOf and involved are fresh).
+	keys = append([]uint64(nil), keys...)
 	st.eng.Locked(c.procs, involved, func(s int) engine.Attempt {
 		bufV := make([]atomic.Uint64, len(keys))
 		bufOK := make([]atomic.Uint32, len(keys))
