@@ -11,10 +11,10 @@ import (
 
 // lockState is the value held by a lock word: a descriptor pointer, a
 // locked bit (the paper packs these into one word by stealing a pointer
-// bit; the boxed Mutable gives the same single-CAS atomicity), and a
-// version counter bumped on every acquire and release. Embedding the
-// version in the lock word makes its transitions atomic with the lock
-// transitions — the single install CAS both takes (or releases) the
+// bit; a locked word is a box, giving the same single-CAS atomicity, and
+// an unlocked one a version tag, below), and a version counter bumped on
+// every acquire and release. Embedding the version in the lock word
+// makes its transitions atomic with the lock transitions — the single install CAS both takes (or releases) the
 // lock and advances the version, so an optimistic reader can never
 // observe a lock/version combination that did not exist (optimistic.go).
 // The zero value is "unlocked, no descriptor, version 0".
@@ -22,6 +22,79 @@ type lockState struct {
 	d      *descriptor
 	locked bool
 	ver    uint64
+}
+
+// lockTags backs the version tags of unlocked lock-free words (the
+// paper's §6 ABA tags, DESIGN.md S1). An unlocked word of even version
+// v >= 2 holds no heap box but the address of lockTags[v/2-1]; the
+// version of a lock only grows, so a tag never returns to a word a
+// straggler could still CAS from. The array is pointer-free and never
+// written, so it sits in .noptrbss: the GC never scans it and no page of
+// it is ever touched. Elements are the size and alignment of an
+// mbox[lockState], keeping the pointer conversion valid. A version past
+// the end gets a heap box, as a locked word does.
+var lockTags [1 << 19][unsafe.Sizeof(mbox[lockState]{}) / unsafe.Sizeof(uintptr(0))]uintptr
+
+// tagIndex returns the lockTags index bx addresses, or a value
+// >= len(lockTags) when bx is a heap box or nil.
+func tagIndex(bx *mbox[lockState]) uintptr {
+	return (uintptr(unsafe.Pointer(bx)) - uintptr(unsafe.Pointer(&lockTags))) / unsafe.Sizeof(lockTags[0])
+}
+
+func isTag(bx *mbox[lockState]) bool { return tagIndex(bx) < uintptr(len(lockTags)) }
+
+// tag returns the version tag encoding ls, or nil when ls is locked,
+// holds a descriptor, has an odd version or is past the last tag.
+func tag(ls lockState) *mbox[lockState] {
+	i := ls.ver/2 - 1 // wraps for version 0
+	if ls != (lockState{ver: ls.ver}) || ls.ver&1 != 0 || i >= uint64(len(lockTags)) {
+		return nil
+	}
+	return (*mbox[lockState])(unsafe.Pointer(&lockTags[i]))
+}
+
+// decodeWord returns the state a lock word holds. A tag is decoded from
+// its address and never dereferenced.
+func decodeWord(bx *mbox[lockState]) lockState {
+	if i := tagIndex(bx); i < uintptr(len(lockTags)) {
+		return lockState{ver: 2*uint64(i) + 2}
+	}
+	if bx == nil {
+		return lockState{}
+	}
+	return bx.v
+}
+
+// load reads the lock word (committed inside a thunk, like Mutable.Load).
+func (l *Lock) load(p *Proc) lockState { return decodeWord(l.state.loadBox(p)) }
+
+// cas is the lock word's CAM (Algorithm 2) plus a report of whether this
+// call's own CAS installed new: exactly one run of a thunk can succeed,
+// and only that run retires the old box and parks the released
+// descriptor. An unlocked new state is installed as its tag when in
+// range; tags never enter a freelist or the pending list.
+func (l *Lock) cas(p *Proc, old, new lockState) bool {
+	bx := l.state.loadBox(p)
+	if decodeWord(bx) != old {
+		return false
+	}
+	if p.blk != nil && p.rt.avoidCAS && l.state.b.Load() != bx {
+		return false
+	}
+	nb := tag(new)
+	if nb == nil {
+		nb = allocBox(p, new)
+	}
+	if l.state.b.CompareAndSwap(bx, nb) {
+		if !isTag(bx) {
+			retireBox(p, bx)
+		}
+		return true
+	}
+	if !isTag(nb) {
+		freeBox(p, nb)
+	}
+	return false
 }
 
 // Lock is a lock-free try-lock (Algorithm 3). The zero value is an
@@ -86,15 +159,15 @@ func (l *Lock) TryLock(p *Proc, f Thunk) bool {
 		defer p.slot.Exit()
 	}
 	result := false
-	cur := l.state.Load(p)
+	cur := l.load(p)
 	if !cur.locked {
 		my := p.newDescriptor(f)
 		myLS := lockState{d: my, locked: true, ver: cur.ver + 1}
 		// cur is unlocked, so it carries no descriptor: the releasing
 		// CAS of the previous acquisition already unlinked and parked
-		// it (runAndUnlock). camx reports whether our own CAS installed
+		// it (runAndUnlock). cas reports whether our own CAS installed
 		// myLS, for the install-failure and trace accounting.
-		swapped := l.state.camx(p, cur, myLS)
+		swapped := l.cas(p, cur, myLS)
 		if !swapped && obs.On() {
 			p.metrics.Inc(obs.InstallCASFails)
 		}
@@ -105,7 +178,7 @@ func (l *Lock) TryLock(p *Proc, f Thunk) bool {
 			// before the critical section runs.
 			p.traceEmit(trace.AcqInstalled, lockID(l), p.id, myLS.ver)
 		}
-		cur2 := l.state.Load(p)
+		cur2 := l.load(p)
 		// The started check (the paper's done check, Algorithm 3, line
 		// 20) is essential: our CAM may have succeeded and the word
 		// already left myLS — released by a helper, or freed by the
@@ -163,7 +236,7 @@ func (l *Lock) Lock(p *Proc, f Thunk) bool {
 	my := p.newDescriptor(f)
 	var spins uint64 // helping rounds while waiting (obs.StrictSpins)
 	for {
-		cur := l.state.Load(p)
+		cur := l.load(p)
 		if cur.locked {
 			spins++
 			l.runAndUnlock(p, cur) // help, then try again
@@ -172,7 +245,7 @@ func (l *Lock) Lock(p *Proc, f Thunk) bool {
 		// ver is derived from the committed cur, so every run of an
 		// enclosing thunk computes the same myLS (replay-deterministic).
 		myLS := lockState{d: my, locked: true, ver: cur.ver + 1}
-		swapped := l.state.camx(p, cur, myLS)
+		swapped := l.cas(p, cur, myLS)
 		if !swapped && obs.On() {
 			p.metrics.Inc(obs.InstallCASFails)
 		}
@@ -182,7 +255,7 @@ func (l *Lock) Lock(p *Proc, f Thunk) bool {
 				p.traceEmit(trace.SpinEpisode, lockID(l), 0, spins)
 			}
 		}
-		cur2 := l.state.Load(p)
+		cur2 := l.load(p)
 		if my.loadStarted(p) || cur2 == myLS { // see TryLock
 			if p.blk == nil {
 				p.maybeStall()
@@ -219,13 +292,13 @@ func (l *Lock) Unlock(p *Proc) {
 		p.traceEmit(trace.Release, lockID(l), p.id, 0)
 		return
 	}
-	cur := l.state.Load(p)
-	// camx (same CAS CAM performs): only the run whose CAS physically
-	// released unlinks the descriptor, so it alone parks it and records
-	// the hand-over-hand release event. The scope exit's runAndUnlock
-	// then finds the word moved on and releases nothing. (A locked
-	// lock-free word always carries its descriptor.)
-	if l.state.camx(p, cur, lockState{locked: false, ver: cur.ver + 1}) && cur.d != nil {
+	cur := l.load(p)
+	// Only the run whose CAS physically released unlinks the descriptor,
+	// so it alone parks it and records the hand-over-hand release event.
+	// The scope exit's runAndUnlock then finds the word moved on and
+	// releases nothing. (A locked lock-free word always carries its
+	// descriptor.)
+	if l.cas(p, cur, lockState{ver: cur.ver + 1}) && cur.d != nil {
 		p.traceEmit(trace.Release, lockID(l), cur.d.owner, cur.ver)
 		p.retireDescriptor(cur.d)
 	}
@@ -234,17 +307,17 @@ func (l *Lock) Unlock(p *Proc) {
 // Held reports whether the lock is currently held (a racy snapshot; for
 // tests, assertions and monitoring).
 func (l *Lock) Held() bool {
-	bx := l.state.b.Load()
-	return bx != nil && bx.v.locked
+	return decodeWord(l.state.b.Load()).locked
 }
 
 // runAndUnlock completes the critical section of ls.d (running it for the
 // first time, or helping, or harmlessly replaying a finished thunk) after
 // setting its started flag, and releases the lock if it still holds this
-// descriptor. The releasing CAS installs an unlocked word with no descriptor, so an
-// unlocked lock never pins its last critical section's descriptor and
-// thunk; the one run whose CAS released parks ls.d for pooled reuse
-// after the epoch grace period (DESIGN.md S7/S10).
+// descriptor. The releasing CAS installs a version tag (no descriptor,
+// no heap box), so an unlocked lock never pins its last critical
+// section's descriptor and thunk; the one run whose CAS released parks
+// ls.d and the locked box for pooled reuse after the epoch grace period
+// (DESIGN.md S1/S7/S10).
 func (l *Lock) runAndUnlock(p *Proc, ls lockState) bool {
 	tr := trace.On()
 	if tr && ls.d.owner != p.id {
@@ -276,9 +349,9 @@ func (l *Lock) runAndUnlock(p *Proc, ls lockState) bool {
 			}
 		}
 	}
-	// camx: exactly one run physically releases, and that run (alone)
-	// emits the Release event for this generation and parks ls.d.
-	if l.state.camx(p, ls, lockState{locked: false, ver: ls.ver + 1}) {
+	// Exactly one run physically releases, and that run (alone) emits
+	// the Release event for this generation and parks ls.d.
+	if l.cas(p, ls, lockState{ver: ls.ver + 1}) {
 		if tr {
 			p.traceEmit(trace.Release, lockID(l), ls.d.owner, ls.ver)
 		}
@@ -291,7 +364,7 @@ func (l *Lock) runAndUnlock(p *Proc, ls lockState) bool {
 // descriptor, no logging; the thunk runs directly.
 func (l *Lock) tryLockBlocking(p *Proc, f Thunk) bool {
 	bx := l.state.b.Load()
-	if bx != nil && bx.v.locked {
+	if decodeWord(bx).locked {
 		return false
 	}
 	if !l.state.b.CompareAndSwap(bx, blockedBox) {
@@ -326,7 +399,7 @@ func (l *Lock) lockBlocking(p *Proc, f Thunk) bool {
 	spins := 0
 	for {
 		bx := l.state.b.Load()
-		if bx == nil || !bx.v.locked {
+		if !decodeWord(bx).locked {
 			if l.state.b.CompareAndSwap(bx, blockedBox) {
 				l.bver.Add(1) // even -> odd, as in tryLockBlocking
 				p.bdepth++

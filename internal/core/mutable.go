@@ -6,7 +6,8 @@ import "sync/atomic"
 // a mutable value. Every Store/CAM installs a box that is not referenced
 // by any location or log, so a box address can never recur in a location
 // while a log or helper still references it: box identity is ABA-free.
-// This plays the role of the paper's version tags (§6 "ABA"). With
+// This plays the role of the paper's version tags (§6 "ABA"); lock
+// words use the version tags themselves when unlocked (lock.go). With
 // pooling enabled the uniqueness window is enforced by epoch grace
 // periods — a box CASed out of a location rejoins the freelist only
 // after every operation that could have committed it has finished
@@ -84,31 +85,24 @@ func (m *Mutable[V]) Store(p *Proc, v V) {
 // CAM is a compare-and-modify: if the current value equals old, replace it
 // with new; it deliberately returns nothing, since different runs of the
 // same thunk could observe different CAS outcomes (Algorithm 2, CAM).
-func (m *Mutable[V]) CAM(p *Proc, old, new V) { m.camx(p, old, new) }
-
-// camx is CAM plus a report of whether this call's own CAS physically
-// installed the new box — information CAM cannot expose to thunk code
-// (different runs would disagree) but which the lock implementation
-// needs for exactly-once descriptor retirement.
-func (m *Mutable[V]) camx(p *Proc, old, new V) bool {
+func (m *Mutable[V]) CAM(p *Proc, old, new V) {
 	bx := m.loadBox(p)
 	var cur V
 	if bx != nil {
 		cur = bx.v
 	}
 	if cur != old {
-		return false
+		return
 	}
 	if p.blk != nil && p.rt.avoidCAS && m.b.Load() != bx {
-		return false
+		return
 	}
 	nb := allocBox(p, new)
 	if m.b.CompareAndSwap(bx, nb) {
 		retireBox(p, bx)
-		return true
+	} else {
+		freeBox(p, nb)
 	}
-	freeBox(p, nb)
-	return false
 }
 
 // UpdateOnce is a shared location with an initial value that is updated at

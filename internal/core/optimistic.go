@@ -35,11 +35,7 @@ import (
 // mid-inspection.
 func (l *Lock) ReadVersion() (uint64, bool) {
 	bv := l.bver.Load()
-	bx := l.state.b.Load()
-	var ls lockState
-	if bx != nil {
-		ls = bx.v
-	}
+	ls := decodeWord(l.state.b.Load())
 	if ls.locked || bv&1 == 1 {
 		return 0, false
 	}

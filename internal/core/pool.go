@@ -306,7 +306,8 @@ func freeBox[V comparable](p *Proc, b *mbox[V]) {
 
 // retireBox parks a box that was just CASed out of its location; it
 // rejoins the freelist after the grace period. The shared blocking-mode
-// lock sentinels are never recycled.
+// lock sentinels are never recycled, and lock-word version tags never
+// get here (Lock.cas filters them).
 func retireBox[V comparable](p *Proc, b *mbox[V]) {
 	if b == nil || !p.rt.pooling {
 		return

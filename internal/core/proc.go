@@ -66,6 +66,10 @@ func (rt *Runtime) Blocking() bool { return rt.blocking.Load() }
 // SetBlocking switches between blocking and lock-free mode. It must not be
 // called while operations are in flight: a thunk's helpers must all agree
 // on the mode, and the flag is deliberately not committed to logs.
+// Quiescence is also what keeps lock-word version tags unique (DESIGN.md
+// S1): blocking mode's shared boxes restart a lock's version at 0, so a
+// tag the lock held before the switch recurs after it, with no straggler
+// left that could still CAS from the old one.
 func (rt *Runtime) SetBlocking(v bool) { rt.blocking.Store(v) }
 
 // Pooling reports whether object pooling is enabled.

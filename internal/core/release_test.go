@@ -13,12 +13,7 @@ import (
 // holds one, and the one run whose CAS released parks it exactly once.
 
 // wordDescriptor returns the descriptor held by l's lock word.
-func wordDescriptor(l *Lock) *descriptor {
-	if bx := l.state.b.Load(); bx != nil {
-		return bx.v.d
-	}
-	return nil
-}
+func wordDescriptor(l *Lock) *descriptor { return decodeWord(l.state.b.Load()).d }
 
 // pendingDescriptors counts the descriptors p has parked for reuse.
 func pendingDescriptors(p *Proc) int {

@@ -122,12 +122,16 @@ func (l *List) Delete(p *flock.Proc, k uint64) bool {
 }
 
 // Scan implements set.Scanner: a forward traversal of the next chain
-// from the first link with key >= lo, skipping removed links. As with
-// lazylist, a removed link's next pointer is frozen (any operation on
-// its successor needs its lock, whose validation fails once removed), so
-// the traversal stays on (at worst slightly stale) list structure and
-// the interval-semantics contract of set.Scanner holds. The body is a
-// single idempotent thunk: logged loads, run-local accumulation.
+// from the first link with key >= lo, reporting every link it reaches,
+// as Find does. A removed link's next pointer is frozen (any operation
+// on its successor needs its lock, whose validation fails once
+// removed), so every link reached was in the list at some instant
+// during the scan, and the interval-semantics contract of set.Scanner
+// holds. The removed flag is not consulted: a delete sets it before its
+// splice, and in between Find and Insert still see the key, so a scan
+// that skipped the flagged link would report the key absent too early.
+// The body is a single idempotent thunk: logged loads, run-local
+// accumulation.
 func (l *List) Scan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
 	lo, hi = set.ClampScanBounds(lo, hi)
 	if limit == 0 {
@@ -138,11 +142,9 @@ func (l *List) Scan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
 	var out []set.KV
 	curr := l.findLink(p, lo)
 	for curr.k <= hi { // the tail sentinel MaxUint64 always exceeds hi
-		if !curr.removed.Load(p) {
-			out = append(out, set.KV{Key: curr.k, Value: curr.v})
-			if limit > 0 && len(out) >= limit {
-				break
-			}
+		out = append(out, set.KV{Key: curr.k, Value: curr.v})
+		if limit > 0 && len(out) >= limit {
+			break
 		}
 		curr = curr.next.Load(p)
 	}

@@ -1,6 +1,7 @@
 package dlist
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -113,5 +114,33 @@ func TestDeleteOnlyElement(t *testing.T) {
 	}
 	if err := l.CheckInvariants(p); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScanAgreesWithFindMidDelete pins the state between a delete's two
+// steps — the victim flagged removed but not yet spliced out — in which
+// Find and Insert still see the key: a scan must report it too, or a
+// scan could call the key absent before a later Find sees it present.
+func TestScanAgreesWithFindMidDelete(t *testing.T) {
+	rt := flock.New()
+	p := rt.Register()
+	defer p.Unregister()
+	l := New(rt)
+	for _, k := range []uint64{1, 2, 3} {
+		l.Insert(p, k, k*10)
+	}
+	l.findLink(p, 2).removed.Store(p, true) // a delete paused before its splice
+	if v, ok := l.Find(p, 2); !ok || v != 20 {
+		t.Fatalf("Find(2) = (%d,%v), want (20,true)", v, ok)
+	}
+	got := l.Scan(p, 0, math.MaxUint64, -1)
+	want := []set.KV{{Key: 1, Value: 10}, {Key: 2, Value: 20}, {Key: 3, Value: 30}}
+	if len(got) != len(want) {
+		t.Fatalf("Scan = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Scan = %v, want %v", got, want)
+		}
 	}
 }

@@ -242,14 +242,17 @@ func (t *Tree) Upsert(p *flock.Proc, k uint64, f func(old uint64, present bool) 
 
 // Scan implements set.Scanner: an in-order walk of the subtrees whose
 // routing interval intersects [lo, hi], collecting qualifying leaves.
-// Leaves and routing keys are immutable and subtrees are replaced
-// copy-on-write, so every loaded child pointer pins a subtree that was
-// the live one at the instant of the load — each reported pair was
-// present at that instant, and a missing in-range key was absent at the
-// instant the (then-live) subtree excluding it was loaded (interval
-// semantics). The body is a single idempotent thunk: logged loads only,
-// run-local accumulation, no locks taken. The inf1/inf2 sentinel leaves
-// route above every clamped bound and are never reported.
+// Subtrees are not copy-on-write: a subtree the walk loaded through a
+// node that a delete then spliced out stays live, takes the spliced
+// node's wider interval, and can gain leaves the walk already passed.
+// So the walk carries each position's routing interval down the path
+// and reports a leaf only inside it: for every key, the walk's loads
+// along that key's route are a Find descent made within the scan's
+// window (interval semantics, DESIGN.md S12), and the result is
+// strictly ascending. The body is a single idempotent thunk: logged
+// loads only, run-local accumulation, no locks taken. The inf1/inf2
+// sentinel leaves route above every clamped bound and are never
+// reported.
 func (t *Tree) Scan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
 	lo, hi = set.ClampScanBounds(lo, hi)
 	if limit == 0 {
@@ -258,8 +261,10 @@ func (t *Tree) Scan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
 	p.Begin()
 	defer p.End()
 	var out []set.KV
-	var walk func(n *node) bool // false once limit is reached
-	walk = func(n *node) bool {
+	// walk visits n, whose position routes the keys [lo, hi] (narrowed
+	// to the scan bounds); it returns false once limit is reached.
+	var walk func(n *node, lo, hi uint64) bool
+	walk = func(n *node, lo, hi uint64) bool {
 		if n.leaf {
 			if n.k >= lo && n.k <= hi && n.k < inf1 {
 				out = append(out, set.KV{Key: n.k, Value: n.v})
@@ -270,15 +275,15 @@ func (t *Tree) Scan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
 			return true
 		}
 		// n.left covers keys < n.k, n.right covers keys >= n.k.
-		if lo < n.k && !walk(n.left.Load(p)) {
+		if lo < n.k && !walk(n.left.Load(p), lo, min(hi, n.k-1)) {
 			return false
 		}
 		if hi >= n.k {
-			return walk(n.right.Load(p))
+			return walk(n.right.Load(p), max(lo, n.k), hi)
 		}
 		return true
 	}
-	walk(t.root)
+	walk(t.root, lo, hi)
 	return out
 }
 

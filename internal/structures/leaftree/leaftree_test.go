@@ -1,6 +1,7 @@
 package leaftree
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -132,5 +133,39 @@ func TestStructuralIntegrityUnderContention(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestScanThroughSplicedOutParent replays a scan that loaded a parent
+// just before a delete spliced it out: the parent's sibling subtree
+// then covers the parent's wider interval and takes a newer leaf for a
+// key the walk already passed. The walk must report each key once, in
+// ascending order.
+func TestScanThroughSplicedOutParent(t *testing.T) {
+	rt := flock.New()
+	p := rt.Register()
+	defer p.Unregister()
+	tr := New(rt)
+	for _, k := range []uint64{3, 1, 5} {
+		tr.Insert(p, k, k)
+	}
+	_, pp, leaf := tr.search(p, 1) // pp = {3: leaf 1, {5: leaf 3, leaf 5}}
+	if pp.k != 3 || leaf.k != 1 {
+		t.Fatalf("unexpected shape: parent %d, leaf %d", pp.k, leaf.k)
+	}
+	tr.Delete(p, 1)      // splices pp out: its sibling takes its place
+	tr.Insert(p, 1, 100) // lands in that sibling, below 3
+	// The scan's view: it loaded pp before the delete.
+	view := New(rt)
+	view.root.left.Init(pp)
+	got := view.Scan(p, 0, math.MaxUint64, -1)
+	want := []set.KV{{Key: 1, Value: 1}, {Key: 3, Value: 3}, {Key: 5, Value: 5}}
+	if len(got) != len(want) {
+		t.Fatalf("scan through spliced-out parent = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("scan through spliced-out parent = %v, want %v", got, want)
+		}
 	}
 }
