@@ -83,11 +83,18 @@ func (d *descriptor) loadStarted(p *Proc) bool {
 // committed references to stays unreclaimed — and unrecycled — for
 // stragglers (§6, DESIGN.md S10).
 func (p *Proc) run(d *descriptor) bool {
-	oblk, oidx := p.blk, p.idx
 	prev := p.slot.Lower(d.birth)
+	res := p.runLowered(d)
+	p.slot.Restore(prev)
+	return res
+}
+
+// runLowered is run for a caller that has already lowered its
+// announcement to d's birth epoch (Lock.runAndUnlock's helping path).
+func (p *Proc) runLowered(d *descriptor) bool {
+	oblk, oidx := p.blk, p.idx
 	p.blk, p.idx = &d.first, 0
 	res := d.thunk(p)
 	p.blk, p.idx = oblk, oidx
-	p.slot.Restore(prev)
 	return res
 }

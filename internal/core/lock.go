@@ -191,7 +191,7 @@ func (l *Lock) TryLock(p *Proc, f Thunk) bool {
 			if p.blk == nil {
 				p.maybeStall() // injected descheduling while holding the lock
 			}
-			result = l.runAndUnlock(p, myLS) // run own critical section
+			result = l.runAndUnlock(p, myLS, false) // run own critical section
 			if p.blk == nil && obs.On() {
 				p.metrics.Inc(obs.AcquiresLF)
 				// runAndUnlock attempted the completion claim, so by here
@@ -203,7 +203,7 @@ func (l *Lock) TryLock(p *Proc, f Thunk) bool {
 			}
 		} else {
 			if cur2.locked {
-				l.runAndUnlock(p, cur2) // lost the race: help the winner
+				l.runAndUnlock(p, cur2, true) // lost the race: help the winner
 			}
 			// else: the lock was acquired and released between our
 			// loads; nothing to help. Either way our tryLock failed.
@@ -215,7 +215,7 @@ func (l *Lock) TryLock(p *Proc, f Thunk) bool {
 			}
 		}
 	} else {
-		l.runAndUnlock(p, cur) // help the current holder, then report failure
+		l.runAndUnlock(p, cur, true) // help the current holder, then report failure
 	}
 	return result
 }
@@ -239,7 +239,7 @@ func (l *Lock) Lock(p *Proc, f Thunk) bool {
 		cur := l.load(p)
 		if cur.locked {
 			spins++
-			l.runAndUnlock(p, cur) // help, then try again
+			l.runAndUnlock(p, cur, true) // help, then try again
 			continue
 		}
 		// ver is derived from the committed cur, so every run of an
@@ -260,7 +260,7 @@ func (l *Lock) Lock(p *Proc, f Thunk) bool {
 			if p.blk == nil {
 				p.maybeStall()
 			}
-			res := l.runAndUnlock(p, myLS)
+			res := l.runAndUnlock(p, myLS, false)
 			if p.blk == nil && obs.On() {
 				p.metrics.Inc(obs.AcquiresLF)
 				p.metrics.Add(obs.StrictSpins, spins)
@@ -318,13 +318,35 @@ func (l *Lock) Held() bool {
 // section's descriptor and thunk; the one run whose CAS released parks
 // ls.d and the locked box for pooled reuse after the epoch grace period
 // (DESIGN.md S1/S7/S10).
-func (l *Lock) runAndUnlock(p *Proc, ls lockState) bool {
+//
+// help marks a caller that read ls from the word to help someone else's
+// acquisition. Its guard may have been announced after boxes that ls.d's
+// log commits were retired, so lowering the announcement to ls.d's birth
+// epoch can come too late to keep them from being recycled. So a helper
+// lowers first and then runs the thunk only if the word still holds ls:
+// while it does, the acquisition's owner is still inside its own guard,
+// which has kept those boxes from recycling since before they were
+// retired, and from then on the lowered announcement does. A word that
+// moved on means the critical section was completed or released early,
+// and there is nothing left to help. The owner (help false) always
+// runs: it needs the thunk's result, and its own guard, or the enclosing
+// run's lowered one, has covered the log since the descriptor was made.
+func (l *Lock) runAndUnlock(p *Proc, ls lockState, help bool) bool {
 	tr := trace.On()
 	if tr && ls.d.owner != p.id {
 		p.traceEmit(trace.HelpBegin, lockID(l), ls.d.owner, ls.ver)
 	}
 	ls.d.started.Store(1) // update-once: every run stores the same value
-	res := p.run(ls.d)
+	var res bool
+	if help {
+		prev := p.slot.Lower(ls.d.birth)
+		if decodeWord(l.state.b.Load()) == ls {
+			res = p.runLowered(ls.d)
+		}
+		p.slot.Restore(prev)
+	} else {
+		res = p.run(ls.d)
+	}
 	if obs.On() || tr {
 		// Exactly one run wins the completion claim, making helping
 		// attribution exact: claims partition committed thunks into

@@ -18,8 +18,8 @@ const logBlockLen = 7
 // allocation-free. nil pointers and booleans are encoded with the
 // sentinel addresses below.
 //
-// The slow path (Proc.Commit / CommitValue of arbitrary values, and
-// UpdateOnce loads) stores a *logEntry wrapper instead. The two
+// The slow path (Proc.Commit / CommitValue of arbitrary values) stores
+// a *logEntry wrapper instead. The two
 // encodings never mix at one position: every run of a thunk executes the
 // same operation at the same log position (the determinism rules in the
 // package documentation), so the call site that committed a slot is also
@@ -138,13 +138,13 @@ type logEntry struct {
 	val any
 }
 
-// commit is the general commitValue for arbitrary values: Proc.Commit,
-// CommitValue and UpdateOnce loads. It boxes the value in a logEntry
+// commit is the general commitValue for arbitrary values: Proc.Commit
+// and CommitValue. It boxes the value in a logEntry
 // (one allocation when this run is the one that commits; under the
 // default compare-and-compare-and-swap mode, replays of an
 // already-committed slot allocate nothing thanks to the read-first
-// check). Hot-path callers (Mutable, descriptors, Allocate, Retire) use
-// commitPtr/commitBool instead. Outside any thunk it is a pass-through.
+// check). Hot-path callers (Mutable, UpdateOnce, descriptors, Allocate,
+// Retire) use commitPtr/commitBool instead. Outside any thunk it is a pass-through.
 func (p *Proc) commit(v any) (any, bool) {
 	blk := p.blk
 	if blk == nil {

@@ -109,11 +109,13 @@ func (m *Mutable[V]) CAM(p *Proc, old, new V) {
 // most once (the paper's "update-once locations", §6): reads may happen
 // before or after the update. Such locations are naturally ABA-free, so a
 // store is a plain write (every run writes the same value) and a load
-// commits the value itself rather than a box.
+// commits the box pointer it read, like Mutable, with no wrapper entry.
 //
-// UpdateOnce deliberately stays on the general (boxed) commit path and
-// never pools its boxes: its Store is a racy idempotent plain write, so
-// no single run can claim the unique unlink needed for pooled reuse.
+// UpdateOnce never pools its boxes: its Store is a racy idempotent plain
+// write, so no single run can claim the unique unlink needed for pooled
+// reuse. Every box is therefore fresh from the heap, and a committed box
+// pointer names one value for good: every run reads the same value
+// from it.
 //
 // The zero value holds the zero value of V.
 type UpdateOnce[V comparable] struct {
@@ -123,17 +125,14 @@ type UpdateOnce[V comparable] struct {
 // Init sets the initial value; same contract as Mutable.Init.
 func (u *UpdateOnce[V]) Init(v V) { u.b.Store(&mbox[V]{v: v}) }
 
-// Load returns the current value, committing it when inside a thunk.
+// Load returns the current value, committing its box when inside a thunk.
 func (u *UpdateOnce[V]) Load(p *Proc) V {
-	var v V
-	if bx := u.b.Load(); bx != nil {
-		v = bx.v
+	bx, _ := commitPtr(p, u.b.Load())
+	if bx == nil {
+		var zero V
+		return zero
 	}
-	if p.blk == nil {
-		return v
-	}
-	c, _ := p.commit(v)
-	return c.(V)
+	return bx.v
 }
 
 // Store performs the (at most one) update. All runs of a thunk write the

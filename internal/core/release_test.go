@@ -217,3 +217,71 @@ func TestEarlyUnlockAcquisitionVerdict(t *testing.T) {
 		t.Fatalf("counter=%d but %d TryLocks reported success: an applied critical section was reported as failed", got, want)
 	}
 }
+
+// TestLateHelperSkipsReleasedDescriptor builds the window a helper has
+// between reading a descriptor from the lock word and lowering its
+// announcement to the descriptor's birth epoch. The helper's guard is
+// announced after the owner's run retired the box its log committed;
+// the owner then releases and leaves, the box is recycled, and a later
+// store puts it back in the same location. Replaying the thunk then would
+// read the box's new value through the old log entry and land its CAS
+// on it: a second increment. The helper must find the word moved on
+// after lowering and leave the finished critical section alone.
+func TestLateHelperSkipsReleasedDescriptor(t *testing.T) {
+	for _, opts := range [][]Option{nil, {NoCCAS()}} {
+		rt := New(opts...)
+		p, q := rt.Register(), rt.Register()
+		var l Lock
+		var m Mutable[uint64]
+		m.Init(1)
+		x := m.b.Load()
+		incr := func(hp *Proc) bool {
+			m.Store(hp, m.Load(hp)+1)
+			return true
+		}
+
+		// The owner installs its descriptor and runs it once: m goes
+		// 1 -> 2 and x is retired at the current epoch.
+		p.Begin()
+		cur := l.load(p)
+		d := p.newDescriptor(incr)
+		myLS := lockState{d: d, locked: true, ver: cur.ver + 1}
+		if !l.cas(p, cur, myLS) {
+			t.Fatal("install failed")
+		}
+		d.started.Store(1)
+		p.run(d)
+		if !rt.epochs.TryAdvance() {
+			t.Fatal("epoch did not advance")
+		}
+
+		// The helper enters its guard past x's retire epoch and reads the
+		// word while the descriptor is still installed.
+		q.Begin()
+		seen := l.load(q)
+		if seen != myLS {
+			t.Fatalf("helper read %+v, want the installed %+v", seen, myLS)
+		}
+
+		// The owner releases and leaves; x ripens and is reused by a
+		// store that sets m back to 1.
+		if !l.cas(p, myLS, lockState{ver: myLS.ver + 1}) {
+			t.Fatal("release failed")
+		}
+		p.retireDescriptor(d)
+		p.End()
+		p.drainReuse()
+		m.Store(p, 1)
+		if m.b.Load() != x {
+			t.Fatal("setup: the retired box was not reused")
+		}
+
+		l.runAndUnlock(q, seen, true)
+		q.End()
+		if v := m.Load(q); v != 1 {
+			t.Fatalf("opts=%d: m = %d after the late helper, want 1", len(opts), v)
+		}
+		p.Unregister()
+		q.Unregister()
+	}
+}

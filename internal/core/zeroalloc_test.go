@@ -62,6 +62,43 @@ func TestAllocsLockFreeCommittedLoad(t *testing.T) {
 	t.Logf("committed load: pooled %.3f allocs/op, GC-fresh %.3f allocs/op", pooled, fresh)
 }
 
+// TestAllocsUpdateOnceLoad pins an UpdateOnce load inside a thunk at
+// zero allocations: it commits the box pointer it read into the log
+// slot, as Mutable does, instead of boxing the value in a logEntry. Both
+// states of the location are covered, the initial nil box and a stored
+// one, and both commit modes.
+func TestAllocsUpdateOnceLoad(t *testing.T) {
+	for _, opts := range [][]Option{nil, {NoCCAS()}} {
+		rt := New(opts...)
+		p := rt.Register()
+		var l Lock
+		var u UpdateOnce[bool]
+		var sink bool
+		f := func(hp *Proc) bool {
+			sink = u.Load(hp)
+			return true
+		}
+		op := func() {
+			p.Begin()
+			l.TryLock(p, f)
+			p.End()
+		}
+		for _, stored := range []bool{false, true} {
+			if stored {
+				u.Store(p, true)
+			}
+			warm(2000, op)
+			if got := testing.AllocsPerRun(500, op); got != 0 {
+				t.Errorf("opts=%d stored=%v: UpdateOnce load in a thunk allocates %v per op, must be 0", len(opts), stored, got)
+			}
+			if sink != stored {
+				t.Errorf("opts=%d: loaded %v, want %v", len(opts), sink, stored)
+			}
+		}
+		p.Unregister()
+	}
+}
+
 // TestAllocsBlockingRead pins the blocking-mode read at exactly zero:
 // no descriptor, no logging, shared static lock boxes.
 func TestAllocsBlockingRead(t *testing.T) {

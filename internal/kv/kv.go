@@ -84,6 +84,7 @@ type shard struct {
 	sc  set.Scanner           // nil when s is not ordered (no range scans)
 	or  set.OptimisticReader  // nil when s has no unlogged Find
 	osc set.OptimisticScanner // nil when s has no unlogged Scan
+	loc set.Locator           // nil when s has no located point ops
 	// lck serializes transactional access to this shard (internal/txn
 	// acquires the locks of every touched shard in ascending index
 	// order, nested, inside one composed thunk). It lives here, with
@@ -106,9 +107,10 @@ type Store struct {
 	// accounting all live there (internal/kv/engine, DESIGN.md S17).
 	eng *engine.Engine
 	// snaps is the live-snapshot registry (snapshot.go): an immutable
-	// COW list the write paths consult to record pre-images. nil when no
-	// snapshot is active, so the write-side check is one atomic load.
-	// Every transition installs a freshly allocated snapList inside a
+	// COW list the write paths consult to record pre-images. nil or
+	// empty when no snapshot is active, so the write-side check is one
+	// atomic load. Every transition installs a freshly allocated snapList
+	// (never nil, so no transition's CAS can land twice) inside a
 	// brief all-shard locked section (the activation cut); snapMu
 	// serializes the administrative transitions themselves.
 	snaps  atomic.Pointer[snapList]
@@ -174,7 +176,8 @@ func New(f Factory, opt Options) *Store {
 		if osc == nil {
 			st.optScan = false
 		}
-		st.shards[i] = shard{rt: rt, s: s, up: up, sc: sc, or: or, osc: osc}
+		loc, _ := s.(set.Locator)
+		st.shards[i] = shard{rt: rt, s: s, up: up, sc: sc, or: or, osc: osc, loc: loc}
 	}
 	locks := make([]*flock.Lock, n)
 	rts := make([]*flock.Runtime, n)
@@ -403,11 +406,6 @@ func (c *Client) Put(k, v uint64) bool {
 // caller is responsible for routing (ShardOf) and, in transactional
 // use, for holding the relevant shard locks.
 
-// ShardGet looks up k on shard i with Proc p.
-func (st *Store) ShardGet(i int, p *flock.Proc, k uint64) (uint64, bool) {
-	return st.shards[i].s.Find(p, k)
-}
-
 // ShardPut upserts (k, v) on shard i with Proc p, reporting whether k
 // was newly inserted. Inside a composed thunk the report is
 // deterministic across helper runs (it flows from logged loads), which
@@ -415,6 +413,45 @@ func (st *Store) ShardGet(i int, p *flock.Proc, k uint64) (uint64, bool) {
 func (st *Store) ShardPut(i int, p *flock.Proc, k, v uint64) bool {
 	st.snapRecord(p, i, k)
 	return put(&st.shards[i], p, k, v)
+}
+
+// ShardLocate returns k's position on shard i, found by an unlogged
+// search (set.Locator), as input for a later ShardGetAt or ShardPutAt
+// inside a critical section. It must be called at top level. On a
+// structure without the capability it returns the zero Position, with
+// which ShardGetAt is a plain lookup and ShardPutAt is ShardPut.
+func (st *Store) ShardLocate(i int, p *flock.Proc, k uint64) set.Position {
+	if loc := st.shards[i].loc; loc != nil {
+		return loc.Locate(p, k)
+	}
+	return set.Position{}
+}
+
+// ShardGetAt looks up k on shard i with Proc p, starting from at, a
+// position ShardLocate returned for k there (possibly stale; see
+// set.Locator).
+func (st *Store) ShardGetAt(i int, p *flock.Proc, at set.Position, k uint64) (uint64, bool) {
+	return st.shards[i].findAt(p, at, k)
+}
+
+// ShardPutAt is ShardPut starting from at, a position ShardLocate
+// returned for k on shard i. The snapshot pre-image is read from the
+// same position.
+func (st *Store) ShardPutAt(i int, p *flock.Proc, at set.Position, k, v uint64) bool {
+	if at.Node == nil {
+		return st.ShardPut(i, p, k, v)
+	}
+	st.snapRecordAt(p, i, at, k)
+	_, present := st.shards[i].loc.UpsertAt(p, at, k, v)
+	return !present
+}
+
+// findAt is Find, starting from at when it names a position.
+func (sh *shard) findAt(p *flock.Proc, at set.Position, k uint64) (uint64, bool) {
+	if at.Node == nil {
+		return sh.s.Find(p, k)
+	}
+	return sh.loc.FindAt(p, at, k)
 }
 
 // ShardDelete removes k on shard i with Proc p.

@@ -70,13 +70,18 @@ import (
 )
 
 // snapList is one immutable version of the live-snapshot registry.
-// Transitions install a freshly allocated snapList (never reusing a
-// pointer), which makes the activation CAS ABA-free: a straggling
-// helper replaying an old transition's CAS can never succeed against a
-// registry that has moved on.
+// Every transition, deactivation included, installs a freshly allocated
+// snapList and never nil or a list used before, so each transition's
+// CAS expects a value the registry holds once: a straggling helper
+// replaying an old transition's CAS can never succeed against a
+// registry that has moved on. (Store.snaps starts nil; no transition
+// returns it there.)
 type snapList struct {
 	snaps []*Snapshot
 }
+
+// live reports whether l names any snapshot.
+func (l *snapList) live() bool { return l != nil && len(l.snaps) > 0 }
 
 // preImage is one overlay record: key k's state at activation time.
 type preImage struct {
@@ -107,9 +112,15 @@ type Snapshot struct {
 // unconditional there: all runs of a thunk must consume identical log
 // positions, so the branch cannot depend on an unlogged load).
 func (st *Store) snapRecord(p *flock.Proc, i int, k uint64) {
+	st.snapRecordAt(p, i, set.Position{}, k)
+}
+
+// snapRecordAt is snapRecord for a write located at at (ShardPutAt):
+// the pre-image is read from the same position.
+func (st *Store) snapRecordAt(p *flock.Proc, i int, at set.Position, k uint64) {
 	reg := st.snaps.Load()
 	if !p.InThunk() {
-		if reg == nil {
+		if !reg.live() {
 			return
 		}
 		v, ok := st.shards[i].s.Find(p, k)
@@ -120,12 +131,12 @@ func (st *Store) snapRecord(p *flock.Proc, i int, k uint64) {
 	// registry they saw, or a straggler replaying a pre-activation
 	// section would pair the new registry with old-era logged values.
 	creg, _ := flock.CommitPtr(p, reg)
-	if creg == nil {
+	if !creg.live() {
 		return
 	}
 	// Logged read: every run records the same pre-image, and within the
 	// critical section it is the value before this section's write.
-	v, ok := st.shards[i].s.Find(p, k)
+	v, ok := st.shards[i].findAt(p, at, k)
 	creg.record(i, k, v, ok)
 }
 
@@ -228,11 +239,7 @@ func (s *Snapshot) Close() {
 			}
 		}
 	}
-	var next *snapList
-	if len(kept) > 0 {
-		next = &snapList{snaps: kept}
-	}
-	st.installSnaps(s.c, old, next)
+	st.installSnaps(s.c, old, &snapList{snaps: kept})
 	st.snapMu.Unlock()
 	for _, pin := range s.pins {
 		pin.Release()

@@ -103,15 +103,12 @@ func (t *Tree) Find(p *flock.Proc, k uint64) (uint64, bool) {
 	p.Begin()
 	defer p.End()
 	_, _, leaf := t.search(p, k)
-	if leaf.k == k {
-		return leaf.v, true
-	}
-	return 0, false
+	return leafValue(leaf, k)
 }
 
 // Insert adds (k, v); false if already present. The leaf found by the
 // search is replaced, under its parent's lock, by an internal node whose
-// children are the old leaf and the new one.
+// children are the old leaf and the new one (replaceAt).
 func (t *Tree) Insert(p *flock.Proc, k, v uint64) bool {
 	p.Begin()
 	defer p.End()
@@ -120,31 +117,46 @@ func (t *Tree) Insert(p *flock.Proc, k, v uint64) bool {
 		if leaf.k == k {
 			return false // already there
 		}
-		ok := t.acquire(p, &pp.lck, func(hp *flock.Proc) bool {
-			if pp.removed.Load(hp) || childOf(pp, k).Load(hp) != leaf {
-				return false // validate
-			}
-			newLeaf := flock.Allocate(hp, func() *node {
-				return &node{k: k, v: v, leaf: true}
-			})
-			inner := flock.Allocate(hp, func() *node {
-				in := &node{k: maxKey(k, leaf.k)}
-				if k < leaf.k {
-					in.left.Init(newLeaf)
-					in.right.Init(leaf)
-				} else {
-					in.left.Init(leaf)
-					in.right.Init(newLeaf)
-				}
-				return in
-			})
-			childOf(pp, k).Store(hp, inner)
-			return true
-		})
-		if ok {
+		if t.replaceAt(p, pp, leaf, k, v) {
 			return true
 		}
 	}
+}
+
+// replaceAt puts (k, v) where a search for k found leaf, under its parent
+// pp's lock, after validating that pp is still in the tree and still
+// routes k to leaf. A leaf holding k is replaced by a new leaf (leaf
+// values are immutable, so a value update is a pointer swap); any other
+// leaf is replaced by an internal node whose children are the old leaf
+// and the new one. It reports false, changing nothing, when the lock is
+// taken or the validation fails.
+func (t *Tree) replaceAt(p *flock.Proc, pp, leaf *node, k, v uint64) bool {
+	return t.acquire(p, &pp.lck, func(hp *flock.Proc) bool {
+		if pp.removed.Load(hp) || childOf(pp, k).Load(hp) != leaf {
+			return false // validate
+		}
+		newLeaf := flock.Allocate(hp, func() *node {
+			return &node{k: k, v: v, leaf: true}
+		})
+		if leaf.k == k {
+			childOf(pp, k).Store(hp, newLeaf)
+			flock.Retire(hp, leaf, nil)
+			return true
+		}
+		inner := flock.Allocate(hp, func() *node {
+			in := &node{k: maxKey(k, leaf.k)}
+			if k < leaf.k {
+				in.left.Init(newLeaf)
+				in.right.Init(leaf)
+			} else {
+				in.left.Init(leaf)
+				in.right.Init(newLeaf)
+			}
+			return in
+		})
+		childOf(pp, k).Store(hp, inner)
+		return true
+	})
 }
 
 // Delete removes k; false if absent. The parent is spliced out under the
@@ -182,10 +194,8 @@ func (t *Tree) Delete(p *flock.Proc, k uint64) bool {
 }
 
 // Upsert implements set.Upserter: it stores f(old, present) under k in
-// one critical section. When k is present the leaf is replaced (leaf
-// values are immutable, so a value update is a pointer swap under the
-// parent's lock, validated the same way as Insert); when absent it is a
-// plain insert of f(0, false). The old value is read from the immutable
+// one critical section (replaceAt), which replaces a leaf holding k and
+// inserts next to any other. The old value is read from the immutable
 // leaf before locking, so f runs outside the thunk and the validation
 // (the parent still points at that exact leaf) pins it.
 func (t *Tree) Upsert(p *flock.Proc, k uint64, f func(old uint64, present bool) uint64) (uint64, bool) {
@@ -193,51 +203,64 @@ func (t *Tree) Upsert(p *flock.Proc, k uint64, f func(old uint64, present bool) 
 	defer p.End()
 	for {
 		_, pp, leaf := t.search(p, k)
-		if leaf.k == k {
-			oldv := leaf.v
-			newv := f(oldv, true)
-			ok := t.acquire(p, &pp.lck, func(hp *flock.Proc) bool {
-				if pp.removed.Load(hp) || childOf(pp, k).Load(hp) != leaf {
-					return false // validate
-				}
-				repl := flock.Allocate(hp, func() *node {
-					return &node{k: k, v: newv, leaf: true}
-				})
-				childOf(pp, k).Store(hp, repl)
-				flock.Retire(hp, leaf, nil)
-				return true
-			})
-			if ok {
-				return oldv, true
-			}
-			continue
-		}
-		newv := f(0, false)
-		ok := t.acquire(p, &pp.lck, func(hp *flock.Proc) bool {
-			if pp.removed.Load(hp) || childOf(pp, k).Load(hp) != leaf {
-				return false // validate
-			}
-			newLeaf := flock.Allocate(hp, func() *node {
-				return &node{k: k, v: newv, leaf: true}
-			})
-			inner := flock.Allocate(hp, func() *node {
-				in := &node{k: maxKey(k, leaf.k)}
-				if k < leaf.k {
-					in.left.Init(newLeaf)
-					in.right.Init(leaf)
-				} else {
-					in.left.Init(leaf)
-					in.right.Init(newLeaf)
-				}
-				return in
-			})
-			childOf(pp, k).Store(hp, inner)
-			return true
-		})
-		if ok {
-			return 0, false
+		old, present := leafValue(leaf, k)
+		if t.replaceAt(p, pp, leaf, k, f(old, present)) {
+			return old, present
 		}
 	}
+}
+
+// leafValue reports the value leaf holds for k: leaf is where a search
+// for k ended, so k is present iff leaf holds it.
+func leafValue(leaf *node, k uint64) (uint64, bool) {
+	if leaf.k == k {
+		return leaf.v, true
+	}
+	return 0, false
+}
+
+// Locate implements set.Locator: the search half of Find and Upsert, at
+// top level, where its loads log nothing. The position is the leaf k
+// routes to and that leaf's parent.
+func (t *Tree) Locate(p *flock.Proc, k uint64) set.Position {
+	if p.InThunk() {
+		panic("leaftree: Locate inside a thunk")
+	}
+	p.Begin()
+	_, pp, leaf := t.search(p, k)
+	p.End()
+	return set.Position{Parent: pp, Node: leaf}
+}
+
+// FindAt implements set.Locator with two logged loads when the position
+// holds: the parent still points k at the leaf, and the parent is not
+// removed. The child load comes first, so a parent not removed at the
+// second load was in the tree at the first, and then the leaf was k's
+// leaf: a node's routing interval only widens while it is in the tree
+// (a splice hands the removed parent's interval to the sibling), so k
+// still routes through the parent it was located under. A position that
+// fails either check is searched again, as Find does.
+func (t *Tree) FindAt(p *flock.Proc, at set.Position, k uint64) (uint64, bool) {
+	pp, leaf := at.Parent.(*node), at.Node.(*node)
+	p.Begin()
+	defer p.End()
+	if childOf(pp, k).Load(p) != leaf || pp.removed.Load(p) {
+		_, _, leaf = t.search(p, k)
+	}
+	return leafValue(leaf, k)
+}
+
+// UpsertAt implements set.Locator: replaceAt at the located position
+// first, whose validation is the check Upsert makes under the parent's
+// lock, and the search-and-replace loop of Upsert when it fails.
+func (t *Tree) UpsertAt(p *flock.Proc, at set.Position, k, v uint64) (uint64, bool) {
+	pp, leaf := at.Parent.(*node), at.Node.(*node)
+	p.Begin()
+	defer p.End()
+	for !t.replaceAt(p, pp, leaf, k, v) {
+		_, pp, leaf = t.search(p, k)
+	}
+	return leafValue(leaf, k)
 }
 
 // Scan implements set.Scanner: an in-order walk of the subtrees whose

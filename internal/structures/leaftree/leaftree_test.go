@@ -169,3 +169,87 @@ func TestScanThroughSplicedOutParent(t *testing.T) {
 		}
 	}
 }
+
+// TestLocatedStalePositions locates a key, moves the tree on, and then
+// runs FindAt and UpsertAt from the stale position inside a thunk: each
+// must return what Find and Upsert return on the tree as it now is. The
+// tree starts as {30: leaf 20, leaf 30}, so 20 and 25 are located under
+// the router 30. The two splice cases leave the router's child pointer
+// at leaf 20 (a removed node is frozen), so only the removed check can
+// tell the position is stale.
+func TestLocatedStalePositions(t *testing.T) {
+	cases := []struct {
+		name string
+		k    uint64 // the key located and then read and upserted
+		move func(tr *Tree, p *flock.Proc)
+	}{
+		{"still valid", 20, func(tr *Tree, p *flock.Proc) { tr.Insert(p, 40, 40) }},
+		{"leaf replaced", 20, func(tr *Tree, p *flock.Proc) {
+			tr.Upsert(p, 20, func(uint64, bool) uint64 { return 200 })
+		}},
+		{"neighbour inserted", 20, func(tr *Tree, p *flock.Proc) { tr.Insert(p, 22, 22) }},
+		{"absent key, neighbour inserted", 25, func(tr *Tree, p *flock.Proc) { tr.Insert(p, 22, 22) }},
+		{"parent spliced out, leaf moved up and replaced", 20, func(tr *Tree, p *flock.Proc) {
+			tr.Delete(p, 30)
+			tr.Upsert(p, 20, func(uint64, bool) uint64 { return 200 })
+		}},
+		{"parent spliced out, key deleted", 20, func(tr *Tree, p *flock.Proc) { tr.Delete(p, 20) }},
+		{"absent key, parent spliced out, key inserted", 25, func(tr *Tree, p *flock.Proc) {
+			tr.Delete(p, 30)
+			tr.Insert(p, 25, 250)
+		}},
+	}
+	for _, blocking := range []bool{false, true} {
+		for _, tc := range cases {
+			rt := flock.New()
+			rt.SetBlocking(blocking)
+			p := rt.Register()
+			tr := New(rt)
+			tr.Insert(p, 20, 20)
+			tr.Insert(p, 30, 30)
+			at := tr.Locate(p, tc.k)
+			if pp := at.Parent.(*node); pp.k != 30 {
+				t.Fatalf("%s: located under router %d, want 30", tc.name, pp.k)
+			}
+			tc.move(tr, p)
+			var l flock.Lock
+			inThunk := func(f func(hp *flock.Proc)) {
+				l.TryLock(p, func(hp *flock.Proc) bool { f(hp); return true })
+			}
+
+			wantV, wantOK := tr.Find(p, tc.k)
+			var v uint64
+			var ok bool
+			inThunk(func(hp *flock.Proc) { v, ok = tr.FindAt(hp, at, tc.k) })
+			if v != wantV || ok != wantOK {
+				t.Errorf("blocking=%v %s: FindAt = (%d,%v), Find = (%d,%v)", blocking, tc.name, v, ok, wantV, wantOK)
+			}
+			inThunk(func(hp *flock.Proc) { v, ok = tr.UpsertAt(hp, at, tc.k, 999) })
+			if v != wantV || ok != wantOK {
+				t.Errorf("blocking=%v %s: UpsertAt = (%d,%v), want Upsert's (%d,%v)", blocking, tc.name, v, ok, wantV, wantOK)
+			}
+			if v, ok := tr.Find(p, tc.k); !ok || v != 999 {
+				t.Errorf("blocking=%v %s: after UpsertAt Find = (%d,%v), want (999,true)", blocking, tc.name, v, ok)
+			}
+			if err := tr.CheckInvariants(p); err != nil {
+				t.Errorf("blocking=%v %s: %v", blocking, tc.name, err)
+			}
+			p.Unregister()
+		}
+	}
+}
+
+// TestLocateInsideThunkPanics pins Locate's top-level contract.
+func TestLocateInsideThunkPanics(t *testing.T) {
+	rt := flock.New()
+	p := rt.Register()
+	defer p.Unregister()
+	tr := New(rt)
+	var l flock.Lock
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Locate inside a thunk did not panic")
+		}
+	}()
+	l.TryLock(p, func(hp *flock.Proc) bool { tr.Locate(hp, 1); return true })
+}

@@ -182,3 +182,40 @@ type Upserter interface {
 	// returns the previous value and whether k was present.
 	Upsert(p *flock.Proc, k uint64, f func(old uint64, present bool) uint64) (uint64, bool)
 }
+
+// Position is where Locator.Locate found a key: the node whose state
+// validates the position and the node the key routes to. Both are
+// structure-defined and opaque to callers; the zero Position names no
+// place and is never returned by Locate.
+type Position struct {
+	Parent, Node any
+}
+
+// Locator is optionally implemented by sets whose point operations split
+// into a search and an O(1) step: the paper's structures (§5) search
+// without locks, then lock and validate what they found. It lets a
+// composed critical section (internal/txn) run only the second half
+// under its log.
+//
+// Locate is the search: an unlogged traversal, called at top level
+// (outside any thunk; implementations may panic otherwise). Its result
+// is plain input to a later critical section and may be stale by then.
+// FindAt and UpsertAt are Find and Upsert (with the constant f(_, _) =
+// v) that start from a located position: they validate it with logged
+// loads, apply the operation in O(1) steps when it still holds, and run
+// the full operation when it does not. Their results are exactly those
+// of Find and Upsert at their linearization points, whatever the
+// position; a stale position only costs the search it was meant to
+// save. A position captured by a thunk is immutable input, so every run
+// of the thunk validates the same position against the same logged
+// loads and takes the same path.
+type Locator interface {
+	// Locate returns the position of k, found without logging.
+	Locate(p *flock.Proc, k uint64) Position
+	// FindAt returns the value associated with k, if present, starting
+	// from at.
+	FindAt(p *flock.Proc, at Position, k uint64) (uint64, bool)
+	// UpsertAt stores v under k, inserting if absent, starting from at,
+	// and returns the previous value and whether k was present.
+	UpsertAt(p *flock.Proc, at Position, k, v uint64) (uint64, bool)
+}

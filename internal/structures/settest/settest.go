@@ -50,7 +50,8 @@ var Modes = []struct {
 // differentials of the unlogged arms against the model, a
 // concurrent-mutation differential reading exclusively through the
 // optimistic arms, and lincheck linearizability of optimistic reads
-// racing logged mutators.
+// racing logged mutators. Structures that implement set.Locator get a
+// located-operation model pass.
 func Run(t *testing.T, f Factory) {
 	t.Helper()
 	probe, _ := newSet(f, false)
@@ -58,6 +59,7 @@ func Run(t *testing.T, f Factory) {
 	_, scannable := probe.(set.Scanner)
 	_, optFind := probe.(set.OptimisticReader)
 	_, optScan := probe.(set.OptimisticScanner)
+	_, locator := probe.(set.Locator)
 	for _, m := range Modes {
 		t.Run(m.Name, func(t *testing.T) {
 			t.Run("SequentialModel", func(t *testing.T) { sequentialModel(t, f, m.Blocking) })
@@ -76,6 +78,9 @@ func Run(t *testing.T, f Factory) {
 				t.Run("UpsertModel", func(t *testing.T) { upsertModel(t, f, m.Blocking) })
 				t.Run("UpsertLinearizable", func(t *testing.T) { upsertLinearizable(t, f, m.Blocking) })
 				t.Run("UpsertCounter", func(t *testing.T) { upsertCounter(t, f, m.Blocking) })
+			}
+			if locator {
+				t.Run("LocatedModel", func(t *testing.T) { locatedModel(t, f, m.Blocking) })
 			}
 			if scannable {
 				t.Run("ScanModel", func(t *testing.T) { scanModel(t, f, m.Blocking) })
@@ -445,6 +450,80 @@ func upsertModel(t *testing.T, f Factory, blocking bool) {
 		v, got := s.Find(p, k)
 		if got != had || (had && v != want) {
 			t.Fatalf("final sweep: Find(%d)=(%d,%v), model (%d,%v)", k, v, got, want, had)
+		}
+	}
+}
+
+// locatedModel checks set.Locator against a map model. Each round
+// locates a batch of keys (duplicates included), applies a batch of
+// interleaved inserts, deletes and upserts that leave many of the
+// positions stale, and then reads or upserts every batch key from its
+// position inside a thunk, as a composed transaction does.
+func locatedModel(t *testing.T, f Factory, blocking bool) {
+	s, rt := newSet(f, blocking)
+	loc := s.(set.Locator)
+	up, _ := s.(set.Upserter)
+	p := rt.Register()
+	defer p.Unregister()
+	model := map[uint64]uint64{}
+	rng := rand.New(rand.NewSource(23))
+	var l flock.Lock
+	inThunk := func(f func(hp *flock.Proc)) {
+		l.TryLock(p, func(hp *flock.Proc) bool { f(hp); return true })
+	}
+
+	const rounds = 400
+	const keySpace = 48
+	const batch = 6
+	key := func() uint64 { return uint64(rng.Intn(keySpace) + 1) }
+	for r := 0; r < rounds; r++ {
+		keys := make([]uint64, batch)
+		ats := make([]set.Position, batch)
+		for j := range keys {
+			keys[j] = key()
+			ats[j] = loc.Locate(p, keys[j])
+		}
+		for w := rng.Intn(10); w > 0; w-- {
+			k := key()
+			switch rng.Intn(3) {
+			case 0:
+				if s.Insert(p, k, uint64(r)) {
+					model[k] = uint64(r)
+				}
+			case 1:
+				s.Delete(p, k)
+				delete(model, k)
+			default:
+				if up != nil {
+					up.Upsert(p, k, func(o uint64, _ bool) uint64 { return o + 1 })
+					model[k]++
+				}
+			}
+		}
+		for j, k := range keys {
+			want, had := model[k]
+			var v uint64
+			var ok bool
+			if rng.Intn(2) == 0 {
+				inThunk(func(hp *flock.Proc) { v, ok = loc.FindAt(hp, ats[j], k) })
+				if ok != had || (had && v != want) {
+					t.Fatalf("round %d: FindAt(%d) = (%d,%v), model (%d,%v)", r, k, v, ok, want, had)
+				}
+				continue
+			}
+			nv := rng.Uint64()
+			inThunk(func(hp *flock.Proc) { v, ok = loc.UpsertAt(hp, ats[j], k, nv) })
+			if ok != had || (had && v != want) {
+				t.Fatalf("round %d: UpsertAt(%d) = (%d,%v), model (%d,%v)", r, k, v, ok, want, had)
+			}
+			model[k] = nv
+		}
+	}
+	for k := uint64(1); k <= keySpace; k++ {
+		want, had := model[k]
+		v, got := s.Find(p, k)
+		if got != had || (had && v != want) {
+			t.Fatalf("final sweep: Find(%d) = (%d,%v), model (%d,%v)", k, v, got, want, had)
 		}
 	}
 }

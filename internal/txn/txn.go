@@ -40,6 +40,10 @@
 //     a straggling helper may replay a completed transaction after the
 //     caller has already reused its buffers, and a replay must see the
 //     original, stable inputs (DESIGN.md S7/S11).
+//   - Keys are located (set.Locator) at top level before each attempt,
+//     and the positions are part of the attempt's immutable input: the
+//     body validates them with logged loads, so every run takes the
+//     same path, and logs O(1) steps per key instead of a descent.
 //
 // Per-shard locking trades intra-shard concurrency for cross-shard
 // atomicity; shard count recovers parallelism. The Blocking and
@@ -56,6 +60,7 @@ import (
 	flock "flock/internal/core"
 	"flock/internal/kv"
 	"flock/internal/kv/engine"
+	"flock/internal/structures/set"
 )
 
 // Mode selects a store's concurrency-control arm.
@@ -190,30 +195,229 @@ func (c *Client) Close() { c.kc.Close() }
 // outputs — and must not retain or mutate its argument slices.
 type TxnFunc func(vals []uint64, oks []bool) (writeVals []uint64, commit bool)
 
-// shardIndices maps keys to their shard indices (one hash per key per
-// operation; thunk bodies and helper replays reuse the result instead
-// of re-hashing). Thin delegate to the engine's footprint planner.
-func (c *Client) shardIndices(keys []uint64) []int {
-	return c.eng.ShardIndices(keys)
+// maxInline is the key count up to which a transaction keeps its
+// per-key state in fixed-size arrays instead of heap slices.
+const maxInline = 4
+
+// kind selects what a transaction computes from its reads.
+type kind uint8
+
+const (
+	kindFunc     kind = iota // a user TxnFunc (Txn)
+	kindSet                  // write vals as given (MultiPut; none for reads)
+	kindTransfer             // move amount from the first read key to the second
+)
+
+// plan is one transaction's immutable input, built at top level once per
+// call and shared by every attempt and every run of its body. It holds
+// defensive copies of the keys and values: a straggling helper may
+// replay a completed transaction after the caller reused its slices,
+// and must see the original inputs (DESIGN.md S7/S11).
+type plan struct {
+	keys   []uint64 // the distinct keys, reads first, in first-seen order
+	shard  []int    // shard index of keys[j], hashed once per call
+	reads  []int    // reads[i] is the index in keys of the i-th read key
+	writes []int    // writes[i] is the index in keys of the i-th write key
+	group  []int    // ascending shard group: the lock order
+	kind   kind
+	fn     TxnFunc
+	amount uint64
+	vals   []uint64
+
+	keyBuf   [maxInline]uint64
+	shardBuf [maxInline]int
+	readBuf  [maxInline]int
+	writeBuf [maxInline]int
 }
 
-// shardsOf returns the sorted, deduplicated union of the precomputed
-// shard-index sets — the lock acquisition order. The returned slice is
-// fresh (it is captured by thunk closures); the scratch bitmap is not.
-func (c *Client) shardsOf(idxSets ...[]int) []int {
-	return c.eng.Group(c.seen, idxSets...)
+// inline returns buf[:n] when n fits the inline array, else a fresh slice.
+func inline[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
 }
 
-// atomically runs the composed critical section through the engine's
-// transactional arm (engine.Atomic): retried until the full ascending
-// lock chain is acquired once, with jittered backoff between attempts
-// and the obs depth/helped counters and TxnSpan trace emitted there.
-// mkBody must return a fresh body per attempt, and the body must
-// publish its results idempotently (per-attempt atomics): acquisition
-// success means body's effects are durably logged, even if the physical
-// completion was a helper's.
-func (c *Client) atomically(shards []int, mkBody func() func(hp *flock.Proc)) {
-	c.eng.Atomic(c.p, shards, mkBody)
+// newPlan copies the key lists into a plan, maps each key to its
+// distinct-key slot (a key both read and written, as in Transfer, gets
+// one slot and so one located position per attempt) and plans the lock
+// group.
+func (c *Client) newPlan(readKeys, writeKeys []uint64) *plan {
+	pl := &plan{}
+	n := len(readKeys) + len(writeKeys)
+	pl.keys, pl.shard = pl.keyBuf[:0], pl.shardBuf[:0]
+	if n > maxInline {
+		pl.keys, pl.shard = make([]uint64, 0, n), make([]int, 0, n)
+	}
+	pl.reads = inline(pl.readBuf[:], len(readKeys))
+	for i, k := range readKeys {
+		pl.reads[i] = pl.slot(c, k)
+	}
+	pl.writes = inline(pl.writeBuf[:], len(writeKeys))
+	for i, k := range writeKeys {
+		pl.writes[i] = pl.slot(c, k)
+	}
+	pl.group = c.eng.Group(c.seen, pl.shard)
+	return pl
+}
+
+// slot returns k's index in pl.keys, adding k on first sight. The scan
+// is linear: transactions name a handful of keys.
+func (pl *plan) slot(c *Client, k uint64) int {
+	for j, x := range pl.keys {
+		if x == k {
+			return j
+		}
+	}
+	pl.keys = append(pl.keys, k)
+	pl.shard = append(pl.shard, c.st.kv.ShardOf(k))
+	return len(pl.keys) - 1
+}
+
+// keysOf returns the keys an index list names (the NonAtomic arm).
+func (pl *plan) keysOf(idx []int) []uint64 {
+	out := make([]uint64, len(idx))
+	for i, j := range idx {
+		out[i] = pl.keys[j]
+	}
+	return out
+}
+
+// compute fills wv, one value per write key, from the reads rv/ro and
+// reports whether to commit. It is pure and retains none of its
+// arguments, so the body can pass run-local arrays; a user TxnFunc gets
+// its own copies of the reads.
+func (pl *plan) compute(rv []uint64, ro []bool, wv []uint64) bool {
+	switch pl.kind {
+	case kindSet:
+		copy(wv, pl.vals)
+	case kindTransfer:
+		if !ro[0] || !ro[1] || rv[0] < pl.amount {
+			return false
+		}
+		wv[0], wv[1] = rv[0]-pl.amount, rv[1]+pl.amount
+	default:
+		out, commit := pl.fn(append([]uint64(nil), rv...), append([]bool(nil), ro...))
+		if !commit {
+			return false
+		}
+		if len(out) != len(wv) {
+			panic("txn: TxnFunc returned wrong write count")
+		}
+		copy(wv, out)
+	}
+	return true
+}
+
+// attempt is one execution attempt of a plan. Its positions are located
+// before the attempt's lock chain is tried and never change, so they are
+// immutable input every run of the body sees. Its buffers are the
+// idempotent channels every run publishes through, fresh per attempt: a
+// straggler of a failed published attempt writes into that attempt's
+// buffers, not the next one's (DESIGN.md S11).
+type attempt struct {
+	st       *Store
+	pl       *plan
+	at       []set.Position  // located position of each distinct key
+	vals     []atomic.Uint64 // value of each read key
+	oks      []atomic.Bool   // presence of each read key
+	inserted atomic.Uint64   // write keys newly inserted
+	ok       atomic.Bool     // committed (false: aborted)
+
+	atBuf  [maxInline]set.Position
+	valBuf [maxInline]atomic.Uint64
+	okBuf  [maxInline]atomic.Bool
+}
+
+// newAttempt locates every distinct key of pl, unlogged, at top level.
+func (c *Client) newAttempt(pl *plan) *attempt {
+	a := &attempt{st: c.st, pl: pl}
+	a.at = inline(a.atBuf[:], len(pl.keys))
+	a.vals = inline(a.valBuf[:], len(pl.reads))
+	a.oks = inline(a.okBuf[:], len(pl.reads))
+	for j, k := range pl.keys {
+		a.at[j] = c.st.kv.ShardLocate(pl.shard[j], c.p, k)
+	}
+	return a
+}
+
+// body is the composed critical section. Reads and writes start from
+// the located positions, so each logs O(1) steps while its position
+// holds; a stale one falls back to the full logged operation, and since
+// the validation loads are logged every run takes the same path. All
+// reads precede all writes; a second write of one key finds its
+// position moved on by the first and falls back the same way.
+func (a *attempt) body(hp *flock.Proc) {
+	pl, kvs := a.pl, a.st.kv
+	// Run-local scratch: every run recomputes identical values from
+	// logged loads.
+	var rvBuf, wvBuf [maxInline]uint64
+	var roBuf [maxInline]bool
+	rv, ro := inline(rvBuf[:], len(pl.reads)), inline(roBuf[:], len(pl.reads))
+	wv := inline(wvBuf[:], len(pl.writes))
+	for i, j := range pl.reads {
+		rv[i], ro[i] = kvs.ShardGetAt(pl.shard[j], hp, a.at[j], pl.keys[j])
+	}
+	commit := pl.compute(rv, ro, wv)
+	for i := range rv {
+		a.vals[i].Store(rv[i])
+		a.oks[i].Store(ro[i])
+	}
+	if !commit {
+		return
+	}
+	// The count is accumulated run-locally and published with a Store
+	// (not Add): every run derives the same total from logged upsert
+	// reports, so the store is idempotent where an increment would
+	// double-count under helping.
+	n := uint64(0)
+	for i, j := range pl.writes {
+		if kvs.ShardPutAt(pl.shard[j], hp, a.at[j], pl.keys[j], wv[i]) {
+			n++
+		}
+	}
+	a.inserted.Store(n)
+	a.ok.Store(true)
+}
+
+// exec runs pl through the engine's transactional arm (engine.Atomic):
+// retried until the full ascending lock chain is acquired once, with
+// jittered backoff between attempts and the obs depth/helped counters
+// and TxnSpan trace emitted there. Each attempt locates its keys afresh.
+// It returns the attempt that committed: acquisition success means its
+// body's effects are durably logged, even if the physical completion
+// was a helper's.
+func (c *Client) exec(pl *plan) *attempt {
+	var last *attempt
+	c.eng.Atomic(c.p, pl.group, func() func(hp *flock.Proc) {
+		last = c.newAttempt(pl)
+		return last.body
+	})
+	return last
+}
+
+// run executes pl in the store's mode and returns the reads observed at
+// the serialization point and whether the transaction committed. In
+// NonAtomic mode the reads and writes are per-key operations with no
+// mutual atomicity (the ablation baseline).
+func (c *Client) run(pl *plan) (vals []uint64, oks []bool, ok bool) {
+	if c.st.mode == NonAtomic {
+		rv, ro := c.kc.GetBatch(pl.keysOf(pl.reads))
+		wv := make([]uint64, len(pl.writes))
+		if !pl.compute(rv, ro, wv) {
+			return rv, ro, false
+		}
+		c.kc.PutBatch(pl.keysOf(pl.writes), wv)
+		return rv, ro, true
+	}
+	a := c.exec(pl)
+	vals = make([]uint64, len(pl.reads))
+	oks = make([]bool, len(pl.reads))
+	for i := range vals {
+		vals[i] = a.vals[i].Load()
+		oks[i] = a.oks[i].Load()
+	}
+	return vals, oks, a.ok.Load()
 }
 
 // Txn runs a generic multi-key transaction: it reads readKeys, applies
@@ -225,77 +429,17 @@ func (c *Client) atomically(shards []int, mkBody func() func(hp *flock.Proc)) {
 // In NonAtomic mode the reads and writes are per-key operations with no
 // mutual atomicity (the ablation baseline).
 func (c *Client) Txn(readKeys, writeKeys []uint64, fn TxnFunc) (vals []uint64, oks []bool, committed bool) {
-	if c.st.mode == NonAtomic {
-		rv, ro := c.kc.GetBatch(readKeys)
-		wv, commit := fn(rv, ro)
-		if !commit {
-			return rv, ro, false
-		}
-		if len(wv) != len(writeKeys) {
-			panic("txn: TxnFunc returned wrong write count")
-		}
-		c.kc.PutBatch(writeKeys, wv)
-		return rv, ro, true
-	}
-	// Defensive copies: thunk closures capture these, and straggling
-	// helpers may replay them after the caller reused its slices. The
-	// shard indices are precomputed once beside them so replays do not
-	// re-hash every key.
-	rk := append([]uint64(nil), readKeys...)
-	wk := append([]uint64(nil), writeKeys...)
-	rsh := c.shardIndices(rk)
-	wsh := c.shardIndices(wk)
-	shards := c.shardsOf(rsh, wsh)
-
-	type buf struct {
-		vals    []atomic.Uint64
-		oks     []atomic.Uint32
-		outcome atomic.Uint32 // 1 committed, 2 aborted
-	}
-	var last *buf
-	c.atomically(shards, func() func(hp *flock.Proc) {
-		b := &buf{vals: make([]atomic.Uint64, len(rk)), oks: make([]atomic.Uint32, len(rk))}
-		last = b
-		return func(hp *flock.Proc) {
-			// Run-local scratch: every run recomputes identical values
-			// from logged loads.
-			rv := make([]uint64, len(rk))
-			ro := make([]bool, len(rk))
-			for i, k := range rk {
-				v, ok := c.st.kv.ShardGet(rsh[i], hp, k)
-				rv[i], ro[i] = v, ok
-			}
-			wv, commit := fn(rv, ro)
-			for i := range rk {
-				b.vals[i].Store(rv[i])
-				if ro[i] {
-					b.oks[i].Store(1)
-				}
-			}
-			if !commit {
-				b.outcome.Store(2)
-				return
-			}
-			if len(wv) != len(wk) {
-				panic("txn: TxnFunc returned wrong write count")
-			}
-			for i, k := range wk {
-				c.st.kv.ShardPut(wsh[i], hp, k, wv[i])
-			}
-			b.outcome.Store(1)
-		}
-	})
-	vals = make([]uint64, len(rk))
-	oks = make([]bool, len(rk))
-	for i := range rk {
-		vals[i] = last.vals[i].Load()
-		oks[i] = last.oks[i].Load() == 1
-	}
-	return vals, oks, last.outcome.Load() == 1
+	pl := c.newPlan(readKeys, writeKeys)
+	pl.fn = fn
+	return c.run(pl)
 }
 
-// commitTrue is the read-only TxnFunc.
-func commitTrue([]uint64, []bool) ([]uint64, bool) { return nil, true }
+// readPlan is the plan of a read-only transaction over keys.
+func (c *Client) readPlan(keys []uint64) *plan {
+	pl := c.newPlan(keys, nil)
+	pl.kind = kindSet
+	return pl
+}
 
 // MultiGet returns a consistent snapshot of the keys: all values read
 // at one serialization point (in atomic modes; in NonAtomic mode it is
@@ -311,7 +455,7 @@ func (c *Client) MultiGet(keys []uint64) ([]uint64, []bool) {
 	if c.st.kv.OptimisticReads() {
 		return c.kc.MultiGet(keys)
 	}
-	vals, oks, _ := c.Txn(keys, nil, commitTrue)
+	vals, oks, _ := c.run(c.readPlan(keys))
 	return vals, oks
 }
 
@@ -325,29 +469,9 @@ func (c *Client) MultiPut(keys, vals []uint64) int {
 	if c.st.mode == NonAtomic {
 		return c.kc.PutBatch(keys, vals)
 	}
-	k2 := append([]uint64(nil), keys...)
-	v2 := append([]uint64(nil), vals...)
-	ksh := c.shardIndices(k2)
-	shards := c.shardsOf(ksh)
-	var last *atomic.Uint64
-	c.atomically(shards, func() func(hp *flock.Proc) {
-		ins := &atomic.Uint64{}
-		last = ins
-		return func(hp *flock.Proc) {
-			// The count is accumulated run-locally and published with a
-			// Store (not Add): every run derives the same total from
-			// logged upsert reports, so the store is idempotent where
-			// an increment would double-count under helping.
-			n := uint64(0)
-			for i, k := range k2 {
-				if c.st.kv.ShardPut(ksh[i], hp, k, v2[i]) {
-					n++
-				}
-			}
-			ins.Store(n)
-		}
-	})
-	return int(last.Load())
+	pl := c.newPlan(nil, keys)
+	pl.kind, pl.vals = kindSet, append([]uint64(nil), vals...)
+	return int(c.exec(pl).inserted.Load())
 }
 
 // MultiCAS atomically compares-and-sets a key set: iff every keys[i] is
@@ -378,14 +502,14 @@ func (c *Client) Transfer(a, b, amount uint64) bool {
 	if a == b {
 		return false
 	}
-	_, _, committed := c.Txn([]uint64{a, b}, []uint64{a, b},
-		func(vals []uint64, oks []bool) ([]uint64, bool) {
-			if !oks[0] || !oks[1] || vals[0] < amount {
-				return nil, false
-			}
-			return []uint64{vals[0] - amount, vals[1] + amount}, true
-		})
-	return committed
+	keys := [2]uint64{a, b}
+	pl := c.newPlan(keys[:], keys[:])
+	pl.kind, pl.amount = kindTransfer, amount
+	if c.st.mode == NonAtomic {
+		_, _, ok := c.run(pl)
+		return ok
+	}
+	return c.exec(pl).ok.Load()
 }
 
 // Get is single-key read sugar: a one-key transaction in atomic modes
@@ -401,7 +525,8 @@ func (c *Client) Get(k uint64) (uint64, bool) {
 		// the one-key read-only transaction it replaces.
 		return c.kc.Get(k)
 	}
-	vals, oks, _ := c.Txn([]uint64{k}, nil, commitTrue)
+	keys := [1]uint64{k}
+	vals, oks, _ := c.run(c.readPlan(keys[:]))
 	return vals[0], oks[0]
 }
 

@@ -2,6 +2,8 @@ package txn_test
 
 import (
 	"fmt"
+	"math"
+	"sync/atomic"
 	"testing"
 
 	flock "flock/internal/core"
@@ -244,4 +246,122 @@ func TestMetricsTxnDepthAndHelping(t *testing.T) {
 	if h := d.Get(obs.TxnHelped); h != 0 {
 		t.Errorf("TxnHelped = %d on an uncontended client, want 0", h)
 	}
+}
+
+// TestStragglerReplaysLocatedTransfer replays a finished composed
+// transfer body, with the positions its attempt located, from a second
+// Proc after the shards have moved on: the straggler's logged loads and
+// CASes all resolve against the owner's committed log, so no balance
+// changes. The pattern is internal/core's TestStragglerCannotReinstall,
+// built from real helping: the owner parks inside its body, a reader
+// helps and parks there too, the owner finishes, other clients replace
+// the located leaves, insert next to them and delete around them, and
+// only then does the helper run on.
+func TestStragglerReplaysLocatedTransfer(t *testing.T) {
+	st := txn.New(leaftreeFactory, txn.Options{Shards: 2, Mode: txn.LockFree, KeyRange: 1024})
+	kvs := st.KV()
+	// Accounts 10, 20, ..., 80, with a and b on different shards.
+	var accounts []uint64
+	for k := uint64(10); k <= 80; k += 10 {
+		accounts = append(accounts, k)
+	}
+	a := accounts[0]
+	var b uint64
+	for _, k := range accounts[1:] {
+		if kvs.ShardOf(k) != kvs.ShardOf(a) {
+			b = k
+			break
+		}
+	}
+	if b == 0 {
+		t.Fatal("all accounts routed to one shard")
+	}
+	setup := st.Register()
+	for _, k := range accounts {
+		setup.MultiPut([]uint64{k}, []uint64{1000})
+	}
+	setup.Close()
+
+	ownerIn, helperIn := make(chan struct{}), make(chan struct{})
+	ownerGo, helperGo := make(chan struct{}), make(chan struct{})
+	var runs atomic.Int32
+	transfer := func(vals []uint64, oks []bool) ([]uint64, bool) {
+		switch runs.Add(1) {
+		case 1:
+			close(ownerIn)
+			<-ownerGo
+		case 2:
+			close(helperIn)
+			<-helperGo
+		}
+		if !oks[0] || !oks[1] || vals[0] < 100 {
+			return nil, false
+		}
+		return []uint64{vals[0] - 100, vals[1] + 100}, true
+	}
+
+	// The owner's client moves the shards on afterwards too, so nothing
+	// its next operations build may alias the finished attempt's input.
+	c := st.Register()
+	defer c.Close()
+	ownerDone := make(chan bool)
+	go func() {
+		_, _, ok := c.Txn([]uint64{a, b}, []uint64{a, b}, transfer)
+		ownerDone <- ok
+	}()
+	<-ownerIn
+	helperDone := make(chan struct{})
+	go func() {
+		c := st.Register()
+		defer c.Close()
+		c.MultiGet([]uint64{a}) // a locked read: finds a's shard held and helps
+		close(helperDone)
+	}()
+	<-helperIn
+	close(ownerGo)
+	if !<-ownerDone {
+		t.Fatal("owner's transfer did not commit")
+	}
+
+	// Move the shards on: replace both located leaves, insert beside
+	// them, and delete a neighbour so routers above them are spliced.
+	kc := kvs.Register()
+	defer kc.Close()
+	if !c.Transfer(b, a, 7) {
+		t.Fatal("follow-up transfer did not commit")
+	}
+	c.MultiPut([]uint64{a + 1, b + 1, a - 1}, []uint64{1, 2, 3})
+	kc.Delete(a + 1)
+	kc.Delete(accounts[len(accounts)-1])
+	before := snapshot(kvs)
+
+	close(helperGo)
+	<-helperDone
+	if runs.Load() != 2 {
+		t.Fatalf("transfer body ran %d times, want 2 (owner and straggler)", runs.Load())
+	}
+	after := snapshot(kvs)
+	if len(after) != len(before) {
+		t.Fatalf("straggler replay changed the key set: %v -> %v", before, after)
+	}
+	for k, v := range before {
+		if after[k] != v {
+			t.Fatalf("straggler replay changed key %d: %d -> %d", k, v, after[k])
+		}
+	}
+	if before[a] != 907 || before[b] != 1093 {
+		t.Fatalf("balances a=%d b=%d, want 907 and 1093", before[a], before[b])
+	}
+}
+
+// snapshot reads the whole store through a Snapshot.
+func snapshot(st *kv.Store) map[uint64]uint64 {
+	sn := st.Snapshot()
+	defer sn.Close()
+	out := map[uint64]uint64{}
+	sn.Iterate(0, math.MaxUint64, func(k, v uint64) bool {
+		out[k] = v
+		return true
+	})
+	return out
 }
