@@ -14,7 +14,8 @@
 //
 // Shared locations that are mutated inside locks are declared as
 // Mutable[V] (or UpdateOnce[V] for locations written at most once after
-// initialization). Critical sections are thunks passed to Lock.TryLock:
+// initialization, or Link[T] for pointers that never recur in their
+// location). Critical sections are thunks passed to Lock.TryLock:
 //
 //	ok := lck.TryLock(p, func(hp *flock.Proc) bool {
 //	    if node.removed.Load(hp) || node.next.Load(hp) != succ {
@@ -38,9 +39,10 @@
 // A thunk may be executed concurrently by several helpers, so its control
 // flow must be a pure function of committed values:
 //
-//   - Read shared mutable state only through Mutable/UpdateOnce Load (or
-//     through the Proc.Commit escape hatch for anything non-deterministic,
-//     e.g. random numbers).
+//   - Read shared mutable state only through Mutable/Link/UpdateOnce
+//     Load, and make anything non-deterministic (e.g. a random number)
+//     agree across runs by building it inside Allocate or committing a
+//     pointer to it with CommitPtr.
 //   - Use the *Proc argument passed to the thunk, never a captured outer
 //     Proc: helpers run the thunk with their own Proc.
 //   - Capture by value: copy loop variables and locals into the closure

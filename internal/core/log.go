@@ -14,16 +14,15 @@ const logBlockLen = 7
 // logSlot is one log position: a raw pointer word that is CAS'd from nil
 // exactly once and immutable afterwards. The committed pointer is stored
 // *directly* — no wrapper entry, no interface box — which is what makes
-// the hot commit path (boxes, descriptors, Allocate results, booleans)
-// allocation-free. nil pointers and booleans are encoded with the
-// sentinel addresses below.
-//
-// The slow path (Proc.Commit / CommitValue of arbitrary values) stores
-// a *logEntry wrapper instead. The two
-// encodings never mix at one position: every run of a thunk executes the
-// same operation at the same log position (the determinism rules in the
-// package documentation), so the call site that committed a slot is also
-// the only call site that ever decodes it.
+// the hot commit path (boxes, Link pointers, descriptors, Allocate
+// results, booleans) allocation-free. nil pointers and booleans are
+// encoded with the sentinel addresses below. This is the only encoding production code
+// commits; the tests' boxed-value helper (Proc.Commit, in
+// commitvalue_test.go) stores a wrapper pointer instead, which is sound
+// because every run of a thunk executes the same operation at the same
+// log position (the determinism rules in the package documentation), so
+// the call site that committed a slot is also the only one that decodes
+// it.
 type logSlot struct {
 	v unsafe.Pointer
 }
@@ -131,42 +130,6 @@ func (p *Proc) commitBool(v bool) (bool, bool) {
 	return c == committedTrue, false
 }
 
-// logEntry boxes one committed value for the general (non-pointer)
-// commit path. The pointer-to-entry in a log slot is CAS'd from nil
-// exactly once; the entry itself is immutable afterwards.
-type logEntry struct {
-	val any
-}
-
-// commit is the general commitValue for arbitrary values: Proc.Commit
-// and CommitValue. It boxes the value in a logEntry
-// (one allocation when this run is the one that commits; under the
-// default compare-and-compare-and-swap mode, replays of an
-// already-committed slot allocate nothing thanks to the read-first
-// check). Hot-path callers (Mutable, UpdateOnce, descriptors, Allocate,
-// Retire) use commitPtr/commitBool instead. Outside any thunk it is a pass-through.
-func (p *Proc) commit(v any) (any, bool) {
-	blk := p.blk
-	if blk == nil {
-		return v, true
-	}
-	if p.idx == logBlockLen {
-		blk = p.advanceBlock(blk)
-	}
-	slot := &blk.entries[p.idx]
-	p.idx++
-	if p.rt.avoidCAS {
-		if e := slot.load(); e != nil {
-			return (*logEntry)(e).val, false
-		}
-	}
-	mine := &logEntry{val: v}
-	if slot.cas(unsafe.Pointer(mine)) {
-		return v, true
-	}
-	return (*logEntry)(slot.load()).val, false
-}
-
 // advanceBlock moves the Proc's cursor to the next log block, creating
 // it idempotently if this run is the first to need it. Spill blocks come
 // from the Proc's freelist; a block that loses the linking CAS was never
@@ -190,23 +153,10 @@ func (p *Proc) advanceBlock(blk *logBlock) *logBlock {
 // CommitPtr is the typed pointer commit for user code whose runs must
 // agree on a pointer read from an unlogged location (the KV layer's
 // snapshot registry is the motivating case): the pointer lands in the
-// log slot directly — no logEntry box — so first runs and replays both
-// allocate nothing. It returns the committed pointer and whether the
-// caller was first. Outside a thunk it returns (v, true).
+// log slot directly, so first runs and replays both allocate nothing.
+// It returns the committed pointer and whether the caller was first.
+// Outside a thunk it returns (v, true).
 func CommitPtr[T any](p *Proc, v *T) (*T, bool) { return commitPtr(p, v) }
-
-// Commit exposes commitValue for user code that must agree on a
-// non-deterministic value across helpers (the paper's example is a value
-// derived from processor noise; a practical one is a random level or
-// priority). It returns the committed value and whether the caller was
-// first. Outside a thunk it returns (v, true).
-func (p *Proc) Commit(v any) (any, bool) { return p.commit(v) }
-
-// CommitValue is a typed convenience wrapper around Proc.Commit.
-func CommitValue[V any](p *Proc, v V) (V, bool) {
-	c, first := p.commit(v)
-	return c.(V), first
-}
 
 // InThunk reports whether the Proc is currently executing inside a
 // descriptor's thunk (i.e. whether loggable operations are being

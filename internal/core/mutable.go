@@ -105,6 +105,54 @@ func (m *Mutable[V]) CAM(p *Proc, old, new V) {
 	}
 }
 
+// Link is a pointer location that needs no box because its pointers are
+// their own ABA tags (DESIGN.md S1). It holds the *T inline: inside a
+// thunk, Load commits the pointer itself to the log and Store is one CAS
+// from the committed pointer to the new one, of which exactly one run's
+// attempt can succeed. Outside any thunk (including all of blocking
+// mode) Load and Store are plain atomics. No box is allocated, pooled or
+// retired, so a hop through a Link is one dependent load, not two.
+//
+// Contract: a pointer stored in a Link never recurs in that Link, and
+// its pointees are never pooled, so the garbage collector keeps any
+// pointer a log holds unique. A structure whose updates can set a
+// location back to an earlier value (an A→B→A sequence) must use
+// Mutable instead.
+//
+// The zero value holds nil.
+type Link[T any] struct {
+	p atomic.Pointer[T]
+}
+
+// Init sets an initial pointer; same contract as Mutable.Init.
+func (l *Link[T]) Init(v *T) { l.p.Store(v) }
+
+// Load returns the current pointer, committing it when inside a thunk.
+func (l *Link[T]) Load(p *Proc) *T {
+	v := l.p.Load()
+	if p.blk == nil {
+		return v
+	}
+	c, _ := commitPtr(p, v)
+	return c
+}
+
+// Store writes v. Inside a thunk it first performs a logged load, then a
+// CAS from the committed pointer, so only the first run's store takes
+// effect. As with Mutable.Store, stores must not race with other stores
+// to the same location.
+func (l *Link[T]) Store(p *Proc, v *T) {
+	if p.blk == nil {
+		l.p.Store(v)
+		return
+	}
+	old := l.Load(p)
+	if p.rt.avoidCAS && l.p.Load() != old {
+		return // someone already moved it past old; our CAS would fail
+	}
+	l.p.CompareAndSwap(old, v)
+}
+
 // UpdateOnce is a shared location with an initial value that is updated at
 // most once (the paper's "update-once locations", §6): reads may happen
 // before or after the update. Such locations are naturally ABA-free, so a

@@ -1,6 +1,7 @@
 package flock
 
 import (
+	"sync"
 	"testing"
 
 	"flock/internal/obs"
@@ -294,4 +295,108 @@ func TestAllocsTryLockInsert(t *testing.T) {
 		t.Errorf("pooling must reduce insert allocs >=2x: pooled %v vs fresh %v", pooled, fresh)
 	}
 	t.Logf("TryLock insert: pooled %.3f allocs/op, GC-fresh %.3f allocs/op", pooled, fresh)
+}
+
+// TestAllocsLinkInThunk pins the box-free pointer location (DESIGN.md
+// S1): inside a thunk a Link load commits the pointer itself and a store
+// is one CAS from it, so neither allocates, in either commit mode.
+func TestAllocsLinkInThunk(t *testing.T) {
+	for _, opts := range [][]Option{nil, {NoCCAS()}} {
+		rt := New(opts...)
+		p := rt.Register()
+		var l Lock
+		var link Link[uint64]
+		nodes := [2]uint64{1, 2}
+		link.Init(&nodes[0])
+		f := func(hp *Proc) bool {
+			if link.Load(hp) == &nodes[0] {
+				link.Store(hp, &nodes[1])
+			} else {
+				link.Store(hp, &nodes[0])
+			}
+			return true
+		}
+		op := func() {
+			p.Begin()
+			l.TryLock(p, f)
+			p.End()
+		}
+		warm(2000, op)
+		if got := testing.AllocsPerRun(500, op); got != 0 {
+			t.Errorf("opts=%d: Link load+store in a thunk allocates %v per op, must be 0", len(opts), got)
+		}
+		p.Unregister()
+	}
+}
+
+// TestLinkCommittedNilRoundTrips: a nil loaded by the first run is
+// committed as nil, so a replay sees nil even after the location was set.
+func TestLinkCommittedNilRoundTrips(t *testing.T) {
+	rt := New()
+	p, q := rt.Register(), rt.Register()
+	defer p.Unregister()
+	defer q.Unregister()
+	var link Link[int]
+	head, exitP := enterFakeThunk(p)
+	got1 := link.Load(p)
+	exitP()
+	link.Store(q, new(int))
+	exitQ := enterExistingLog(q, head)
+	got2 := link.Load(q)
+	exitQ()
+	if got1 != nil || got2 != nil {
+		t.Fatalf("committed nil: run1=%p run2=%p, want nil, nil", got1, got2)
+	}
+}
+
+// TestLinkStoreLandsOnce: runs of one thunk all CAS from the same
+// committed pointer, so exactly one store lands, whether the runs race or
+// a straggler replays after the location moved on. The racing runs store
+// distinct pointers here only to make the winner observable.
+func TestLinkStoreLandsOnce(t *testing.T) {
+	for _, opts := range [][]Option{nil, {NoCCAS()}} {
+		rt := New(opts...)
+		var link Link[int]
+		old := new(int)
+		link.Init(old)
+		head := &logBlock{}
+		const runs = 4
+		vals := make([]*int, runs)
+		var wg sync.WaitGroup
+		for i := range vals {
+			vals[i] = new(int)
+			p := rt.Register()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer p.Unregister()
+				exit := enterExistingLog(p, head)
+				link.Store(p, vals[i])
+				exit()
+			}()
+		}
+		wg.Wait()
+		cur := link.p.Load()
+		landed := 0
+		for _, v := range vals {
+			if cur == v {
+				landed++
+			}
+		}
+		if landed != 1 {
+			t.Fatalf("opts=%d: %d of %d racing stores landed, want exactly 1", len(opts), landed, runs)
+		}
+
+		// A straggler after the location moved on changes nothing.
+		moved := new(int)
+		link.Init(moved)
+		p := rt.Register()
+		exit := enterExistingLog(p, head)
+		link.Store(p, vals[0])
+		exit()
+		p.Unregister()
+		if got := link.p.Load(); got != moved {
+			t.Fatalf("opts=%d: straggler store clobbered the location", len(opts))
+		}
+	}
 }

@@ -24,13 +24,17 @@ const (
 
 // node is either an internal router (leaf=false) or a leaf holding a
 // key-value pair. All fields except the two child pointers and removed
-// are constants.
+// are constants. The child pointers are box-free Links: a store only
+// installs fresh nodes or nodes still in the tree, and the node it
+// replaces leaves the tree for good, so no pointer recurs in a field and
+// node identity is the ABA tag (DESIGN.md S1). That is why replaceAt
+// copies the leaf it splits instead of reusing it.
 type node struct {
 	k       uint64
 	v       uint64
 	leaf    bool
-	left    flock.Mutable[*node]
-	right   flock.Mutable[*node]
+	left    flock.Link[node]
+	right   flock.Link[node]
 	removed flock.UpdateOnce[bool]
 	lck     flock.Lock
 }
@@ -69,7 +73,7 @@ func (t *Tree) acquire(p *flock.Proc, l *flock.Lock, f flock.Thunk) bool {
 }
 
 // childOf returns the child pointer k routes to at n (k < n.k goes left).
-func childOf(n *node, k uint64) *flock.Mutable[*node] {
+func childOf(n *node, k uint64) *flock.Link[node] {
 	if k < n.k {
 		return &n.left
 	}
@@ -77,7 +81,7 @@ func childOf(n *node, k uint64) *flock.Mutable[*node] {
 }
 
 // siblingOf returns the other child pointer.
-func siblingOf(n *node, k uint64) *flock.Mutable[*node] {
+func siblingOf(n *node, k uint64) *flock.Link[node] {
 	if k < n.k {
 		return &n.right
 	}
@@ -108,7 +112,7 @@ func (t *Tree) Find(p *flock.Proc, k uint64) (uint64, bool) {
 
 // Insert adds (k, v); false if already present. The leaf found by the
 // search is replaced, under its parent's lock, by an internal node whose
-// children are the old leaf and the new one (replaceAt).
+// children are a copy of the old leaf and the new one (replaceAt).
 func (t *Tree) Insert(p *flock.Proc, k, v uint64) bool {
 	p.Begin()
 	defer p.End()
@@ -127,8 +131,12 @@ func (t *Tree) Insert(p *flock.Proc, k, v uint64) bool {
 // pp's lock, after validating that pp is still in the tree and still
 // routes k to leaf. A leaf holding k is replaced by a new leaf (leaf
 // values are immutable, so a value update is a pointer swap); any other
-// leaf is replaced by an internal node whose children are the old leaf
-// and the new one. It reports false, changing nothing, when the lock is
+// leaf is replaced by an internal node whose children are a fresh copy
+// of the old leaf and the new one. The copy keeps the old leaf out of
+// the tree for good: reused under the new node, a delete of k would
+// splice it back into pp's child field, and a straggler replaying this
+// section would find its committed pointer there again and re-insert k
+// (DESIGN.md S1). It reports false, changing nothing, when the lock is
 // taken or the validation fails.
 func (t *Tree) replaceAt(p *flock.Proc, pp, leaf *node, k, v uint64) bool {
 	return t.acquire(p, &pp.lck, func(hp *flock.Proc) bool {
@@ -145,16 +153,18 @@ func (t *Tree) replaceAt(p *flock.Proc, pp, leaf *node, k, v uint64) bool {
 		}
 		inner := flock.Allocate(hp, func() *node {
 			in := &node{k: maxKey(k, leaf.k)}
+			old := &node{k: leaf.k, v: leaf.v, leaf: true}
 			if k < leaf.k {
 				in.left.Init(newLeaf)
-				in.right.Init(leaf)
+				in.right.Init(old)
 			} else {
-				in.left.Init(leaf)
+				in.left.Init(old)
 				in.right.Init(newLeaf)
 			}
 			return in
 		})
 		childOf(pp, k).Store(hp, inner)
+		flock.Retire(hp, leaf, nil)
 		return true
 	})
 }
@@ -311,7 +321,7 @@ func (t *Tree) Scan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
 }
 
 // OptimisticFind implements set.OptimisticReader. Find is already an
-// unlogged read when called at top level — a pure descent over Mutable
+// unlogged read when called at top level — a pure descent over Link
 // loads, which commit nothing outside a thunk, with copy-on-write
 // subtree replacement pinning every loaded pointer — so the optimistic
 // arm is Find itself; this method only asserts the top-level contract.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	flock "flock/internal/core"
@@ -252,4 +253,117 @@ func TestLocateInsideThunkPanics(t *testing.T) {
 		}
 	}()
 	l.TryLock(p, func(hp *flock.Proc) bool { tr.Locate(hp, 1); return true })
+}
+
+// TestStragglerCannotReinsertDeletedKey replays a finished composed
+// insert from a straggling helper after a delete has spliced the new
+// router out again. The helper parks inside the composed body, the
+// owner completes the insert of k under leaf L, a delete of k promotes
+// k's sibling into the parent's child field, and only then does the
+// helper run on: its replay commits the owner's loads, so it validates
+// against L and attempts the owner's CAS from L to the new router. The
+// child fields are box-free Links (node identity is the ABA tag), so
+// that CAS must find a node other than L there: the insert copies L
+// under the new router, and the sibling the delete promotes is the copy.
+func TestStragglerCannotReinsertDeletedKey(t *testing.T) {
+	rt := flock.New()
+	tr := New(rt)
+	setup := rt.Register()
+	for _, k := range []uint64{10, 30} {
+		tr.Insert(setup, k, k)
+	}
+	setup.Unregister()
+	const k = 20 // lands next to leaf 10, under router 30
+
+	ownerIn, helperIn := make(chan struct{}), make(chan struct{})
+	ownerGo, helperGo := make(chan struct{}), make(chan struct{})
+	var runs atomic.Int32
+	body := func(hp *flock.Proc) bool {
+		switch runs.Add(1) {
+		case 1:
+			close(ownerIn)
+			<-ownerGo
+		case 2:
+			close(helperIn)
+			<-helperGo
+		}
+		return tr.Insert(hp, k, k)
+	}
+
+	var outer flock.Lock
+	ownerDone := make(chan bool)
+	go func() {
+		p := rt.Register()
+		defer p.Unregister()
+		ownerDone <- outer.TryLock(p, body)
+	}()
+	<-ownerIn
+	helperDone := make(chan struct{})
+	go func() {
+		p := rt.Register()
+		defer p.Unregister()
+		outer.TryLock(p, func(*flock.Proc) bool { return true }) // finds outer held and helps
+		close(helperDone)
+	}()
+	<-helperIn
+	close(ownerGo)
+	if !<-ownerDone {
+		t.Fatal("owner's composed insert did not commit")
+	}
+
+	p := rt.Register()
+	defer p.Unregister()
+	if !tr.Delete(p, k) {
+		t.Fatal("delete of the inserted key failed")
+	}
+	close(helperGo)
+	<-helperDone
+	if runs.Load() != 2 {
+		t.Fatalf("composed body ran %d times, want 2 (owner and straggler)", runs.Load())
+	}
+	if v, ok := tr.Find(p, k); ok {
+		t.Fatalf("straggler replay re-inserted deleted key %d (value %d)", k, v)
+	}
+	if got := tr.Keys(p); len(got) != 2 || got[0] != 10 || got[1] != 30 {
+		t.Fatalf("keys after straggler replay = %v, want [10 30]", got)
+	}
+	if err := tr.CheckInvariants(p); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAllocsUpsertPresentKey pins the box-free child store: an Upsert of
+// a present key allocates its new leaf and the replace section's
+// closure, and the lock-free machinery adds only pooled objects. With
+// NoPool every pooled object is a fresh allocation, so the count lists
+// all of them: the descriptor and the locked lock-word box, and no box
+// for the child pointer the store swings.
+func TestAllocsUpsertPresentKey(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []flock.Option
+		max  float64
+	}{
+		{"pooled", nil, 2},
+		{"NoPool", []flock.Option{flock.NoPool()}, 4},
+	} {
+		rt := flock.New(tc.opts...)
+		p := rt.Register()
+		tr := New(rt)
+		for k := uint64(1); k <= 64; k++ {
+			tr.Insert(p, k, k)
+		}
+		f := func(old uint64, _ bool) uint64 { return old + 1 }
+		op := func() { tr.Upsert(p, 17, f) }
+		for i := 0; i < 2000; i++ {
+			op()
+		}
+		if got := testing.AllocsPerRun(500, op); got > tc.max {
+			t.Errorf("%s: Upsert of a present key allocates %v per op, want <= %v", tc.name, got, tc.max)
+		}
+		if v, ok := tr.Find(p, 17); !ok || v != 17+2000+501 {
+			t.Errorf("%s: Find(17) = (%d,%v) after the upserts", tc.name, v, ok)
+		}
+		p.Unregister()
+	}
 }
