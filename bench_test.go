@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"flock/internal/harness"
-	"flock/internal/workload"
 )
 
 // benchScale shrinks the figure specs so a full -bench=. pass stays in
@@ -46,109 +45,24 @@ func benchScale() harness.Scale {
 var workerSeq atomic.Uint64
 
 // benchPoint measures one figure point: b.N operations spread over
-// spec.Threads parallel workers against a prefilled structure (or a
-// prefilled kv.Store for YCSB specs, or a prefilled txn.Store for
-// transactional specs).
+// spec.Threads parallel workers against the structure, kv.Store or
+// txn.Store the spec selects, built and prefilled by the harness's
+// workload builder (the same one flockbench measures through).
 func benchPoint(b *testing.B, spec harness.Spec) {
 	b.Helper()
-	if spec.TxnMix != "" {
-		benchTxnPoint(b, spec)
-		return
-	}
-	if spec.YCSB != "" {
-		benchKVPoint(b, spec)
-		return
-	}
-	s, rt, err := harness.NewInstance(spec)
+	worker, err := harness.Workers(spec)
 	if err != nil {
 		b.Fatal(err)
 	}
-	harness.Prefill(s, rt, spec)
-	rt.SetStallInjection(spec.StallEvery)
 	b.SetParallelism(spec.Threads) // GOMAXPROCS=1 core => exactly Threads workers
 	b.ReportAllocs()               // allocs/op is a first-class metric (DESIGN.md S10)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		p := rt.Register()
-		defer p.Unregister()
-		mix := workload.NewMix(spec.KeyRange, spec.UpdatePct, spec.Alpha,
-			spec.HashKeys, spec.Seed+workerSeq.Add(1)*0x9e3779b9)
-		for pb.Next() {
-			op, k := mix.Next()
-			switch op {
-			case workload.OpInsert:
-				s.Insert(p, k, k)
-			case workload.OpDelete:
-				s.Delete(p, k)
-			default:
-				s.Find(p, k)
-			}
-		}
-	})
-	b.StopTimer()
-	if el := b.Elapsed().Seconds(); el > 0 {
-		b.ReportMetric(float64(b.N)/el/1e6, "Mops")
-	}
-}
-
-// benchKVPoint is benchPoint for the KV/YCSB figures.
-func benchKVPoint(b *testing.B, spec harness.Spec) {
-	b.Helper()
-	st, err := harness.NewKVInstance(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	harness.PrefillKV(st, spec)
-	st.SetStallInjection(spec.StallEvery)
-	b.SetParallelism(spec.Threads)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		c := st.Register()
-		defer c.Close()
-		mix, err := harness.NewYCSBMix(spec, workerSeq.Add(1))
-		if err != nil {
-			panic(err) // spec already validated by NewKVInstance
-		}
-		var n uint64
-		for pb.Next() {
-			op, k := mix.Next()
-			harness.ApplyYCSBOp(c, mix, op, k, n)
-			n++
-		}
-	})
-	b.StopTimer()
-	if el := b.Elapsed().Seconds(); el > 0 {
-		b.ReportMetric(float64(b.N)/el/1e6, "Mops")
-	}
-}
-
-// benchTxnPoint is benchPoint for the transactional figures.
-func benchTxnPoint(b *testing.B, spec harness.Spec) {
-	b.Helper()
-	st, err := harness.NewTxnInstance(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	harness.PrefillKV(st.KV(), spec)
-	st.SetStallInjection(spec.StallEvery)
-	b.SetParallelism(spec.Threads)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		c := st.Register()
-		defer c.Close()
-		mix, err := workload.NewTxnMix(spec.TxnMix, spec.KeyRange, spec.Alpha,
-			spec.TxnSize, spec.Seed+workerSeq.Add(1)*0x9e3779b9)
-		if err != nil {
-			panic(err) // spec already validated by NewTxnInstance
-		}
-		var vbuf []uint64
-		var n uint64
-		for pb.Next() {
-			op, keys := mix.Next()
-			vbuf = harness.ApplyTxnOp(c, op, keys, n, vbuf)
-			n++
+		op, done := worker(workerSeq.Add(1))
+		defer done()
+		mark := func() {}
+		for n := uint64(0); pb.Next(); n++ {
+			op(n, mark)
 		}
 	})
 	b.StopTimer()

@@ -53,17 +53,17 @@ func goldenFigure() harness.Figure {
 	return harness.Figure{
 		ID: "ext-golden", Paper: "Synthetic figure for emitter golden tests", XLabel: "threads",
 		Points: []harness.Point{
-			{Series: "arm-lf", X: "1", Mops: 1.234567, Std: 0.0123, Allocs: 2.5,
+			{Figure: "ext-golden", Series: "arm-lf", X: "1", Mops: 1.234567, Std: 0.0123, AllocsPerOp: 2.5,
 				P50: 1500 * time.Nanosecond, P95: 2750 * time.Nanosecond, P99: 12345 * time.Nanosecond,
 				OptRestarts: 3, OptEscalations: 1, FairMaxMin: 1.5, FairCoV: 0.125,
 				SnapCycles: 4, SnapKeysPerSec: 12345.6, Metrics: full},
-			{Series: "arm-bl-with-a-long-name", X: "1", Mops: 0.5, Std: 0, Allocs: 0,
+			{Figure: "ext-golden", Series: "arm-bl-with-a-long-name", X: "1", Mops: 0.5, Std: 0, AllocsPerOp: 0,
 				P50: 900 * time.Nanosecond, P95: 4 * time.Microsecond, P99: 2 * time.Millisecond,
 				FairMaxMin: 3.25, FairCoV: 0.5},
-			{Series: "arm-lf", X: "16", Mops: 10.5, Std: 1.25, Allocs: 0.125,
+			{Figure: "ext-golden", Series: "arm-lf", X: "16", Mops: 10.5, Std: 1.25, AllocsPerOp: 0.125,
 				P50: 3 * time.Microsecond, P95: 7 * time.Microsecond, P99: 90 * time.Microsecond,
 				FairMaxMin: 1, FairCoV: 0, Metrics: sparse},
-			{Series: "arm-bl-with-a-long-name", X: "16", Mops: 0.001, Std: 0.0005, Allocs: 31.75,
+			{Figure: "ext-golden", Series: "arm-bl-with-a-long-name", X: "16", Mops: 0.001, Std: 0.0005, AllocsPerOp: 31.75,
 				P50: 100 * time.Microsecond, P95: 300 * time.Microsecond, P99: 1500 * time.Microsecond,
 				OptRestarts: 17, FairMaxMin: 40, FairCoV: 1.125, SnapCycles: 1, SnapKeysPerSec: 0.4},
 		},

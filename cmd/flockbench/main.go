@@ -1,107 +1,26 @@
 // Command flockbench regenerates the paper's evaluation figures (Figures
-// 4-7 of "Lock-Free Locks Revisited", PPoPP 2022) on this machine, or
-// runs a single custom measurement point.
+// 4-7 of "Lock-Free Locks Revisited", PPoPP 2022) and the repository's
+// ext-* figures on this machine, or runs a single custom measurement
+// point. README.md walks through every figure family and flag; in short:
 //
-// Regenerate one figure (scaled-down defaults):
-//
-//	flockbench -figure fig5d
-//
-// Regenerate everything EXPERIMENTS.md reports:
-//
-//	flockbench -figure all -repeats 3 -warmup 1
-//
-// Run only some of a figure's series:
-//
+//	flockbench -list                                   # figure ids, series names, structures
+//	flockbench -figure fig5d                           # one figure, scaled-down defaults
+//	flockbench -figure all -repeats 3 -warmup 1 -csv   # everything EXPERIMENTS.md reports
 //	flockbench -figure ext-ycsb-e -series kv-leaftree-lf,kv-olcart
-//
-// Full-scale paper parameters (hours, needs a big machine):
-//
-//	flockbench -figure fig5a -largekeys 100000000 -duration 3s -repeats 3
-//
-// Single point:
-//
+//	flockbench -figure fig5a -largekeys 100000000 -duration 3s -repeats 3   # paper scale
 //	flockbench -structure leaftree -threads 16 -keys 100000 -update 50 -alpha 0.99 -blocking
-//
-// Pit the flock ART against the specialized optimistic-lock-coupling
-// ART baseline (both use hashed keys, as in Figure 6):
-//
-//	flockbench -structure arttree -threads 16 -hashkeys
-//	flockbench -structure olcart -threads 16 -hashkeys
-//
-// The descheduling-injection extension (DESIGN.md S3):
-//
-//	flockbench -structure leaftree -threads 16 -stall 100
-//
-// The KV-layer YCSB extension (DESIGN.md S9) — sharded kv.Store, with
-// p50/p95/p99 latency reported alongside Mop/s. YCSB-E (DESIGN.md S12)
-// is the scan-heavy mix; -scanlen bounds its zipf-drawn scan lengths:
-//
-//	flockbench -figure ext-ycsb-a
-//	flockbench -structure leaftree -ycsb f -shards 8 -threads 16
 //	flockbench -structure leaftree -ycsb e -scanlen 64 -shards 8
-//
-// The allocation ablation (DESIGN.md S10) — pooled vs GC-fresh vs
-// blocking, with allocs/op reported alongside Mop/s:
-//
-//	flockbench -figure ext-alloc
-//	flockbench -structure leaftree -threads 16 -nopool
-//
-// The transactional extension (DESIGN.md S11) — multi-key atomic
-// operations over the sharded store via composed lock-free locks;
-// blocking and non-atomic ablation arms ride the same flags:
-//
-//	flockbench -figure ext-txn
-//	flockbench -structure leaftree -txn transfer -shards 8 -threads 16
 //	flockbench -structure leaftree -txn ycsbt -txnsize 8 -nonatomic
-//
-// The snapshot extension (DESIGN.md S17) — epoch-consistent whole-store
-// snapshots iterated by a background loop while the transfer storm
-// runs. The "+snap" arms report the loop's cycle count and key rate in
-// a dedicated table section (`:snap_*` CSV columns, `snap_*` JSON
-// fields); comparing Mop/s against the loop-free arms reads out the
-// slowdown concurrent snapshots impose on writers:
-//
-//	flockbench -figure ext-snap
-//
-// Enumerate every figure id with its series names (and the structure
-// registry) without running anything:
-//
-//	flockbench -list
-//
-// An unknown -figure or -series name prints the same catalog and exits
-// non-zero.
-//
-// The observability extension (DESIGN.md S14) — obs runtime metrics
-// collected over the measured window: helping/retry/replay rates,
-// pool hit rates, epoch reclamation lag, per-shard op skew, per-thread
-// fairness and a sampled helps/CAS-fails time series. -metrics adds
-// table sections (and `:metrics` CSV columns, and a "metrics" JSON
-// object); ext-help is the figure built around them:
-//
-//	flockbench -figure ext-help
-//	flockbench -figure ext-ycsb-a -metrics
 //	flockbench -structure leaftree -threads 16 -stall 100 -metrics
+//	flockbench -structure leaftree -threads 8 -stall 50 -trace out.json -tracedump slow.json
+//	flockbench -figure ext-ycsb-a -pprof :6060          # net/http/pprof plus /metrics JSON
+//	flockbench -figure all -json > BENCH_all.json       # one JSONL record per point
 //
-// The flight-recorder extension (DESIGN.md S16) — per-Proc lock-event
-// tracing over the measured window, exported as Chrome trace-event
-// JSON (open in https://ui.perfetto.dev or chrome://tracing; one track
-// per Proc, helping hand-offs drawn as flow arrows). -tracedump arms
-// the anomaly dumper: the first op exceeding -tracedump-mult x the
-// running p99 snapshots the rings while the outlier's surroundings are
-// still in them:
-//
-//	flockbench -structure leaftree -threads 8 -stall 50 -trace out.json
-//	flockbench -structure leaftree -ycsb a -trace out.json -tracedump slow.json -tracedump-mult 16
-//
-// Profiling and live scraping — net/http/pprof plus a /metrics JSON
-// endpoint (obs counter snapshot, trace drop estimate, goroutine
-// count):
-//
-//	flockbench -figure ext-ycsb-a -pprof :6060
-//
-// Machine-readable capture (one JSON record per point, JSONL):
-//
-//	flockbench -figure all -json > BENCH_all.json
+// Figures print a table of sections (Mop/s, p50/p95/p99, allocs/op,
+// plus snapshot-loop and -metrics sections when present) or, with -csv,
+// one row per x value; both come from one column list (printFigure).
+// -json emits harness.Point records. An unknown -figure or -series name
+// prints the -list catalog and exits non-zero.
 package main
 
 import (
@@ -110,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -142,30 +62,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		baseTh    = flags.Int("base", 0, "'full subscription' thread count (paper: 144)")
 		overTh    = flags.Int("over", 0, "oversubscribed thread count (paper: 216)")
 		sweep     = flags.String("sweep", "", "comma-separated thread sweep, e.g. 1,2,4,8,16")
-
-		structure = flags.String("structure", "", "single-point mode: structure name")
-		threads   = flags.Int("threads", 8, "single-point: worker goroutines")
-		keys      = flags.Uint64("keys", 100_000, "single-point: key range")
-		update    = flags.Int("update", 50, "single-point: update percentage")
-		alpha     = flags.Float64("alpha", 0.75, "single-point: zipfian parameter")
-		blocking  = flags.Bool("blocking", false, "single-point: blocking mode")
-		noPool    = flags.Bool("nopool", false, "single-point: disable descriptor/log/mbox pooling (GC-fresh ablation arm)")
-		hashKeys  = flags.Bool("hashkeys", false, "single-point: sparsify keys by hashing")
-		stall     = flags.Int("stall", 0, "single-point: inject a deschedule every N critical sections")
-		ycsb      = flags.String("ycsb", "", "single-point: run a YCSB workload (a, b, c, e, f) against the sharded KV store")
-		scanLen   = flags.Int("scanlen", 0, "single-point: max zipf-drawn scan length for scan-bearing YCSB mixes (-ycsb e; 0 = default)")
-		optimist  = flags.Bool("optimistic", false, "single-point: route KV reads through the version-validated optimistic arm (-ycsb/-txn)")
-		txnMix    = flags.String("txn", "", "single-point: run a transactional workload (transfer, ycsbt) against the txn layer")
-		txnSize   = flags.Int("txnsize", 2, "single-point: keys per multi-key transaction (-txn)")
-		nonAtomic = flags.Bool("nonatomic", false, "single-point: per-key non-atomic arm of the txn layer (-txn)")
 		shards    = flags.Int("shards", 0, "KV shard count (single-point -ycsb/-txn, and the default for ext-ycsb/ext-txn figures)")
 		metrics   = flags.Bool("metrics", false, "collect obs runtime metrics over the measured window (helping/retry rates, fairness, time series); adds table sections, :metrics CSV columns and a 'metrics' JSON object")
 		tracePath = flags.String("trace", "", "single-point: record the lock-event flight recorder over the measured window and write Chrome trace-event JSON to this file (open in Perfetto / chrome://tracing)")
-		traceDump = flags.String("tracedump", "", "single-point: with -trace, also arm the anomaly dumper — the first op exceeding -tracedump-mult x the running p99 dumps the recorder to this file")
-		traceMult = flags.Float64("tracedump-mult", 0, "anomaly threshold as a multiple of the running p99 (default 8)")
 		pprofAddr = flags.String("pprof", "", "serve net/http/pprof and a /metrics JSON endpoint on this address (e.g. :6060) for the lifetime of the run")
 		seed      = flags.Uint64("seed", 42, "workload seed")
 	)
+	// Single-point mode fills spec straight from its flags.
+	var spec harness.Spec
+	flags.StringVar(&spec.Structure, "structure", "", "single-point mode: structure name")
+	flags.IntVar(&spec.Threads, "threads", 8, "single-point: worker goroutines")
+	flags.Uint64Var(&spec.KeyRange, "keys", 100_000, "single-point: key range")
+	flags.IntVar(&spec.UpdatePct, "update", 50, "single-point: update percentage")
+	flags.Float64Var(&spec.Alpha, "alpha", 0.75, "single-point: zipfian parameter")
+	flags.BoolVar(&spec.Blocking, "blocking", false, "single-point: blocking mode")
+	flags.BoolVar(&spec.NoPool, "nopool", false, "single-point: disable descriptor/log/mbox pooling (GC-fresh ablation arm)")
+	flags.BoolVar(&spec.HashKeys, "hashkeys", false, "single-point: sparsify keys by hashing")
+	flags.IntVar(&spec.StallEvery, "stall", 0, "single-point: inject a deschedule every N critical sections")
+	flags.StringVar(&spec.YCSB, "ycsb", "", "single-point: run a YCSB workload (a, b, c, e, f) against the sharded KV store")
+	flags.IntVar(&spec.ScanLen, "scanlen", 0, "single-point: max zipf-drawn scan length for scan-bearing YCSB mixes (-ycsb e; 0 = default)")
+	flags.BoolVar(&spec.Optimistic, "optimistic", false, "single-point: route KV reads through the version-validated optimistic arm (-ycsb/-txn)")
+	flags.StringVar(&spec.TxnMix, "txn", "", "single-point: run a transactional workload (transfer, ycsbt) against the txn layer")
+	flags.IntVar(&spec.TxnSize, "txnsize", 2, "single-point: keys per multi-key transaction (-txn)")
+	flags.BoolVar(&spec.TxnNonAtomic, "nonatomic", false, "single-point: per-key non-atomic arm of the txn layer (-txn)")
+	flags.StringVar(&spec.TraceDump, "tracedump", "", "single-point: with -trace, also arm the anomaly dumper — the first op exceeding -tracedump-mult x the running p99 dumps the recorder to this file")
+	flags.Float64Var(&spec.TraceDumpP99Mult, "tracedump-mult", 0, "anomaly threshold as a multiple of the running p99 (default 8)")
 	if err := flags.Parse(args); err != nil {
 		return 2
 	}
@@ -186,32 +107,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	sc := harness.DefaultScale()
-	sc.Seed = *seed
-	if *largeKeys > 0 {
-		sc.LargeKeys = *largeKeys
-	}
-	if *smallKeys > 0 {
-		sc.SmallKeys = *smallKeys
-	}
-	if *duration > 0 {
-		sc.Duration = *duration
-	}
+	sc.Seed, sc.Metrics = *seed, *metrics
+	override(&sc.LargeKeys, *largeKeys)
+	override(&sc.SmallKeys, *smallKeys)
+	override(&sc.Duration, *duration)
 	if *warmup >= 0 {
 		sc.Warmup = *warmup
 	}
-	if *repeats > 0 {
-		sc.Repeats = *repeats
-	}
-	if *baseTh > 0 {
-		sc.Base = *baseTh
-	}
-	if *overTh > 0 {
-		sc.Over = *overTh
-	}
-	if *shards > 0 {
-		sc.Shards = *shards
-	}
-	sc.Metrics = *metrics
+	override(&sc.Repeats, *repeats)
+	override(&sc.Base, *baseTh)
+	override(&sc.Over, *overTh)
+	override(&sc.Shards, *shards)
 	if *sweep != "" {
 		var ts []int
 		for _, part := range strings.Split(*sweep, ",") {
@@ -227,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	switch {
 	case *figure != "":
-		if *tracePath != "" || *traceDump != "" {
+		if *tracePath != "" || spec.TraceDump != "" {
 			fmt.Fprintln(stderr, "flockbench: -trace/-tracedump apply to single-point runs (-structure), not -figure")
 			return 1
 		}
@@ -262,34 +168,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 				printFigure(stdout, fig, *csv)
 			}
 		}
-	case *structure != "":
-		spec := harness.Spec{
-			Structure:    *structure,
-			Blocking:     *blocking,
-			Threads:      *threads,
-			KeyRange:     *keys,
-			UpdatePct:    *update,
-			Alpha:        *alpha,
-			HashKeys:     *hashKeys,
-			NoPool:       *noPool,
-			Duration:     orDefault(sc.Duration, 500*time.Millisecond),
-			Seed:         *seed,
-			StallEvery:   *stall,
-			YCSB:         *ycsb,
-			ScanLen:      *scanLen,
-			Optimistic:   *optimist,
-			TxnMix:       *txnMix,
-			TxnSize:      *txnSize,
-			TxnNonAtomic: *nonAtomic,
-			Shards:       *shards,
-			Metrics:      *metrics,
-			Trace:        *tracePath != "" || *traceDump != "",
-			TraceDump:    *traceDump,
-		}
-		spec.TraceDumpP99Mult = *traceMult
-		if (spec.YCSB != "" || spec.TxnMix != "") && spec.Shards < 1 {
-			spec.Shards = 1
-		}
+	case spec.Structure != "":
+		spec.Duration = orDefault(sc.Duration, 500*time.Millisecond)
+		spec.Seed, spec.Shards, spec.Metrics = *seed, max(*shards, 1), *metrics
+		spec.Trace = *tracePath != "" || spec.TraceDump != ""
 		st, err := harness.RunStats(spec, sc.Warmup, sc.Repeats)
 		if err != nil {
 			fmt.Fprintf(stderr, "flockbench: %v\n", err)
@@ -302,39 +184,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		if *jsonOut {
-			writeJSON(stdout, pointRecord{
-				Figure: "custom", Series: *structure, X: fmt.Sprint(*threads),
-				Mops: st.Mops, Std: st.Std, AllocsPerOp: st.AllocsPerOp,
-				P50ns: st.P50.Nanoseconds(), P95ns: st.P95.Nanoseconds(), P99ns: st.P99.Nanoseconds(),
-				OptRestarts: st.OptRestarts, OptEscalations: st.OptEscalations,
-				FairMaxMin: st.FairMaxMin, FairCoV: st.FairCoV,
-				Metrics: st.PointMetrics(),
-			})
+			st.Figure, st.Series, st.X = "custom", spec.Structure, fmt.Sprint(spec.Threads)
+			writeJSON(stdout, st)
 			return 0
 		}
 		mode := ""
-		if *ycsb != "" {
-			mode = fmt.Sprintf(" ycsb=%s shards=%d", *ycsb, spec.Shards)
-			if *scanLen > 0 {
-				mode += fmt.Sprintf(" scanlen=%d", *scanLen)
+		if spec.YCSB != "" {
+			mode = fmt.Sprintf(" ycsb=%s shards=%d", spec.YCSB, spec.Shards)
+			if spec.ScanLen > 0 {
+				mode += fmt.Sprintf(" scanlen=%d", spec.ScanLen)
 			}
 		}
-		if *optimist {
+		if spec.Optimistic {
 			mode += " optimistic"
 		}
-		if *txnMix != "" {
-			mode = fmt.Sprintf(" txn=%s size=%d shards=%d", *txnMix, spec.TxnSize, spec.Shards)
-			if *nonAtomic {
+		if spec.TxnMix != "" {
+			mode = fmt.Sprintf(" txn=%s size=%d shards=%d", spec.TxnMix, spec.TxnSize, spec.Shards)
+			if spec.TxnNonAtomic {
 				mode += " nonatomic"
 			}
 		}
-		if *noPool {
+		if spec.NoPool {
 			mode += " nopool"
 		}
 		fmt.Fprintf(stdout, "%s threads=%d keys=%d update=%d%% alpha=%.2f blocking=%v stall=%d%s: %.3f Mop/s (±%.3f)  %.2f allocs/op  p50=%s p95=%s p99=%s\n",
-			*structure, *threads, *keys, *update, *alpha, *blocking, *stall, mode,
+			spec.Structure, spec.Threads, spec.KeyRange, spec.UpdatePct, spec.Alpha, spec.Blocking, spec.StallEvery, mode,
 			st.Mops, st.Std, st.AllocsPerOp, fmtLat(st.P50), fmtLat(st.P95), fmtLat(st.P99))
-		if pm := st.PointMetrics(); pm != nil {
+		if pm := st.Metrics; pm != nil {
 			fmt.Fprintf(stdout, "  metrics: helps/op=%.4f recv/op=%.4f replays/op=%.4f casfails/op=%.4f spins/op=%.4f poolhit=%.3f fair=%.2f cov=%.3f\n",
 				pm.HelpsPerOp, pm.HelpsRecvPerOp, pm.ReplaysPerOp, pm.CASFailsPerOp,
 				pm.SpinsPerOp, pm.PoolHitRate, st.FairMaxMin, st.FairCoV)
@@ -384,62 +260,30 @@ func filterSeries(fs harness.FigureSpec, names string) (harness.FigureSpec, erro
 			want[n] = true
 		}
 	}
-	var valid []string
-	var kept []harness.Series
+	var valid, unknown []string
 	for _, s := range fs.Series {
 		valid = append(valid, s.Name)
-		if want[s.Name] {
-			kept = append(kept, s)
-			delete(want, s.Name)
-		}
 	}
-	if len(want) > 0 {
-		var unknown []string
-		for n := range want {
+	for n := range want {
+		if !slices.Contains(valid, n) {
 			unknown = append(unknown, n)
 		}
+	}
+	switch {
+	case len(unknown) > 0:
 		return fs, fmt.Errorf("unknown series %q for figure %s (valid: %s)",
 			strings.Join(unknown, ","), fs.ID, strings.Join(valid, ", "))
-	}
-	if len(kept) == 0 {
+	case len(want) == 0:
 		return fs, fmt.Errorf("empty -series filter for figure %s (valid: %s)", fs.ID, strings.Join(valid, ", "))
 	}
-	fs.Series = kept
+	fs.Series = slices.DeleteFunc(slices.Clone(fs.Series), func(s harness.Series) bool { return !want[s.Name] })
 	return fs, nil
 }
 
-// pointRecord is the -json output schema: one record per measured
-// (figure, series, x) point, suitable for capture as BENCH_*.json.
-type pointRecord struct {
-	Figure      string  `json:"figure"`
-	Series      string  `json:"series"`
-	X           string  `json:"x"`
-	Mops        float64 `json:"mops"`
-	Std         float64 `json:"std"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	P50ns       int64   `json:"p50_ns"`
-	P95ns       int64   `json:"p95_ns"`
-	P99ns       int64   `json:"p99_ns"`
-	// Optimistic-read counters; omitted for non-optimistic series so
-	// existing BENCH_*.json consumers see unchanged records.
-	OptRestarts    uint64 `json:"opt_restarts,omitempty"`
-	OptEscalations uint64 `json:"opt_escalations,omitempty"`
-	// Per-thread op-count fairness (max/min ratio and coefficient of
-	// variation), always measured.
-	FairMaxMin float64 `json:"fair_maxmin"`
-	FairCoV    float64 `json:"fair_cov"`
-	// Background snapshot-loop progress (ext-snap's "+snap" arms);
-	// omitted for series without the loop.
-	SnapCycles     uint64  `json:"snap_cycles,omitempty"`
-	SnapKeysPerSec float64 `json:"snap_keys_per_sec,omitempty"`
-	// Metrics is the obs runtime-metrics summary, present only when the
-	// point was measured with -metrics (or by a figure like ext-help
-	// that forces collection).
-	Metrics *harness.PointMetrics `json:"metrics,omitempty"`
-}
-
-func writeJSON(w io.Writer, rec pointRecord) {
-	b, err := json.Marshal(rec)
+// writeJSON emits one point as a JSONL record (the harness.Point JSON
+// schema).
+func writeJSON(w io.Writer, pt harness.Point) {
+	b, err := json.Marshal(pt)
 	if err != nil {
 		panic(fmt.Sprintf("flockbench: encoding point: %v", err))
 	}
@@ -448,21 +292,13 @@ func writeJSON(w io.Writer, rec pointRecord) {
 
 func printFigureJSON(w io.Writer, fig harness.Figure) {
 	for _, pt := range fig.Points {
-		writeJSON(w, pointRecord{
-			Figure: fig.ID, Series: pt.Series, X: pt.X,
-			Mops: pt.Mops, Std: pt.Std, AllocsPerOp: pt.Allocs,
-			P50ns: pt.P50.Nanoseconds(), P95ns: pt.P95.Nanoseconds(), P99ns: pt.P99.Nanoseconds(),
-			OptRestarts: pt.OptRestarts, OptEscalations: pt.OptEscalations,
-			FairMaxMin: pt.FairMaxMin, FairCoV: pt.FairCoV,
-			SnapCycles: pt.SnapCycles, SnapKeysPerSec: pt.SnapKeysPerSec,
-			Metrics: pt.Metrics,
-		})
+		writeJSON(w, pt)
 	}
 }
 
 // writeTrace exports the last measured repetition's flight-recorder
 // snapshot as Chrome trace-event JSON (Perfetto-loadable).
-func writeTrace(path string, st harness.Stats, stderr io.Writer) error {
+func writeTrace(path string, st harness.Point, stderr io.Writer) error {
 	if st.Trace == nil {
 		return fmt.Errorf("run produced no trace snapshot")
 	}
@@ -484,6 +320,13 @@ func fmtLat(d time.Duration) string {
 	return fmt.Sprintf("%.1fµs", float64(d.Nanoseconds())/1e3)
 }
 
+// override sets *dst to v when the flag was given (v > 0).
+func override[T int | uint64 | time.Duration](dst *T, v T) {
+	if v > 0 {
+		*dst = v
+	}
+}
+
 func orDefault(d, def time.Duration) time.Duration {
 	if d > 0 {
 		return d
@@ -491,212 +334,144 @@ func orDefault(d, def time.Duration) time.Duration {
 	return def
 }
 
+// column is one per-series quantity of a figure, rendered by both
+// printFigure layouts: csv lists its CSV header suffixes (appended to
+// the series name) and cells the matching CSV cells; label heads its
+// table section and cell renders one table cell. An optional column
+// (show != nil) appears only if some point of the figure passes show.
+type column struct {
+	csv   []string
+	cells func(pt harness.Point) []string
+	label string
+	cell  func(pt harness.Point) string
+	show  func(pt harness.Point) bool
+}
+
+func µs(d time.Duration, prec int) string {
+	return strconv.FormatFloat(float64(d.Nanoseconds())/1e3, 'f', prec, 64)
+}
+
+func hasMetrics(pt harness.Point) bool { return pt.Metrics != nil }
+
+// columns drives printFigure, in output order: Mop/s, latency
+// percentiles, allocations per operation, then the optional snapshot
+// loop and obs metrics sections. The metrics column's CSV cells carry
+// fair_maxmin; its table section leaves fairness to its own section.
+var columns = []column{
+	{csv: []string{""}, label: "(Mop/s)",
+		cells: func(pt harness.Point) []string { return []string{fmt.Sprintf("%.4f", pt.Mops)} },
+		cell:  func(pt harness.Point) string { return fmt.Sprintf("%.3f", pt.Mops) }},
+	{csv: []string{":p50us", ":p95us", ":p99us"}, label: "(p50/p95/p99 µs)",
+		cells: func(pt harness.Point) []string { return []string{µs(pt.P50, 2), µs(pt.P95, 2), µs(pt.P99, 2)} },
+		cell:  func(pt harness.Point) string { return µs(pt.P50, 1) + "/" + µs(pt.P95, 1) + "/" + µs(pt.P99, 1) }},
+	{csv: []string{":allocs"}, label: "(allocs/op)",
+		cells: func(pt harness.Point) []string { return []string{fmt.Sprintf("%.2f", pt.AllocsPerOp)} },
+		cell:  func(pt harness.Point) string { return fmt.Sprintf("%.2f", pt.AllocsPerOp) }},
+	// The snapshot loop's progress (ext-snap's "+snap" arms): series
+	// without the loop show "-" in the table (their Mops column is the
+	// loop-free control).
+	{csv: []string{":snap_cycles", ":snap_keys_per_sec"}, label: "(snap cycles : keys/s)",
+		cells: func(pt harness.Point) []string {
+			return []string{fmt.Sprint(pt.SnapCycles), fmt.Sprintf("%.0f", pt.SnapKeysPerSec)}
+		},
+		cell: func(pt harness.Point) string {
+			if pt.SnapCycles == 0 {
+				return "-"
+			}
+			return fmt.Sprintf("%d:%.0f", pt.SnapCycles, pt.SnapKeysPerSec)
+		},
+		show: func(pt harness.Point) bool { return pt.SnapCycles > 0 }},
+	// The obs metrics sections: helping and CAS-retry rates per
+	// operation (the helping-machinery readout), and per-thread
+	// fairness. Blocking series legitimately show 0 helps/op — the
+	// blocking mode has no helping to count.
+	{csv: []string{":metrics:helps_per_op", ":metrics:casfails_per_op", ":metrics:replays_per_op", ":metrics:fair_maxmin"},
+		label: "(helps/op : casfails/op : replays/op)",
+		cells: func(pt harness.Point) []string {
+			if pt.Metrics == nil {
+				return []string{"", "", "", ""}
+			}
+			m := pt.Metrics
+			return []string{fmt.Sprintf("%.4f", m.HelpsPerOp), fmt.Sprintf("%.4f", m.CASFailsPerOp),
+				fmt.Sprintf("%.4f", m.ReplaysPerOp), fmt.Sprintf("%.2f", pt.FairMaxMin)}
+		},
+		cell: func(pt harness.Point) string {
+			if pt.Metrics == nil {
+				return "-"
+			}
+			return fmt.Sprintf("%.4f:%.4f:%.4f", pt.Metrics.HelpsPerOp, pt.Metrics.CASFailsPerOp, pt.Metrics.ReplaysPerOp)
+		},
+		show: hasMetrics},
+	{label: "(fairness max/min : CoV)",
+		cells: func(harness.Point) []string { return nil },
+		cell:  func(pt harness.Point) string { return fmt.Sprintf("%.2f:%.3f", pt.FairMaxMin, pt.FairCoV) },
+		show:  hasMetrics},
+}
+
 // printFigure renders one figure as rows grouped by x value, one column
-// per series — the same rows the paper's plots are drawn from.
+// per series — the same rows the paper's plots are drawn from — as a
+// table of sections or, with csv, as one CSV row per x.
 func printFigure(w io.Writer, fig harness.Figure, csv bool) {
 	fmt.Fprintf(w, "\n== %s: %s ==\n", fig.ID, fig.Paper)
-	// Collect series order and x order as first encountered.
-	var seriesNames, xs []string
-	seenS := map[string]bool{}
-	seenX := map[string]bool{}
+	// Series order and x order as first encountered.
+	var series, xs []string
 	vals := map[[2]string]harness.Point{}
 	for _, pt := range fig.Points {
-		if !seenS[pt.Series] {
-			seenS[pt.Series] = true
-			seriesNames = append(seriesNames, pt.Series)
+		if !slices.Contains(series, pt.Series) {
+			series = append(series, pt.Series)
 		}
-		if !seenX[pt.X] {
-			seenX[pt.X] = true
+		if !slices.Contains(xs, pt.X) {
 			xs = append(xs, pt.X)
 		}
 		vals[[2]string{pt.Series, pt.X}] = pt
 	}
-
-	// Any point carrying a metrics summary turns on the metrics columns
-	// and table sections (figure-level Metrics, -metrics, or ext-help).
-	haveMetrics := false
-	for _, pt := range fig.Points {
-		if pt.Metrics != nil {
-			haveMetrics = true
-			break
+	var cols []column
+	for _, c := range columns {
+		if c.show == nil || slices.ContainsFunc(fig.Points, c.show) {
+			cols = append(cols, c)
 		}
 	}
-	// Any point with snapshot-loop progress turns on the snapshot
-	// section (ext-snap's "+snap" arms).
-	haveSnaps := false
-	for _, pt := range fig.Points {
-		if pt.SnapCycles > 0 {
-			haveSnaps = true
-			break
-		}
-	}
-
 	if csv {
-		// Mops columns first (one per series), then per-series latency
-		// percentile columns in microseconds, then per-series
-		// allocations per operation, then (with metrics on) the
-		// per-series obs rates and fairness.
-		header := []string{fig.XLabel}
-		header = append(header, seriesNames...)
-		for _, s := range seriesNames {
-			header = append(header, s+":p50us", s+":p95us", s+":p99us")
-		}
-		for _, s := range seriesNames {
-			header = append(header, s+":allocs")
-		}
-		if haveSnaps {
-			for _, s := range seriesNames {
-				header = append(header, s+":snap_cycles", s+":snap_keys_per_sec")
-			}
-		}
-		if haveMetrics {
-			for _, s := range seriesNames {
-				header = append(header,
-					s+":metrics:helps_per_op", s+":metrics:casfails_per_op",
-					s+":metrics:replays_per_op", s+":metrics:fair_maxmin")
-			}
-		}
-		fmt.Fprintln(w, strings.Join(header, ","))
-		for _, x := range xs {
-			row := []string{x}
-			for _, s := range seriesNames {
-				row = append(row, fmt.Sprintf("%.4f", vals[[2]string{s, x}].Mops))
-			}
-			for _, s := range seriesNames {
-				pt := vals[[2]string{s, x}]
-				row = append(row,
-					fmt.Sprintf("%.2f", float64(pt.P50.Nanoseconds())/1e3),
-					fmt.Sprintf("%.2f", float64(pt.P95.Nanoseconds())/1e3),
-					fmt.Sprintf("%.2f", float64(pt.P99.Nanoseconds())/1e3))
-			}
-			for _, s := range seriesNames {
-				row = append(row, fmt.Sprintf("%.2f", vals[[2]string{s, x}].Allocs))
-			}
-			if haveSnaps {
-				for _, s := range seriesNames {
-					pt := vals[[2]string{s, x}]
-					row = append(row,
-						fmt.Sprintf("%d", pt.SnapCycles),
-						fmt.Sprintf("%.0f", pt.SnapKeysPerSec))
+		row := []string{fig.XLabel}
+		for _, c := range cols {
+			for _, s := range series {
+				for _, suffix := range c.csv {
+					row = append(row, s+suffix)
 				}
 			}
-			if haveMetrics {
-				for _, s := range seriesNames {
-					pt := vals[[2]string{s, x}]
-					if pt.Metrics == nil {
-						row = append(row, "", "", "", "")
-						continue
-					}
-					row = append(row,
-						fmt.Sprintf("%.4f", pt.Metrics.HelpsPerOp),
-						fmt.Sprintf("%.4f", pt.Metrics.CASFailsPerOp),
-						fmt.Sprintf("%.4f", pt.Metrics.ReplaysPerOp),
-						fmt.Sprintf("%.2f", pt.FairMaxMin))
+		}
+		fmt.Fprintln(w, strings.Join(row, ","))
+		for _, x := range xs {
+			row = []string{x}
+			for _, c := range cols {
+				for _, s := range series {
+					row = append(row, c.cells(vals[[2]string{s, x}])...)
 				}
 			}
 			fmt.Fprintln(w, strings.Join(row, ","))
 		}
 		return
 	}
-	cw := 0
-	for _, s := range seriesNames {
-		if len(s) > cw {
-			cw = len(s)
+	cw := 20 // room for the p50/p95/p99 triples
+	for _, s := range series {
+		cw = max(cw, len(s))
+	}
+	for i, c := range cols {
+		head := ""
+		if i == 0 {
+			head = fig.XLabel
 		}
-	}
-	if cw < 20 {
-		cw = 20 // room for the p50/p95/p99 triples
-	}
-	fmt.Fprintf(w, "%-12s", fig.XLabel)
-	for _, s := range seriesNames {
-		fmt.Fprintf(w, " %*s", cw, s)
-	}
-	fmt.Fprintln(w, " (Mop/s)")
-	for _, x := range xs {
-		fmt.Fprintf(w, "%-12s", x)
-		for _, s := range seriesNames {
-			fmt.Fprintf(w, " %*.3f", cw, vals[[2]string{s, x}].Mops)
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintf(w, "%-12s", "")
-	for _, s := range seriesNames {
-		fmt.Fprintf(w, " %*s", cw, s)
-	}
-	fmt.Fprintln(w, " (p50/p95/p99 µs)")
-	for _, x := range xs {
-		fmt.Fprintf(w, "%-12s", x)
-		for _, s := range seriesNames {
-			pt := vals[[2]string{s, x}]
-			cell := fmt.Sprintf("%.1f/%.1f/%.1f",
-				float64(pt.P50.Nanoseconds())/1e3,
-				float64(pt.P95.Nanoseconds())/1e3,
-				float64(pt.P99.Nanoseconds())/1e3)
-			fmt.Fprintf(w, " %*s", cw, cell)
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintf(w, "%-12s", "")
-	for _, s := range seriesNames {
-		fmt.Fprintf(w, " %*s", cw, s)
-	}
-	fmt.Fprintln(w, " (allocs/op)")
-	for _, x := range xs {
-		fmt.Fprintf(w, "%-12s", x)
-		for _, s := range seriesNames {
-			fmt.Fprintf(w, " %*.2f", cw, vals[[2]string{s, x}].Allocs)
-		}
-		fmt.Fprintln(w)
-	}
-	if haveSnaps {
-		// The snapshot loop's progress: series without the loop show "-"
-		// (their Mops column is the loop-free control).
-		fmt.Fprintf(w, "%-12s", "")
-		for _, s := range seriesNames {
+		fmt.Fprintf(w, "%-12s", head)
+		for _, s := range series {
 			fmt.Fprintf(w, " %*s", cw, s)
 		}
-		fmt.Fprintln(w, " (snap cycles : keys/s)")
+		fmt.Fprintln(w, " "+c.label)
 		for _, x := range xs {
 			fmt.Fprintf(w, "%-12s", x)
-			for _, s := range seriesNames {
-				pt := vals[[2]string{s, x}]
-				cell := "-"
-				if pt.SnapCycles > 0 {
-					cell = fmt.Sprintf("%d:%.0f", pt.SnapCycles, pt.SnapKeysPerSec)
-				}
-				fmt.Fprintf(w, " %*s", cw, cell)
+			for _, s := range series {
+				fmt.Fprintf(w, " %*s", cw, c.cell(vals[[2]string{s, x}]))
 			}
 			fmt.Fprintln(w)
 		}
 	}
-	if !haveMetrics {
-		return
-	}
-	// The obs metrics sections: helping and CAS-retry rates per
-	// operation (the helping-machinery readout), and per-thread
-	// fairness. Blocking series legitimately show 0 helps/op — the
-	// blocking mode has no helping to count.
-	metricSection := func(label string, cell func(pt harness.Point) string) {
-		fmt.Fprintf(w, "%-12s", "")
-		for _, s := range seriesNames {
-			fmt.Fprintf(w, " %*s", cw, s)
-		}
-		fmt.Fprintln(w, " "+label)
-		for _, x := range xs {
-			fmt.Fprintf(w, "%-12s", x)
-			for _, s := range seriesNames {
-				fmt.Fprintf(w, " %*s", cw, cell(vals[[2]string{s, x}]))
-			}
-			fmt.Fprintln(w)
-		}
-	}
-	metricSection("(helps/op : casfails/op : replays/op)", func(pt harness.Point) string {
-		if pt.Metrics == nil {
-			return "-"
-		}
-		return fmt.Sprintf("%.4f:%.4f:%.4f", pt.Metrics.HelpsPerOp, pt.Metrics.CASFailsPerOp, pt.Metrics.ReplaysPerOp)
-	})
-	metricSection("(fairness max/min : CoV)", func(pt harness.Point) string {
-		return fmt.Sprintf("%.2f:%.3f", pt.FairMaxMin, pt.FairCoV)
-	})
 }

@@ -33,7 +33,7 @@ func main() {
 		if blocking {
 			mode = "blocking"
 		}
-		mean, std, err := harness.RunAveraged(harness.Spec{
+		pt, err := harness.RunStats(harness.Spec{
 			Structure:  "leaftree",
 			Blocking:   blocking,
 			Threads:    threads,
@@ -47,8 +47,8 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		mops[i] = mean
-		fmt.Printf("%-9s: %7.3f Mop/s (±%.3f)\n", mode, mean, std)
+		mops[i] = pt.Mops
+		fmt.Printf("%-9s: %7.3f Mop/s (±%.3f)\n", mode, pt.Mops, pt.Std)
 	}
 	fmt.Printf("\nlock-free / blocking = %.1fx under oversubscription with descheduling\n", mops[1]/mops[0])
 	fmt.Println("(the paper's Figure 5d/5g effect: blocking waiters strand behind a " +

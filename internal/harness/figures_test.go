@@ -95,7 +95,7 @@ func TestYCSBFigureSeriesShards(t *testing.T) {
 // TestExtAllocFigureWiring pins the allocation-ablation spec: the fresh
 // arm really disables pooling on the built runtime, the pooled and
 // blocking arms keep it, and a measured point carries the allocs/op
-// metric through Result and Stats.
+// metric through Result and Point.
 func TestExtAllocFigureWiring(t *testing.T) {
 	sc := DefaultScale()
 	figs := Figures()
@@ -109,11 +109,7 @@ func TestExtAllocFigureWiring(t *testing.T) {
 		if spec.NoPool != s.NoPool || spec.UpdatePct != 10 {
 			t.Fatalf("series %s: bad spec %+v", s.Name, spec)
 		}
-		_, rt, err := NewInstance(spec)
-		if err != nil {
-			t.Fatalf("series %s: %v", s.Name, err)
-		}
-		if rt.Pooling() == spec.NoPool {
+		if rt := newRuntime(spec); rt.Pooling() == spec.NoPool {
 			t.Fatalf("series %s: runtime pooling=%v with NoPool=%v", s.Name, rt.Pooling(), spec.NoPool)
 		}
 		switch {
@@ -146,6 +142,6 @@ func TestExtAllocFigureWiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	if math.IsNaN(st.AllocsPerOp) || st.AllocsPerOp < 0 {
-		t.Fatalf("Stats.AllocsPerOp not aggregated: %v", st.AllocsPerOp)
+		t.Fatalf("Point.AllocsPerOp not aggregated: %v", st.AllocsPerOp)
 	}
 }

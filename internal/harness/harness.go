@@ -6,12 +6,15 @@
 package harness
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
+	"runtime/metrics"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,25 +47,21 @@ type Factory func(rt *flock.Runtime, keyRange uint64) set.Set
 // registry maps structure names (as used in figure series and on the
 // flockbench command line) to factories.
 var registry = map[string]Factory{
-	"lazylist":  func(rt *flock.Runtime, _ uint64) set.Set { return lazylist.New(rt) },
-	"dlist":     func(rt *flock.Runtime, _ uint64) set.Set { return dlist.New(rt) },
-	"hashtable": func(rt *flock.Runtime, r uint64) set.Set { return hashtable.New(rt, int(r)) },
-	"leaftree":  func(rt *flock.Runtime, _ uint64) set.Set { return leaftree.New(rt) },
-	"leaftree-strict": func(rt *flock.Runtime, _ uint64) set.Set {
-		return leaftree.NewStrict(rt)
-	},
-	"leaftreap": func(rt *flock.Runtime, _ uint64) set.Set { return leaftreap.New(rt) },
-	"abtree":    func(rt *flock.Runtime, _ uint64) set.Set { return abtree.New(rt) },
-	"abtree-strict": func(rt *flock.Runtime, _ uint64) set.Set {
-		return abtree.NewStrict(rt)
-	},
-	"arttree":    func(rt *flock.Runtime, _ uint64) set.Set { return arttree.New(rt) },
-	"couplist":   func(rt *flock.Runtime, _ uint64) set.Set { return couplist.New(rt) },
-	"harris":     func(*flock.Runtime, uint64) set.Set { return harris.New(false) },
-	"harris_opt": func(*flock.Runtime, uint64) set.Set { return harris.New(true) },
-	"natarajan":  func(*flock.Runtime, uint64) set.Set { return natarajan.New() },
-	"ellen":      func(*flock.Runtime, uint64) set.Set { return ellen.New() },
-	"olcart":     func(*flock.Runtime, uint64) set.Set { return olcart.New() },
+	"lazylist":        func(rt *flock.Runtime, _ uint64) set.Set { return lazylist.New(rt) },
+	"dlist":           func(rt *flock.Runtime, _ uint64) set.Set { return dlist.New(rt) },
+	"hashtable":       func(rt *flock.Runtime, r uint64) set.Set { return hashtable.New(rt, int(r)) },
+	"leaftree":        func(rt *flock.Runtime, _ uint64) set.Set { return leaftree.New(rt) },
+	"leaftree-strict": func(rt *flock.Runtime, _ uint64) set.Set { return leaftree.NewStrict(rt) },
+	"leaftreap":       func(rt *flock.Runtime, _ uint64) set.Set { return leaftreap.New(rt) },
+	"abtree":          func(rt *flock.Runtime, _ uint64) set.Set { return abtree.New(rt) },
+	"abtree-strict":   func(rt *flock.Runtime, _ uint64) set.Set { return abtree.NewStrict(rt) },
+	"arttree":         func(rt *flock.Runtime, _ uint64) set.Set { return arttree.New(rt) },
+	"couplist":        func(rt *flock.Runtime, _ uint64) set.Set { return couplist.New(rt) },
+	"harris":          func(*flock.Runtime, uint64) set.Set { return harris.New(false) },
+	"harris_opt":      func(*flock.Runtime, uint64) set.Set { return harris.New(true) },
+	"natarajan":       func(*flock.Runtime, uint64) set.Set { return natarajan.New() },
+	"ellen":           func(*flock.Runtime, uint64) set.Set { return ellen.New() },
+	"olcart":          func(*flock.Runtime, uint64) set.Set { return olcart.New() },
 }
 
 // txnCapable lists the registry structures the transactional layer may
@@ -73,39 +72,17 @@ var registry = map[string]Factory{
 // replay would re-apply their writes non-idempotently), and the
 // "-strict" variants acquire strict locks, which are not simply nested
 // (§4); both would silently corrupt transactional atomicity.
-var txnCapable = map[string]bool{
-	"lazylist":  true,
-	"dlist":     true,
-	"hashtable": true,
-	"leaftree":  true,
-	"leaftreap": true,
-	"abtree":    true,
-	"arttree":   true,
-	"couplist":  true,
-}
+var txnCapable = map[string]bool{"lazylist": true, "dlist": true, "hashtable": true, "leaftree": true,
+	"leaftreap": true, "abtree": true, "arttree": true, "couplist": true}
 
 // TxnCapableStructures returns the sorted names of the structures the
 // transactional layer may be built over. internal/txn's conformance
 // tests iterate this list, so vouching for a structure here without
 // suite coverage fails the build rather than shipping silently.
-func TxnCapableStructures() []string {
-	var out []string
-	for s := range txnCapable {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
+func TxnCapableStructures() []string { return slices.Sorted(maps.Keys(txnCapable)) }
 
 // Structures returns the sorted registry keys.
-func Structures() []string {
-	var out []string
-	for k := range registry {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+func Structures() []string { return slices.Sorted(maps.Keys(registry)) }
 
 // Spec describes one throughput measurement point.
 type Spec struct {
@@ -131,8 +108,8 @@ type Spec struct {
 	// ("e"); each scan's length is zipf-drawn from [1, ScanLen]. Values
 	// < 1 mean workload.DefaultScanLen. Ignored without scans.
 	ScanLen int
-	// Shards is the kv.Store shard count for the YCSB path (values < 1
-	// mean 1, the unsharded control). Ignored when YCSB is empty.
+	// Shards is the store's shard count on the KV and transactional
+	// paths (values < 1 mean 1, the unsharded control).
 	Shards int
 	// NoPool disables the flock core's descriptor/log-block/mbox
 	// pooling (the GC-fresh arm of the ext-alloc ablation). Ignored by
@@ -157,43 +134,34 @@ type Spec struct {
 	// without the set.OptimisticReader capability is refused up front,
 	// like the Scannable gate. Ignored when YCSB and TxnMix are empty.
 	Optimistic bool
-	// SnapshotLoop runs a dedicated background goroutine alongside the
-	// measured workload that repeatedly takes a whole-store snapshot
-	// (kv.Store.Snapshot), iterates it fully and closes it, for the
-	// duration of the window (transactional path only). The measured
-	// Mops is still the foreground workload's — the snapshot loop's
-	// progress is reported separately (Result.SnapCycles/SnapKeys) — so
-	// comparing a series with and without the loop reads out the
-	// concurrent-writer slowdown snapshots impose, and the loop's key
-	// rate reads out snapshot scan throughput under the write storm.
-	// Requires a scannable structure; refused up front otherwise.
+	// SnapshotLoop runs a background goroutine beside the measured
+	// workload that repeatedly takes a whole-store snapshot
+	// (kv.Store.Snapshot), iterates it fully and closes it (KV and
+	// transactional paths). The measured Mops is still the foreground
+	// workload's; the loop's progress is reported separately
+	// (Result.SnapCycles/SnapKeys), so comparing a series with and
+	// without the loop reads out the slowdown snapshots impose on
+	// writers, and the loop's key rate reads out snapshot scan
+	// throughput under the write storm. Requires a scannable structure;
+	// refused up front otherwise.
 	SnapshotLoop bool
-	// Metrics enables the obs runtime-metrics layer for the measured
-	// window: measure() flips the obs flag on around the window (and
-	// restores it after), snapshots counters at the window edges, and
-	// samples cumulative snapshots at MetricsInterval to produce the
-	// time series in Result.Metrics. Off by default — the disabled layer
+	// Metrics turns the obs runtime-metrics layer on for the measured
+	// window (restoring the global flag after): counters are snapshotted
+	// at the window edges and sampled every MetricsInterval (values <= 0
+	// mean Duration/8, at least 1ms) into Result.Metrics. Off, the layer
 	// is a cold-bool branch with zero allocations (obs package doc).
-	Metrics bool
-	// MetricsInterval is the time-series sampling cadence; values <= 0
-	// mean Duration/8 (clamped to >= 1ms).
+	Metrics         bool
 	MetricsInterval time.Duration
-	// Trace enables the lock-event flight recorder (internal/obs/trace)
-	// for the measured window: measure() flips the trace flag on around
-	// the window (restoring it after, like Metrics), opens a fresh
-	// collection window with trace.Reset, and attaches the stitched
-	// snapshot to Result.Trace. Off by default — the disabled recorder
-	// is a cold-bool branch per emission site.
-	Trace bool
-	// TraceDump, when nonempty (and Trace is set), arms the anomaly
-	// dumper: the first sampled operation whose latency exceeds
-	// TraceDumpP99Mult times the window's running p99 triggers a one-shot
-	// Chrome-trace dump of the recorder's current contents to this path,
-	// capturing the events surrounding the outlier while they are still
-	// in the rings.
-	TraceDump string
-	// TraceDumpP99Mult is the anomaly threshold multiple; values <= 0
-	// mean 8x.
+	// Trace turns the lock-event flight recorder (internal/obs/trace) on
+	// for the measured window the same way, opens a fresh collection
+	// window with trace.Reset and attaches the stitched snapshot to
+	// Result.Trace. TraceDump, when set, arms the anomaly dumper: the
+	// first operation slower than TraceDumpP99Mult (values <= 0 mean 8)
+	// times the window's running p99 dumps the recorder's contents to
+	// that path as a Chrome trace, while the outlier's surroundings are
+	// still in the rings.
+	Trace            bool
+	TraceDump        string
 	TraceDumpP99Mult float64
 	// Figure is a label for the figure this spec was derived from
 	// (RunFigure sets it); it only feeds the pprof "figure" label on
@@ -215,16 +183,8 @@ func (spec Spec) modeLabel() string {
 	}
 }
 
-// figureLabel is Spec.Figure, or "adhoc" for specs built by hand.
-func (spec Spec) figureLabel() string {
-	if spec.Figure == "" {
-		return "adhoc"
-	}
-	return spec.Figure
-}
-
-// Result is one measured point. Hist is the merged per-operation
-// latency histogram (always recorded; log-bucketed, see LatencyHist).
+// Result is one measured run. Hist is the merged per-operation latency
+// histogram (always recorded; log-bucketed, see LatencyHist).
 // AllocsPerOp is the heap-allocation count per completed operation over
 // the measured window (runtime.MemStats.Mallocs delta / Ops) — the
 // metric the pooled commit path is designed to drive to zero.
@@ -275,36 +235,234 @@ func (r Result) P95() time.Duration { return r.Hist.Quantile(0.95) }
 // helping-under-oversubscription win shows up for a serving system.
 func (r Result) P99() time.Duration { return r.Hist.Quantile(0.99) }
 
-// NewInstance builds the named structure on a fresh runtime in the
-// requested mode. It returns the runtime for Proc registration.
-func NewInstance(spec Spec) (set.Set, *flock.Runtime, error) {
-	f, ok := registry[spec.Structure]
-	if !ok {
-		return nil, nil, fmt.Errorf("harness: unknown structure %q (have %v)", spec.Structure, Structures())
-	}
+// Worker registers worker w and returns its op closure and teardown.
+// op(n, mark) draws the next operation from the worker's generator,
+// calls mark, then applies it, so a latency clock started by mark
+// leaves generator time out; n is the worker's operation count (it
+// salts written values).
+type Worker func(w uint64) (op func(n uint64, mark func()), done func())
+
+// instance is one built and prefilled spec.
+type instance struct {
+	worker Worker
+	// window runs at the start of the measured window and returns the
+	// hook that folds the window's store-side readings (optimistic
+	// counters, shard ops, the snapshot loop) into the Result; nil on
+	// the bare-structure path.
+	window func() (closeWindow func(*Result))
+}
+
+// newRuntime builds the flock runtime a bare-structure spec runs on.
+func newRuntime(spec Spec) *flock.Runtime {
 	var opts []flock.Option
 	if spec.NoPool {
 		opts = append(opts, flock.NoPool())
 	}
 	rt := flock.New(opts...)
 	rt.SetBlocking(spec.Blocking)
-	return f(rt, spec.KeyRange), rt, nil
+	return rt
 }
 
-// forEachPrefillKey runs the shared prefill loop: the deterministic
-// half of [1, KeyRange] (§8: "prefill the data structure with half the
-// keys in the range"), partitioned across parallel workers by
-// permutation striding — pseudo-random insertion order, because
-// ascending order would degenerate the unbalanced trees (the paper's
-// trees are balanced in expectation from random insertion). setup runs
-// once per worker goroutine and returns that worker's insert function
-// (called with each prefill key, already hashed under spec.HashKeys)
-// and its teardown.
-func forEachPrefillKey(spec Spec, setup func() (put func(k uint64), done func())) {
-	workers := runtime.GOMAXPROCS(0) * 2
-	if workers > 8 {
-		workers = 8
+// build is the workload builder behind RunTimed and Workers. It looks
+// the structure up, applies the capability gates (txn-capable,
+// scannable, optimistic, snapshot loop) before any prefilling, builds
+// the bare structure, kv.Store or txn.Store the spec selects, prefills
+// it, turns stall injection on and returns the per-worker op closures
+// and window hooks.
+func build(spec Spec) (*instance, error) {
+	f, ok := registry[spec.Structure]
+	if !ok {
+		return nil, fmt.Errorf("harness: unknown structure %q (have %v)", spec.Structure, Structures())
 	}
+	seed := func(w uint64) uint64 { return spec.Seed + w*0x9e3779b9 }
+	if spec.TxnMix == "" && spec.YCSB == "" {
+		rt := newRuntime(spec)
+		s := f(rt, spec.KeyRange)
+		prefill(spec, func() (func(k uint64), func()) {
+			p := rt.Register()
+			return func(k uint64) { s.Insert(p, k, k) }, p.Unregister
+		})
+		// Injection starts only after prefill so setup stays fast.
+		rt.SetStallInjection(spec.StallEvery)
+		return &instance{worker: func(w uint64) (func(uint64, func()), func()) {
+			p := rt.Register()
+			mix := workload.NewMix(spec.KeyRange, spec.UpdatePct, spec.Alpha, spec.HashKeys, seed(w))
+			return func(_ uint64, mark func()) {
+				op, k := mix.Next()
+				mark()
+				switch op {
+				case workload.OpInsert:
+					s.Insert(p, k, k)
+				case workload.OpDelete:
+					s.Delete(p, k)
+				default:
+					s.Find(p, k)
+				}
+			}, p.Unregister
+		}}, nil
+	}
+
+	in := &instance{}
+	var st *kv.Store
+	if spec.TxnMix != "" {
+		if !txnCapable[spec.Structure] {
+			return nil, fmt.Errorf("harness: structure %q cannot back the txn layer (its operations are not simply-nested flock thunks; use one of %v)",
+				spec.Structure, TxnCapableStructures())
+		}
+		if _, err := workload.NewTxnMix(spec.TxnMix, spec.KeyRange, spec.Alpha, spec.TxnSize, spec.Seed); err != nil {
+			return nil, err
+		}
+		mode := txn.LockFree
+		if spec.Blocking {
+			mode = txn.Blocking
+		}
+		if spec.TxnNonAtomic {
+			mode = txn.NonAtomic
+		}
+		ts := txn.New(kv.Factory(f), txn.Options{Shards: spec.Shards, Mode: mode, NoPool: spec.NoPool,
+			KeyRange: spec.KeyRange, OptimisticReads: spec.Optimistic})
+		st = ts.KV()
+		in.worker = func(w uint64) (func(uint64, func()), func()) {
+			c := ts.Register()
+			mix, _ := workload.NewTxnMix(spec.TxnMix, spec.KeyRange, spec.Alpha, spec.TxnSize, seed(w))
+			var vbuf []uint64 // write-value scratch (the client copies its inputs)
+			return func(n uint64, mark func()) {
+				op, keys := mix.Next()
+				mark()
+				switch op {
+				case workload.TxnRead:
+					c.MultiGet(keys)
+				case workload.TxnWrite:
+					vbuf = vbuf[:0]
+					for _, k := range keys {
+						vbuf = append(vbuf, k+n)
+					}
+					c.MultiPut(keys, vbuf)
+				case workload.TxnTransfer:
+					c.Transfer(keys[0], keys[1], 1)
+				case workload.TxnRMW:
+					c.Txn(keys, keys, txnIncrement)
+				default: // a new TxnOp must be wired here, not absorbed as a read
+					panic(fmt.Sprintf("harness: unhandled TxnOp %v", op))
+				}
+			}, c.Close
+		}
+	} else {
+		probe, err := workload.NewYCSB(spec.YCSB, spec.KeyRange, spec.Alpha, spec.HashKeys, spec.Seed)
+		if err != nil {
+			return nil, err
+		}
+		st = kv.New(kv.Factory(f), kv.Options{Shards: spec.Shards, Blocking: spec.Blocking, NoPool: spec.NoPool,
+			KeyRange: spec.KeyRange, OptimisticReads: spec.Optimistic})
+		switch {
+		case probe.HasScans() && !st.Scannable():
+			return nil, fmt.Errorf("harness: YCSB-%s has scans but structure %q does not implement set.Scanner (ordered structures only)",
+				spec.YCSB, spec.Structure)
+		case spec.Optimistic && !st.OptimisticReads():
+			return nil, fmt.Errorf("harness: optimistic reads requested but structure %q does not implement set.OptimisticReader",
+				spec.Structure)
+		case spec.Optimistic && probe.HasScans() && !st.OptimisticScans():
+			return nil, fmt.Errorf("harness: YCSB-%s has scans but structure %q does not implement set.OptimisticScanner",
+				spec.YCSB, spec.Structure)
+		}
+		in.worker = func(w uint64) (func(uint64, func()), func()) {
+			c := st.Register()
+			mix, _ := workload.NewYCSB(spec.YCSB, spec.KeyRange, spec.Alpha, spec.HashKeys, seed(w))
+			mix.SetMaxScanLen(spec.ScanLen)
+			return func(n uint64, mark func()) {
+				op, k := mix.Next()
+				mark()
+				switch op {
+				case workload.YRead:
+					c.Get(k)
+				case workload.YUpdate, workload.YInsert:
+					c.Put(k, k+n)
+				case workload.YRMW:
+					c.ReadModifyWrite(k, func(old uint64, _ bool) uint64 { return old + 1 })
+				case workload.YScan:
+					// YCSB-E semantics: the next ScanLen() records from k
+					// upward (an open upper bound plus a limit, not a fixed
+					// key interval — the key space is only half dense).
+					c.Scan(k, math.MaxUint64, mix.ScanLen())
+				default: // a new YCSBOp must be wired here, not absorbed as a read
+					panic(fmt.Sprintf("harness: unhandled YCSBOp %v", op))
+				}
+			}, c.Close
+		}
+	}
+	if spec.SnapshotLoop && !st.Scannable() {
+		return nil, fmt.Errorf("harness: snapshot loop requested but structure %q does not implement set.Scanner (ordered snapshots need ordered scans)",
+			spec.Structure)
+	}
+	prefill(spec, func() (func(k uint64), func()) {
+		c := st.Register()
+		return func(k uint64) { c.Put(k, k) }, c.Close
+	})
+	st.SetStallInjection(spec.StallEvery)
+
+	in.window = func() func(*Result) {
+		r0, e0 := st.OptimisticStats()
+		so0 := st.ShardOps()
+		// The snapshot loop: snapshot, iterate fully, close, repeat. The
+		// stop flag is checked only after a completed cycle, so even the
+		// shortest window measures at least one whole-store iteration.
+		var cycles, keys uint64
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		if spec.SnapshotLoop {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					sn := st.Snapshot()
+					sn.Iterate(0, math.MaxUint64, func(_, _ uint64) bool {
+						keys++
+						return true
+					})
+					sn.Close()
+					cycles++
+					if stop.Load() {
+						return
+					}
+				}
+			}()
+		}
+		return func(res *Result) {
+			stop.Store(true)
+			wg.Wait()
+			res.SnapCycles, res.SnapKeys = cycles, keys
+			r1, e1 := st.OptimisticStats()
+			res.OptRestarts, res.OptEscalations = r1-r0, e1-e0
+			if res.Metrics != nil {
+				// Workers closed their clients inside the window (measure
+				// waits for them), so the fold-on-Close totals now cover it.
+				res.Metrics.ShardOps = subSlices(st.ShardOps(), so0)
+			}
+		}
+	}
+	return in, nil
+}
+
+// txnIncrement is the pure TxnFunc behind the TxnRMW mix operation:
+// increment every key in the read set (upserting absent keys at 1).
+func txnIncrement(vals []uint64, oks []bool) ([]uint64, bool) {
+	out := make([]uint64, len(vals))
+	for i := range vals {
+		out[i] = vals[i] + 1
+	}
+	return out, true
+}
+
+// prefill runs the shared prefill loop: the deterministic half of [1,
+// KeyRange] (§8: "prefill the data structure with half the keys in the
+// range"), partitioned across parallel workers by permutation striding —
+// pseudo-random insertion order, because ascending order would
+// degenerate the unbalanced trees (the paper's trees are balanced in
+// expectation from random insertion). setup runs once per worker
+// goroutine and returns that worker's insert function (called with each
+// prefill key, already hashed under spec.HashKeys) and its teardown.
+func prefill(spec Spec, setup func() (put func(k uint64), done func())) {
+	workers := min(runtime.GOMAXPROCS(0)*2, 8)
 	perm := workload.NewPermutation(spec.KeyRange, spec.Seed^0x5eed)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -328,13 +486,15 @@ func forEachPrefillKey(spec Spec, setup func() (put func(k uint64), done func())
 	wg.Wait()
 }
 
-// Prefill inserts the deterministic half of [1, KeyRange] into a bare
-// structure (see forEachPrefillKey).
-func Prefill(s set.Set, rt *flock.Runtime, spec Spec) {
-	forEachPrefillKey(spec, func() (func(k uint64), func()) {
-		p := rt.Register()
-		return func(k uint64) { s.Insert(p, k, k) }, p.Unregister
-	})
+// Workers builds and prefills spec with RunTimed's builder and returns
+// its worker factory, for drivers that run their own loop (the root
+// benchmarks' RunParallel). RunTimed's window hooks do not run.
+func Workers(spec Spec) (Worker, error) {
+	in, err := build(spec)
+	if err != nil {
+		return nil, err
+	}
+	return in.worker, nil
 }
 
 // RunTimed builds, prefills and measures one spec: the paper's set mix
@@ -343,336 +503,37 @@ func Prefill(s set.Set, rt *flock.Runtime, spec Spec) {
 // is recorded into a per-worker log-bucketed histogram; the merged
 // histogram rides along in the Result.
 func RunTimed(spec Spec) (Result, error) {
-	if spec.TxnMix != "" {
-		return runTimedTxn(spec)
-	}
-	if spec.YCSB != "" {
-		return runTimedKV(spec)
-	}
-	s, rt, err := NewInstance(spec)
+	in, err := build(spec)
 	if err != nil {
 		return Result{}, err
 	}
-	Prefill(s, rt, spec)
-	// Injection starts only after prefill so setup stays fast.
-	rt.SetStallInjection(spec.StallEvery)
-
-	return measure(spec, func(w int, begin func(), stop *atomic.Bool, hist *LatencyHist) (uint64, error) {
-		p := rt.Register()
-		defer p.Unregister()
-		mix := workload.NewMix(spec.KeyRange, spec.UpdatePct, spec.Alpha,
-			spec.HashKeys, spec.Seed+uint64(w)*0x9e3779b9)
-		begin()
-		var n uint64
-		for !stop.Load() {
-			op, k := mix.Next()
-			t0 := time.Now()
-			switch op {
-			case workload.OpInsert:
-				s.Insert(p, k, k)
-			case workload.OpDelete:
-				s.Delete(p, k)
-			default:
-				s.Find(p, k)
-			}
-			hist.Record(time.Since(t0))
-			n++
-		}
-		return n, nil
-	})
+	return measure(spec, in), nil
 }
 
-// NewKVInstance builds the sharded KV store for a YCSB spec (exported
-// for the root benchmarks, which drive their own worker loops). A
-// scan-bearing mix (YCSB-E) over a structure without ordered scans
-// (set.Scanner) is refused here, before any prefilling.
-func NewKVInstance(spec Spec) (*kv.Store, error) {
-	f, ok := registry[spec.Structure]
-	if !ok {
-		return nil, fmt.Errorf("harness: unknown structure %q (have %v)", spec.Structure, Structures())
-	}
-	probe, err := workload.NewYCSB(spec.YCSB, spec.KeyRange, spec.Alpha, spec.HashKeys, spec.Seed)
-	if err != nil {
-		return nil, err
-	}
-	st := kv.New(kv.Factory(f), kv.Options{
-		Shards:          spec.Shards,
-		Blocking:        spec.Blocking,
-		NoPool:          spec.NoPool,
-		KeyRange:        spec.KeyRange,
-		OptimisticReads: spec.Optimistic,
-	})
-	if probe.HasScans() && !st.Scannable() {
-		return nil, fmt.Errorf("harness: YCSB-%s has scans but structure %q does not implement set.Scanner (ordered structures only)",
-			spec.YCSB, spec.Structure)
-	}
-	if spec.Optimistic && !st.OptimisticReads() {
-		return nil, fmt.Errorf("harness: optimistic reads requested but structure %q does not implement set.OptimisticReader",
-			spec.Structure)
-	}
-	if spec.Optimistic && probe.HasScans() && !st.OptimisticScans() {
-		return nil, fmt.Errorf("harness: YCSB-%s has scans but structure %q does not implement set.OptimisticScanner",
-			spec.YCSB, spec.Structure)
-	}
-	return st, nil
-}
-
-// NewYCSBMix builds one worker's generator for a YCSB spec, with the
-// spec's scan-length bound applied — the single constructor both the
-// harness driver and the root benchmarks use.
-func NewYCSBMix(spec Spec, worker uint64) (*workload.YCSB, error) {
-	mix, err := workload.NewYCSB(spec.YCSB, spec.KeyRange, spec.Alpha,
-		spec.HashKeys, spec.Seed+worker*0x9e3779b9)
-	if err != nil {
-		return nil, err
-	}
-	mix.SetMaxScanLen(spec.ScanLen)
-	return mix, nil
-}
-
-// ApplyYCSBOp applies one generated KV operation to the client — the
-// shared dispatch, mirroring ApplyTxnOp, so the harness driver and the
-// root benchmarks can never silently measure different operations for
-// the same mix. n is the worker's operation counter (salts write
-// values). Unknown kinds panic: a new YCSBOp must be wired here, not
-// absorbed as a read.
-func ApplyYCSBOp(c *kv.Client, mix *workload.YCSB, op workload.YCSBOp, k, n uint64) {
-	switch op {
-	case workload.YRead:
-		c.Get(k)
-	case workload.YUpdate, workload.YInsert:
-		c.Put(k, k+n)
-	case workload.YRMW:
-		c.ReadModifyWrite(k, func(old uint64, _ bool) uint64 { return old + 1 })
-	case workload.YScan:
-		// YCSB-E semantics: the next ScanLen() records from k upward
-		// (an open upper bound plus a limit, not a fixed key interval —
-		// the key space is only half dense).
-		c.Scan(k, math.MaxUint64, mix.ScanLen())
-	default:
-		panic(fmt.Sprintf("harness: unhandled YCSBOp %v", op))
-	}
-}
-
-// PrefillKV loads the deterministic half of [1, KeyRange] into the
-// store (same coin and parallel shuffled order as Prefill; see
-// forEachPrefillKey).
-func PrefillKV(st *kv.Store, spec Spec) {
-	forEachPrefillKey(spec, func() (func(k uint64), func()) {
-		c := st.Register()
-		return func(k uint64) { c.Put(k, k) }, c.Close
-	})
-}
-
-// runTimedKV measures one YCSB point against a sharded kv.Store.
-func runTimedKV(spec Spec) (Result, error) {
-	st, err := NewKVInstance(spec)
-	if err != nil {
-		return Result{}, err
-	}
-	PrefillKV(st, spec)
-	st.SetStallInjection(spec.StallEvery)
-
-	r0, e0 := st.OptimisticStats()
-	so0 := st.ShardOps()
-	res, err := measure(spec, func(w int, begin func(), stop *atomic.Bool, hist *LatencyHist) (uint64, error) {
-		c := st.Register()
-		defer c.Close()
-		mix, err := NewYCSBMix(spec, uint64(w))
-		if err != nil {
-			return 0, err
-		}
-		begin()
-		var n uint64
-		for !stop.Load() {
-			op, k := mix.Next()
-			t0 := time.Now()
-			ApplyYCSBOp(c, mix, op, k, n)
-			hist.Record(time.Since(t0))
-			n++
-		}
-		return n, nil
-	})
-	if err == nil {
-		r1, e1 := st.OptimisticStats()
-		res.OptRestarts, res.OptEscalations = r1-r0, e1-e0
-		if res.Metrics != nil {
-			// Workers closed their clients inside the window (measure waits
-			// for them), so the fold-on-Close totals now cover it.
-			res.Metrics.ShardOps = subSlices(st.ShardOps(), so0)
-		}
-	}
-	return res, err
-}
-
-// NewTxnInstance builds the transactional store for a TxnMix spec
-// (exported for the root benchmarks, which drive their own worker
-// loops). The mode follows the spec: TxnNonAtomic wins, then Blocking.
-func NewTxnInstance(spec Spec) (*txn.Store, error) {
-	f, ok := registry[spec.Structure]
-	if !ok {
-		return nil, fmt.Errorf("harness: unknown structure %q (have %v)", spec.Structure, Structures())
-	}
-	if !txnCapable[spec.Structure] {
-		return nil, fmt.Errorf("harness: structure %q cannot back the txn layer (its operations are not simply-nested flock thunks; use one of %v)",
-			spec.Structure, TxnCapableStructures())
-	}
-	if _, err := workload.NewTxnMix(spec.TxnMix, spec.KeyRange, spec.Alpha, spec.TxnSize, spec.Seed); err != nil {
-		return nil, err
-	}
-	mode := txn.LockFree
-	if spec.Blocking {
-		mode = txn.Blocking
-	}
-	if spec.TxnNonAtomic {
-		mode = txn.NonAtomic
-	}
-	return txn.New(kv.Factory(f), txn.Options{
-		Shards:          spec.Shards,
-		Mode:            mode,
-		NoPool:          spec.NoPool,
-		KeyRange:        spec.KeyRange,
-		OptimisticReads: spec.Optimistic,
-	}), nil
-}
-
-// txnIncrement is the pure TxnFunc behind the TxnRMW mix operation:
-// increment every key in the read set (upserting absent keys at 1).
-// Callers outside the package go through ApplyTxnOp, the shared
-// dispatch, so this stays unexported.
-func txnIncrement(vals []uint64, oks []bool) ([]uint64, bool) {
-	out := make([]uint64, len(vals))
-	for i := range vals {
-		out[i] = vals[i] + 1
-	}
-	return out, true
-}
-
-// ApplyTxnOp applies one generated transaction to the client — the
-// single dispatch both the harness driver and the root benchmarks use,
-// so the two can never silently measure different operations for the
-// same mix. n is the worker's operation counter (salts write values);
-// vbuf is a reusable scratch for write values (the client copies its
-// inputs) and the possibly-grown scratch is returned. Unknown kinds
-// panic: a new TxnOp must be wired here, not absorbed as a read.
-func ApplyTxnOp(c *txn.Client, op workload.TxnOp, keys []uint64, n uint64, vbuf []uint64) []uint64 {
-	switch op {
-	case workload.TxnRead:
-		c.MultiGet(keys)
-	case workload.TxnWrite:
-		vbuf = vbuf[:0]
-		for _, k := range keys {
-			vbuf = append(vbuf, k+n)
-		}
-		c.MultiPut(keys, vbuf)
-	case workload.TxnTransfer:
-		c.Transfer(keys[0], keys[1], 1)
-	case workload.TxnRMW:
-		c.Txn(keys, keys, txnIncrement)
-	default:
-		panic(fmt.Sprintf("harness: unhandled TxnOp %v", op))
-	}
-	return vbuf
-}
-
-// runTimedTxn measures one transactional point against a txn.Store.
-func runTimedTxn(spec Spec) (Result, error) {
-	st, err := NewTxnInstance(spec)
-	if err != nil {
-		return Result{}, err
-	}
-	if spec.SnapshotLoop && !st.KV().Scannable() {
-		return Result{}, fmt.Errorf("harness: snapshot loop requested but structure %q does not implement set.Scanner (ordered snapshots need ordered scans)",
-			spec.Structure)
-	}
-	PrefillKV(st.KV(), spec)
-	st.SetStallInjection(spec.StallEvery)
-
-	// The snapshot loop runs beside the measured workload: snapshot,
-	// iterate fully, close, repeat. The stop flag is checked only after
-	// a completed cycle so even the shortest window measures at least
-	// one whole-store iteration. Worker setup outside the window is
-	// microseconds, so counting the loop against Result.Elapsed is fair.
-	var snapCycles, snapKeys uint64
-	var snapStop atomic.Bool
-	var snapWG sync.WaitGroup
-	if spec.SnapshotLoop {
-		snapWG.Add(1)
-		go func() {
-			defer snapWG.Done()
-			for {
-				sn := st.KV().Snapshot()
-				sn.Iterate(0, math.MaxUint64, func(_, _ uint64) bool {
-					snapKeys++
-					return true
-				})
-				sn.Close()
-				snapCycles++
-				if snapStop.Load() {
-					return
-				}
-			}
-		}()
-	}
-
-	r0, e0 := st.KV().OptimisticStats()
-	so0 := st.KV().ShardOps()
-	res, err := measure(spec, func(w int, begin func(), stop *atomic.Bool, hist *LatencyHist) (uint64, error) {
-		c := st.Register()
-		defer c.Close()
-		mix, err := workload.NewTxnMix(spec.TxnMix, spec.KeyRange, spec.Alpha,
-			spec.TxnSize, spec.Seed+uint64(w)*0x9e3779b9)
-		if err != nil {
-			return 0, err
-		}
-		var vbuf []uint64 // ApplyTxnOp's write-value scratch
-		begin()
-		var n uint64
-		for !stop.Load() {
-			op, keys := mix.Next()
-			t0 := time.Now()
-			vbuf = ApplyTxnOp(c, op, keys, n, vbuf)
-			hist.Record(time.Since(t0))
-			n++
-		}
-		return n, nil
-	})
-	if spec.SnapshotLoop {
-		snapStop.Store(true)
-		snapWG.Wait()
-		res.SnapCycles, res.SnapKeys = snapCycles, snapKeys
-	}
-	if err == nil {
-		r1, e1 := st.KV().OptimisticStats()
-		res.OptRestarts, res.OptEscalations = r1-r0, e1-e0
-		if res.Metrics != nil {
-			res.Metrics.ShardOps = subSlices(st.KV().ShardOps(), so0)
-		}
-	}
-	return res, err
+// gcPauseAndGoroutines reads the sampler's runtime signals through
+// runtime/metrics, which, unlike runtime.ReadMemStats, does not stop the
+// world: the cumulative GC pause wall time (the runtime's pause CPU
+// estimate over GOMAXPROCS) and the goroutine count.
+func gcPauseAndGoroutines() (pauseNs float64, goroutines int) {
+	s := []metrics.Sample{{Name: "/cpu/classes/gc/pause:cpu-seconds"}, {Name: "/sched/goroutines:goroutines"}}
+	metrics.Read(s)
+	return s[0].Value.Float64() * 1e9 / float64(runtime.GOMAXPROCS(0)), int(s[1].Value.Uint64())
 }
 
 // measure runs spec.Threads workers for spec.Duration and aggregates
-// op counts and latency histograms. The worker body must call begin()
-// exactly once, after its per-worker setup (registration, generator
-// construction — including first-use zeta sums, linear in the key
-// range): begin is the start barrier, so setup time is excluded from
-// the measured window. A worker that returns without calling begin
-// (setup error) releases the barrier on its way out.
-func measure(spec Spec, worker func(w int, begin func(), stop *atomic.Bool, hist *LatencyHist) (uint64, error)) (Result, error) {
+// op counts and latency histograms. Per-worker setup (registration,
+// generator construction — including first-use zeta sums, linear in the
+// key range) runs before the start barrier, so it stays out of the
+// measured window.
+func measure(spec Spec, in *instance) Result {
 	var stop atomic.Bool
-	var total atomic.Uint64
 	hists := make([]*LatencyHist, spec.Threads)
 	counts := make([]uint64, spec.Threads) // per-worker op counts (fairness)
-	errs := make([]error, spec.Threads)
 	start := make(chan struct{})
 	// Worker goroutines carry pprof labels so a CPU profile of a figure
 	// run attributes samples per series (structure × mode × figure).
-	labels := pprof.Labels(
-		"structure", spec.Structure,
-		"mode", spec.modeLabel(),
-		"figure", spec.figureLabel(),
-	)
+	// Specs built by hand carry the figure label "adhoc".
+	labels := pprof.Labels("structure", spec.Structure, "mode", spec.modeLabel(), "figure", cmp.Or(spec.Figure, "adhoc"))
 	if spec.Metrics {
 		// The obs flag is global; save/restore lets nested or back-to-back
 		// runs with different Metrics settings compose.
@@ -693,43 +554,54 @@ func measure(spec Spec, worker func(w int, begin func(), stop *atomic.Bool, hist
 		}
 	}
 	var ready, wg sync.WaitGroup
+	ready.Add(spec.Threads)
+	wg.Add(spec.Threads)
 	for w := 0; w < spec.Threads; w++ {
 		hists[w] = NewLatencyHist()
 		if dumper != nil {
 			hists[w].SetAnomaly(dumper.observe)
 		}
-		ready.Add(1)
-		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			pprof.Do(context.Background(), labels, func(context.Context) {
-				began := false
-				begin := func() {
-					if !began {
-						began = true
-						ready.Done()
-						<-start
-					}
+				op, done := in.worker(uint64(w))
+				defer done()
+				var t0 time.Time
+				mark := func() { t0 = time.Now() }
+				ready.Done()
+				<-start
+				var n uint64
+				for ; !stop.Load(); n++ {
+					op(n, mark)
+					hists[w].Record(time.Since(t0))
 				}
-				defer begin()
-				n, err := worker(w, begin, &stop, hists[w])
-				errs[w] = err
 				counts[w] = n // w's slot only; read after wg.Wait
-				total.Add(n)
 			})
 		}(w)
 	}
 	ready.Wait()
+	var closeWindow func(*Result)
+	if in.window != nil {
+		closeWindow = in.window()
+	}
 	// Allocation accounting brackets exactly the measured window: worker
-	// setup (registration, zipf zeta sums) happened before begin(), and
-	// ReadMemStats itself runs outside the window.
+	// setup happened before the barrier, and ReadMemStats (a
+	// stop-the-world call) runs only at the window edges.
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	var s0 obs.Counts
+	var pause0 float64
 	if spec.Metrics {
 		s0 = obs.Snapshot()
+		pause0, _ = gcPauseAndGoroutines()
 	}
 	t0 := time.Now()
+	// sample is one point of the window's cumulative time series.
+	sample := func(at time.Duration, d obs.Counts) MetricSample {
+		pause, g := gcPauseAndGoroutines()
+		return MetricSample{AtMs: at.Seconds() * 1e3, Helps: d.Get(obs.HelpsGiven),
+			CASFails: d.Get(obs.InstallCASFails), Goroutines: g, GCPauseNs: uint64(max(pause-pause0, 0))}
+	}
 	close(start)
 	var samples []MetricSample
 	var samplerStop, samplerDone chan struct{}
@@ -739,10 +611,7 @@ func measure(spec Spec, worker func(w int, begin func(), stop *atomic.Bool, hist
 			defer close(samplerDone)
 			interval := spec.MetricsInterval
 			if interval <= 0 {
-				interval = spec.Duration / 8
-			}
-			if interval < time.Millisecond {
-				interval = time.Millisecond
+				interval = max(spec.Duration/8, time.Millisecond)
 			}
 			tick := time.NewTicker(interval)
 			defer tick.Stop()
@@ -751,16 +620,7 @@ func measure(spec Spec, worker func(w int, begin func(), stop *atomic.Bool, hist
 				case <-samplerStop:
 					return
 				case <-tick.C:
-					d := obs.Snapshot().Sub(s0)
-					var ms runtime.MemStats
-					runtime.ReadMemStats(&ms)
-					samples = append(samples, MetricSample{
-						AtMs:       time.Since(t0).Seconds() * 1e3,
-						Helps:      d.Get(obs.HelpsGiven),
-						CASFails:   d.Get(obs.InstallCASFails),
-						Goroutines: runtime.NumGoroutine(),
-						GCPauseNs:  ms.PauseTotalNs - ms0.PauseTotalNs,
-					})
+					samples = append(samples, sample(time.Since(t0), obs.Snapshot().Sub(s0)))
 				}
 			}
 		}()
@@ -779,39 +639,23 @@ func measure(spec Spec, worker func(w int, begin func(), stop *atomic.Bool, hist
 	runtime.ReadMemStats(&ms1)
 
 	merged := NewLatencyHist()
-	for _, h := range hists {
+	var ops uint64
+	for w, h := range hists {
 		merged.Merge(h)
+		ops += counts[w]
 	}
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	ops := total.Load()
-	res := Result{
-		Ops:     ops,
-		Elapsed: el,
-		Mops:    float64(ops) / el.Seconds() / 1e6,
-		Hist:    merged,
-	}
+	res := Result{Ops: ops, Elapsed: el, Mops: float64(ops) / el.Seconds() / 1e6, Hist: merged}
 	res.FairMaxMin, res.FairCoV = fairness(counts)
 	if ops > 0 {
 		res.AllocsPerOp = float64(ms1.Mallocs-ms0.Mallocs) / float64(ops)
 	}
 	if spec.Metrics {
-		// Final snapshot after wg.Wait: every worker has unregistered, so
-		// its block is folded into the retired totals and the delta covers
-		// the whole window (plus the workers' post-stop partial ops —
+		// Final sample after wg.Wait: every worker has unregistered, so its
+		// block is folded into the retired totals and the delta covers the
+		// whole window (plus the workers' post-stop partial ops —
 		// symmetric with how Ops counts them).
 		d := obs.Snapshot().Sub(s0)
-		samples = append(samples, MetricSample{
-			AtMs:       el.Seconds() * 1e3,
-			Helps:      d.Get(obs.HelpsGiven),
-			CASFails:   d.Get(obs.InstallCASFails),
-			Goroutines: runtime.NumGoroutine(),
-			GCPauseNs:  ms1.PauseTotalNs - ms0.PauseTotalNs,
-		})
-		res.Metrics = &MetricsWindow{Window: d, Samples: samples}
+		res.Metrics = &MetricsWindow{Window: d, Samples: append(samples, sample(el, d))}
 	}
 	if spec.Trace {
 		// Snapshot after wg.Wait: exited workers' rings are on the
@@ -819,114 +663,100 @@ func measure(spec Spec, worker func(w int, begin func(), stop *atomic.Bool, hist
 		tr := trace.Snapshot()
 		res.Trace = &tr
 	}
-	return res, nil
+	if closeWindow != nil {
+		closeWindow(&res)
+	}
+	return res
 }
 
-// Stats summarizes repeated runs of one spec: throughput mean and
-// standard deviation, latency percentiles from the histograms merged
-// across the measured repetitions, mean allocations per operation, and
-// the optimistic-read counters totalled over the measured repetitions
-// (Spec.Optimistic KV runs only; zero otherwise).
-type Stats struct {
-	Mops, Std     float64
-	AllocsPerOp   float64
-	P50, P95, P99 time.Duration
-	// Ops totals completed operations across the measured repetitions
-	// (the denominator for the per-op metric rates).
-	Ops uint64
-	// OptRestarts and OptEscalations total the failed optimistic
-	// validation attempts and locked-path fallbacks across the measured
-	// repetitions — the restart-storm observability the escalation
-	// guard tests rely on.
-	OptRestarts    uint64
-	OptEscalations uint64
-	// FairMaxMin and FairCoV are the per-thread op-count spread, averaged
-	// over the measured repetitions (Result doc).
-	FairMaxMin float64
-	FairCoV    float64
-	// SnapCycles totals the background snapshot loop's whole-store
-	// iterations across the measured repetitions; SnapKeysPerSec is the
-	// loop's mean iterated-key rate (zero unless Spec.SnapshotLoop).
-	SnapCycles     uint64
-	SnapKeysPerSec float64
-	// Metrics aggregates the obs windows of the measured repetitions
-	// (counter deltas and shard ops summed; time series from the last
-	// repetition); nil unless Spec.Metrics was set.
-	Metrics *MetricsWindow
-	// Trace is the last measured repetition's flight-recorder snapshot
-	// (rings are overwritten across repetitions, so only the final
-	// window survives intact); nil unless Spec.Trace was set.
-	Trace *trace.Trace
+// Point is one measured point: the single record RunStats returns,
+// RunFigure collects and cmd/flockbench emits. Its JSON tags are the
+// -json schema (one JSONL record per point, suitable for capture as
+// BENCH_*.json); omitempty keeps optimistic counters, snapshot-loop
+// progress and metrics out of records whose series do not produce them.
+// The fields aggregate Result's over the measured repetitions: Mops and
+// Std are the throughput mean and standard deviation; AllocsPerOp,
+// FairMaxMin, FairCoV and SnapKeysPerSec are means; the percentiles
+// come from the merged histograms; OptRestarts, OptEscalations and
+// SnapCycles are totals; Metrics sums the obs windows (time series from
+// the last repetition); Trace is the last repetition's recorder
+// snapshot (rings are overwritten across repetitions).
+type Point struct {
+	Figure         string        `json:"figure"`
+	Series         string        `json:"series"`
+	X              string        `json:"x"`
+	Mops           float64       `json:"mops"`
+	Std            float64       `json:"std"`
+	AllocsPerOp    float64       `json:"allocs_per_op"`
+	P50            time.Duration `json:"p50_ns"`
+	P95            time.Duration `json:"p95_ns"`
+	P99            time.Duration `json:"p99_ns"`
+	OptRestarts    uint64        `json:"opt_restarts,omitempty"`
+	OptEscalations uint64        `json:"opt_escalations,omitempty"`
+	FairMaxMin     float64       `json:"fair_maxmin"`
+	FairCoV        float64       `json:"fair_cov"`
+	SnapCycles     uint64        `json:"snap_cycles,omitempty"`
+	SnapKeysPerSec float64       `json:"snap_keys_per_sec,omitempty"`
+	Metrics        *PointMetrics `json:"metrics,omitempty"`
+	Trace          *trace.Trace  `json:"-"`
 }
 
 // RunStats performs warmup runs followed by measured repetitions,
-// following the paper's methodology (one warmup, average of the rest).
-func RunStats(spec Spec, warmup, repeats int) (Stats, error) {
+// following the paper's methodology (one warmup, average of the rest),
+// and aggregates them into one Point (Series, X and Figure left empty).
+func RunStats(spec Spec, warmup, repeats int) (Point, error) {
 	for i := 0; i < warmup; i++ {
 		if _, err := RunTimed(spec); err != nil {
-			return Stats{}, err
+			return Point{}, err
 		}
 	}
-	if repeats < 1 {
-		repeats = 1
-	}
+	repeats = max(repeats, 1)
 	vals := make([]float64, 0, repeats)
 	merged := NewLatencyHist()
-	var allocs float64
-	var st Stats
+	var pt Point
+	var ops uint64
+	var win *MetricsWindow
 	for i := 0; i < repeats; i++ {
 		r, err := RunTimed(spec)
 		if err != nil {
-			return Stats{}, err
+			return Point{}, err
 		}
 		vals = append(vals, r.Mops)
-		allocs += r.AllocsPerOp
+		pt.Mops += r.Mops
 		merged.Merge(r.Hist)
-		st.Ops += r.Ops
-		st.OptRestarts += r.OptRestarts
-		st.OptEscalations += r.OptEscalations
-		st.FairMaxMin += r.FairMaxMin
-		st.FairCoV += r.FairCoV
-		st.SnapCycles += r.SnapCycles
+		ops += r.Ops
+		pt.AllocsPerOp += r.AllocsPerOp
+		pt.OptRestarts += r.OptRestarts
+		pt.OptEscalations += r.OptEscalations
+		pt.FairMaxMin += r.FairMaxMin
+		pt.FairCoV += r.FairCoV
+		pt.SnapCycles += r.SnapCycles
 		if r.Elapsed > 0 {
-			st.SnapKeysPerSec += float64(r.SnapKeys) / r.Elapsed.Seconds()
+			pt.SnapKeysPerSec += float64(r.SnapKeys) / r.Elapsed.Seconds()
 		}
 		if r.Metrics != nil {
-			if st.Metrics == nil {
-				st.Metrics = &MetricsWindow{}
+			if win == nil {
+				win = &MetricsWindow{}
 			}
-			st.Metrics.Window = st.Metrics.Window.Add(r.Metrics.Window)
-			st.Metrics.ShardOps = addSlices(st.Metrics.ShardOps, r.Metrics.ShardOps)
-			st.Metrics.Samples = r.Metrics.Samples // last repetition's series
+			win.Window = win.Window.Add(r.Metrics.Window)
+			win.ShardOps = addSlices(win.ShardOps, r.Metrics.ShardOps)
+			win.Samples = r.Metrics.Samples // last repetition's series
 		}
 		if r.Trace != nil {
-			st.Trace = r.Trace // last repetition's window
+			pt.Trace = r.Trace // last repetition's window
 		}
 	}
-	st.AllocsPerOp = allocs / float64(repeats)
-	st.FairMaxMin /= float64(repeats)
-	st.FairCoV /= float64(repeats)
-	st.SnapKeysPerSec /= float64(repeats)
+	n := float64(repeats)
+	pt.AllocsPerOp /= n
+	pt.FairMaxMin /= n
+	pt.FairCoV /= n
+	pt.SnapKeysPerSec /= n
+	pt.Mops /= n
 	for _, v := range vals {
-		st.Mops += v
+		pt.Std += (v - pt.Mops) * (v - pt.Mops)
 	}
-	st.Mops /= float64(len(vals))
-	for _, v := range vals {
-		st.Std += (v - st.Mops) * (v - st.Mops)
-	}
-	st.Std = math.Sqrt(st.Std / float64(len(vals)))
-	st.P50 = merged.Quantile(0.50)
-	st.P95 = merged.Quantile(0.95)
-	st.P99 = merged.Quantile(0.99)
-	return st, nil
-}
-
-// RunAveraged is the throughput-only form of RunStats, kept for callers
-// that do not need latency percentiles.
-func RunAveraged(spec Spec, warmup, repeats int) (mean, std float64, err error) {
-	st, err := RunStats(spec, warmup, repeats)
-	if err != nil {
-		return 0, 0, err
-	}
-	return st.Mops, st.Std, nil
+	pt.Std = math.Sqrt(pt.Std / n)
+	pt.P50, pt.P95, pt.P99 = merged.Quantile(0.50), merged.Quantile(0.95), merged.Quantile(0.99)
+	pt.Metrics = pointMetrics(ops, win)
+	return pt, nil
 }

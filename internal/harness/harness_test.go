@@ -3,6 +3,8 @@ package harness
 import (
 	"testing"
 	"time"
+
+	"flock/internal/kv"
 )
 
 // TestEveryStructureRunsBothModes is the cross-cutting integration test:
@@ -90,7 +92,7 @@ func TestYCSBKVPath(t *testing.T) {
 // error, not panic mid-run. (The hashtable no longer serves as the
 // refusal case: it scans via a sorted bucket sweep now.)
 func TestScanWorkloadNeedsOrderedStructure(t *testing.T) {
-	_, err := NewKVInstance(Spec{Structure: "arttree", Threads: 1, KeyRange: 64,
+	_, err := build(Spec{Structure: "arttree", Threads: 1, KeyRange: 64,
 		Duration: time.Millisecond, YCSB: "e", Shards: 2})
 	if err == nil {
 		t.Fatalf("scan-bearing mix over a scanless structure accepted")
@@ -98,7 +100,7 @@ func TestScanWorkloadNeedsOrderedStructure(t *testing.T) {
 	// The scannable structures (and olcart, the baseline arm) must pass
 	// the same gate.
 	for _, s := range []string{"leaftree", "abtree", "hashtable", "olcart"} {
-		if _, err := NewKVInstance(Spec{Structure: s, Threads: 1, KeyRange: 64,
+		if _, err := build(Spec{Structure: s, Threads: 1, KeyRange: 64,
 			Duration: time.Millisecond, YCSB: "e", Shards: 2}); err != nil {
 			t.Fatalf("%s refused for YCSB-E: %v", s, err)
 		}
@@ -123,11 +125,11 @@ func TestSetPathRecordsLatency(t *testing.T) {
 func TestKVPrefillHalfFull(t *testing.T) {
 	spec := Spec{Structure: "leaftree", KeyRange: 4096, Threads: 1,
 		Duration: time.Millisecond, YCSB: "a", Shards: 4}
-	st, err := NewKVInstance(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	PrefillKV(st, spec)
+	st := kv.New(kv.Factory(registry[spec.Structure]), kv.Options{Shards: spec.Shards, KeyRange: spec.KeyRange})
+	prefill(spec, func() (func(k uint64), func()) {
+		c := st.Register()
+		return func(k uint64) { c.Put(k, k) }, c.Close
+	})
 	c := st.Register()
 	defer c.Close()
 	n := 0
@@ -143,11 +145,12 @@ func TestKVPrefillHalfFull(t *testing.T) {
 
 func TestPrefillHalfFull(t *testing.T) {
 	spec := Spec{Structure: "leaftree", KeyRange: 4096, Threads: 1, Duration: time.Millisecond}
-	s, rt, err := NewInstance(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	Prefill(s, rt, spec)
+	rt := newRuntime(spec)
+	s := registry[spec.Structure](rt, spec.KeyRange)
+	prefill(spec, func() (func(k uint64), func()) {
+		p := rt.Register()
+		return func(k uint64) { s.Insert(p, k, k) }, p.Unregister
+	})
 	p := rt.Register()
 	defer p.Unregister()
 	n := 0
@@ -166,15 +169,15 @@ func TestRunAveragedStats(t *testing.T) {
 		Structure: "hashtable", Threads: 4, KeyRange: 256,
 		UpdatePct: 20, Alpha: 0, Duration: 20 * time.Millisecond, Seed: 1,
 	}
-	mean, std, err := RunAveraged(spec, 1, 3)
+	pt, err := RunStats(spec, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mean <= 0 {
-		t.Fatalf("mean %v", mean)
+	if pt.Mops <= 0 {
+		t.Fatalf("mean %v", pt.Mops)
 	}
-	if std < 0 {
-		t.Fatalf("negative std %v", std)
+	if pt.Std < 0 {
+		t.Fatalf("negative std %v", pt.Std)
 	}
 }
 
@@ -215,7 +218,7 @@ func TestRunTimedTxn(t *testing.T) {
 	// (baselines, strict-lock variants) must be refused: replaying them
 	// inside a composed transaction would silently break atomicity.
 	for _, s := range []string{"olcart", "natarajan", "leaftree-strict"} {
-		if _, err := NewTxnInstance(Spec{
+		if _, err := build(Spec{
 			Structure: s, Threads: 1, KeyRange: 64, Duration: time.Millisecond,
 			TxnMix: "transfer", TxnSize: 2, Shards: 1,
 		}); err == nil {
@@ -234,7 +237,7 @@ func TestOptimisticSpecWiring(t *testing.T) {
 	// leaftreap implements set.Scanner but not the optimistic
 	// interfaces: requesting the optimistic arm must fail loudly, not
 	// silently fall back to the logged path mid-figure.
-	if _, err := NewKVInstance(Spec{Structure: "leaftreap", Threads: 1, KeyRange: 64,
+	if _, err := build(Spec{Structure: "leaftreap", Threads: 1, KeyRange: 64,
 		Duration: time.Millisecond, YCSB: "c", Shards: 2, Optimistic: true}); err == nil {
 		t.Fatal("optimistic reads over a non-optimistic structure accepted")
 	}
@@ -253,7 +256,7 @@ func TestOptimisticSpecWiring(t *testing.T) {
 			st.OptRestarts, st.OptEscalations)
 	}
 	// Scan-bearing optimistic mix and the txn read arm both drive the
-	// same plumbing through their own instance constructors.
+	// same plumbing through the builder.
 	for _, spec := range []Spec{
 		{Structure: "leaftree", Threads: 2, KeyRange: 128, Alpha: 0.99,
 			Duration: 10 * time.Millisecond, Seed: 9, YCSB: "e", ScanLen: 8, Shards: 2, Optimistic: true},
@@ -308,17 +311,17 @@ func TestFigureIndexComplete(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing figure %s", id)
 		}
-		if fs.Paper == "" || fs.XLabel == "" || len(fs.Series) == 0 {
+		if fs.Paper == "" || fs.XLabel() == "" || len(fs.Series) == 0 {
 			t.Fatalf("figure %s underspecified", id)
 		}
 		// Every series must reference a registered structure and every
-		// x must produce a buildable spec.
+		// x must produce a sane spec.
 		sc := DefaultScale()
 		for _, x := range fs.Xs(sc) {
 			for _, s := range fs.Series {
 				spec := fs.SpecFor(sc, s, x)
-				if _, _, err := NewInstance(spec); err != nil {
-					t.Fatalf("figure %s series %s x=%s: %v", id, s.Name, x, err)
+				if _, ok := registry[spec.Structure]; !ok {
+					t.Fatalf("figure %s series %s x=%s: unknown structure %q", id, s.Name, x, spec.Structure)
 				}
 				if spec.Threads <= 0 || spec.KeyRange == 0 {
 					t.Fatalf("figure %s series %s x=%s: bad spec %+v", id, s.Name, x, spec)
@@ -338,7 +341,7 @@ func TestRunFigureSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPoints := len(fig4Series) * len(alphas)
+	wantPoints := len(Figures()["fig4"].Series) * len(Figures()["fig4"].Xs(sc))
 	if len(fig.Points) != wantPoints {
 		t.Fatalf("%d points, want %d", len(fig.Points), wantPoints)
 	}
@@ -372,14 +375,14 @@ func TestOversubscriptionHeadline(t *testing.T) {
 			StallEvery: 200,
 		}
 	}
-	lf, _, err := RunAveraged(mk(false), 1, 3)
-	if err != nil {
-		t.Fatal(err)
+	mops := func(spec Spec) float64 {
+		pt, err := RunStats(spec, 1, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pt.Mops
 	}
-	bl, _, err := RunAveraged(mk(true), 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lf, bl := mops(mk(false)), mops(mk(true))
 	t.Logf("oversubscribed+stalls leaftree: lock-free %.3f Mops vs blocking %.3f Mops (%.1fx)", lf, bl, lf/bl)
 	if lf <= bl {
 		t.Fatalf("lock-free mode did not win under descheduling: %.3f vs %.3f Mops", lf, bl)
@@ -390,16 +393,9 @@ func TestOversubscriptionHeadline(t *testing.T) {
 	// logging overhead is fully exposed, so allow up to 2.5x).
 	noStall := mk(false)
 	noStall.StallEvery = 0
-	lf2, _, err := RunAveraged(noStall, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	noStallBl := mk(true)
 	noStallBl.StallEvery = 0
-	bl2, _, err := RunAveraged(noStallBl, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lf2, bl2 := mops(noStall), mops(noStallBl)
 	t.Logf("no-stall leaftree: lock-free %.3f vs blocking %.3f Mops (ratio %.2fx)", lf2, bl2, lf2/bl2)
 	if lf2 < bl2/2.5 {
 		t.Fatalf("lock-free overhead out of band: %.3f vs %.3f Mops", lf2, bl2)

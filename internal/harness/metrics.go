@@ -22,9 +22,10 @@ type MetricSample struct {
 	CASFails uint64  `json:"cas_fails"`
 	// Goroutines is the process goroutine count at the sample instant
 	// and GCPauseNs the cumulative GC stop-the-world pause time since
-	// the window began (runtime.ReadMemStats PauseTotalNs delta) — the
-	// two runtime-level signals that distinguish scheduler pressure and
-	// collector stalls from lock contention in a window's time series.
+	// the window began (runtime/metrics' GC pause CPU time over
+	// GOMAXPROCS) — the two runtime-level signals that distinguish
+	// scheduler pressure and collector stalls from lock contention in a
+	// window's time series.
 	Goroutines int    `json:"goroutines"`
 	GCPauseNs  uint64 `json:"gc_pause_ns"`
 }
@@ -77,14 +78,14 @@ type PointMetrics struct {
 	Samples []MetricSample `json:"samples,omitempty"`
 }
 
-// PointMetrics derives the per-point summary from the aggregated stats;
-// nil when the run was not collected with Spec.Metrics.
-func (st Stats) PointMetrics() *PointMetrics {
-	m := st.Metrics
+// pointMetrics derives the per-point summary from the obs window
+// aggregated over opCount operations; nil when the run was not collected
+// with Spec.Metrics.
+func pointMetrics(opCount uint64, m *MetricsWindow) *PointMetrics {
 	if m == nil {
 		return nil
 	}
-	ops := float64(st.Ops)
+	ops := float64(opCount)
 	if ops == 0 {
 		ops = 1 // zero-op windows report absolute counts as rates
 	}

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"encoding/json"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -100,22 +102,12 @@ func TestMetricsKVShardOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Metrics == nil {
-		t.Fatal("no metrics window")
-	}
-	if len(st.Metrics.ShardOps) != 4 {
-		t.Fatalf("ShardOps has %d entries, want 4", len(st.Metrics.ShardOps))
-	}
-	var sum uint64
-	for _, n := range st.Metrics.ShardOps {
-		sum += n
-	}
-	if sum == 0 {
-		t.Fatal("window routed no per-shard ops")
-	}
-	pm := st.PointMetrics()
+	pm := st.Metrics
 	if pm == nil {
-		t.Fatal("PointMetrics nil despite metrics window")
+		t.Fatal("no metrics summary")
+	}
+	if len(pm.ShardOps) != 4 {
+		t.Fatalf("ShardOps has %d entries, want 4 (an empty vector means the window routed no ops)", len(pm.ShardOps))
 	}
 	if pm.ShardSkew < 1 {
 		t.Errorf("shard skew = %v, max/mean must be >= 1", pm.ShardSkew)
@@ -125,13 +117,11 @@ func TestMetricsKVShardOps(t *testing.T) {
 // TestPointMetricsJSONRoundTrips pins the JSONL surface: the summary
 // marshals with the documented snake_case fields and finite values.
 func TestPointMetricsJSONRoundTrips(t *testing.T) {
-	var st Stats
-	st.Ops = 100
-	st.Metrics = &MetricsWindow{}
-	st.Metrics.Window[obs.HelpsGiven] = 25
-	st.Metrics.Window[obs.InstallCASFails] = 50
-	st.Metrics.Samples = []MetricSample{{AtMs: 1, Helps: 25, CASFails: 50}}
-	b, err := json.Marshal(st.PointMetrics())
+	win := &MetricsWindow{}
+	win.Window[obs.HelpsGiven] = 25
+	win.Window[obs.InstallCASFails] = 50
+	win.Samples = []MetricSample{{AtMs: 1, Helps: 25, CASFails: 50}}
+	b, err := json.Marshal(pointMetrics(100, win))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,5 +173,37 @@ func TestSliceHelpers(t *testing.T) {
 	s := addSlices([]uint64{1}, []uint64{2, 3})
 	if len(s) != 2 || s[0] != 3 || s[1] != 3 {
 		t.Errorf("addSlices = %v, want [3 3]", s)
+	}
+}
+
+// TestSamplerGCPause pins the sampler's runtime/metrics readings: the
+// cumulative GC pause never decreases across samples, and a
+// runtime.GC() forced inside the measured window (by a worker's first
+// operation) shows up as a positive pause.
+func TestSamplerGCPause(t *testing.T) {
+	var once sync.Once
+	in := &instance{worker: func(uint64) (func(uint64, func()), func()) {
+		return func(_ uint64, mark func()) {
+			mark()
+			once.Do(runtime.GC)
+		}, func() {}
+	}}
+	res := measure(Spec{Structure: "synthetic", Threads: 2, Duration: 20 * time.Millisecond,
+		Metrics: true, MetricsInterval: time.Millisecond}, in)
+	if res.Ops == 0 {
+		t.Fatal("no operation ran, so no GC was forced inside the window")
+	}
+	var last uint64
+	for i, s := range res.Metrics.Samples {
+		if s.GCPauseNs < last {
+			t.Fatalf("sample %d: GC pause went back from %d to %d ns", i, last, s.GCPauseNs)
+		}
+		if s.Goroutines <= 0 {
+			t.Fatalf("sample %d: %d goroutines", i, s.Goroutines)
+		}
+		last = s.GCPauseNs
+	}
+	if last == 0 {
+		t.Fatalf("GC pause 0 ns after a forced runtime.GC() in the window: %+v", res.Metrics.Samples)
 	}
 }
