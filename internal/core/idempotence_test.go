@@ -83,6 +83,54 @@ func TestSequentialReplayHasNoFurtherEffect(t *testing.T) {
 	}
 }
 
+// TestReplayDoesNotRebuildAllocation: under the default read-first
+// commit, a replay that finds Allocate's slot committed returns the
+// committed object without calling mk, so across an owner run and a
+// replay mk runs exactly once. NoCCAS commits blindly, so every run
+// builds its object (and the loser's is dropped).
+func TestReplayDoesNotRebuildAllocation(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		opts      []Option
+		wantCalls int64
+	}{{"ccas", nil, 1}, {"noccas", []Option{NoCCAS()}, 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := New(tc.opts...)
+			p := rt.Register()
+			q := rt.Register()
+			defer p.Unregister()
+			defer q.Unregister()
+			type obj struct{ tag uint64 }
+			// fill = logBlockLen puts the allocation first in a spill
+			// block, so the replay's look-ahead must follow the link.
+			for _, fill := range []int{0, 3, logBlockLen} {
+				var mkCalls atomic.Int64
+				var got [2]*obj
+				run := 0
+				d := p.newDescriptor(func(hp *Proc) bool {
+					for i := 0; i < fill; i++ {
+						hp.commitBool(true)
+					}
+					got[run] = Allocate(hp, func() *obj {
+						mkCalls.Add(1)
+						return &obj{tag: 7}
+					})
+					return true
+				})
+				p.run(d)
+				run = 1
+				q.run(d)
+				if n := mkCalls.Load(); n != tc.wantCalls {
+					t.Fatalf("fill %d: mk ran %d times across an owner run and a replay, want %d", fill, n, tc.wantCalls)
+				}
+				if got[0] == nil || got[0] != got[1] || got[0].tag != 7 {
+					t.Fatalf("fill %d: runs returned different objects: %p vs %p", fill, got[0], got[1])
+				}
+			}
+		})
+	}
+}
+
 func TestAllRunsReturnSameValue(t *testing.T) {
 	rt := New()
 	var c Mutable[uint64]

@@ -95,6 +95,20 @@ func (p *Proc) commitRaw(v unsafe.Pointer) (unsafe.Pointer, bool) {
 	return decodeRaw(slot.load()), false
 }
 
+// peek returns what is committed at the Proc's current log position
+// (raw, as commitRaw would find it), or nil while the position is
+// uncommitted, without claiming the position.
+func (p *Proc) peek() unsafe.Pointer {
+	blk, i := p.blk, p.idx
+	if i == logBlockLen {
+		if blk = blk.next.Load(); blk == nil {
+			return nil
+		}
+		i = 0
+	}
+	return blk.entries[i].load()
+}
+
 func decodeRaw(e unsafe.Pointer) unsafe.Pointer {
 	if e == committedNil {
 		return nil
