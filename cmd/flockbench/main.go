@@ -169,8 +169,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	case spec.Structure != "":
-		spec.Duration = orDefault(sc.Duration, 500*time.Millisecond)
-		spec.Seed, spec.Shards, spec.Metrics = *seed, max(*shards, 1), *metrics
+		spec.Duration, spec.Seed, spec.Shards, spec.Metrics = sc.Duration, *seed, max(*shards, 1), *metrics
 		spec.Trace = *tracePath != "" || spec.TraceDump != ""
 		st, err := harness.RunStats(spec, sc.Warmup, sc.Repeats)
 		if err != nil {
@@ -207,9 +206,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if spec.NoPool {
 			mode += " nopool"
 		}
-		fmt.Fprintf(stdout, "%s threads=%d keys=%d update=%d%% alpha=%.2f blocking=%v stall=%d%s: %.3f Mop/s (±%.3f)  %.2f allocs/op  p50=%s p95=%s p99=%s\n",
+		fmt.Fprintf(stdout, "%s threads=%d keys=%d update=%d%% alpha=%.2f blocking=%v stall=%d%s: %.3f Mop/s (±%.3f)  %.2f allocs/op  p50=%sµs p95=%sµs p99=%sµs\n",
 			spec.Structure, spec.Threads, spec.KeyRange, spec.UpdatePct, spec.Alpha, spec.Blocking, spec.StallEvery, mode,
-			st.Mops, st.Std, st.AllocsPerOp, fmtLat(st.P50), fmtLat(st.P95), fmtLat(st.P99))
+			st.Mops, st.Std, st.AllocsPerOp, µs(st.P50, 1), µs(st.P95, 1), µs(st.P99, 1))
 		if pm := st.Metrics; pm != nil {
 			fmt.Fprintf(stdout, "  metrics: helps/op=%.4f recv/op=%.4f replays/op=%.4f casfails/op=%.4f spins/op=%.4f poolhit=%.3f fair=%.2f cov=%.3f\n",
 				pm.HelpsPerOp, pm.HelpsRecvPerOp, pm.ReplaysPerOp, pm.CASFailsPerOp,
@@ -315,23 +314,11 @@ func writeTrace(path string, st harness.Point, stderr io.Writer) error {
 	return nil
 }
 
-// fmtLat renders a latency compactly in microseconds.
-func fmtLat(d time.Duration) string {
-	return fmt.Sprintf("%.1fµs", float64(d.Nanoseconds())/1e3)
-}
-
 // override sets *dst to v when the flag was given (v > 0).
 func override[T int | uint64 | time.Duration](dst *T, v T) {
 	if v > 0 {
 		*dst = v
 	}
-}
-
-func orDefault(d, def time.Duration) time.Duration {
-	if d > 0 {
-		return d
-	}
-	return def
 }
 
 // column is one per-series quantity of a figure, rendered by both

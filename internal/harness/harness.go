@@ -242,15 +242,10 @@ func (r Result) P99() time.Duration { return r.Hist.Quantile(0.99) }
 // salts written values).
 type Worker func(w uint64) (op func(n uint64, mark func()), done func())
 
-// instance is one built and prefilled spec.
-type instance struct {
-	worker Worker
-	// window runs at the start of the measured window and returns the
-	// hook that folds the window's store-side readings (optimistic
-	// counters, shard ops, the snapshot loop) into the Result; nil on
-	// the bare-structure path.
-	window func() (closeWindow func(*Result))
-}
+// window runs at the start of the measured window and returns the hook
+// that folds the window's store-side readings (optimistic counters,
+// shard ops, the snapshot loop) into the Result.
+type window func() (closeWindow func(*Result))
 
 // newRuntime builds the flock runtime a bare-structure spec runs on.
 func newRuntime(spec Spec) *flock.Runtime {
@@ -268,11 +263,11 @@ func newRuntime(spec Spec) *flock.Runtime {
 // scannable, optimistic, snapshot loop) before any prefilling, builds
 // the bare structure, kv.Store or txn.Store the spec selects, prefills
 // it, turns stall injection on and returns the per-worker op closures
-// and window hooks.
-func build(spec Spec) (*instance, error) {
+// and the window hooks (nil on the bare-structure path).
+func build(spec Spec) (Worker, window, error) {
 	f, ok := registry[spec.Structure]
 	if !ok {
-		return nil, fmt.Errorf("harness: unknown structure %q (have %v)", spec.Structure, Structures())
+		return nil, nil, fmt.Errorf("harness: unknown structure %q (have %v)", spec.Structure, Structures())
 	}
 	seed := func(w uint64) uint64 { return spec.Seed + w*0x9e3779b9 }
 	if spec.TxnMix == "" && spec.YCSB == "" {
@@ -284,7 +279,7 @@ func build(spec Spec) (*instance, error) {
 		})
 		// Injection starts only after prefill so setup stays fast.
 		rt.SetStallInjection(spec.StallEvery)
-		return &instance{worker: func(w uint64) (func(uint64, func()), func()) {
+		return func(w uint64) (func(uint64, func()), func()) {
 			p := rt.Register()
 			mix := workload.NewMix(spec.KeyRange, spec.UpdatePct, spec.Alpha, spec.HashKeys, seed(w))
 			return func(_ uint64, mark func()) {
@@ -299,18 +294,18 @@ func build(spec Spec) (*instance, error) {
 					s.Find(p, k)
 				}
 			}, p.Unregister
-		}}, nil
+		}, nil, nil
 	}
 
-	in := &instance{}
+	var worker Worker
 	var st *kv.Store
 	if spec.TxnMix != "" {
 		if !txnCapable[spec.Structure] {
-			return nil, fmt.Errorf("harness: structure %q cannot back the txn layer (its operations are not simply-nested flock thunks; use one of %v)",
+			return nil, nil, fmt.Errorf("harness: structure %q cannot back the txn layer (its operations are not simply-nested flock thunks; use one of %v)",
 				spec.Structure, TxnCapableStructures())
 		}
 		if _, err := workload.NewTxnMix(spec.TxnMix, spec.KeyRange, spec.Alpha, spec.TxnSize, spec.Seed); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		mode := txn.LockFree
 		if spec.Blocking {
@@ -322,10 +317,11 @@ func build(spec Spec) (*instance, error) {
 		ts := txn.New(kv.Factory(f), txn.Options{Shards: spec.Shards, Mode: mode, NoPool: spec.NoPool,
 			KeyRange: spec.KeyRange, OptimisticReads: spec.Optimistic})
 		st = ts.KV()
-		in.worker = func(w uint64) (func(uint64, func()), func()) {
+		worker = func(w uint64) (func(uint64, func()), func()) {
 			c := ts.Register()
-			mix, _ := workload.NewTxnMix(spec.TxnMix, spec.KeyRange, spec.Alpha, spec.TxnSize, seed(w))
-			var vbuf []uint64 // write-value scratch (the client copies its inputs)
+			mix, _ := workload.NewTxnMix(spec.TxnMix, spec.KeyRange, spec.Alpha, spec.TxnSize, seed(w)) // validated above
+			// vbuf is write-value scratch (the client copies its inputs).
+			var vbuf []uint64
 			return func(n uint64, mark func()) {
 				op, keys := mix.Next()
 				mark()
@@ -350,24 +346,24 @@ func build(spec Spec) (*instance, error) {
 	} else {
 		probe, err := workload.NewYCSB(spec.YCSB, spec.KeyRange, spec.Alpha, spec.HashKeys, spec.Seed)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		st = kv.New(kv.Factory(f), kv.Options{Shards: spec.Shards, Blocking: spec.Blocking, NoPool: spec.NoPool,
 			KeyRange: spec.KeyRange, OptimisticReads: spec.Optimistic})
 		switch {
 		case probe.HasScans() && !st.Scannable():
-			return nil, fmt.Errorf("harness: YCSB-%s has scans but structure %q does not implement set.Scanner (ordered structures only)",
+			return nil, nil, fmt.Errorf("harness: YCSB-%s has scans but structure %q does not implement set.Scanner (ordered structures only)",
 				spec.YCSB, spec.Structure)
 		case spec.Optimistic && !st.OptimisticReads():
-			return nil, fmt.Errorf("harness: optimistic reads requested but structure %q does not implement set.OptimisticReader",
+			return nil, nil, fmt.Errorf("harness: optimistic reads requested but structure %q does not implement set.OptimisticReader",
 				spec.Structure)
 		case spec.Optimistic && probe.HasScans() && !st.OptimisticScans():
-			return nil, fmt.Errorf("harness: YCSB-%s has scans but structure %q does not implement set.OptimisticScanner",
+			return nil, nil, fmt.Errorf("harness: YCSB-%s has scans but structure %q does not implement set.OptimisticScanner",
 				spec.YCSB, spec.Structure)
 		}
-		in.worker = func(w uint64) (func(uint64, func()), func()) {
+		worker = func(w uint64) (func(uint64, func()), func()) {
 			c := st.Register()
-			mix, _ := workload.NewYCSB(spec.YCSB, spec.KeyRange, spec.Alpha, spec.HashKeys, seed(w))
+			mix, _ := workload.NewYCSB(spec.YCSB, spec.KeyRange, spec.Alpha, spec.HashKeys, seed(w)) // validated above
 			mix.SetMaxScanLen(spec.ScanLen)
 			return func(n uint64, mark func()) {
 				op, k := mix.Next()
@@ -391,7 +387,7 @@ func build(spec Spec) (*instance, error) {
 		}
 	}
 	if spec.SnapshotLoop && !st.Scannable() {
-		return nil, fmt.Errorf("harness: snapshot loop requested but structure %q does not implement set.Scanner (ordered snapshots need ordered scans)",
+		return nil, nil, fmt.Errorf("harness: snapshot loop requested but structure %q does not implement set.Scanner (ordered snapshots need ordered scans)",
 			spec.Structure)
 	}
 	prefill(spec, func() (func(k uint64), func()) {
@@ -400,7 +396,7 @@ func build(spec Spec) (*instance, error) {
 	})
 	st.SetStallInjection(spec.StallEvery)
 
-	in.window = func() func(*Result) {
+	return worker, func() func(*Result) {
 		r0, e0 := st.OptimisticStats()
 		so0 := st.ShardOps()
 		// The snapshot loop: snapshot, iterate fully, close, repeat. The
@@ -439,8 +435,7 @@ func build(spec Spec) (*instance, error) {
 				res.Metrics.ShardOps = subSlices(st.ShardOps(), so0)
 			}
 		}
-	}
-	return in, nil
+	}, nil
 }
 
 // txnIncrement is the pure TxnFunc behind the TxnRMW mix operation:
@@ -490,11 +485,8 @@ func prefill(spec Spec, setup func() (put func(k uint64), done func())) {
 // its worker factory, for drivers that run their own loop (the root
 // benchmarks' RunParallel). RunTimed's window hooks do not run.
 func Workers(spec Spec) (Worker, error) {
-	in, err := build(spec)
-	if err != nil {
-		return nil, err
-	}
-	return in.worker, nil
+	worker, _, err := build(spec)
+	return worker, err
 }
 
 // RunTimed builds, prefills and measures one spec: the paper's set mix
@@ -503,11 +495,11 @@ func Workers(spec Spec) (Worker, error) {
 // is recorded into a per-worker log-bucketed histogram; the merged
 // histogram rides along in the Result.
 func RunTimed(spec Spec) (Result, error) {
-	in, err := build(spec)
+	worker, win, err := build(spec)
 	if err != nil {
 		return Result{}, err
 	}
-	return measure(spec, in), nil
+	return measure(spec, worker, win), nil
 }
 
 // gcPauseAndGoroutines reads the sampler's runtime signals through
@@ -525,7 +517,7 @@ func gcPauseAndGoroutines() (pauseNs float64, goroutines int) {
 // generator construction — including first-use zeta sums, linear in the
 // key range) runs before the start barrier, so it stays out of the
 // measured window.
-func measure(spec Spec, in *instance) Result {
+func measure(spec Spec, worker Worker, win window) Result {
 	var stop atomic.Bool
 	hists := make([]*LatencyHist, spec.Threads)
 	counts := make([]uint64, spec.Threads) // per-worker op counts (fairness)
@@ -564,7 +556,7 @@ func measure(spec Spec, in *instance) Result {
 		go func(w int) {
 			defer wg.Done()
 			pprof.Do(context.Background(), labels, func(context.Context) {
-				op, done := in.worker(uint64(w))
+				op, done := worker(uint64(w))
 				defer done()
 				var t0 time.Time
 				mark := func() { t0 = time.Now() }
@@ -581,8 +573,8 @@ func measure(spec Spec, in *instance) Result {
 	}
 	ready.Wait()
 	var closeWindow func(*Result)
-	if in.window != nil {
-		closeWindow = in.window()
+	if win != nil {
+		closeWindow = win()
 	}
 	// Allocation accounting brackets exactly the measured window: worker
 	// setup happened before the barrier, and ReadMemStats (a
@@ -603,35 +595,29 @@ func measure(spec Spec, in *instance) Result {
 			CASFails: d.Get(obs.InstallCASFails), Goroutines: g, GCPauseNs: uint64(max(pause-pause0, 0))}
 	}
 	close(start)
+	// The window: sleep for spec.Duration, sampling the metrics time
+	// series on the way when Metrics is set (a nil tick never fires).
+	// Ticks stop while the workers still run, so none is stamped after
+	// el (the closing sample's time) or races a worker folding its
+	// block on exit.
 	var samples []MetricSample
-	var samplerStop, samplerDone chan struct{}
+	var tick <-chan time.Time
 	if spec.Metrics {
-		samplerStop, samplerDone = make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(samplerDone)
-			interval := spec.MetricsInterval
-			if interval <= 0 {
-				interval = max(spec.Duration/8, time.Millisecond)
-			}
-			tick := time.NewTicker(interval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-samplerStop:
-					return
-				case <-tick.C:
-					samples = append(samples, sample(time.Since(t0), obs.Snapshot().Sub(s0)))
-				}
-			}
-		}()
+		interval := spec.MetricsInterval
+		if interval <= 0 {
+			interval = max(spec.Duration/8, time.Millisecond)
+		}
+		ticker := time.NewTicker(interval)
+		defer ticker.Stop()
+		tick = ticker.C
 	}
-	time.Sleep(spec.Duration)
-	if spec.Metrics {
-		// Stop the sampler while the workers still run, so no tick is
-		// stamped after el (the closing sample's time) and no tick's
-		// snapshot races a worker folding its block on exit.
-		close(samplerStop)
-		<-samplerDone
+	for end := time.After(spec.Duration); end != nil; {
+		select {
+		case <-end:
+			end = nil
+		case <-tick:
+			samples = append(samples, sample(time.Since(t0), obs.Snapshot().Sub(s0)))
+		}
 	}
 	stop.Store(true)
 	wg.Wait()

@@ -92,7 +92,7 @@ func TestYCSBKVPath(t *testing.T) {
 // error, not panic mid-run. (The hashtable no longer serves as the
 // refusal case: it scans via a sorted bucket sweep now.)
 func TestScanWorkloadNeedsOrderedStructure(t *testing.T) {
-	_, err := build(Spec{Structure: "arttree", Threads: 1, KeyRange: 64,
+	_, _, err := build(Spec{Structure: "arttree", Threads: 1, KeyRange: 64,
 		Duration: time.Millisecond, YCSB: "e", Shards: 2})
 	if err == nil {
 		t.Fatalf("scan-bearing mix over a scanless structure accepted")
@@ -100,7 +100,7 @@ func TestScanWorkloadNeedsOrderedStructure(t *testing.T) {
 	// The scannable structures (and olcart, the baseline arm) must pass
 	// the same gate.
 	for _, s := range []string{"leaftree", "abtree", "hashtable", "olcart"} {
-		if _, err := build(Spec{Structure: s, Threads: 1, KeyRange: 64,
+		if _, _, err := build(Spec{Structure: s, Threads: 1, KeyRange: 64,
 			Duration: time.Millisecond, YCSB: "e", Shards: 2}); err != nil {
 			t.Fatalf("%s refused for YCSB-E: %v", s, err)
 		}
@@ -218,7 +218,7 @@ func TestRunTimedTxn(t *testing.T) {
 	// (baselines, strict-lock variants) must be refused: replaying them
 	// inside a composed transaction would silently break atomicity.
 	for _, s := range []string{"olcart", "natarajan", "leaftree-strict"} {
-		if _, err := build(Spec{
+		if _, _, err := build(Spec{
 			Structure: s, Threads: 1, KeyRange: 64, Duration: time.Millisecond,
 			TxnMix: "transfer", TxnSize: 2, Shards: 1,
 		}); err == nil {
@@ -237,7 +237,7 @@ func TestOptimisticSpecWiring(t *testing.T) {
 	// leaftreap implements set.Scanner but not the optimistic
 	// interfaces: requesting the optimistic arm must fail loudly, not
 	// silently fall back to the logged path mid-figure.
-	if _, err := build(Spec{Structure: "leaftreap", Threads: 1, KeyRange: 64,
+	if _, _, err := build(Spec{Structure: "leaftreap", Threads: 1, KeyRange: 64,
 		Duration: time.Millisecond, YCSB: "c", Shards: 2, Optimistic: true}); err == nil {
 		t.Fatal("optimistic reads over a non-optimistic structure accepted")
 	}

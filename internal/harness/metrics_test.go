@@ -182,14 +182,14 @@ func TestSliceHelpers(t *testing.T) {
 // operation) shows up as a positive pause.
 func TestSamplerGCPause(t *testing.T) {
 	var once sync.Once
-	in := &instance{worker: func(uint64) (func(uint64, func()), func()) {
+	worker := func(uint64) (func(uint64, func()), func()) {
 		return func(_ uint64, mark func()) {
 			mark()
 			once.Do(runtime.GC)
 		}, func() {}
-	}}
+	}
 	res := measure(Spec{Structure: "synthetic", Threads: 2, Duration: 20 * time.Millisecond,
-		Metrics: true, MetricsInterval: time.Millisecond}, in)
+		Metrics: true, MetricsInterval: time.Millisecond}, worker, nil)
 	if res.Ops == 0 {
 		t.Fatal("no operation ran, so no GC was forced inside the window")
 	}
