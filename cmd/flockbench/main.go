@@ -334,10 +334,12 @@ type column struct {
 	show  func(pt harness.Point) bool
 }
 
+// µs renders a latency in microseconds with prec decimals.
 func µs(d time.Duration, prec int) string {
 	return strconv.FormatFloat(float64(d.Nanoseconds())/1e3, 'f', prec, 64)
 }
 
+// hasMetrics gates the obs metrics sections.
 func hasMetrics(pt harness.Point) bool { return pt.Metrics != nil }
 
 // columns drives printFigure, in output order: Mop/s, latency

@@ -36,8 +36,19 @@ type Scale struct {
 // DefaultScale returns the scaled-down defaults.
 func DefaultScale() Scale {
 	base := max(2*runtime.GOMAXPROCS(0), 4)
-	return Scale{LargeKeys: 100_000, SmallKeys: 10_000, ListKeys: 100, Duration: 100 * time.Millisecond,
-		Repeats: 1, Threads: []int{1, 2, 4, 8, 16, 32}, Base: base, Over: 3 * base, Shards: 8, Seed: 42}
+	return Scale{
+		LargeKeys: 100_000,
+		SmallKeys: 10_000,
+		ListKeys:  100,
+		Duration:  100 * time.Millisecond,
+		Warmup:    0,
+		Repeats:   1,
+		Threads:   []int{1, 2, 4, 8, 16, 32},
+		Base:      base,
+		Over:      3 * base,
+		Shards:    8,
+		Seed:      42,
+	}
 }
 
 // Series names one line in a figure and embeds the spec fields that set

@@ -72,8 +72,16 @@ var registry = map[string]Factory{
 // replay would re-apply their writes non-idempotently), and the
 // "-strict" variants acquire strict locks, which are not simply nested
 // (§4); both would silently corrupt transactional atomicity.
-var txnCapable = map[string]bool{"lazylist": true, "dlist": true, "hashtable": true, "leaftree": true,
-	"leaftreap": true, "abtree": true, "arttree": true, "couplist": true}
+var txnCapable = map[string]bool{
+	"lazylist":  true,
+	"dlist":     true,
+	"hashtable": true,
+	"leaftree":  true,
+	"leaftreap": true,
+	"abtree":    true,
+	"arttree":   true,
+	"couplist":  true,
+}
 
 // TxnCapableStructures returns the sorted names of the structures the
 // transactional layer may be built over. internal/txn's conformance
@@ -527,19 +535,17 @@ func measure(spec Spec, worker Worker, win window) Result {
 	// Specs built by hand carry the figure label "adhoc".
 	labels := pprof.Labels("structure", spec.Structure, "mode", spec.modeLabel(), "figure", cmp.Or(spec.Figure, "adhoc"))
 	if spec.Metrics {
-		// The obs flag is global; save/restore lets nested or back-to-back
+		// The obs flag is global; restoring it lets nested or back-to-back
 		// runs with different Metrics settings compose.
-		prev := obs.Enabled()
+		defer obs.SetEnabled(obs.Enabled())
 		obs.SetEnabled(true)
-		defer obs.SetEnabled(prev)
 	}
 	var dumper *traceDumper
 	if spec.Trace {
-		// Same save/restore discipline as the obs flag; Reset opens a
-		// fresh collection window so the snapshot covers only this run.
-		prev := trace.Enabled()
+		// Same restore discipline as the obs flag; Reset opens a fresh
+		// collection window so the snapshot covers only this run.
+		defer trace.SetEnabled(trace.Enabled())
 		trace.SetEnabled(true)
-		defer trace.SetEnabled(prev)
 		trace.Reset()
 		if spec.TraceDump != "" {
 			dumper = newTraceDumper(spec.TraceDump, spec.TraceDumpP99Mult)
@@ -558,6 +564,7 @@ func measure(spec Spec, worker Worker, win window) Result {
 			pprof.Do(context.Background(), labels, func(context.Context) {
 				op, done := worker(uint64(w))
 				defer done()
+				hist := hists[w]
 				var t0 time.Time
 				mark := func() { t0 = time.Now() }
 				ready.Done()
@@ -565,7 +572,7 @@ func measure(spec Spec, worker Worker, win window) Result {
 				var n uint64
 				for ; !stop.Load(); n++ {
 					op(n, mark)
-					hists[w].Record(time.Since(t0))
+					hist.Record(time.Since(t0))
 				}
 				counts[w] = n // w's slot only; read after wg.Wait
 			})
