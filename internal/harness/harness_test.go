@@ -315,14 +315,16 @@ func TestFigureIndexComplete(t *testing.T) {
 			t.Fatalf("figure %s underspecified", id)
 		}
 		// Every series must reference a registered structure and every
-		// x must produce a sane spec.
+		// x must produce a buildable spec.
 		sc := DefaultScale()
 		for _, x := range fs.Xs(sc) {
 			for _, s := range fs.Series {
 				spec := fs.SpecFor(sc, s, x)
-				if _, ok := registry[spec.Structure]; !ok {
+				f, ok := registry[spec.Structure]
+				if !ok {
 					t.Fatalf("figure %s series %s x=%s: unknown structure %q", id, s.Name, x, spec.Structure)
 				}
+				f(newRuntime(spec), spec.KeyRange)
 				if spec.Threads <= 0 || spec.KeyRange == 0 {
 					t.Fatalf("figure %s series %s x=%s: bad spec %+v", id, s.Name, x, spec)
 				}
