@@ -60,9 +60,8 @@ func benchPoint(b *testing.B, spec harness.Spec) {
 	b.RunParallel(func(pb *testing.PB) {
 		op, done := worker(workerSeq.Add(1))
 		defer done()
-		mark := func() {}
 		for n := uint64(0); pb.Next(); n++ {
-			op(n, mark)
+			op(n, false)
 		}
 	})
 	b.StopTimer()

@@ -244,11 +244,20 @@ func (r Result) P95() time.Duration { return r.Hist.Quantile(0.95) }
 func (r Result) P99() time.Duration { return r.Hist.Quantile(0.99) }
 
 // Worker registers worker w and returns its op closure and teardown.
-// op(n, mark) draws the next operation from the worker's generator,
-// calls mark, then applies it, so a latency clock started by mark
-// leaves generator time out; n is the worker's operation count (it
+// op(n, timed) draws the next operation from the worker's generator,
+// then applies it; when timed it returns the time.Now() it read between
+// the two, so a latency clock started there leaves generator time out
+// (and the zero Time otherwise). n is the worker's operation count (it
 // salts written values).
-type Worker func(w uint64) (op func(n uint64, mark func()), done func())
+type Worker func(w uint64) (op func(n uint64, timed bool) time.Time, done func())
+
+// clock is op's latency-clock read: time.Now() when timed.
+func clock(timed bool) (t time.Time) {
+	if timed {
+		t = time.Now()
+	}
+	return t
+}
 
 // window runs at the start of the measured window and returns the hook
 // that folds the window's store-side readings (optimistic counters,
@@ -287,12 +296,12 @@ func build(spec Spec) (Worker, window, error) {
 		})
 		// Injection starts only after prefill so setup stays fast.
 		rt.SetStallInjection(spec.StallEvery)
-		return func(w uint64) (func(uint64, func()), func()) {
+		return func(w uint64) (func(uint64, bool) time.Time, func()) {
 			p := rt.Register()
 			mix := workload.NewMix(spec.KeyRange, spec.UpdatePct, spec.Alpha, spec.HashKeys, seed(w))
-			return func(_ uint64, mark func()) {
+			return func(_ uint64, timed bool) time.Time {
 				op, k := mix.Next()
-				mark()
+				t0 := clock(timed)
 				switch op {
 				case workload.OpInsert:
 					s.Insert(p, k, k)
@@ -301,6 +310,7 @@ func build(spec Spec) (Worker, window, error) {
 				default:
 					s.Find(p, k)
 				}
+				return t0
 			}, p.Unregister
 		}, nil, nil
 	}
@@ -325,14 +335,14 @@ func build(spec Spec) (Worker, window, error) {
 		ts := txn.New(kv.Factory(f), txn.Options{Shards: spec.Shards, Mode: mode, NoPool: spec.NoPool,
 			KeyRange: spec.KeyRange, OptimisticReads: spec.Optimistic})
 		st = ts.KV()
-		worker = func(w uint64) (func(uint64, func()), func()) {
+		worker = func(w uint64) (func(uint64, bool) time.Time, func()) {
 			c := ts.Register()
 			mix, _ := workload.NewTxnMix(spec.TxnMix, spec.KeyRange, spec.Alpha, spec.TxnSize, seed(w)) // validated above
 			// vbuf is write-value scratch (the client copies its inputs).
 			var vbuf []uint64
-			return func(n uint64, mark func()) {
+			return func(n uint64, timed bool) time.Time {
 				op, keys := mix.Next()
-				mark()
+				t0 := clock(timed)
 				switch op {
 				case workload.TxnRead:
 					c.MultiGet(keys)
@@ -349,6 +359,7 @@ func build(spec Spec) (Worker, window, error) {
 				default: // a new TxnOp must be wired here, not absorbed as a read
 					panic(fmt.Sprintf("harness: unhandled TxnOp %v", op))
 				}
+				return t0
 			}, c.Close
 		}
 	} else {
@@ -369,13 +380,13 @@ func build(spec Spec) (Worker, window, error) {
 			return nil, nil, fmt.Errorf("harness: YCSB-%s has scans but structure %q does not implement set.OptimisticScanner",
 				spec.YCSB, spec.Structure)
 		}
-		worker = func(w uint64) (func(uint64, func()), func()) {
+		worker = func(w uint64) (func(uint64, bool) time.Time, func()) {
 			c := st.Register()
 			mix, _ := workload.NewYCSB(spec.YCSB, spec.KeyRange, spec.Alpha, spec.HashKeys, seed(w)) // validated above
 			mix.SetMaxScanLen(spec.ScanLen)
-			return func(n uint64, mark func()) {
+			return func(n uint64, timed bool) time.Time {
 				op, k := mix.Next()
-				mark()
+				t0 := clock(timed)
 				switch op {
 				case workload.YRead:
 					c.Get(k)
@@ -391,6 +402,7 @@ func build(spec Spec) (Worker, window, error) {
 				default: // a new YCSBOp must be wired here, not absorbed as a read
 					panic(fmt.Sprintf("harness: unhandled YCSBOp %v", op))
 				}
+				return t0
 			}, c.Close
 		}
 	}
@@ -565,14 +577,11 @@ func measure(spec Spec, worker Worker, win window) Result {
 				op, done := worker(uint64(w))
 				defer done()
 				hist := hists[w]
-				var t0 time.Time
-				mark := func() { t0 = time.Now() }
 				ready.Done()
 				<-start
 				var n uint64
 				for ; !stop.Load(); n++ {
-					op(n, mark)
-					hist.Record(time.Since(t0))
+					hist.Record(time.Since(op(n, true)))
 				}
 				counts[w] = n // w's slot only; read after wg.Wait
 			})

@@ -182,10 +182,11 @@ func TestSliceHelpers(t *testing.T) {
 // operation) shows up as a positive pause.
 func TestSamplerGCPause(t *testing.T) {
 	var once sync.Once
-	worker := func(uint64) (func(uint64, func()), func()) {
-		return func(_ uint64, mark func()) {
-			mark()
+	worker := func(uint64) (func(uint64, bool) time.Time, func()) {
+		return func(_ uint64, timed bool) time.Time {
+			t0 := clock(timed)
 			once.Do(runtime.GC)
+			return t0
 		}, func() {}
 	}
 	res := measure(Spec{Structure: "synthetic", Threads: 2, Duration: 20 * time.Millisecond,
