@@ -1,26 +1,107 @@
 // Command flockbench regenerates the paper's evaluation figures (Figures
-// 4-7 of "Lock-Free Locks Revisited", PPoPP 2022) and the repository's
-// ext-* figures on this machine, or runs a single custom measurement
-// point. README.md walks through every figure family and flag; in short:
+// 4-7 of "Lock-Free Locks Revisited", PPoPP 2022) on this machine, or
+// runs a single custom measurement point.
 //
-//	flockbench -list                                   # figure ids, series names, structures
-//	flockbench -figure fig5d                           # one figure, scaled-down defaults
-//	flockbench -figure all -repeats 3 -warmup 1 -csv   # everything EXPERIMENTS.md reports
+// Regenerate one figure (scaled-down defaults):
+//
+//	flockbench -figure fig5d
+//
+// Regenerate everything EXPERIMENTS.md reports:
+//
+//	flockbench -figure all -repeats 3 -warmup 1
+//
+// Run only some of a figure's series:
+//
 //	flockbench -figure ext-ycsb-e -series kv-leaftree-lf,kv-olcart
-//	flockbench -figure fig5a -largekeys 100000000 -duration 3s -repeats 3   # paper scale
-//	flockbench -structure leaftree -threads 16 -keys 100000 -update 50 -alpha 0.99 -blocking
-//	flockbench -structure leaftree -ycsb e -scanlen 64 -shards 8
-//	flockbench -structure leaftree -txn ycsbt -txnsize 8 -nonatomic
-//	flockbench -structure leaftree -threads 16 -stall 100 -metrics
-//	flockbench -structure leaftree -threads 8 -stall 50 -trace out.json -tracedump slow.json
-//	flockbench -figure ext-ycsb-a -pprof :6060          # net/http/pprof plus /metrics JSON
-//	flockbench -figure all -json > BENCH_all.json       # one JSONL record per point
 //
-// Figures print a table of sections (Mop/s, p50/p95/p99, allocs/op,
-// plus snapshot-loop and -metrics sections when present) or, with -csv,
-// one row per x value; both come from one column list (printFigure).
-// -json emits harness.Point records. An unknown -figure or -series name
-// prints the -list catalog and exits non-zero.
+// Full-scale paper parameters (hours, needs a big machine):
+//
+//	flockbench -figure fig5a -largekeys 100000000 -duration 3s -repeats 3
+//
+// Single point:
+//
+//	flockbench -structure leaftree -threads 16 -keys 100000 -update 50 -alpha 0.99 -blocking
+//
+// Pit the flock ART against the specialized optimistic-lock-coupling
+// ART baseline (both use hashed keys, as in Figure 6):
+//
+//	flockbench -structure arttree -threads 16 -hashkeys
+//	flockbench -structure olcart -threads 16 -hashkeys
+//
+// The descheduling-injection extension (DESIGN.md S3):
+//
+//	flockbench -structure leaftree -threads 16 -stall 100
+//
+// The KV-layer YCSB extension (DESIGN.md S9) — sharded kv.Store, with
+// p50/p95/p99 latency reported alongside Mop/s. YCSB-E (DESIGN.md S12)
+// is the scan-heavy mix; -scanlen bounds its zipf-drawn scan lengths:
+//
+//	flockbench -figure ext-ycsb-a
+//	flockbench -structure leaftree -ycsb f -shards 8 -threads 16
+//	flockbench -structure leaftree -ycsb e -scanlen 64 -shards 8
+//
+// The allocation ablation (DESIGN.md S10) — pooled vs GC-fresh vs
+// blocking, with allocs/op reported alongside Mop/s:
+//
+//	flockbench -figure ext-alloc
+//	flockbench -structure leaftree -threads 16 -nopool
+//
+// The transactional extension (DESIGN.md S11) — multi-key atomic
+// operations over the sharded store via composed lock-free locks;
+// blocking and non-atomic ablation arms ride the same flags:
+//
+//	flockbench -figure ext-txn
+//	flockbench -structure leaftree -txn transfer -shards 8 -threads 16
+//	flockbench -structure leaftree -txn ycsbt -txnsize 8 -nonatomic
+//
+// The snapshot extension (DESIGN.md S17) — epoch-consistent whole-store
+// snapshots iterated by a background loop while the transfer storm
+// runs. The "+snap" arms report the loop's cycle count and key rate in
+// a dedicated table section (`:snap_*` CSV columns, `snap_*` JSON
+// fields); comparing Mop/s against the loop-free arms reads out the
+// slowdown concurrent snapshots impose on writers:
+//
+//	flockbench -figure ext-snap
+//
+// Enumerate every figure id with its series names (and the structure
+// registry) without running anything:
+//
+//	flockbench -list
+//
+// An unknown -figure or -series name prints the same catalog and exits
+// non-zero.
+//
+// The observability extension (DESIGN.md S14) — obs runtime metrics
+// collected over the measured window: helping/retry/replay rates,
+// pool hit rates, epoch reclamation lag, per-shard op skew, per-thread
+// fairness and a sampled helps/CAS-fails time series. -metrics adds
+// table sections (and `:metrics` CSV columns, and a "metrics" JSON
+// object); ext-help is the figure built around them:
+//
+//	flockbench -figure ext-help
+//	flockbench -figure ext-ycsb-a -metrics
+//	flockbench -structure leaftree -threads 16 -stall 100 -metrics
+//
+// The flight-recorder extension (DESIGN.md S16) — per-Proc lock-event
+// tracing over the measured window, exported as Chrome trace-event
+// JSON (open in https://ui.perfetto.dev or chrome://tracing; one track
+// per Proc, helping hand-offs drawn as flow arrows). -tracedump arms
+// the anomaly dumper: the first op exceeding -tracedump-mult x the
+// running p99 snapshots the rings while the outlier's surroundings are
+// still in them:
+//
+//	flockbench -structure leaftree -threads 8 -stall 50 -trace out.json
+//	flockbench -structure leaftree -ycsb a -trace out.json -tracedump slow.json -tracedump-mult 16
+//
+// Profiling and live scraping — net/http/pprof plus a /metrics JSON
+// endpoint (obs counter snapshot, trace drop estimate, goroutine
+// count):
+//
+//	flockbench -figure ext-ycsb-a -pprof :6060
+//
+// Machine-readable capture (one JSON record per point, JSONL):
+//
+//	flockbench -figure all -json > BENCH_all.json
 package main
 
 import (
