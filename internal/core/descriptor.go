@@ -9,8 +9,9 @@ import "sync/atomic"
 type Thunk func(*Proc) bool
 
 // descriptor carries everything a helper needs to complete a critical
-// section: the thunk, its shared log, a started flag, and the epoch at which
-// the owning operation was running (helpers lower themselves to it, §6).
+// section: the lock version it holds, the thunk, its shared log, a started
+// flag, and the epoch at which the owning operation was running (helpers
+// lower themselves to it, §6).
 // The first log block is embedded so descriptor creation is a single
 // allocation — or none: descriptors come from the per-Proc freelist and
 // are recycled after an epoch grace period once the CAS that releases
@@ -21,6 +22,12 @@ type Thunk func(*Proc) bool
 // its epoch announcement is what delays the recycling (DESIGN.md S7 and
 // S10).
 type descriptor struct {
+	// ver is the odd version of the lock word while it holds this
+	// descriptor (DESIGN.md S1). It is written before the descriptor is
+	// committed or installed and never while installed. It is the first
+	// field: decodeWord reads it through a *uint64 before it knows
+	// whether a word is a descriptor.
+	ver   uint64
 	thunk Thunk
 	birth uint64
 	// started is an update-once boolean set by every run of the thunk
@@ -40,12 +47,13 @@ type descriptor struct {
 }
 
 // newDescriptor creates (idempotently, when nested inside another thunk)
-// the descriptor for a lock acquisition. The descriptor pointer itself
-// is committed directly into the log slot — no wrapper allocation — and
-// a descriptor whose commit lost to another run was never published, so
-// it returns to the freelist immediately.
-func (p *Proc) newDescriptor(f Thunk) *descriptor {
+// the descriptor for a lock acquisition at version ver. The descriptor
+// pointer itself is committed directly into the log slot — no wrapper
+// allocation — and a descriptor whose commit lost to another run was
+// never published, so it returns to the freelist immediately.
+func (p *Proc) newDescriptor(f Thunk, ver uint64) *descriptor {
 	d := p.allocDescriptor()
+	d.ver = ver
 	d.thunk = f
 	d.birth = p.currentEpoch()
 	d.owner = p.id

@@ -15,7 +15,7 @@ import (
 func replayConcurrently(rt *Runtime, k int, f Thunk) []bool {
 	owner := rt.Register()
 	defer owner.Unregister()
-	d := owner.newDescriptor(f)
+	d := owner.newDescriptor(f, 1)
 
 	results := make([]bool, k)
 	var start, wg sync.WaitGroup
@@ -69,7 +69,7 @@ func TestSequentialReplayHasNoFurtherEffect(t *testing.T) {
 		v := c.Load(hp)
 		c.Store(hp, v*2)
 		return v == 10
-	})
+	}, 1)
 	r1 := p.run(d)
 	// Interfering operation between runs.
 	c.Store(p, 999)
@@ -116,7 +116,7 @@ func TestReplayDoesNotRebuildAllocation(t *testing.T) {
 						return &obj{tag: 7}
 					})
 					return true
-				})
+				}, 1)
 				p.run(d)
 				run = 1
 				q.run(d)
@@ -171,7 +171,7 @@ func TestAllocateAgreesAcrossRuns(t *testing.T) {
 	// Several constructors may run (losers are discarded), but the
 	// externally visible object is unique: re-running the descriptor
 	// once more must still yield the same pointer.
-	d := probe.newDescriptor(f)
+	d := probe.newDescriptor(f, 1)
 	_ = d // separate descriptor would allocate separately; instead check stability:
 	if slot.Load(probe) != got {
 		t.Fatalf("allocation not stable")
@@ -271,7 +271,7 @@ func TestQuickIdempotentReplayEquivalence(t *testing.T) {
 			spec[i].Init(uint64(seeds[i]))
 		}
 		sp := specRT.Register()
-		sd := sp.newDescriptor(func(p *Proc) bool { return runProgram(p, prog, &spec) })
+		sd := sp.newDescriptor(func(p *Proc) bool { return runProgram(p, prog, &spec) }, 1)
 		specRet := sp.run(sd)
 		specVals := [vmCells]uint64{}
 		for i := range spec {
@@ -339,7 +339,7 @@ func TestLongThunkManyBlocks(t *testing.T) {
 			c.Store(p, acc+uint64(i))
 		}
 		return true
-	})
+	}, 1)
 	sp.run(sd)
 
 	probe := rt.Register()

@@ -31,18 +31,14 @@ import (
 // the opening half of a seqlock-style validation: run the unlogged
 // read, then confirm with Validate. On a pooling runtime the caller
 // must hold an epoch guard (Proc.Begin/End) across ReadVersion,
-// the read and Validate, so the lock-word box cannot be recycled
-// mid-inspection.
+// the read and Validate, so a descriptor in the lock word cannot be
+// recycled while it is decoded.
 func (l *Lock) ReadVersion() (uint64, bool) {
-	bv := l.bver.Load()
-	ls := decodeWord(l.state.b.Load())
-	if ls.locked || bv&1 == 1 {
+	ls := decodeWord(l.w.Load())
+	if ls.locked {
 		return 0, false
 	}
-	// The two counters never run concurrently (a runtime is in one mode
-	// at a time and both strictly increase), so their sum changes iff
-	// either does.
-	return ls.ver + bv, true
+	return ls.ver, true
 }
 
 // Validate reports whether the lock is readable and its version still

@@ -29,10 +29,12 @@ import (
 // never visible to any other thread and are recycled immediately, with
 // no grace period.
 
-// maxPoolFree caps each freelist. Pooled objects still reference
-// whatever they pointed at when unlinked (a pooled box pins its old
-// value until reused), so deep freelists mean deep GC mark work;
-// overflow is dropped to the GC instead.
+// maxPoolFree caps the box and spill-block freelists. Pooled boxes
+// still reference whatever they pointed at when unlinked (a pooled box
+// pins its old value until reused), so deep freelists mean deep GC mark
+// work; overflow is dropped to the GC instead. The descriptor freelist
+// is capped at reusePendingCap instead: a scrubbed descriptor pins
+// nothing, and a drain of a full pending list must not spill it.
 const maxPoolFree = 64
 
 // reuseDrainEvery is how many guard entries (or saturated defers) pass
@@ -200,7 +202,7 @@ func (p *Proc) scrubDescriptor(d *descriptor) {
 	d.owner = 0
 	d.finisher.Store(0)
 	d.started.Store(0)
-	if len(p.dfree) < maxPoolFree {
+	if len(p.dfree) < reusePendingCap {
 		p.dfree = append(p.dfree, d)
 	} else {
 		p.metrics.Inc(obs.PoolSpills)
@@ -231,7 +233,7 @@ func (p *Proc) releaseDescriptor(d *descriptor) {
 	}
 	d.thunk = nil
 	d.birth = 0
-	if len(p.dfree) < maxPoolFree {
+	if len(p.dfree) < reusePendingCap {
 		p.dfree = append(p.dfree, d)
 	}
 }
@@ -305,14 +307,9 @@ func freeBox[V comparable](p *Proc, b *mbox[V]) {
 }
 
 // retireBox parks a box that was just CASed out of its location; it
-// rejoins the freelist after the grace period. The shared blocking-mode
-// lock sentinels are never recycled, and lock-word version tags never
-// get here (Lock.cas filters them).
+// rejoins the freelist after the grace period.
 func retireBox[V comparable](p *Proc, b *mbox[V]) {
 	if b == nil || !p.rt.pooling {
-		return
-	}
-	if any(b) == any(blockedBox) || any(b) == any(unblockedBox) {
 		return
 	}
 	p.deferReuse(boxKey[V](), b)

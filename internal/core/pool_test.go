@@ -1,6 +1,10 @@
 package flock
 
-import "testing"
+import (
+	"testing"
+
+	"flock/internal/obs"
+)
 
 // Tests for the S10 invariant: a pooled object unlinked at epoch e may
 // rejoin a freelist only once every guard (or helper lowered to a thunk
@@ -148,6 +152,28 @@ func TestSpillBlocksRecycled(t *testing.T) {
 	}
 	if _, bfree, _, _ := p.PoolStats(); bfree == 0 {
 		t.Fatal("spill blocks never recycled")
+	}
+}
+
+// TestFullPendingListDrainsWithoutSpill parks as many descriptors as
+// the pending list holds and drains them after the grace period: every
+// one must reach the descriptor freelist, none dropped to the GC.
+func TestFullPendingListDrainsWithoutSpill(t *testing.T) {
+	prev := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	p := New().Register()
+	defer p.Unregister()
+	for i := 0; i < reusePendingCap; i++ {
+		p.retireDescriptor(&descriptor{})
+	}
+	spills := p.metrics.Load(obs.PoolSpills)
+	drainHard(p)
+	if got := p.metrics.Load(obs.PoolSpills) - spills; got != 0 {
+		t.Fatalf("drain spilled %d descriptors", got)
+	}
+	if d, _, _, pend := p.PoolStats(); d != reusePendingCap || pend != 0 {
+		t.Fatalf("after the drain dfree=%d pending=%d, want %d and 0", d, pend, reusePendingCap)
 	}
 }
 

@@ -66,10 +66,9 @@ func (rt *Runtime) Blocking() bool { return rt.blocking.Load() }
 // SetBlocking switches between blocking and lock-free mode. It must not be
 // called while operations are in flight: a thunk's helpers must all agree
 // on the mode, and the flag is deliberately not committed to logs.
-// Quiescence is also what keeps lock-word version tags unique (DESIGN.md
-// S1): blocking mode's shared boxes restart a lock's version at 0, so a
-// tag the lock held before the switch recurs after it, with no straggler
-// left that could still CAS from the old one.
+// Both modes advance the same version in the lock word (DESIGN.md S1),
+// so a lock's version carries on across a switch and never restarts at
+// 0: a tag never returns to its word.
 func (rt *Runtime) SetBlocking(v bool) { rt.blocking.Store(v) }
 
 // Pooling reports whether object pooling is enabled.
@@ -116,20 +115,18 @@ type Proc struct {
 	// allocated lazily on the first traced event so Procs registered
 	// while tracing is off carry no ring at all.
 	tring *trace.Ring
-	// bdepth is the blocking-mode critical-section nesting depth. In
-	// lock-free mode "top level" is p.blk == nil, but blocking mode has
-	// no log, so nested blocking acquisitions (composed transactions)
-	// need their own depth gate — otherwise stall injection would fire
-	// at every nesting level in blocking mode but only once per
-	// operation in lock-free mode, biasing the ext-txn comparisons.
-	bdepth int
 	// bheld is the blocking-mode held-lock stack. Blocking critical
 	// sections never migrate (no helping), so the acquiring goroutine's
 	// Proc can match an early-release Unlock with its acquisition and
 	// skip the scope-exit release — without this, hand-over-hand
-	// patterns (couplist) would double-release: the scope exit would
-	// force-unlock whoever acquired after the early Unlock, and bump
-	// the seqlock version to odd while the lock is free (lock.go).
+	// patterns (couplist) would double-release and force-unlock whoever
+	// acquired after the early Unlock. Each entry keeps the version its
+	// release advances from (lock.go). Its depth is also the nesting
+	// depth: in lock-free mode "top level" is p.blk == nil, but blocking
+	// mode has no log, so nested blocking acquisitions (composed
+	// transactions) need their own gate — otherwise stall injection
+	// would fire at every nesting level in blocking mode but only once
+	// per operation in lock-free mode, biasing the ext-txn comparisons.
 	bheld []blockHeld
 
 	// Object pools (see pool.go). dfree/bfree hold clean descriptors and

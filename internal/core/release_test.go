@@ -13,7 +13,7 @@ import (
 // holds one, and the one run whose CAS released parks it exactly once.
 
 // wordDescriptor returns the descriptor held by l's lock word.
-func wordDescriptor(l *Lock) *descriptor { return decodeWord(l.state.b.Load()).d }
+func wordDescriptor(l *Lock) *descriptor { return decodeWord(l.w.Load()).d }
 
 // pendingDescriptors counts the descriptors p has parked for reuse.
 func pendingDescriptors(p *Proc) int {
@@ -244,7 +244,7 @@ func TestLateHelperSkipsReleasedDescriptor(t *testing.T) {
 		// 1 -> 2 and x is retired at the current epoch.
 		p.Begin()
 		cur := l.load(p)
-		d := p.newDescriptor(incr)
+		d := p.newDescriptor(incr, cur.ver+1)
 		myLS := lockState{d: d, locked: true, ver: cur.ver + 1}
 		if !l.cas(p, cur, myLS) {
 			t.Fatal("install failed")
