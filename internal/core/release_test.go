@@ -15,16 +15,10 @@ import (
 // wordDescriptor returns the descriptor held by l's lock word.
 func wordDescriptor(l *Lock) *descriptor { return decodeWord(l.w.Load()).d }
 
-// pendingDescriptors counts the descriptors p has parked for reuse.
-func pendingDescriptors(p *Proc) int {
-	n := 0
-	for _, r := range p.pending {
-		if r.key == descriptorKey {
-			n++
-		}
-	}
-	return n
-}
+// pendingDescriptors counts every object p has parked for reuse. The
+// thunks that count them store nothing, so each one is a descriptor:
+// the lock word itself parks nothing.
+func pendingDescriptors(p *Proc) int { return len(p.pending) }
 
 // TestReleasedWordHoldsNoDescriptor pins that every lock-free release —
 // TryLock's and Lock's scope exit and a hand-over-hand Unlock — leaves

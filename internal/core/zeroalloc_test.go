@@ -101,7 +101,8 @@ func TestAllocsUpdateOnceLoad(t *testing.T) {
 }
 
 // TestAllocsBlockingRead pins the blocking-mode read at exactly zero:
-// no descriptor, no logging, shared static lock boxes.
+// no descriptor, no logging, and a lock word that is only ever a tag
+// or the static blocked sentinel.
 func TestAllocsBlockingRead(t *testing.T) {
 	rt := New(Blocking())
 	p := rt.Register()
