@@ -173,6 +173,26 @@ func (l *Lock) TryLock(p *Proc, f Thunk) bool {
 	return false
 }
 
+// Help helps the lock's current lock-free holder run its critical section
+// and release the lock, without acquiring it: what a failed TryLock does
+// before it reports failure. A free lock needs no help. In blocking mode
+// the holder cannot be helped, so Help yields once instead. Optimistic
+// readers (DESIGN.md S13) call it when they find the lock held, so that
+// their next ReadVersion finds it free.
+func (l *Lock) Help(p *Proc) {
+	if p.rt.blocking.Load() {
+		runtime.Gosched()
+		return
+	}
+	if p.blk == nil {
+		p.slot.Enter() // own guard, as in TryLock
+		defer p.slot.Exit()
+	}
+	if cur := l.load(p); cur.d != nil {
+		l.runAndUnlock(p, cur, true)
+	}
+}
+
 // Lock is the strict lock variant: it loops, helping any holder, until it
 // acquires the lock, then runs f and returns f's result. Strict locks are
 // not simply nested (§4), but remain useful for comparison with try-locks

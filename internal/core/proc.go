@@ -27,8 +27,8 @@ type Runtime struct {
 	// paper's oversubscription results, which OS quanta on a large
 	// machine produce naturally). 0 disables injection.
 	stallEvery atomic.Uint32
-	// maxOptimistic bounds optimistic read attempts before escalating to
-	// the logged path (optimistic.go). Restart/escalation counts live in
+	// maxOptimistic bounds optimistic reads per shard before escalating
+	// to the logged path (optimistic.go). Restart/escalation counts live in
 	// the obs metrics layer (per-Proc blocks), not on the Runtime.
 	maxOptimistic int
 }

@@ -202,11 +202,11 @@ type Result struct {
 	Mops        float64
 	AllocsPerOp float64
 	Hist        *LatencyHist
-	// OptRestarts counts failed optimistic validation attempts and
+	// OptRestarts counts discarded optimistic shard reads and
 	// OptEscalations counts operations that fell back to the locked path
-	// after MaxOptimistic failures, both summed from the store's always-on
-	// counters over the measured window (KV and txn paths with
-	// Spec.Optimistic; zero otherwise). The obs metrics layer mirrors the
+	// when one shard would need more than MaxOptimistic reads, both
+	// summed from the store's always-on counters over the measured
+	// window (KV and txn paths with Spec.Optimistic; zero otherwise). The obs metrics layer mirrors the
 	// same events per worker when Spec.Metrics is set (Metrics.Window).
 	OptRestarts    uint64
 	OptEscalations uint64

@@ -11,10 +11,11 @@
 //   - the per-shard arm: the same logic shard by shard for stores whose
 //     shards do not share a runtime (locks cannot compose across epoch
 //     managers, so each shard gets its own critical section);
-//   - the optimistic arm: unlogged reads bracketed by a version vector
-//     over every involved shard lock — vector read before any data
-//     load, whole-vector validation after — with bounded restarts and
-//     escalation to a locked arm (DESIGN.md S13).
+//   - the optimistic arm: unlogged per-shard reads, each after its
+//     shard's version read (helping the holder of a held lock), with
+//     whole-vector validation after every round, re-reads of only the
+//     shards that moved, and escalation to a locked arm when one shard
+//     would need more than MaxOptimistic reads (DESIGN.md S13).
 //
 // Before this package existed the three arms were triplicated across
 // kv/scan.go, kv/optimistic.go and txn/txn.go, each with its own retry
@@ -305,9 +306,9 @@ func (e *Engine) Locked(procs []*flock.Proc, shards []int, mk func(shard int) At
 // Optimistic version-vector arm
 // ---------------------------------------------------------------------
 
-// restart records one failed optimistic attempt (lock busy or version
-// changed under the read) on the store counter, the obs metrics layer
-// and the flight recorder.
+// restart records one discarded shard read (the shard lock still held
+// after helping, or its version moved before validation) on the store
+// counter, the obs metrics layer and the flight recorder.
 func (e *Engine) restart(p *flock.Proc) {
 	if e.restarts != nil {
 		e.restarts.Add(1)
@@ -316,8 +317,8 @@ func (e *Engine) restart(p *flock.Proc) {
 	p.Trace(trace.OptRestart, 0, 0, 0)
 }
 
-// escalate records the fall back to the logged path after MaxOptimistic
-// failed attempts.
+// escalate records the fall back to the logged path when one shard
+// would need more than MaxOptimistic reads.
 func (e *Engine) escalate(p *flock.Proc) {
 	if e.escalations != nil {
 		e.escalations.Add(1)
@@ -326,39 +327,13 @@ func (e *Engine) escalate(p *flock.Proc) {
 	p.Trace(trace.OptEscalate, 0, 0, 0)
 }
 
-// OptimisticFind is the single-shard fast path of the optimistic arm: a
-// seqlock-validated unlogged lookup with a hand-rolled retry loop — no
-// closures, so the validated hot path stays allocation-free (the
-// zero-alloc pins cover it). The epoch guard spans ReadVersion through
-// Validate so the lock-word box cannot be recycled mid-inspection.
-// validated=false means every attempt failed and the escalation was
-// recorded; the caller completes under the shard lock.
-func (e *Engine) OptimisticFind(p *flock.Proc, shard int, r set.OptimisticReader, k uint64) (v uint64, found, validated bool) {
-	lck := e.locks[shard]
-	p.Begin()
-	for attempt := e.runtimes[shard].MaxOptimistic(); attempt > 0; attempt-- {
-		if ver, ok := lck.ReadVersion(); ok {
-			val, present := r.OptimisticFind(p, k)
-			if lck.Validate(ver) {
-				p.End()
-				return val, present, true
-			}
-		}
-		e.restart(p)
-	}
-	p.End()
-	e.escalate(p)
-	return 0, false, false
-}
-
-// BeginAll enters an epoch guard on every listed shard's runtime (one
-// guard on a composed engine); EndAll exits them. The optimistic arm's
-// guards span the version reads through validation so no lock-word box
-// recycles mid-inspection; they are exported for read paths (snapshot
-// chunk reads) that interleave their own loads with the brackets.
-func (e *Engine) BeginAll(procs []*flock.Proc, shards []int) {
+// beginAll enters an epoch guard on every listed shard's runtime (one
+// guard on a composed engine); endAll exits them. The optimistic loop's
+// guards span the version reads through validation so that no
+// descriptor in a lock word is recycled while it is decoded or helped.
+func (e *Engine) beginAll(procs []*flock.Proc, shards []int) {
 	if e.shared != nil {
-		procs[0].Begin()
+		procs[shards[0]].Begin()
 		return
 	}
 	for _, s := range shards {
@@ -366,10 +341,9 @@ func (e *Engine) BeginAll(procs []*flock.Proc, shards []int) {
 	}
 }
 
-// EndAll exits the guards entered by BeginAll.
-func (e *Engine) EndAll(procs []*flock.Proc, shards []int) {
+func (e *Engine) endAll(procs []*flock.Proc, shards []int) {
 	if e.shared != nil {
-		procs[0].End()
+		procs[shards[0]].End()
 		return
 	}
 	for _, s := range shards {
@@ -377,51 +351,122 @@ func (e *Engine) EndAll(procs []*flock.Proc, shards []int) {
 	}
 }
 
-// OptimisticGroup makes up to MaxOptimistic unlogged passes over the
-// shard group: version vector over every listed shard lock first,
-// read's data loads second, whole-vector validation last. That ordering
-// is what makes a validated pass a cross-shard atomic snapshot:
-// transactions acquire their shard locks in ascending order nested
-// (first acquired is last released), so any transaction whose effect a
-// pass observed on one shard must still have been holding — or already
-// bumped — every earlier shard's lock when the vector was read or
-// validated, and a cross-shard torn observation always fails
-// validation (DESIGN.md S13).
+// shardRead is the optimistic loop's state for one shard of the group:
+// the version its last data read is validated against, how many reads
+// it has taken, and whether that read still stands (false: read it).
+type shardRead struct {
+	ver   uint64
+	reads int
+	valid bool
+}
+
+// Optimistic runs read as unlogged per-shard reads over the shard group,
+// validated against the group's shard locks, and reports whether the
+// reads form one consistent cut. Each round reads every stale shard's
+// version — helping the holder first if the shard lock is held (Lock.
+// Help), so a reader never waits out a lock-free critical section — and
+// then calls read(s) for that shard's data. After the round it validates
+// the whole vector; a shard whose version moved becomes stale and is
+// re-read alone in the next round. A validated round is a consistent cut:
+// every shard's version is unchanged from its own version read until the
+// validation pass, and every data read lies between the two, so at the
+// start of that pass every shard is free and shows the state its read saw
+// (DESIGN.md S13).
 //
-// read runs with epoch guards held on every listed runtime and must
-// only perform unlogged loads (set.OptimisticReader /
-// set.OptimisticScanner) and run-local accumulation; the caller uses
-// its results only when OptimisticGroup returns true. False means every
-// attempt failed and the escalation was recorded — the caller completes
-// on the locked arm.
+// A shard read is discarded when the lock is still held after helping
+// (blocking mode: the holder cannot be helped) or when its version moved;
+// each discard counts one restart. When one shard would need more than
+// MaxOptimistic reads, the escalation is recorded and Optimistic returns
+// false: the caller completes on the locked arm. So a group of n shards
+// makes at most n*MaxOptimistic shard reads.
+//
+// read runs with epoch guards held on every listed runtime, must only
+// perform unlogged loads (set.OptimisticReader / set.OptimisticScanner)
+// into run-local state, and may run again for the same shard, replacing
+// its earlier result; the caller uses the results only when Optimistic
+// returns true. procs[s] must be a registered Proc of shard s's runtime.
+func (e *Engine) Optimistic(procs []*flock.Proc, shards []int, read func(s int)) bool {
+	return e.optimistic(procs, shards, false, read)
+}
+
+// OptimisticGroup is Optimistic with a read that covers the whole group
+// at once: read runs once per round, after every shard's version read,
+// and a round with any moved shard re-reads the whole vector, so at most
+// MaxOptimistic rounds run. The caller uses read's results only when
+// OptimisticGroup returns true.
 func (e *Engine) OptimisticGroup(procs []*flock.Proc, shards []int, read func()) bool {
-	vers := make([]uint64, len(shards))
-	max := e.runtimes[shards[0]].MaxOptimistic()
-attempts:
-	for attempt := 0; attempt < max; attempt++ {
-		e.BeginAll(procs, shards)
-		for j, s := range shards {
-			v, ok := e.locks[s].ReadVersion()
-			if !ok {
-				e.EndAll(procs, shards)
-				e.restart(procs[0])
-				continue attempts
-			}
-			vers[j] = v
+	last := shards[len(shards)-1]
+	return e.optimistic(procs, shards, true, func(s int) {
+		if s == last {
+			read()
 		}
-		read()
-		for j, s := range shards {
-			if !e.locks[s].Validate(vers[j]) {
-				e.EndAll(procs, shards)
-				e.restart(procs[0])
-				continue attempts
-			}
-		}
-		e.EndAll(procs, shards)
-		return true
+	})
+}
+
+// OptimisticFind is the single-shard case of the optimistic arm, a
+// validated unlogged lookup of k on shard. Its closure does not escape,
+// so the validated path allocates nothing. validated=false means the
+// escalation was recorded; the caller completes under the shard lock.
+func (e *Engine) OptimisticFind(procs []*flock.Proc, shard int, r set.OptimisticReader, k uint64) (v uint64, found, validated bool) {
+	validated = e.optimistic(procs, []int{shard}, false, func(s int) {
+		v, found = r.OptimisticFind(procs[s], k)
+	})
+	return v, found, validated
+}
+
+// optimistic is the optimistic arm's one retry loop (see Optimistic).
+// whole re-reads every shard when any moved, for OptimisticGroup.
+func (e *Engine) optimistic(procs []*flock.Proc, shards []int, whole bool, read func(s int)) bool {
+	var small [8]shardRead // a Get's state stays on the stack
+	rs := small[:]
+	if len(shards) > len(rs) {
+		rs = make([]shardRead, len(shards))
 	}
-	e.escalate(procs[0])
-	return false
+	rs = rs[:len(shards)]
+	e.beginAll(procs, shards)
+	defer e.endAll(procs, shards)
+	for {
+		for j, s := range shards {
+			r := &rs[j]
+			if r.valid {
+				continue
+			}
+			if r.reads == e.runtimes[s].MaxOptimistic() {
+				e.escalate(procs[s])
+				return false
+			}
+			r.reads++
+			l := e.locks[s]
+			v, ok := l.ReadVersion()
+			if !ok {
+				l.Help(procs[s])
+				v, ok = l.ReadVersion()
+			}
+			if !ok {
+				e.restart(procs[s])
+				continue
+			}
+			r.ver, r.valid = v, true
+			read(s)
+		}
+		all := true
+		for j, s := range shards {
+			r := &rs[j]
+			if r.valid && !e.locks[s].Validate(r.ver) {
+				r.valid = false
+				e.restart(procs[s])
+			}
+			all = all && r.valid
+		}
+		if all {
+			return true
+		}
+		if whole {
+			for j := range rs {
+				rs[j].valid = false
+			}
+		}
+	}
 }
 
 // ---------------------------------------------------------------------

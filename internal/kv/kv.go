@@ -63,9 +63,10 @@ type Options struct {
 	SharedRuntime bool
 	// OptimisticReads routes Get, Scan and MultiGet through unlogged
 	// optimistic reads validated against the shard locks' version
-	// counters (flock.Lock.ReadVersion), restarting the whole operation
-	// on validation failure and escalating to the ordinary logged path
-	// under the shard locks after MaxOptimistic failed attempts. It
+	// counters (flock.Lock.ReadVersion), helping a held shard lock,
+	// re-reading only the shards whose version moved, and escalating to
+	// the ordinary logged path under the shard locks when one shard
+	// would need more than MaxOptimistic reads. It
 	// takes effect only when the structure implements the matching
 	// set.OptimisticReader / set.OptimisticScanner capability (see
 	// Store.OptimisticReads / OptimisticScans); otherwise the logged
@@ -117,8 +118,9 @@ type Store struct {
 	snapMu sync.Mutex
 	// clients counts live handles (monitoring/tests only).
 	clients atomic.Int64
-	// Optimistic-read counters: failed attempts (lock busy or version
-	// changed under the read) and escalations to the logged path. The
+	// Optimistic-read counters: discarded shard reads (lock still held
+	// after helping, or version moved under the read) and escalations to
+	// the logged path. The
 	// harness samples them around measured windows (RunStats).
 	optRestarts    atomic.Uint64
 	optEscalations atomic.Uint64
@@ -209,7 +211,8 @@ func (st *Store) OptimisticReads() bool { return st.optGet }
 func (st *Store) OptimisticScans() bool { return st.optScan }
 
 // OptimisticStats returns the cumulative optimistic-read counters:
-// restarts (failed attempts across Get, Scan and MultiGet) and
+// restarts (discarded shard reads across Get, Scan, MultiGet and
+// snapshot chunks) and
 // escalations to the logged path. Monotonic; sample before/after a
 // window to attribute counts to it.
 func (st *Store) OptimisticStats() (restarts, escalations uint64) {
@@ -353,8 +356,9 @@ func (c *Client) route(k uint64) (int, *shard, *flock.Proc) {
 // Get returns the value stored under k, if present. With
 // Options.OptimisticReads (and a capable structure) the lookup runs as
 // an unlogged optimistic read validated against the shard lock's
-// version, escalating to a logged read under the shard lock after
-// MaxOptimistic failed attempts (optimistic.go).
+// version, helping the lock's holder when it finds the lock held and
+// escalating to a logged read under the shard lock after MaxOptimistic
+// failed reads (optimistic.go).
 func (c *Client) Get(k uint64) (uint64, bool) {
 	t0 := traceStart()
 	i, sh, p := c.route(k)

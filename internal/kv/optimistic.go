@@ -6,13 +6,13 @@
 // serialization point for lock-holding readers and transactions, so an
 // unchanged version across the read window proves no locked critical
 // section (a transaction, an escalated scan) overlapped the read.
-// Multi-shard operations (MultiGet, Scan) read a version vector over
-// every involved shard before touching data and validate the whole
-// vector after — the engine's optimistic arm (internal/kv/engine,
-// DESIGN.md S17) owns that protocol, the bounded restarts, and the
-// escalation to the logged path under the shard locks after
-// MaxOptimistic failed attempts; this file only supplies each
-// operation's data loads and result publication.
+// Get, MultiGet, Scan and snapshot chunks all run the engine's one
+// optimistic loop (internal/kv/engine, DESIGN.md S17): it helps a held
+// shard lock instead of restarting, validates the version vector of
+// every involved shard after each round, re-reads only the shards whose
+// version moved, and escalates to the logged path under the shard locks
+// when one shard would need more than MaxOptimistic reads. This file
+// only supplies each operation's data loads and result publication.
 
 package kv
 
@@ -25,11 +25,10 @@ import (
 )
 
 // optimisticGet is Get's unlogged arm: the engine's single-shard
-// validated lookup (closure-free — the validated hot path stays
-// allocation-free), completed under the shard lock when every attempt
-// failed validation.
+// validated lookup (allocation-free when it validates), completed under
+// the shard lock when it escalated.
 func (c *Client) optimisticGet(sh *shard, p *flock.Proc, i int, k uint64) (uint64, bool) {
-	if v, found, validated := c.st.eng.OptimisticFind(p, i, sh.or, k); validated {
+	if v, found, validated := c.st.eng.OptimisticFind(c.procs, i, sh.or, k); validated {
 		return v, found
 	}
 	return c.escalatedGet(sh, p, k)
@@ -84,10 +83,11 @@ func (c *Client) MultiGet(keys []uint64) (vals []uint64, oks []bool) {
 	shardOf := st.eng.ShardIndices(keys)
 	involved := st.eng.Group(nil, shardOf)
 
-	ok := st.eng.OptimisticGroup(c.procs, involved, func() {
+	ok := st.eng.Optimistic(c.procs, involved, func(s int) {
 		for i, k := range keys {
-			s := shardOf[i]
-			vals[i], oks[i] = st.shards[s].or.OptimisticFind(c.procs[s], k)
+			if shardOf[i] == s {
+				vals[i], oks[i] = st.shards[s].or.OptimisticFind(c.procs[s], k)
+			}
 		}
 	})
 	if ok {

@@ -69,10 +69,10 @@ func TestOptimisticCountersQuiescent(t *testing.T) {
 // TestOptimisticScanSerializesWithTransactions is the optimistic arm of
 // the composed-lock atomicity check: validated optimistic scans and
 // MultiGets must see the conserved total balance despite concurrent
-// multi-shard Transfers — the version vector is read before, and
-// validated after, all data loads, and transactions release their
-// ascending-nested shard locks inner-first, so a torn cross-shard
-// observation always fails validation (kv/optimistic.go).
+// multi-shard Transfers — each shard's version is read before its data
+// loads and validated, with every other shard's, after all of them, so
+// a torn cross-shard observation always fails validation. A loop that
+// validates only the shards it re-read fails this test.
 func TestOptimisticScanSerializesWithTransactions(t *testing.T) {
 	const accounts = 64
 	const initial = 100
@@ -249,5 +249,68 @@ func TestOptimisticEscalationStorm(t *testing.T) {
 	}
 	if r, _ := st.OptimisticStats(); r != restarts {
 		t.Fatalf("post-storm read restarted (%d -> %d): version parity corrupt after escalation", restarts, r)
+	}
+}
+
+// TestOptimisticGetHelpsHeldLock is the lock-free counterpart of the
+// storm test: a writer's critical section parks only when its own Proc
+// runs it, so any other Proc can run it to completion. An optimistic Get
+// that finds the shard lock held must help the writer's section finish
+// and release the lock, then read the committed value, with no
+// escalation to the strict Lock.
+func TestOptimisticGetHelpsHeldLock(t *testing.T) {
+	st := kv.New(leaftreeFactory, kv.Options{Shards: 1, SharedRuntime: true, OptimisticReads: true})
+	c := st.Register()
+	defer c.Close()
+	const key = 42
+	c.Put(key, 1)
+
+	locked := make(chan struct{})
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		wc := st.Register()
+		defer wc.Close()
+		owner := wc.SharedProc()
+		ok := st.NestShardLocks(owner, []int{0}, func(hp *flock.Proc) {
+			st.ShardPut(0, hp, key, 2)
+			if hp == owner {
+				close(locked)
+				<-release
+			}
+		})
+		if !ok {
+			t.Error("writer failed to take the free shard lock")
+		}
+	}()
+	<-locked
+	if !st.ShardLock(0).Held() {
+		t.Fatal("writer's shard lock not held while its owner is parked")
+	}
+
+	v, ok := c.Get(key)
+	close(release)
+	<-done
+	if !ok || v != 2 {
+		t.Fatalf("Get(%d) under held shard lock = (%d,%v), want the committed (2,true)", key, v, ok)
+	}
+	if _, e := st.OptimisticStats(); e != 0 {
+		t.Fatalf("held-lock Get escalated %d times, want 0: the reader must help, not take the lock", e)
+	}
+}
+
+// TestAllocsOptimisticGet pins a validated optimistic Get at zero
+// allocations: the engine's retry loop keeps its per-shard state and its
+// read closure on the stack.
+func TestAllocsOptimisticGet(t *testing.T) {
+	st := kv.New(leaftreeFactory, kv.Options{Shards: 4, SharedRuntime: true, OptimisticReads: true})
+	c := st.Register()
+	defer c.Close()
+	for k := uint64(1); k <= 64; k++ {
+		c.Put(k, k)
+	}
+	if n := testing.AllocsPerRun(500, func() { c.Get(17) }); n != 0 {
+		t.Fatalf("validated optimistic Get allocates %v per op, want 0", n)
 	}
 }

@@ -39,11 +39,11 @@ func (st *Store) NestShardLocks(p *flock.Proc, shards []int, body func(hp *flock
 // bound sentinels, see set.ClampScanBounds). With
 // Options.OptimisticReads (and a capable structure) the scan first runs
 // the engine's optimistic arm — unlogged per-shard scans validated
-// against a version vector over every shard lock, whole-operation
-// restart on any failure — and escalates to the locked arm after
-// MaxOptimistic failed attempts. On the locked arm each shard
-// contributes a run collected by the structure's scan thunk while that
-// shard's lock is held: one composed critical section over all shards
+// against a version vector over every shard lock, re-scanning only the
+// shards whose version moved — and escalates to the locked arm when one
+// shard would need more than MaxOptimistic scans. On the locked arm each
+// shard contributes a run collected by the structure's scan thunk while
+// that shard's lock is held: one composed critical section over all shards
 // on a shared-runtime store (so the scan is atomic with respect to
 // multi-key transactions — as is a validated optimistic scan, per the
 // version-vector argument), ascending one-shard sections on a
@@ -65,10 +65,8 @@ func (c *Client) Scan(lo, hi uint64, limit int) []set.KV {
 	t0 := traceStart()
 	if st.optScan && !c.procs[0].InThunk() {
 		parts := make([][]set.KV, len(st.shards))
-		ok := st.eng.OptimisticGroup(c.procs, st.eng.AllShards(), func() {
-			for i := range st.shards {
-				parts[i] = st.shards[i].osc.OptimisticScan(c.procs[i], lo, hi, limit)
-			}
+		ok := st.eng.Optimistic(c.procs, st.eng.AllShards(), func(s int) {
+			parts[s] = st.shards[s].osc.OptimisticScan(c.procs[s], lo, hi, limit)
 		})
 		if ok {
 			traceOp(c.procs[0], t0, multiShard, trace.KVScan)

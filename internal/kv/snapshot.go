@@ -265,7 +265,7 @@ func (s *Snapshot) chunk(i int, pos, hi uint64) []set.KV {
 	sh := &st.shards[i]
 	if st.optScan {
 		var run []set.KV
-		if st.eng.OptimisticGroup(s.c.procs, []int{i}, func() {
+		if st.eng.Optimistic(s.c.procs, []int{i}, func(int) {
 			run = sh.osc.OptimisticScan(s.c.procs[i], pos, hi, snapChunk)
 		}) {
 			return run

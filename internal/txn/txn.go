@@ -107,11 +107,11 @@ type Options struct {
 	// MultiGet (and Get) in LockFree mode then runs as an unlogged
 	// version-vector-validated read (kv.Client.MultiGet) instead of a
 	// read-only locked transaction. The validated read is atomic with
-	// respect to committed transactions — the version vector is read
-	// before, and validated after, all data loads, and transactions
-	// release their ascending-nested shard locks inner-first — so the
-	// conserved-sum guarantee against concurrent Transfers is
-	// preserved (txn_test).
+	// respect to committed transactions — each shard's version is read
+	// before its data loads and is unchanged at the validation pass
+	// after all of them, so every shard lock was free at that pass and
+	// the reads are one cut — so the conserved-sum guarantee against
+	// concurrent Transfers is preserved (txn_test).
 	OptimisticReads bool
 }
 
