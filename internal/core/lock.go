@@ -84,9 +84,10 @@ func (l *Lock) load(p *Proc) lockState { return decodeWord(l.loadWord(p)) }
 
 // cas is the lock word's CAM (Algorithm 2) plus a report of whether this
 // call's own CAS installed new: exactly one run of a thunk can succeed,
-// and only that run parks the released descriptor. A locked new state is
-// installed as its descriptor, an unlocked one as unlockedWord; neither
-// enters a freelist or the pending list.
+// and only that run parks the released descriptor and counts a release
+// past the tags (obs.TagOverflows). A locked new state is installed as
+// its descriptor, an unlocked one as unlockedWord; neither enters a
+// freelist or the pending list.
 func (l *Lock) cas(p *Proc, old, new lockState) bool {
 	w := l.loadWord(p)
 	if decodeWord(w) != old {
@@ -99,7 +100,13 @@ func (l *Lock) cas(p *Proc, old, new lockState) bool {
 	if !new.locked {
 		nw = unlockedWord(new.ver)
 	}
-	return l.w.CompareAndSwap(w, nw)
+	if !l.w.CompareAndSwap(w, nw) {
+		return false
+	}
+	if !new.locked && !isTag(nw) {
+		p.metrics.Inc(obs.TagOverflows)
+	}
+	return true
 }
 
 // Lock is a lock-free try-lock (Algorithm 3). The zero value is an
@@ -453,6 +460,10 @@ func (l *Lock) lockBlocking(p *Proc, f Thunk, try bool) bool {
 // releaseBlocking releases a lock taken in blocking mode at version ver.
 // The store of version ver+2 follows every write of the critical section.
 func (l *Lock) releaseBlocking(p *Proc, ver uint64) {
-	l.w.Store(unlockedWord(ver + 2))
+	w := unlockedWord(ver + 2)
+	if !isTag(w) {
+		p.metrics.Inc(obs.TagOverflows)
+	}
+	l.w.Store(w)
 	p.traceEmit(trace.Release, lockID(l), p.id, 0)
 }

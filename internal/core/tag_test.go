@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 	"unsafe"
+
+	"flock/internal/obs"
 )
 
 // Tests for lock-word version tags (DESIGN.md S1): an unlocked
@@ -125,9 +127,13 @@ func TestStragglerCannotReinstall(t *testing.T) {
 // TestTagRangeBoundary drives a lock from its second-to-last tag to heap
 // words past the end of the tag array and back through every kind of
 // release, in both modes: each cycle adds exactly 2 to the version,
-// optimistic reads validate on both sides, and no tag is ever parked or
-// pooled.
+// optimistic reads validate on both sides, no tag is ever parked or
+// pooled, and obs.TagOverflows counts exactly the releases past the
+// range (one each) and none inside it.
 func TestTagRangeBoundary(t *testing.T) {
+	prev := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
 	for _, blocking := range []bool{false, true} {
 		var opts []Option
 		if blocking {
@@ -154,8 +160,16 @@ func TestTagRangeBoundary(t *testing.T) {
 		}
 		want := last - 2
 		for i, cycle := range cycles {
+			before := p.metrics.Load(obs.TagOverflows)
 			cycle()
 			want += 2
+			overflows := uint64(0)
+			if want > last {
+				overflows = 1
+			}
+			if got := p.metrics.Load(obs.TagOverflows) - before; got != overflows {
+				t.Fatalf("blocking=%v cycle %d: release to version %d counted %d tag overflows, want %d", blocking, i, want, got, overflows)
+			}
 			v, ok := l.ReadVersion()
 			if !ok || v != want {
 				t.Fatalf("blocking=%v cycle %d: ReadVersion=(%d,%v), want (%d,true)", blocking, i, v, ok, want)

@@ -9,8 +9,8 @@
 //     transaction protocol of DESIGN.md S11), retried until the whole
 //     chain is acquired once;
 //   - the per-shard arm: the same logic shard by shard for stores whose
-//     shards do not share a runtime (locks cannot compose across epoch
-//     managers, so each shard gets its own critical section);
+//     writers take no shard lock (plain kv stores, where a composed
+//     section would only serialize readers against each other);
 //   - the optimistic arm: unlogged per-shard reads, each after its
 //     shard's version read (helping the holder of a held lock), with
 //     whole-vector validation after every round, re-reads of only the
@@ -40,13 +40,13 @@ import (
 type Config struct {
 	// Locks are the per-shard lock handles, one per shard.
 	Locks []*flock.Lock
-	// Runtimes are the per-shard runtimes (all identical on a
-	// shared-runtime store).
+	// Runtimes holds each shard's runtime. Every store kv builds has
+	// one runtime, repeated here once per shard.
 	Runtimes []*flock.Runtime
-	// Shared is the store-wide runtime when every shard routes through
-	// one (kv.Options.SharedRuntime) and nil otherwise. Non-nil is what
-	// enables the composed-thunk arm: cross-shard nesting is only sound
-	// under one epoch manager and one mode flag.
+	// Shared is the store's runtime when its locked writers compose
+	// across shards (a store built by txn), and nil otherwise. Non-nil
+	// makes Locked run one composed section over the whole group, so a
+	// locked read is atomic with respect to transactions.
 	Shared *flock.Runtime
 	// Route maps a key to its shard index (the store's ShardOf).
 	Route func(uint64) int
@@ -61,7 +61,7 @@ type Config struct {
 type Engine struct {
 	locks       []*flock.Lock
 	runtimes    []*flock.Runtime
-	shared      *flock.Runtime
+	composed    bool
 	route       func(uint64) int
 	restarts    *atomic.Uint64
 	escalations *atomic.Uint64
@@ -72,19 +72,12 @@ func New(cfg Config) *Engine {
 	return &Engine{
 		locks:       cfg.Locks,
 		runtimes:    cfg.Runtimes,
-		shared:      cfg.Shared,
+		composed:    cfg.Shared != nil,
 		route:       cfg.Route,
 		restarts:    cfg.Restarts,
 		escalations: cfg.Escalations,
 	}
 }
-
-// Composed reports whether the engine can run composed critical
-// sections spanning shards (the store has a shared runtime).
-func (e *Engine) Composed() bool { return e.shared != nil }
-
-// NumShards returns the shard count.
-func (e *Engine) NumShards() int { return len(e.locks) }
 
 // ---------------------------------------------------------------------
 // Planner
@@ -106,9 +99,9 @@ func (e *Engine) ShardIndices(keys []uint64) []int {
 // footprint. A group of length 1 is the planner's single-shard fast
 // path: consumers take the one-lock arm (a single validated read, a
 // single-lock critical section) with no vector or merge machinery.
-// seen is an optional scratch bitmap of length NumShards, reused across
-// operations (it is only touched at top level, never captured by thunk
-// closures); nil allocates a fresh one. The returned slice is always
+// seen is an optional scratch bitmap with one entry per shard, reused
+// across operations (it is only touched at top level, never captured by
+// thunk closures); nil allocates a fresh one. The returned slice is always
 // fresh — thunk closures capture it.
 func (e *Engine) Group(seen []bool, idxSets ...[]int) []int {
 	if seen == nil {
@@ -155,8 +148,8 @@ func (e *Engine) AllShards() []int {
 // acquisition failed (the caller retries with a fresh body); shards
 // must be sorted ascending and duplicate-free. body runs on whichever
 // Proc executes the innermost thunk and must publish its results
-// idempotently (DESIGN.md S7/S11); p must belong to the runtime that
-// owns every listed shard (on a composed engine, any registered Proc).
+// idempotently (DESIGN.md S7/S11); p must be registered with the
+// store's runtime.
 func (e *Engine) Nest(p *flock.Proc, shards []int, body func(hp *flock.Proc)) bool {
 	p.Begin()
 	defer p.End()
@@ -267,38 +260,31 @@ type Attempt struct {
 	Commit func()
 }
 
-// Locked runs the group's logged read arm to completion. On a composed
-// engine the whole group executes as one composed critical section —
-// atomic with respect to transactions — and mk is called with shard
-// -1 for a body covering every listed shard. On a per-shard engine each
-// shard runs its own single-lock critical section in ascending order
-// (per-shard atomicity, which is all such stores ever promise — they
-// run no transactions), and mk is called with each shard index. Either
-// way mk is re-invoked on every retry, so each attempt gets fresh
-// buffers, and the successful attempt's Commit runs before Locked
-// returns. procs holds one registered Proc per shard (all aliases of
-// one Proc on a composed engine).
-func (e *Engine) Locked(procs []*flock.Proc, shards []int, mk func(shard int) Attempt) {
-	if e.shared != nil {
-		for attempt := 0; ; attempt++ {
-			a := mk(-1)
-			if e.Nest(procs[0], shards, a.Body) {
-				a.Commit()
-				return
-			}
-			pace(attempt)
+// Locked runs the group's logged read arm to completion on p, in
+// sections: runs of the group whose shard locks one critical section
+// holds at once. On a composed engine (a txn store) the whole group is
+// one section, atomic with respect to transactions. Otherwise each shard
+// is its own section, in ascending order: plain stores run no
+// shard-locking writers, so holding every lock at once would buy no
+// atomicity and only serialize readers. mk builds an attempt over the
+// section it is given and is re-invoked on every retry, so each attempt
+// gets fresh buffers; the successful attempt's Commit runs before the
+// next section starts.
+func (e *Engine) Locked(p *flock.Proc, shards []int, mk func(section []int) Attempt) {
+	for i := 0; i < len(shards); {
+		sec := shards[i:]
+		if !e.composed {
+			sec = shards[i : i+1]
 		}
-	}
-	for _, s := range shards {
-		one := []int{s}
 		for attempt := 0; ; attempt++ {
-			a := mk(s)
-			if e.Nest(procs[s], one, a.Body) {
+			a := mk(sec)
+			if e.Nest(p, sec, a.Body) {
 				a.Commit()
 				break
 			}
 			pace(attempt)
 		}
+		i += len(sec)
 	}
 }
 
@@ -325,30 +311,6 @@ func (e *Engine) escalate(p *flock.Proc) {
 	}
 	p.Obs().Inc(obs.OptEscalations)
 	p.Trace(trace.OptEscalate, 0, 0, 0)
-}
-
-// beginAll enters an epoch guard on every listed shard's runtime (one
-// guard on a composed engine); endAll exits them. The optimistic loop's
-// guards span the version reads through validation so that no
-// descriptor in a lock word is recycled while it is decoded or helped.
-func (e *Engine) beginAll(procs []*flock.Proc, shards []int) {
-	if e.shared != nil {
-		procs[shards[0]].Begin()
-		return
-	}
-	for _, s := range shards {
-		procs[s].Begin()
-	}
-}
-
-func (e *Engine) endAll(procs []*flock.Proc, shards []int) {
-	if e.shared != nil {
-		procs[shards[0]].End()
-		return
-	}
-	for _, s := range shards {
-		procs[s].End()
-	}
 }
 
 // shardRead is the optimistic loop's state for one shard of the group:
@@ -380,23 +342,24 @@ type shardRead struct {
 // false: the caller completes on the locked arm. So a group of n shards
 // makes at most n*MaxOptimistic shard reads.
 //
-// read runs with epoch guards held on every listed runtime, must only
-// perform unlogged loads (set.OptimisticReader / set.OptimisticScanner)
-// into run-local state, and may run again for the same shard, replacing
-// its earlier result; the caller uses the results only when Optimistic
-// returns true. procs[s] must be a registered Proc of shard s's runtime.
-func (e *Engine) Optimistic(procs []*flock.Proc, shards []int, read func(s int)) bool {
-	return e.optimistic(procs, shards, false, read)
+// read runs inside p's epoch guard, must only perform unlogged loads
+// (set.OptimisticReader / set.OptimisticScanner) into run-local state,
+// and may run again for the same shard, replacing its earlier result;
+// the caller uses the results only when Optimistic returns true.
+func (e *Engine) Optimistic(p *flock.Proc, shards []int, read func(s int)) bool {
+	return e.optimistic(p, shards, false, read)
 }
 
 // OptimisticGroup is Optimistic with a read that covers the whole group
 // at once: read runs once per round, after every shard's version read,
 // and a round with any moved shard re-reads the whole vector, so at most
 // MaxOptimistic rounds run. The caller uses read's results only when
-// OptimisticGroup returns true.
+// OptimisticGroup returns true. procs holds one Proc per shard, all
+// registered with the store's runtime; the loop runs on the first
+// listed shard's.
 func (e *Engine) OptimisticGroup(procs []*flock.Proc, shards []int, read func()) bool {
 	last := shards[len(shards)-1]
-	return e.optimistic(procs, shards, true, func(s int) {
+	return e.optimistic(procs[shards[0]], shards, true, func(s int) {
 		if s == last {
 			read()
 		}
@@ -407,24 +370,26 @@ func (e *Engine) OptimisticGroup(procs []*flock.Proc, shards []int, read func())
 // validated unlogged lookup of k on shard. Its closure does not escape,
 // so the validated path allocates nothing. validated=false means the
 // escalation was recorded; the caller completes under the shard lock.
-func (e *Engine) OptimisticFind(procs []*flock.Proc, shard int, r set.OptimisticReader, k uint64) (v uint64, found, validated bool) {
-	validated = e.optimistic(procs, []int{shard}, false, func(s int) {
-		v, found = r.OptimisticFind(procs[s], k)
+func (e *Engine) OptimisticFind(p *flock.Proc, shard int, r set.OptimisticReader, k uint64) (v uint64, found, validated bool) {
+	validated = e.optimistic(p, []int{shard}, false, func(int) {
+		v, found = r.OptimisticFind(p, k)
 	})
 	return v, found, validated
 }
 
 // optimistic is the optimistic arm's one retry loop (see Optimistic).
 // whole re-reads every shard when any moved, for OptimisticGroup.
-func (e *Engine) optimistic(procs []*flock.Proc, shards []int, whole bool, read func(s int)) bool {
+func (e *Engine) optimistic(p *flock.Proc, shards []int, whole bool, read func(s int)) bool {
 	var small [8]shardRead // a Get's state stays on the stack
 	rs := small[:]
 	if len(shards) > len(rs) {
 		rs = make([]shardRead, len(shards))
 	}
 	rs = rs[:len(shards)]
-	e.beginAll(procs, shards)
-	defer e.endAll(procs, shards)
+	// The guard spans the version reads through validation, so no
+	// descriptor in a lock word is recycled while it is decoded or helped.
+	p.Begin()
+	defer p.End()
 	for {
 		for j, s := range shards {
 			r := &rs[j]
@@ -432,18 +397,18 @@ func (e *Engine) optimistic(procs []*flock.Proc, shards []int, whole bool, read 
 				continue
 			}
 			if r.reads == e.runtimes[s].MaxOptimistic() {
-				e.escalate(procs[s])
+				e.escalate(p)
 				return false
 			}
 			r.reads++
 			l := e.locks[s]
 			v, ok := l.ReadVersion()
 			if !ok {
-				l.Help(procs[s])
+				l.Help(p)
 				v, ok = l.ReadVersion()
 			}
 			if !ok {
-				e.restart(procs[s])
+				e.restart(p)
 				continue
 			}
 			r.ver, r.valid = v, true
@@ -454,7 +419,7 @@ func (e *Engine) optimistic(procs []*flock.Proc, shards []int, whole bool, read 
 			r := &rs[j]
 			if r.valid && !e.locks[s].Validate(r.ver) {
 				r.valid = false
-				e.restart(procs[s])
+				e.restart(p)
 			}
 			all = all && r.valid
 		}

@@ -8,27 +8,25 @@ import (
 	"flock/internal/kv/engine"
 )
 
-// optEngine is a bare engine over n shard locks on one shared runtime,
-// with its restart and escalation counters, the reader's procs and a
-// second Proc that moves shard versions from inside a read.
+// optEngine is a bare engine over n shard locks on one runtime, with its
+// restart and escalation counters, the reader's Proc and a second Proc
+// that moves shard versions from inside a read.
 type optEngine struct {
 	eng                   *engine.Engine
 	locks                 []*flock.Lock
-	procs                 []*flock.Proc
+	p                     *flock.Proc
 	writer                *flock.Proc
 	restarts, escalations atomic.Uint64
 }
 
 func newOptEngine(t *testing.T, n int) *optEngine {
 	rt := flock.New()
-	o := &optEngine{locks: make([]*flock.Lock, n), procs: make([]*flock.Proc, n)}
+	o := &optEngine{locks: make([]*flock.Lock, n), p: rt.Register(), writer: rt.Register()}
 	rts := make([]*flock.Runtime, n)
-	p := rt.Register()
 	for i := range o.locks {
-		o.locks[i], rts[i], o.procs[i] = new(flock.Lock), rt, p
+		o.locks[i], rts[i] = new(flock.Lock), rt
 	}
-	o.writer = rt.Register()
-	t.Cleanup(func() { p.Unregister(); o.writer.Unregister() })
+	t.Cleanup(func() { o.p.Unregister(); o.writer.Unregister() })
 	o.eng = engine.New(engine.Config{
 		Locks: o.locks, Runtimes: rts, Shared: rt,
 		Route:    func(k uint64) int { return int(k % uint64(n)) },
@@ -64,7 +62,7 @@ func equalReads(got, want []int) bool {
 func TestOptimisticRereadsOnlyMovedShards(t *testing.T) {
 	o := newOptEngine(t, 3)
 	reads := make([]int, 3)
-	ok := o.eng.Optimistic(o.procs, []int{0, 1, 2}, func(s int) {
+	ok := o.eng.Optimistic(o.p, []int{0, 1, 2}, func(s int) {
 		reads[s]++
 		if s == 1 && reads[s] == 1 {
 			o.move(1)
@@ -88,7 +86,7 @@ func TestOptimisticRereadsOnlyMovedShards(t *testing.T) {
 func TestOptimisticValidatesWholeVector(t *testing.T) {
 	o := newOptEngine(t, 3)
 	reads := make([]int, 3)
-	ok := o.eng.Optimistic(o.procs, []int{0, 1, 2}, func(s int) {
+	ok := o.eng.Optimistic(o.p, []int{0, 1, 2}, func(s int) {
 		reads[s]++
 		if s == 1 {
 			switch reads[s] {
@@ -115,7 +113,7 @@ func TestOptimisticValidatesWholeVector(t *testing.T) {
 func TestOptimisticEscalatesPerShardBudget(t *testing.T) {
 	o := newOptEngine(t, 3)
 	reads := make([]int, 3)
-	ok := o.eng.Optimistic(o.procs, []int{0, 1, 2}, func(s int) {
+	ok := o.eng.Optimistic(o.p, []int{0, 1, 2}, func(s int) {
 		reads[s]++
 		if s == 2 {
 			o.move(2)
@@ -124,7 +122,7 @@ func TestOptimisticEscalatesPerShardBudget(t *testing.T) {
 	if ok {
 		t.Fatal("a shard that moved under every read validated")
 	}
-	max := o.procs[0].Runtime().MaxOptimistic()
+	max := o.p.Runtime().MaxOptimistic()
 	if want := []int{1, 1, max}; !equalReads(reads, want) {
 		t.Fatalf("per-shard reads = %v, want %v", reads, want)
 	}
@@ -136,8 +134,9 @@ func TestOptimisticEscalatesPerShardBudget(t *testing.T) {
 // it again whole, and it escalates after MaxOptimistic rounds.
 func TestOptimisticGroupRereadsWhole(t *testing.T) {
 	o := newOptEngine(t, 3)
+	procs := []*flock.Proc{o.p, o.p, o.p}
 	rounds := 0
-	if !o.eng.OptimisticGroup(o.procs, []int{0, 1, 2}, func() {
+	if !o.eng.OptimisticGroup(procs, []int{0, 1, 2}, func() {
 		rounds++
 		if rounds == 1 {
 			o.move(1)
@@ -151,10 +150,10 @@ func TestOptimisticGroupRereadsWhole(t *testing.T) {
 	o.counters(t, 1, 0)
 
 	rounds = 0
-	if o.eng.OptimisticGroup(o.procs, []int{0, 1, 2}, func() { rounds++; o.move(0) }) {
+	if o.eng.OptimisticGroup(procs, []int{0, 1, 2}, func() { rounds++; o.move(0) }) {
 		t.Fatal("a group that moved under every read validated")
 	}
-	if max := o.procs[0].Runtime().MaxOptimistic(); rounds != max {
+	if max := o.p.Runtime().MaxOptimistic(); rounds != max {
 		t.Fatalf("read ran %d times, want MaxOptimistic=%d", rounds, max)
 	}
 }

@@ -54,10 +54,9 @@ func (d digest) kvs(pairs []set.KV) {
 }
 
 // goldenKV drives one kv.Store configuration through a seeded op mix.
-func goldenKV(d digest, shards int, shared, optimistic bool, seed uint64) {
+func goldenKV(d digest, shards int, optimistic bool, seed uint64) {
 	st := kv.New(goldenFactory, kv.Options{
-		Shards: shards, KeyRange: 1 << 10,
-		SharedRuntime: shared, OptimisticReads: optimistic,
+		Shards: shards, KeyRange: 1 << 10, OptimisticReads: optimistic,
 	})
 	c := st.Register()
 	defer c.Close()
@@ -165,11 +164,11 @@ func goldenTxn(d digest, mode txn.Mode, optimistic bool, seed uint64) {
 func goldenSequence() uint64 {
 	h := fnv.New64a()
 	d := digest{h}
-	goldenKV(d, 1, true, true, 11)
-	goldenKV(d, 4, true, true, 12)
-	goldenKV(d, 4, true, false, 13)
-	goldenKV(d, 4, false, true, 14)
-	goldenKV(d, 4, false, false, 15)
+	goldenKV(d, 1, true, 11)
+	goldenKV(d, 4, true, 12)
+	goldenKV(d, 4, false, 13)
+	goldenKV(d, 4, true, 14)
+	goldenKV(d, 4, false, 15)
 	goldenTxn(d, txn.LockFree, true, 21)
 	goldenTxn(d, txn.LockFree, false, 22)
 	goldenTxn(d, txn.Blocking, false, 23)

@@ -1,10 +1,11 @@
 // Package kv is a sharded concurrent key-value store composed from the
-// repository's set structures: N shards, each with its own
-// flock.Runtime and structure instance, with keys routed to shards by
-// a salted workload.Hash64. It is the first layer of the serving architecture
-// the ROADMAP calls for (DESIGN.md S9): sharding multiplies the
-// single-structure throughput the paper measures, and the per-shard
-// runtimes keep epoch reclamation and helping traffic local.
+// repository's set structures: N shards, each with its own structure
+// instance, with keys routed to shards by a salted workload.Hash64. It
+// is the first layer of the serving architecture the ROADMAP calls for
+// (DESIGN.md S9): sharding multiplies the single-structure throughput
+// the paper measures. Every shard runs on the store's one
+// flock.Runtime, so every helper agrees on one epoch manager and one
+// mode flag, and a Client is one registered flock.Proc.
 //
 // The store exposes Get, Put (upsert), Delete and ReadModifyWrite plus
 // batch variants. Put and ReadModifyWrite are atomic — one
@@ -15,11 +16,13 @@
 // regime a store is in).
 //
 // Two extension points serve the transactional layer (internal/txn):
-// Options.SharedRuntime routes every shard through one flock.Runtime so
-// cross-shard thunks compose soundly, and each shard carries a
-// flock.Lock handle (ShardLock) that transactions acquire — nested, in
-// ascending shard order — around the Shard* operations. Plain Client
-// operations take neither.
+// each shard carries a flock.Lock handle (ShardLock) that transactions
+// acquire — nested, in ascending shard order — around the Shard*
+// operations, and NewComposed builds a store whose locked reads
+// (escalated MultiGet, locked Scan, snapshot activation) hold every
+// involved shard lock at once, so they serialize against those
+// transactions. Plain Client writes take no shard lock, so a store
+// built by New runs its locked reads one shard at a time.
 package kv
 
 import (
@@ -43,24 +46,15 @@ type Factory func(rt *flock.Runtime, keyRange uint64) set.Set
 type Options struct {
 	// Shards is the shard count; values < 1 mean 1 (unsharded).
 	Shards int
-	// Blocking selects the lock mode of every shard's runtime.
+	// Blocking selects the lock mode of the store's runtime.
 	Blocking bool
-	// NoPool disables descriptor/log-block/mbox pooling on every
-	// shard's runtime (the GC-fresh ablation arm; see flock.NoPool).
+	// NoPool disables descriptor/log-block/mbox pooling on the store's
+	// runtime (the GC-fresh ablation arm; see flock.NoPool).
 	NoPool bool
 	// KeyRange is a sizing hint: the expected total number of distinct
 	// keys, split evenly across shards when sizing each structure
 	// (hashtable bucket arrays, for example). 0 defaults to 1<<16.
 	KeyRange uint64
-	// SharedRuntime routes every shard through one flock.Runtime
-	// instead of a private runtime per shard. A shared runtime is what
-	// makes cross-shard composed critical sections sound: nested
-	// TryLock acquisitions spanning shards then share one epoch manager
-	// (helpers' guards protect memory retired on any shard) and one
-	// mode flag (all runs of a composed thunk agree on lock-free vs
-	// blocking). internal/txn requires it; plain KV serving prefers
-	// per-shard runtimes, which keep reclamation and helping local.
-	SharedRuntime bool
 	// OptimisticReads routes Get, Scan and MultiGet through unlogged
 	// optimistic reads validated against the shard locks' version
 	// counters (flock.Lock.ReadVersion), helping a held shard lock,
@@ -74,12 +68,11 @@ type Options struct {
 	OptimisticReads bool
 }
 
-// shard is one partition: a runtime (private, or shared by every shard
-// under Options.SharedRuntime), a structure bound to it, and a shard
-// lock used by internal/txn to compose cross-shard critical sections.
-// Plain single-key and batch operations never touch the shard lock.
+// shard is one partition: a structure bound to the store's runtime and
+// a shard lock used by internal/txn to compose cross-shard critical
+// sections. Plain single-key and batch operations never touch the shard
+// lock.
 type shard struct {
-	rt  *flock.Runtime
 	s   set.Set
 	up  set.Upserter          // nil when s has no native upsert
 	sc  set.Scanner           // nil when s is not ordered (no range scans)
@@ -102,7 +95,7 @@ type Store struct {
 	scan    bool           // every shard implements set.Scanner
 	optGet  bool           // OptimisticReads requested and Find arm capable
 	optScan bool           // OptimisticReads requested and Scan arm capable
-	rt      *flock.Runtime // non-nil iff Options.SharedRuntime
+	rt      *flock.Runtime // the one runtime every shard runs on
 	// eng executes every multi-shard operation: lock nesting, retry
 	// loops, the optimistic version-vector arm, and their obs/trace
 	// accounting all live there (internal/kv/engine, DESIGN.md S17).
@@ -116,8 +109,6 @@ type Store struct {
 	// serializes the administrative transitions themselves.
 	snaps  atomic.Pointer[snapList]
 	snapMu sync.Mutex
-	// clients counts live handles (monitoring/tests only).
-	clients atomic.Int64
 	// Optimistic-read counters: discarded shard reads (lock still held
 	// after helping, or version moved under the read) and escalations to
 	// the logged path. The
@@ -132,7 +123,15 @@ type Store struct {
 }
 
 // New builds a store whose shards each hold a fresh structure from f.
-func New(f Factory, opt Options) *Store {
+func New(f Factory, opt Options) *Store { return newStore(f, opt, false) }
+
+// NewComposed is New for a store whose writers take shard locks: the
+// locked read arms then run one composed critical section over every
+// involved shard, atomic with respect to those writers. internal/txn
+// builds its stores with it.
+func NewComposed(f Factory, opt Options) *Store { return newStore(f, opt, true) }
+
+func newStore(f Factory, opt Options, composed bool) *Store {
 	n := opt.Shards
 	if n < 1 {
 		n = 1
@@ -151,17 +150,12 @@ func New(f Factory, opt Options) *Store {
 	if opt.NoPool {
 		fopts = append(fopts, flock.NoPool())
 	}
-	if opt.SharedRuntime {
-		st.rt = flock.New(fopts...)
-		st.rt.SetBlocking(opt.Blocking)
-	}
+	st.rt = flock.New(fopts...)
+	st.rt.SetBlocking(opt.Blocking)
+	locks := make([]*flock.Lock, n)
+	rts := make([]*flock.Runtime, n)
 	for i := range st.shards {
-		rt := st.rt
-		if rt == nil {
-			rt = flock.New(fopts...)
-			rt.SetBlocking(opt.Blocking)
-		}
-		s := f(rt, perShard)
+		s := f(st.rt, perShard)
 		up, _ := s.(set.Upserter)
 		if up == nil {
 			st.native = false
@@ -179,18 +173,17 @@ func New(f Factory, opt Options) *Store {
 			st.optScan = false
 		}
 		loc, _ := s.(set.Locator)
-		st.shards[i] = shard{rt: rt, s: s, up: up, sc: sc, or: or, osc: osc, loc: loc}
+		st.shards[i] = shard{s: s, up: up, sc: sc, or: or, osc: osc, loc: loc}
+		locks[i], rts[i] = &st.shards[i].lck, st.rt
 	}
-	locks := make([]*flock.Lock, n)
-	rts := make([]*flock.Runtime, n)
-	for i := range st.shards {
-		locks[i] = &st.shards[i].lck
-		rts[i] = st.shards[i].rt
-	}
-	st.eng = engine.New(engine.Config{
-		Locks: locks, Runtimes: rts, Shared: st.rt, Route: st.ShardOf,
+	cfg := engine.Config{
+		Locks: locks, Runtimes: rts, Route: st.ShardOf,
 		Restarts: &st.optRestarts, Escalations: &st.optEscalations,
-	})
+	}
+	if composed {
+		cfg.Shared = st.rt
+	}
+	st.eng = engine.New(cfg)
 	return st
 }
 
@@ -233,10 +226,6 @@ func (st *Store) ShardOps() []uint64 {
 	return out
 }
 
-// Runtime returns the store-wide runtime when the store was built with
-// Options.SharedRuntime, and nil for per-shard-runtime stores.
-func (st *Store) Runtime() *flock.Runtime { return st.rt }
-
 // ShardLock returns shard i's lock handle. It is the composition point
 // for internal/txn: multi-shard critical sections nest TryLock calls on
 // these handles in ascending shard order. Meaningful serialization
@@ -252,13 +241,9 @@ func (st *Store) NumShards() int { return len(st.shards) }
 // non-atomic delete-then-insert fallback.
 func (st *Store) NativeUpsert() bool { return st.native }
 
-// SetStallInjection forwards deschedule injection to every shard's
+// SetStallInjection forwards deschedule injection to the store's
 // runtime (see flock.Runtime.SetStallInjection).
-func (st *Store) SetStallInjection(n int) {
-	for i := range st.shards {
-		st.shards[i].rt.SetStallInjection(n)
-	}
-}
+func (st *Store) SetStallInjection(n int) { st.rt.SetStallInjection(n) }
 
 // shardSalt decorrelates shard routing from the structures' own key
 // hashing: hashtable buckets index by the *same* splitmix64 finalizer,
@@ -274,12 +259,12 @@ func (st *Store) ShardOf(k uint64) int {
 	return int(workload.Hash64(k^shardSalt) % uint64(len(st.shards)))
 }
 
-// Client is one goroutine's handle on the store: it holds a registered
-// Proc per shard. A Client must only be used by one goroutine at a time;
-// Close releases its epoch slots.
+// Client is one goroutine's handle on the store: one Proc registered
+// with the store's runtime. A Client must only be used by one goroutine
+// at a time; Close releases its epoch slot.
 type Client struct {
-	st    *Store
-	procs []*flock.Proc
+	st *Store
+	p  *flock.Proc
 	// ops counts this client's routed single-key and batch operations
 	// per shard (plain increments — the client is single-goroutine);
 	// folded into Store.shardOps on Close. Scans are excluded: a
@@ -288,55 +273,25 @@ type Client struct {
 	ops []uint64
 }
 
-// Register creates a client, registering a worker context with every
-// shard's runtime (one shared Proc when the store has a shared
-// runtime).
+// Register creates a client, registering a worker context with the
+// store's runtime.
 func (st *Store) Register() *Client {
-	c := &Client{
-		st:    st,
-		procs: make([]*flock.Proc, len(st.shards)),
-		ops:   make([]uint64, len(st.shards)),
-	}
-	if st.rt != nil {
-		p := st.rt.Register()
-		for i := range c.procs {
-			c.procs[i] = p
-		}
-	} else {
-		for i := range st.shards {
-			c.procs[i] = st.shards[i].rt.Register()
-		}
-	}
-	st.clients.Add(1)
-	return c
+	return &Client{st: st, p: st.rt.Register(), ops: make([]uint64, len(st.shards))}
 }
 
-// SharedProc returns the client's single Proc on a shared-runtime
-// store. It panics on per-shard-runtime stores, where no one Proc is
-// valid across shards.
-func (c *Client) SharedProc() *flock.Proc {
-	if c.st.rt == nil {
-		panic("kv: SharedProc on a store without Options.SharedRuntime")
-	}
-	return c.procs[0]
-}
+// Proc returns the client's registered Proc, valid on every shard
+// (internal/txn runs its composed sections on it).
+func (c *Client) Proc() *flock.Proc { return c.p }
 
-// Close unregisters the client from every shard and folds its per-shard
-// op counts into the store's skew totals.
+// Close unregisters the client and folds its per-shard op counts into
+// the store's skew totals.
 func (c *Client) Close() {
 	for i, n := range c.ops {
 		if n != 0 {
 			c.st.shardOps[i].Add(n)
 		}
 	}
-	if c.st.rt != nil {
-		c.procs[0].Unregister()
-	} else {
-		for _, p := range c.procs {
-			p.Unregister()
-		}
-	}
-	c.st.clients.Add(-1)
+	c.p.Unregister()
 }
 
 // note counts one routed operation against shard i (metrics only).
@@ -346,11 +301,11 @@ func (c *Client) note(i int) {
 	}
 }
 
-// route returns the shard index, shard and Proc for k.
-func (c *Client) route(k uint64) (int, *shard, *flock.Proc) {
+// route returns the shard index and shard for k.
+func (c *Client) route(k uint64) (int, *shard) {
 	i := c.st.ShardOf(k)
 	c.note(i)
-	return i, &c.st.shards[i], c.procs[i]
+	return i, &c.st.shards[i]
 }
 
 // Get returns the value stored under k, if present. With
@@ -361,15 +316,15 @@ func (c *Client) route(k uint64) (int, *shard, *flock.Proc) {
 // failed reads (optimistic.go).
 func (c *Client) Get(k uint64) (uint64, bool) {
 	t0 := traceStart()
-	i, sh, p := c.route(k)
+	i, sh := c.route(k)
 	var v uint64
 	var ok bool
-	if c.st.optGet && !p.InThunk() {
-		v, ok = c.optimisticGet(sh, p, i, k)
+	if c.st.optGet && !c.p.InThunk() {
+		v, ok = c.optimisticGet(sh, i, k)
 	} else {
-		v, ok = sh.s.Find(p, k)
+		v, ok = sh.s.Find(c.p, k)
 	}
-	traceOp(p, t0, uint64(i), trace.KVGet)
+	traceOp(c.p, t0, uint64(i), trace.KVGet)
 	return v, ok
 }
 
@@ -396,10 +351,10 @@ func put(sh *shard, p *flock.Proc, k, v uint64) (inserted bool) {
 // means an existing value was replaced).
 func (c *Client) Put(k, v uint64) bool {
 	t0 := traceStart()
-	i, sh, p := c.route(k)
-	c.st.snapRecord(p, i, k)
-	r := put(sh, p, k, v)
-	traceOp(p, t0, uint64(i), trace.KVPut)
+	i, sh := c.route(k)
+	c.st.snapRecord(c.p, i, k)
+	r := put(sh, c.p, k, v)
+	traceOp(c.p, t0, uint64(i), trace.KVPut)
 	return r
 }
 
@@ -467,10 +422,10 @@ func (st *Store) ShardDelete(i int, p *flock.Proc, k uint64) bool {
 // Delete removes k and reports whether it was present.
 func (c *Client) Delete(k uint64) bool {
 	t0 := traceStart()
-	i, sh, p := c.route(k)
-	c.st.snapRecord(p, i, k)
-	r := sh.s.Delete(p, k)
-	traceOp(p, t0, uint64(i), trace.KVDelete)
+	i, sh := c.route(k)
+	c.st.snapRecord(c.p, i, k)
+	r := sh.s.Delete(c.p, k)
+	traceOp(c.p, t0, uint64(i), trace.KVDelete)
 	return r
 }
 
@@ -481,10 +436,10 @@ func (c *Client) Delete(k uint64) bool {
 // read-compute-write sequence is not atomic under contention on k.
 func (c *Client) ReadModifyWrite(k uint64, f func(old uint64, present bool) uint64) (uint64, bool) {
 	t0 := traceStart()
-	i, sh, p := c.route(k)
-	c.st.snapRecord(p, i, k)
-	v, ok := rmw(sh, p, k, f)
-	traceOp(p, t0, uint64(i), trace.KVRMW)
+	i, sh := c.route(k)
+	c.st.snapRecord(c.p, i, k)
+	v, ok := rmw(sh, c.p, k, f)
+	traceOp(c.p, t0, uint64(i), trace.KVRMW)
 	return v, ok
 }
 
@@ -515,15 +470,15 @@ func rmw(sh *shard, p *flock.Proc, k uint64, f func(old uint64, present bool) ui
 // byShard visits keys grouped by shard (all of shard 0's keys, then
 // shard 1's, ...) so each shard's structure is walked consecutively.
 // visit receives the original index of each key and its shard index.
-func (c *Client) byShard(keys []uint64, visit func(i, s int, sh *shard, p *flock.Proc)) {
+func (c *Client) byShard(keys []uint64, visit func(i, s int, sh *shard)) {
 	n := len(c.st.shards)
 	if n == 1 {
-		sh, p := &c.st.shards[0], c.procs[0]
+		sh := &c.st.shards[0]
 		if obs.On() {
 			c.ops[0] += uint64(len(keys))
 		}
 		for i := range keys {
-			visit(i, 0, sh, p)
+			visit(i, 0, sh)
 		}
 		return
 	}
@@ -551,7 +506,7 @@ func (c *Client) byShard(keys []uint64, visit func(i, s int, sh *shard, p *flock
 		if track {
 			c.ops[s]++
 		}
-		visit(i, s, &c.st.shards[s], c.procs[s])
+		visit(i, s, &c.st.shards[s])
 	}
 }
 
@@ -561,10 +516,10 @@ func (c *Client) GetBatch(keys []uint64) (vals []uint64, oks []bool) {
 	t0 := traceStart()
 	vals = make([]uint64, len(keys))
 	oks = make([]bool, len(keys))
-	c.byShard(keys, func(i, _ int, sh *shard, p *flock.Proc) {
-		vals[i], oks[i] = sh.s.Find(p, keys[i])
+	c.byShard(keys, func(i, _ int, sh *shard) {
+		vals[i], oks[i] = sh.s.Find(c.p, keys[i])
 	})
-	traceOp(c.procs[0], t0, multiShard, trace.KVGet)
+	traceOp(c.p, t0, multiShard, trace.KVGet)
 	return vals, oks
 }
 
@@ -576,13 +531,13 @@ func (c *Client) PutBatch(keys, vals []uint64) int {
 	}
 	t0 := traceStart()
 	inserted := 0
-	c.byShard(keys, func(i, s int, sh *shard, p *flock.Proc) {
-		c.st.snapRecord(p, s, keys[i])
-		if put(sh, p, keys[i], vals[i]) {
+	c.byShard(keys, func(i, s int, sh *shard) {
+		c.st.snapRecord(c.p, s, keys[i])
+		if put(sh, c.p, keys[i], vals[i]) {
 			inserted++
 		}
 	})
-	traceOp(c.procs[0], t0, multiShard, trace.KVPut)
+	traceOp(c.p, t0, multiShard, trace.KVPut)
 	return inserted
 }
 
@@ -590,12 +545,12 @@ func (c *Client) PutBatch(keys, vals []uint64) int {
 func (c *Client) DeleteBatch(keys []uint64) int {
 	t0 := traceStart()
 	deleted := 0
-	c.byShard(keys, func(i, s int, sh *shard, p *flock.Proc) {
-		c.st.snapRecord(p, s, keys[i])
-		if sh.s.Delete(p, keys[i]) {
+	c.byShard(keys, func(i, s int, sh *shard) {
+		c.st.snapRecord(c.p, s, keys[i])
+		if sh.s.Delete(c.p, keys[i]) {
 			deleted++
 		}
 	})
-	traceOp(c.procs[0], t0, multiShard, trace.KVDelete)
+	traceOp(c.p, t0, multiShard, trace.KVDelete)
 	return deleted
 }

@@ -140,13 +140,13 @@ func TestUnshardedControlAgrees(t *testing.T) {
 }
 
 // TestScanModelAcrossShards drives random puts/deletes/scans against an
-// 8-shard store (and the shared-runtime variant) and compares every
-// scan exactly against a map model: hash routing scatters each interval
-// over all shards, so this exercises the scatter-gather merge
+// 8-shard store (plain, and composed as txn builds it) and compares
+// every scan exactly against a map model: hash routing scatters each
+// interval over all shards, so this exercises the scatter-gather merge
 // end to end. Sequentially a scan must be an exact snapshot.
 func TestScanModelAcrossShards(t *testing.T) {
-	for _, shared := range []bool{false, true} {
-		c := kv.New(leaftreeFactory, kv.Options{Shards: 8, KeyRange: 512, SharedRuntime: shared}).Register()
+	for composed, mk := range []func(kv.Factory, kv.Options) *kv.Store{kv.New, kv.NewComposed} {
+		c := mk(leaftreeFactory, kv.Options{Shards: 8, KeyRange: 512}).Register()
 		model := map[uint64]uint64{}
 		rng := workload.NewSplitMix64(17)
 		for i := 0; i < 2500; i++ {
@@ -178,11 +178,11 @@ func TestScanModelAcrossShards(t *testing.T) {
 					want = want[:limit]
 				}
 				if len(got) != len(want) {
-					t.Fatalf("shared=%v op %d: Scan(%d,%d,%d) = %d pairs, want %d", shared, i, lo, hi, limit, len(got), len(want))
+					t.Fatalf("composed=%d op %d: Scan(%d,%d,%d) = %d pairs, want %d", composed, i, lo, hi, limit, len(got), len(want))
 				}
 				for j := range got {
 					if got[j] != want[j] {
-						t.Fatalf("shared=%v op %d: Scan(%d,%d,%d)[%d] = %v, want %v", shared, i, lo, hi, limit, j, got[j], want[j])
+						t.Fatalf("composed=%d op %d: Scan(%d,%d,%d)[%d] = %v, want %v", composed, i, lo, hi, limit, j, got[j], want[j])
 					}
 				}
 			}
@@ -248,9 +248,9 @@ func TestScannableDetection(t *testing.T) {
 }
 
 // TestScanSerializesWithTransactions is the composed-lock atomicity
-// check: on a shared-runtime store a scan holds every shard lock at
-// once, so concurrent multi-shard Transfers can never tear it — every
-// full scan of the account pool must see the conserved total balance.
+// check: on a txn store a scan holds every shard lock at once, so
+// concurrent multi-shard Transfers can never tear it — every full scan
+// of the account pool must see the conserved total balance.
 func TestScanSerializesWithTransactions(t *testing.T) {
 	const accounts = 64
 	const initial = 100

@@ -192,7 +192,7 @@ func TestOptimisticTxnReadArm(t *testing.T) {
 // writer releases, and still return the correct committed value. The
 // counters pin the exact escalation protocol.
 func TestOptimisticEscalationStorm(t *testing.T) {
-	st := kv.New(leaftreeFactory, kv.Options{Shards: 1, SharedRuntime: true, Blocking: true, OptimisticReads: true})
+	st := kv.New(leaftreeFactory, kv.Options{Shards: 1, Blocking: true, OptimisticReads: true})
 	c := st.Register()
 	defer c.Close()
 	const key = 42
@@ -206,7 +206,7 @@ func TestOptimisticEscalationStorm(t *testing.T) {
 		defer wg.Done()
 		wc := st.Register()
 		defer wc.Close()
-		ok := st.NestShardLocks(wc.SharedProc(), []int{0}, func(hp *flock.Proc) {
+		ok := st.Engine().Nest(wc.Proc(), []int{0}, func(hp *flock.Proc) {
 			close(locked)
 			<-release
 		})
@@ -259,7 +259,7 @@ func TestOptimisticEscalationStorm(t *testing.T) {
 // and release the lock, then read the committed value, with no
 // escalation to the strict Lock.
 func TestOptimisticGetHelpsHeldLock(t *testing.T) {
-	st := kv.New(leaftreeFactory, kv.Options{Shards: 1, SharedRuntime: true, OptimisticReads: true})
+	st := kv.New(leaftreeFactory, kv.Options{Shards: 1, OptimisticReads: true})
 	c := st.Register()
 	defer c.Close()
 	const key = 42
@@ -272,8 +272,8 @@ func TestOptimisticGetHelpsHeldLock(t *testing.T) {
 		defer close(done)
 		wc := st.Register()
 		defer wc.Close()
-		owner := wc.SharedProc()
-		ok := st.NestShardLocks(owner, []int{0}, func(hp *flock.Proc) {
+		owner := wc.Proc()
+		ok := st.Engine().Nest(owner, []int{0}, func(hp *flock.Proc) {
 			st.ShardPut(0, hp, key, 2)
 			if hp == owner {
 				close(locked)
@@ -304,7 +304,7 @@ func TestOptimisticGetHelpsHeldLock(t *testing.T) {
 // allocations: the engine's retry loop keeps its per-shard state and its
 // read closure on the stack.
 func TestAllocsOptimisticGet(t *testing.T) {
-	st := kv.New(leaftreeFactory, kv.Options{Shards: 4, SharedRuntime: true, OptimisticReads: true})
+	st := kv.New(leaftreeFactory, kv.Options{Shards: 4, OptimisticReads: true})
 	c := st.Register()
 	defer c.Close()
 	for k := uint64(1); k <= 64; k++ {

@@ -23,16 +23,6 @@ import (
 // range scans (set.Scanner). Scan panics on a non-scannable store.
 func (st *Store) Scannable() bool { return st.scan }
 
-// NestShardLocks runs body inside a composed critical section holding
-// every listed shard lock, nesting TryLock calls in ascending order —
-// the transaction protocol's acquisition step (DESIGN.md S11). It is a
-// thin delegate to the store's execution engine (engine.Engine.Nest),
-// kept on Store because it is the public composition point callers
-// outside the kv/txn pair use.
-func (st *Store) NestShardLocks(p *flock.Proc, shards []int, body func(hp *flock.Proc)) bool {
-	return st.eng.Nest(p, shards, body)
-}
-
 // Scan returns up to limit key-value pairs with lo <= key <= hi, merged
 // in ascending key order across every shard (limit < 0 means unbounded,
 // limit 0 yields an empty result; 0 and MaxUint64 are the open-interval
@@ -44,13 +34,13 @@ func (st *Store) NestShardLocks(p *flock.Proc, shards []int, body func(hp *flock
 // shard would need more than MaxOptimistic scans. On the locked arm each
 // shard contributes a run collected by the structure's scan thunk while
 // that shard's lock is held: one composed critical section over all shards
-// on a shared-runtime store (so the scan is atomic with respect to
-// multi-key transactions — as is a validated optimistic scan, per the
-// version-vector argument), ascending one-shard sections on a
-// per-shard-runtime store. Plain single-key Client operations never
-// take shard locks, so the result is weakly consistent with respect to
-// them either way: every returned pair was present, and every missing
-// in-range key absent, at some instant during the scan.
+// on a txn store (so the scan is atomic with respect to multi-key
+// transactions — as is a validated optimistic scan, per the
+// version-vector argument), ascending one-shard sections on a plain
+// store. Plain single-key Client operations never take shard locks, so
+// the result is weakly consistent with respect to them either way:
+// every returned pair was present, and every missing in-range key
+// absent, at some instant during the scan.
 //
 // Scan panics if the store's structure does not implement set.Scanner
 // (see Scannable).
@@ -63,18 +53,18 @@ func (c *Client) Scan(lo, hi uint64, limit int) []set.KV {
 		return nil
 	}
 	t0 := traceStart()
-	if st.optScan && !c.procs[0].InThunk() {
+	if st.optScan && !c.p.InThunk() {
 		parts := make([][]set.KV, len(st.shards))
-		ok := st.eng.Optimistic(c.procs, st.eng.AllShards(), func(s int) {
-			parts[s] = st.shards[s].osc.OptimisticScan(c.procs[s], lo, hi, limit)
+		ok := st.eng.Optimistic(c.p, st.eng.AllShards(), func(s int) {
+			parts[s] = st.shards[s].osc.OptimisticScan(c.p, lo, hi, limit)
 		})
 		if ok {
-			traceOp(c.procs[0], t0, multiShard, trace.KVScan)
+			traceOp(c.p, t0, multiShard, trace.KVScan)
 			return engine.MergeRuns(parts, limit)
 		}
 	}
 	out := c.scanLocked(lo, hi, limit)
-	traceOp(c.procs[0], t0, multiShard, trace.KVScan)
+	traceOp(c.p, t0, multiShard, trace.KVScan)
 	return out
 }
 
@@ -84,28 +74,24 @@ func (c *Client) Scan(lo, hi uint64, limit int) []set.KV {
 func (c *Client) scanLocked(lo, hi uint64, limit int) []set.KV {
 	st := c.st
 	parts := make([][]set.KV, len(st.shards))
-	st.eng.Locked(c.procs, st.eng.AllShards(), func(s int) engine.Attempt {
-		if s < 0 {
-			// Composed: one body scans every shard, publishing the runs
-			// through a per-attempt buffer (idempotently: every run
-			// recomputes identical runs from logged loads).
-			buf := &atomic.Pointer[[][]set.KV]{}
-			return engine.Attempt{
-				Body: func(hp *flock.Proc) {
-					out := make([][]set.KV, len(st.shards))
-					for i := range st.shards {
-						out[i] = st.shards[i].sc.Scan(hp, lo, hi, limit)
-					}
-					buf.Store(&out)
-				},
-				Commit: func() { parts = *buf.Load() },
-			}
-		}
-		sh := &st.shards[s]
-		buf := &atomic.Pointer[[]set.KV]{}
+	st.eng.Locked(c.p, st.eng.AllShards(), func(sec []int) engine.Attempt {
+		// The body publishes the section's runs through a per-attempt
+		// buffer, idempotently: every run recomputes identical runs from
+		// logged loads.
+		buf := &atomic.Pointer[[][]set.KV]{}
 		return engine.Attempt{
-			Body:   func(hp *flock.Proc) { out := sh.sc.Scan(hp, lo, hi, limit); buf.Store(&out) },
-			Commit: func() { parts[s] = *buf.Load() },
+			Body: func(hp *flock.Proc) {
+				out := make([][]set.KV, len(sec))
+				for j, s := range sec {
+					out[j] = st.shards[s].sc.Scan(hp, lo, hi, limit)
+				}
+				buf.Store(&out)
+			},
+			Commit: func() {
+				for j, s := range sec {
+					parts[s] = (*buf.Load())[j]
+				}
+			},
 		}
 	})
 	return engine.MergeRuns(parts, limit)

@@ -45,7 +45,7 @@
 // writers go through transactions, like the conserved-sum workloads —
 // sees an exact atomic cut.
 //
-// The snapshot holds an epoch.Pin on every shard runtime for its
+// The snapshot holds an epoch.Pin on the store's runtime for its
 // lifetime: the reclamation bound freezes at the pin epoch without
 // blocking epoch advance, so chunk traversals stay safe against node
 // reuse no matter how long a consumer stalls between chunks, while
@@ -92,13 +92,13 @@ type preImage struct {
 // Snapshot is a consistent read-only view of the whole store. Iterate,
 // Dump and Close must be called from one goroutine at a time; the
 // overlay writes from concurrent store writers are synchronized
-// internally. Close releases the snapshot's epoch pins and client
+// internally. Close releases the snapshot's epoch pin and client
 // handle; a closed snapshot must not be iterated.
 type Snapshot struct {
 	st     *Store
 	c      *Client    // dedicated handle for iterator reads
 	over   []sync.Map // per-shard overlay: uint64 key -> preImage
-	pins   []*epoch.Pin
+	pin    *epoch.Pin
 	vers   []uint64 // best-effort activation version vector
 	closed bool
 }
@@ -150,8 +150,8 @@ func (l *snapList) record(i int, k, v uint64, present bool) {
 // the package comment in this file for the protocol and its exact
 // consistency contract). It panics if the store's structure does not
 // implement set.Scanner. The snapshot holds a registered client and an
-// epoch pin per runtime until Close; creation cost is one brief
-// composed critical section over all shard locks.
+// epoch pin until Close; creation cost is one brief locked section over
+// all shard locks (composed on a txn store).
 func (st *Store) Snapshot() *Snapshot {
 	if !st.scan {
 		panic(fmt.Sprintf("kv: Snapshot on a store whose structure (%T) does not implement set.Scanner", st.shards[0].s))
@@ -160,14 +160,7 @@ func (st *Store) Snapshot() *Snapshot {
 		st:   st,
 		c:    st.Register(),
 		over: make([]sync.Map, len(st.shards)),
-	}
-	if st.rt != nil {
-		sn.pins = []*epoch.Pin{st.rt.Epochs().Pin()}
-	} else {
-		sn.pins = make([]*epoch.Pin, len(st.shards))
-		for i := range st.shards {
-			sn.pins[i] = st.shards[i].rt.Epochs().Pin()
-		}
+		pin:  st.rt.Epochs().Pin(),
 	}
 	st.snapMu.Lock()
 	old := st.snaps.Load()
@@ -182,14 +175,14 @@ func (st *Store) Snapshot() *Snapshot {
 }
 
 // installSnaps flips the registry from old to next inside one composed
-// critical section over every shard lock — the activation cut (on
-// per-shard-runtime stores the sections run shard by shard; such stores
-// have no cross-shard locked writers to order against). The body's CAS
+// critical section over every shard lock — the activation cut (on a
+// plain store the sections run shard by shard; such stores have no
+// locked writers to order against). The body's CAS
 // is idempotent across helper runs and replay-safe: only the first run
 // can move old to next, and a straggler replaying this transition after
 // a later one has installed a different (fresh) list fails the CAS.
 func (st *Store) installSnaps(c *Client, old, next *snapList) {
-	st.eng.Locked(c.procs, st.eng.AllShards(), func(int) engine.Attempt {
+	st.eng.Locked(c.p, st.eng.AllShards(), func([]int) engine.Attempt {
 		return engine.Attempt{
 			Body:   func(*flock.Proc) { st.snaps.CompareAndSwap(old, next) },
 			Commit: func() {},
@@ -222,7 +215,7 @@ func (s *Snapshot) Versions() []uint64 {
 }
 
 // Close deactivates the snapshot: the registry flips past it inside the
-// same locked section as activation, its epoch pins release, and its
+// same locked section as activation, its epoch pin releases, and its
 // client handle closes. Idempotent.
 func (s *Snapshot) Close() {
 	if s.closed {
@@ -241,9 +234,7 @@ func (s *Snapshot) Close() {
 	}
 	st.installSnaps(s.c, old, &snapList{snaps: kept})
 	st.snapMu.Unlock()
-	for _, pin := range s.pins {
-		pin.Release()
-	}
+	s.pin.Release()
 	s.c.Close()
 	s.closed = true
 }
@@ -265,13 +256,13 @@ func (s *Snapshot) chunk(i int, pos, hi uint64) []set.KV {
 	sh := &st.shards[i]
 	if st.optScan {
 		var run []set.KV
-		if st.eng.Optimistic(s.c.procs, []int{i}, func(int) {
-			run = sh.osc.OptimisticScan(s.c.procs[i], pos, hi, snapChunk)
+		if st.eng.Optimistic(s.c.p, []int{i}, func(int) {
+			run = sh.osc.OptimisticScan(s.c.p, pos, hi, snapChunk)
 		}) {
 			return run
 		}
 	}
-	return sh.sc.Scan(s.c.procs[i], pos, hi, snapChunk)
+	return sh.sc.Scan(s.c.p, pos, hi, snapChunk)
 }
 
 // patch repairs one raw chunk covering [pos, end] against shard i's

@@ -22,8 +22,8 @@ import (
 // activation. That was the rare "NOT linearizable" failure of txntest's
 // LinTx snapshot observer on the lock-free hashtable store.
 func TestSnapshotTransitionReplayCannotLand(t *testing.T) {
-	st := New(func(rt *flock.Runtime, _ uint64) set.Set { return leaftree.New(rt) },
-		Options{Shards: 4, SharedRuntime: true})
+	st := NewComposed(func(rt *flock.Runtime, _ uint64) set.Set { return leaftree.New(rt) },
+		Options{Shards: 4})
 	type transition struct{ old, next *snapList }
 	var done []transition
 	step := func(f func()) {

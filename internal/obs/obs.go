@@ -67,6 +67,12 @@ const (
 	// helping rounds in lock-free mode, TTAS spin iterations in
 	// blocking mode.
 	StrictSpins
+	// TagOverflows counts releases that installed a heap version word
+	// because the lock's next version was past the last lockTags tag
+	// (internal/core): the degraded mode in which every release of that
+	// lock allocates. Counted once per release, by the run whose CAS or
+	// store installed the word.
+	TagOverflows
 	// OptRestarts and OptEscalations are the optimistic-read counters
 	// (failed unlogged attempts, and fallbacks to the logged path),
 	// migrated here off flock.Runtime.
@@ -111,7 +117,7 @@ const (
 var counterNames = [NumCounters]string{
 	"acquires_lf", "acquires_blocking",
 	"helps_given", "helps_received", "own_completions", "thunk_replays",
-	"install_cas_fails", "strict_spins",
+	"install_cas_fails", "strict_spins", "tag_overflows",
 	"opt_restarts", "opt_escalations",
 	"pool_hits", "pool_misses", "pool_spills",
 	"epoch_advance_tries", "epoch_advances",

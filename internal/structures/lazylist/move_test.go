@@ -135,9 +135,13 @@ func TestMoveHelpedPastStall(t *testing.T) {
 					sNext := sCurr.next.Load(hp3)
 					sCurr.removed.Store(hp3, true)
 					sPred.next.Store(hp3, sNext)
+					// The logged load stays outside mk: a run that finds
+					// Allocate's slot committed skips mk, so a load inside
+					// it would shift that run's log positions.
+					dNext := dPred.next.Load(hp3)
 					moved := flock.Allocate(hp3, func() *node {
 						nn := &node{k: 7, v: 70}
-						nn.next.Init(dPred.next.Load(hp3))
+						nn.next.Init(dNext)
 						return nn
 					})
 					dPred.next.Store(hp3, moved)

@@ -19,10 +19,13 @@
 // grained entry locks as further nesting levels, exactly as they do
 // outside transactions.
 //
-// The store must route all shards through one flock.Runtime
-// (kv.Options.SharedRuntime, which New sets): helpers of a composed
-// thunk need one epoch manager protecting memory retired on any shard,
-// and one mode flag all runs agree on.
+// Every kv store runs all its shards on one flock.Runtime, so helpers
+// of a composed thunk share one epoch manager, protecting memory retired
+// on any shard, and one mode flag all runs agree on. New builds its
+// store with kv.NewComposed: transactions are the writers that take
+// shard locks, so the store's locked reads (escalated MultiGet, locked
+// Scan, snapshot activation) must hold every involved shard lock at
+// once to serialize against them.
 //
 // # Determinism rules for composed thunks
 //
@@ -115,8 +118,8 @@ type Options struct {
 	OptimisticReads bool
 }
 
-// Store is a transactional wrapper around a sharded kv.Store. All
-// shards share one runtime. Create per-goroutine handles with Register.
+// Store is a transactional wrapper around a sharded kv.Store. Create
+// per-goroutine handles with Register.
 type Store struct {
 	kv   *kv.Store
 	mode Mode
@@ -132,12 +135,11 @@ type Store struct {
 // silently break atomicity under helping — the harness refuses them
 // (see its txnCapable set).
 func New(f kv.Factory, opt Options) *Store {
-	st := kv.New(f, kv.Options{
+	st := kv.NewComposed(f, kv.Options{
 		Shards:          opt.Shards,
 		Blocking:        opt.Mode == Blocking,
 		NoPool:          opt.NoPool,
 		KeyRange:        opt.KeyRange,
-		SharedRuntime:   true,
 		OptimisticReads: opt.OptimisticReads && opt.Mode == LockFree,
 	})
 	return &Store{kv: st, mode: opt.Mode}
@@ -177,7 +179,7 @@ type Client struct {
 func (s *Store) Register() *Client {
 	kc := s.kv.Register()
 	return &Client{
-		st: s, kc: kc, p: kc.SharedProc(),
+		st: s, kc: kc, p: kc.Proc(),
 		eng:  s.kv.Engine(),
 		seen: make([]bool, s.kv.NumShards()),
 	}

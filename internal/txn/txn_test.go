@@ -9,6 +9,7 @@ import (
 	flock "flock/internal/core"
 	"flock/internal/harness"
 	"flock/internal/kv"
+	"flock/internal/kv/engine"
 	"flock/internal/obs"
 	"flock/internal/structures/abtree"
 	"flock/internal/structures/arttree"
@@ -175,23 +176,52 @@ func TestTxnAbortWritesNothing(t *testing.T) {
 	}
 }
 
-func TestSharedRuntimeRequired(t *testing.T) {
-	// The txn store must route all shards through one runtime; this is
-	// what makes cross-shard helping and reclamation sound.
-	st := newStore(txn.LockFree, 4)
-	if st.KV().Runtime() == nil {
-		t.Fatal("txn store built without a shared runtime")
-	}
-	// And a per-shard-runtime kv store must refuse SharedProc.
-	plain := kv.New(leaftreeFactory, kv.Options{Shards: 2})
-	pc := plain.Register()
-	defer pc.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SharedProc on a per-shard-runtime store did not panic")
+// TestLockedComposesOnlyOnTxnStores pins which stores compose their
+// locked read arm (engine.Locked: escalated MultiGet, locked Scan,
+// snapshot activation). A plain kv store has no writer that takes a
+// shard lock, so each body holds exactly one shard lock, in ascending
+// order, and readers never hold every lock at once. A txn store's
+// transactions do take them, so one body holds every shard lock and the
+// read is atomic with respect to them. Both stores run on one runtime.
+func TestLockedComposesOnlyOnTxnStores(t *testing.T) {
+	const shards = 4
+	for _, blocking := range []bool{false, true} {
+		mode := txn.LockFree
+		if blocking {
+			mode = txn.Blocking
 		}
-	}()
-	pc.SharedProc()
+		plain := kv.New(leaftreeFactory, kv.Options{Shards: shards, Blocking: blocking})
+		composed := newStore(mode, shards).KV()
+		for _, tc := range []struct {
+			name string
+			st   *kv.Store
+			want [][]int
+		}{
+			{"plain", plain, [][]int{{0}, {1}, {2}, {3}}},
+			{"txn", composed, [][]int{{0, 1, 2, 3}}},
+		} {
+			c := tc.st.Register()
+			var got [][]int
+			tc.st.Engine().Locked(c.Proc(), tc.st.Engine().AllShards(), func([]int) engine.Attempt {
+				return engine.Attempt{
+					Body: func(*flock.Proc) {
+						var held []int
+						for i := 0; i < shards; i++ {
+							if tc.st.ShardLock(i).Held() {
+								held = append(held, i)
+							}
+						}
+						got = append(got, held)
+					},
+					Commit: func() {},
+				}
+			})
+			c.Close()
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Errorf("blocking=%v %s store: shard locks held per body = %v, want %v", blocking, tc.name, got, tc.want)
+			}
+		}
+	}
 }
 
 func TestModeString(t *testing.T) {
