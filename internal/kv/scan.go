@@ -75,9 +75,21 @@ func (c *Client) scanLocked(lo, hi uint64, limit int) []set.KV {
 	st := c.st
 	parts := make([][]set.KV, len(st.shards))
 	st.eng.Locked(c.p, st.eng.AllShards(), func(sec []int) engine.Attempt {
-		// The body publishes the section's runs through a per-attempt
-		// buffer, idempotently: every run recomputes identical runs from
-		// logged loads.
+		// The bodies publish runs through a per-attempt buffer,
+		// idempotently: every run recomputes identical runs from logged
+		// loads. A one-shard section (every section of a plain store)
+		// publishes its run without a slice of runs: the general body's
+		// extra bytes per section cost blocking YCSB-E about a tenth of
+		// its throughput (EXPERIMENTS.md, "One runtime per store").
+		if len(sec) == 1 {
+			s := sec[0]
+			sh := &st.shards[s]
+			one := &atomic.Pointer[[]set.KV]{}
+			return engine.Attempt{
+				Body:   func(hp *flock.Proc) { run := sh.sc.Scan(hp, lo, hi, limit); one.Store(&run) },
+				Commit: func() { parts[s] = *one.Load() },
+			}
+		}
 		buf := &atomic.Pointer[[][]set.KV]{}
 		return engine.Attempt{
 			Body: func(hp *flock.Proc) {
