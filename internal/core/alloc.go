@@ -24,30 +24,3 @@ func Allocate[T any](p *Proc, mk func() *T) *T {
 	c, _ := commitPtr(p, obj)
 	return c
 }
-
-// Retire schedules obj for reclamation once no concurrent operation can
-// still reference it (Algorithm 2, retire, backed by the epoch manager of
-// §6). Inside a thunk the runs of the thunk compete for ownership through
-// the log so the object is retired exactly once. free may be nil, in which
-// case reclamation is left entirely to the garbage collector and Retire
-// only provides the idempotence bookkeeping; a non-nil free runs after the
-// grace period (e.g. to return the object to a pool or update statistics).
-func Retire[T any](p *Proc, obj *T, free func(*T)) {
-	if p.blk == nil {
-		if free != nil {
-			f := free
-			o := obj
-			p.slot.Retire(func() { f(o) })
-		}
-		return
-	}
-	// All runs must commit (to stay position-synchronized) even when
-	// there is nothing to do afterwards; the boolean sentinel encoding
-	// keeps this allocation-free.
-	_, first := p.commitBool(true)
-	if first && free != nil {
-		f := free
-		o := obj
-		p.slot.Retire(func() { f(o) })
-	}
-}

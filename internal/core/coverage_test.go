@@ -2,50 +2,10 @@ package flock
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
 // Targeted tests for paths the main suites reach rarely.
-
-func TestRetireDirectModeWithCallback(t *testing.T) {
-	rt := New()
-	p := rt.Register()
-	defer p.Unregister()
-	var freed atomic.Int32
-	obj := new(int)
-	// Outside any thunk: Retire defers through the epoch manager only.
-	p.Begin()
-	Retire(p, obj, func(*int) { freed.Add(1) })
-	p.End()
-	if freed.Load() != 0 {
-		t.Fatalf("retire ran before grace period")
-	}
-	p.Drain()
-	if freed.Load() != 1 {
-		t.Fatalf("retire callback ran %d times", freed.Load())
-	}
-}
-
-func TestRetireNilCallbackBothModes(t *testing.T) {
-	rt := New()
-	p := rt.Register()
-	defer p.Unregister()
-	obj := new(int)
-	// Direct mode, nil callback: pure no-op.
-	Retire(p, obj, nil)
-	// Thunk mode, nil callback: still commits (so replays stay aligned)
-	// but schedules nothing.
-	var l Lock
-	ok := l.TryLock(p, func(hp *Proc) bool {
-		Retire(hp, obj, nil)
-		return true
-	})
-	if !ok {
-		t.Fatalf("tryLock failed")
-	}
-	p.Drain()
-}
 
 func TestUnlockBlockingMode(t *testing.T) {
 	rt := New(Blocking())

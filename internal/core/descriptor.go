@@ -79,8 +79,7 @@ func (p *Proc) currentEpoch() uint64 {
 // no allocation) so all helpers agree.
 func (d *descriptor) loadStarted(p *Proc) bool {
 	v := d.started.Load() != 0
-	c, _ := p.commitBool(v)
-	return c
+	return p.commitBool(v)
 }
 
 // run executes the descriptor's thunk under its shared log (Algorithm 2,

@@ -27,12 +27,12 @@
 //
 // In lock-free mode (the default) TryLock installs a descriptor holding
 // the thunk and a shared log; any thread that later finds the lock taken
-// re-runs the thunk from the descriptor, with every load, allocation and
-// retirement committed to the log so that all runs observe identical
-// values and all but the first effect of each step are discarded (§3 of
-// the paper). In blocking mode the same lock is an ordinary TTAS
-// test-and-set lock and no logging occurs; the mode is selected at runtime
-// with Runtime.SetBlocking.
+// re-runs the thunk from the descriptor, with every load and allocation
+// committed to the log so that all runs observe identical values and all
+// but the first effect of each step are discarded (§3 of the paper). In
+// blocking mode the same lock is an ordinary TTAS test-and-set lock and
+// no logging occurs; the mode is selected at runtime with
+// Runtime.SetBlocking.
 //
 // # Determinism rules for thunks
 //
@@ -48,7 +48,9 @@
 //   - Capture by value: copy loop variables and locals into the closure
 //     before TryLock; do not mutate captured variables afterwards (the
 //     paper's "[=]" rule).
-//   - Allocate and free memory only with Allocate and Retire.
+//   - Allocate memory only with Allocate. Do not free it: an unlinked
+//     node is left to the garbage collector (the paper's free), which
+//     reclaims it once no log or helper can still reach it.
 //   - Acquire nested locks in one consistent global partial order (the
 //     paper's Theorem 4.2 assumption). This is stronger than classic
 //     deadlock avoidance: a cycle of lock orders makes helpers help each
@@ -66,8 +68,9 @@
 // with booleans and nil encoded as sentinel addresses, and descriptors,
 // spill log blocks and value boxes are recycled through per-Proc
 // freelists gated by the epoch manager's grace periods. Wrap every
-// operation in Proc.Begin/End: the guards both protect Retire'd memory
-// and delay pooled reuse while a helper might still replay a log that
-// references the object. NoPool restores the GC-fresh behaviour (used
-// by the ext-alloc ablation).
+// operation in Proc.Begin/End: the guards delay pooled reuse while a
+// helper might still replay a log that references the object. Those
+// pending lists are the only grace-period queue; structure nodes are
+// never pooled, so unlinking one needs no call at all. NoPool restores
+// the GC-fresh behaviour (used by the ext-alloc ablation).
 package flock

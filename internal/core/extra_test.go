@@ -236,30 +236,6 @@ func TestEpochGuardNestingAcrossOps(t *testing.T) {
 	}
 }
 
-// TestRetireCallbackOrderingAcrossHelpers: when k helpers race a thunk
-// that retires two objects, both callbacks run exactly once.
-func TestRetireCallbackOrderingAcrossHelpers(t *testing.T) {
-	rt := New()
-	var freedA, freedB atomic.Int64
-	a, b := new(int), new(int)
-	f := func(p *Proc) bool {
-		Retire(p, a, func(*int) { freedA.Add(1) })
-		Retire(p, b, func(*int) { freedB.Add(1) })
-		return true
-	}
-	replayConcurrently(rt, 8, f)
-	probe := rt.Register()
-	probe.Drain()
-	probe.Unregister()
-	// Drain from a second slot to pick up winners registered elsewhere.
-	probe2 := rt.Register()
-	probe2.Drain()
-	probe2.Unregister()
-	if freedA.Load() != 1 || freedB.Load() != 1 {
-		t.Fatalf("retire callbacks ran (%d,%d) times, want (1,1)", freedA.Load(), freedB.Load())
-	}
-}
-
 // TestConcurrentRuntimesAreIsolated: two runtimes (e.g. two structure
 // families) do not interfere: mode flags, epochs and stalls are
 // per-runtime.

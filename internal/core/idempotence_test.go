@@ -178,25 +178,6 @@ func TestAllocateAgreesAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestRetireFiresExactlyOnce(t *testing.T) {
-	for _, k := range []int{1, 2, 8} {
-		rt := New()
-		var freed atomic.Int64
-		victim := new(int)
-		f := func(p *Proc) bool {
-			Retire(p, victim, func(*int) { freed.Add(1) })
-			return true
-		}
-		replayConcurrently(rt, k, f)
-		probe := rt.Register()
-		probe.Drain()
-		probe.Unregister()
-		if got := freed.Load(); got != 1 {
-			t.Fatalf("k=%d: retire callback ran %d times, want 1", k, got)
-		}
-	}
-}
-
 func TestCommitAgreesOnNondeterminism(t *testing.T) {
 	// Each run proposes a different value; the committed value must be
 	// adopted by every run, and the stored result must equal it.

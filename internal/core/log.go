@@ -129,19 +129,16 @@ func commitPtr[T any](p *Proc, v *T) (*T, bool) {
 
 // commitBool commits a boolean via the sentinel encoding — no
 // allocation, no interface box. Outside any thunk it is a pass-through.
-func (p *Proc) commitBool(v bool) (bool, bool) {
+func (p *Proc) commitBool(v bool) bool {
 	if p.blk == nil {
-		return v, true
+		return v
 	}
 	enc := committedFalse
 	if v {
 		enc = committedTrue
 	}
-	c, first := p.commitRaw(enc)
-	if first {
-		return v, true
-	}
-	return c == committedTrue, false
+	c, _ := p.commitRaw(enc)
+	return c == committedTrue
 }
 
 // advanceBlock moves the Proc's cursor to the next log block, creating

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"flock/internal/obs"
+	"flock/internal/obs/trace"
 )
 
 // TestMetricsHelpingConservation pins the attribution laws on a flat
@@ -188,5 +189,67 @@ func TestMetricsStrictLockConservation(t *testing.T) {
 	}
 	if given != recv {
 		t.Errorf("HelpsGiven = %d, HelpsReceived = %d", given, recv)
+	}
+}
+
+// TestMetricsReclaimCountersMatchTrace pins the reclamation counters on
+// the one grace-period queue, the pooled-reuse drain: a Store loop, in
+// lock-free mode and in blocking mode (both retire the replaced box),
+// reclaims batches, each batch waits at least one epoch, and every
+// counted batch is exactly one EpochReclaim event on the Proc's ring.
+func TestMetricsReclaimCountersMatchTrace(t *testing.T) {
+	prev := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	defer trace.SetRingShift(trace.SetRingShift(16))
+	trace.SetEnabled(true)
+	defer trace.SetEnabled(false)
+
+	for _, mode := range []struct {
+		name string
+		opts []Option
+	}{{"lockfree", nil}, {"blocking", []Option{Blocking()}}} {
+		t.Run(mode.name, func(t *testing.T) {
+			trace.Reset()
+			p := New(mode.opts...).Register()
+			defer p.Unregister()
+			var l Lock
+			var m Mutable[uint64]
+			for i := uint64(0); i < 2000; i++ {
+				p.Begin()
+				l.TryLock(p, func(hp *Proc) bool {
+					m.Store(hp, i)
+					return true
+				})
+				p.End()
+			}
+			p.Drain()
+
+			batches := p.metrics.Load(obs.EpochReclaimBatches)
+			lag := p.metrics.Load(obs.EpochReclaimLagEpochs)
+			if batches == 0 {
+				t.Fatal("EpochReclaimBatches = 0 after 2000 retiring stores")
+			}
+			if lag < batches {
+				t.Fatalf("EpochReclaimLagEpochs = %d < %d batches: a batch reclaimed in its own epoch", lag, batches)
+			}
+			tr := trace.Snapshot()
+			if tr.Dropped != 0 {
+				t.Fatalf("trace dropped %d records; enlarge the ring", tr.Dropped)
+			}
+			var events, objects uint64
+			for _, e := range tr.Events {
+				if e.Proc == p.id && e.Kind == trace.EpochReclaim {
+					events++
+					objects += e.B
+				}
+			}
+			if events != batches {
+				t.Fatalf("%d EpochReclaim events for %d counted batches", events, batches)
+			}
+			if objects < batches {
+				t.Fatalf("EpochReclaim events carry %d objects over %d batches", objects, batches)
+			}
+		})
 	}
 }

@@ -24,6 +24,13 @@ import (
 // recycling — the same ABA-freedom S1 used to buy from GC uniqueness,
 // now bought from grace periods (DESIGN.md S10).
 //
+// The pending list is the only grace-period queue in the repository:
+// structure nodes are never pooled, so the garbage collector is the
+// paper's free for them, and the epoch package keeps no retire list.
+// drainReuse is therefore where reclamation is measured: each ripe
+// batch is counted (obs.EpochReclaimBatches, EpochReclaimLagEpochs)
+// and traced (trace.EpochReclaim) on the draining Proc.
+//
 // Objects that lost their publication CAS (a descriptor or mbox whose
 // commit lost to another run, a spill block whose link CAS lost) were
 // never visible to any other thread and are recycled immediately, with
@@ -102,8 +109,7 @@ func (p *Proc) poolPut(key poolKey, obj any) {
 			if len(tp.free) < maxPoolFree {
 				tp.free = append(tp.free, obj)
 			} else {
-				p.metrics.Inc(obs.PoolSpills)
-				p.traceEmit(trace.PoolSpill, 0, 0, 0)
+				p.spill()
 			}
 			return
 		}
@@ -122,8 +128,7 @@ func (p *Proc) deferReuse(key poolKey, obj any) {
 		// Saturated: drop to the GC. The Begin cadence (reuseTickDrain)
 		// keeps attempting drains, so the list unsticks as soon as the
 		// epoch moves again.
-		p.metrics.Inc(obs.PoolSpills)
-		p.traceEmit(trace.PoolSpill, 0, 0, 0)
+		p.spill()
 		return
 	}
 	p.pending = append(p.pending, reusable{key: key, obj: obj, epoch: p.rt.epochs.GlobalEpoch()})
@@ -133,7 +138,9 @@ func (p *Proc) deferReuse(key poolKey, obj any) {
 // parked at epoch e is ripe once SafeBefore() > e: every operation (or
 // helper lowered to a thunk birth epoch) that could still reference the
 // address has finished. Entries are appended in epoch order, so the ripe
-// ones form a prefix.
+// ones form a prefix of runs of equal epoch. Each run is one reclaimed
+// batch: it is counted, with its lag bound−e in epochs, and traced as
+// one EpochReclaim event.
 func (p *Proc) drainReuse() {
 	if len(p.pending) == 0 {
 		return
@@ -148,12 +155,14 @@ func (p *Proc) drainReuse() {
 		bound = p.rt.epochs.SafeBefore()
 	}
 	i := 0
-	for ; i < len(p.pending); i++ {
-		r := p.pending[i]
-		if r.epoch >= bound {
-			break
+	for i < len(p.pending) && p.pending[i].epoch < bound {
+		e, n := p.pending[i].epoch, i
+		for ; i < len(p.pending) && p.pending[i].epoch == e; i++ {
+			p.recycle(p.pending[i])
 		}
-		p.recycle(r)
+		p.metrics.Inc(obs.EpochReclaimBatches)
+		p.metrics.Add(obs.EpochReclaimLagEpochs, bound-e)
+		p.traceEmit(trace.EpochReclaim, 0, e, uint64(i-n))
 	}
 	if i > 0 {
 		n := copy(p.pending, p.pending[i:])
@@ -202,12 +211,7 @@ func (p *Proc) scrubDescriptor(d *descriptor) {
 	d.owner = 0
 	d.finisher.Store(0)
 	d.started.Store(0)
-	if len(p.dfree) < reusePendingCap {
-		p.dfree = append(p.dfree, d)
-	} else {
-		p.metrics.Inc(obs.PoolSpills)
-		p.traceEmit(trace.PoolSpill, 0, 0, 0)
-	}
+	p.putDescriptor(d)
 }
 
 // allocDescriptor pops a clean descriptor or allocates a fresh one.
@@ -233,8 +237,16 @@ func (p *Proc) releaseDescriptor(d *descriptor) {
 	}
 	d.thunk = nil
 	d.birth = 0
+	p.putDescriptor(d)
+}
+
+// putDescriptor pushes a clean descriptor onto the freelist (dropping it
+// when the list is at capacity).
+func (p *Proc) putDescriptor(d *descriptor) {
 	if len(p.dfree) < reusePendingCap {
 		p.dfree = append(p.dfree, d)
+	} else {
+		p.spill()
 	}
 }
 
@@ -276,9 +288,15 @@ func (p *Proc) freeBlock(b *logBlock) {
 	if len(p.bfree) < maxPoolFree {
 		p.bfree = append(p.bfree, b)
 	} else {
-		p.metrics.Inc(obs.PoolSpills)
-		p.traceEmit(trace.PoolSpill, 0, 0, 0)
+		p.spill()
 	}
+}
+
+// spill counts and traces one pooled object dropped to the garbage
+// collector because its freelist or the pending list was at capacity.
+func (p *Proc) spill() {
+	p.metrics.Inc(obs.PoolSpills)
+	p.traceEmit(trace.PoolSpill, 0, 0, 0)
 }
 
 // allocBox pops (or allocates) an mbox and sets its value.

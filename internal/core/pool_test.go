@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"flock/internal/obs"
+	"flock/internal/obs/trace"
 )
 
 // Tests for the S10 invariant: a pooled object unlinked at epoch e may
@@ -17,53 +18,155 @@ func drainHard(p *Proc) {
 	}
 }
 
-func TestBoxReuseWaitsForGuards(t *testing.T) {
-	rt := New()
-	p := rt.Register()
-	q := rt.Register()
-	defer p.Unregister()
-	defer q.Unregister()
+// holder is one way a worker can still reference an object unlinked by
+// run: hold starts holding and returns the matching release. Each holder
+// must keep the unlinked object out of the freelists until released.
+type holder struct {
+	name string
+	hold func(rt *Runtime, q *Proc, run func()) (release func())
+	// advances reports whether the global epoch keeps moving while held.
+	advances bool
+}
 
-	var m Mutable[int]
-	m.Init(1)
+var holders = []holder{
+	{name: "concurrent guard", hold: func(rt *Runtime, q *Proc, run func()) func() {
+		q.Begin()
+		run()
+		return q.End
+	}},
+	{name: "lowered guard", hold: func(rt *Runtime, q *Proc, run func()) func() {
+		// A helper that enters after the unlink, once the object is
+		// already ripe, and lowers to the birth epoch of a thunk that
+		// could still load it.
+		birth := rt.epochs.GlobalEpoch()
+		run()
+		for i := 0; i < 3; i++ {
+			rt.epochs.TryAdvance()
+		}
+		q.Begin()
+		prev := q.slot.Lower(birth)
+		return func() {
+			q.slot.Restore(prev)
+			q.End()
+		}
+	}},
+	{name: "pin", advances: true, hold: func(rt *Runtime, q *Proc, run func()) func() {
+		pin := rt.epochs.Pin()
+		run()
+		return pin.Release
+	}},
+}
 
-	q.Begin() // q can still hold the old box
-	m.Store(p, 2)
-	drainHard(p)
-	if _, _, boxes, pending := p.PoolStats(); boxes != 0 || pending == 0 {
-		t.Fatalf("box recycled under an open guard: boxes=%d pending=%d", boxes, pending)
-	}
-	q.End()
-	drainHard(p)
-	if _, _, boxes, pending := p.PoolStats(); boxes == 0 || pending != 0 {
-		t.Fatalf("box not recycled after guard exit: boxes=%d pending=%d", boxes, pending)
+// checkReuseWaits runs setup and then run under each holder, and checks
+// that what run unlinks reaches a freelist (reused reports how much)
+// only after the holder releases.
+func checkReuseWaits(t *testing.T, setup func(*Proc) func(), reused func(*Proc) int) {
+	for _, h := range holders {
+		t.Run(h.name, func(t *testing.T) {
+			rt := New()
+			p := rt.Register()
+			q := rt.Register()
+			defer p.Unregister()
+			defer q.Unregister()
+
+			release := h.hold(rt, q, setup(p))
+			g := rt.epochs.GlobalEpoch()
+			drainHard(p)
+			held, advanced := reused(p), rt.epochs.GlobalEpoch()-g
+			release()
+			if held != 0 {
+				t.Fatalf("recycled %d objects while held", held)
+			}
+			if h.advances && advanced < 2 {
+				t.Fatalf("global epoch advanced %d times while held, want >= 2", advanced)
+			}
+			drainHard(p)
+			if n := reused(p); n == 0 {
+				t.Fatal("nothing recycled after release")
+			}
+			if _, _, _, pending := p.PoolStats(); pending != 0 {
+				t.Fatalf("%d objects still pending after release", pending)
+			}
+		})
 	}
 }
 
-func TestDescriptorReuseWaitsForGuards(t *testing.T) {
-	rt := New()
-	p := rt.Register()
-	q := rt.Register()
-	defer p.Unregister()
-	defer q.Unregister()
+func TestBoxReuseWaitsForGuards(t *testing.T) {
+	checkReuseWaits(t, func(p *Proc) func() {
+		m := new(Mutable[int])
+		m.Init(1)
+		return func() { m.Store(p, 2) }
+	}, func(p *Proc) int {
+		_, _, boxes, _ := p.PoolStats()
+		return boxes
+	})
+}
 
-	var l Lock
-	ok := l.TryLock(p, func(*Proc) bool { return true })
-	if !ok {
-		t.Fatal("first acquisition failed")
+func TestDescriptorReuseWaitsForGuards(t *testing.T) {
+	checkReuseWaits(t, func(p *Proc) func() {
+		l := new(Lock)
+		if !l.TryLock(p, func(*Proc) bool { return true }) {
+			t.Fatal("first acquisition failed")
+		}
+		// The holder could be a straggler about to replay the old
+		// descriptor.
+		return func() {
+			if !l.TryLock(p, func(*Proc) bool { return true }) {
+				t.Fatal("second acquisition failed")
+			}
+		}
+	}, func(p *Proc) int {
+		dfree, _, _, _ := p.PoolStats()
+		return dfree
+	})
+}
+
+// TestBeginCadenceRecyclesWithoutDrain: the Begin cadence alone moves
+// ripe pending entries to the freelists — a worker that never calls
+// Drain still reuses its boxes and never saturates its pending list.
+func TestBeginCadenceRecyclesWithoutDrain(t *testing.T) {
+	prev := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	p := New().Register()
+	defer p.Unregister()
+	var m Mutable[int]
+	m.Init(0)
+	for i := 0; i < 4*reusePendingCap; i++ {
+		p.Begin()
+		m.Store(p, i)
+		p.End()
 	}
-	q.Begin() // q could be a straggler about to replay the old descriptor
-	if !l.TryLock(p, func(*Proc) bool { return true }) {
-		t.Fatal("second acquisition failed")
+	if hits := p.metrics.Load(obs.PoolHits); hits == 0 {
+		t.Fatal("no box was reused without Drain")
 	}
+	if spills := p.metrics.Load(obs.PoolSpills); spills != 0 {
+		t.Fatalf("pending list saturated without Drain: %d spills", spills)
+	}
+}
+
+// TestLeakedProcHoldsBackNothing: a Proc registered, used and then
+// abandoned outside any guard without Unregister is quiescent, so it
+// blocks neither epoch advancement nor another Proc's pooled reuse.
+func TestLeakedProcHoldsBackNothing(t *testing.T) {
+	rt := New()
+	leaked := rt.Register()
+	var m Mutable[int]
+	leaked.Begin()
+	m.Store(leaked, 1)
+	leaked.End()
+
+	p := rt.Register()
+	defer p.Unregister()
+	for i := 0; i < 3; i++ {
+		if !rt.epochs.TryAdvance() {
+			t.Fatalf("TryAdvance %d blocked by a leaked Proc", i)
+		}
+	}
+	m.Store(p, 2)
 	drainHard(p)
-	if dfree, _, _, _ := p.PoolStats(); dfree != 0 {
-		t.Fatalf("descriptor recycled under an open guard: dfree=%d", dfree)
-	}
-	q.End()
-	drainHard(p)
-	if dfree, _, _, _ := p.PoolStats(); dfree == 0 {
-		t.Fatalf("descriptor not recycled after guard exit")
+	if _, _, boxes, pending := p.PoolStats(); boxes == 0 || pending != 0 {
+		t.Fatalf("reuse held back by a leaked Proc: boxes=%d pending=%d", boxes, pending)
 	}
 }
 
@@ -175,6 +278,45 @@ func TestFullPendingListDrainsWithoutSpill(t *testing.T) {
 	if d, _, _, pend := p.PoolStats(); d != reusePendingCap || pend != 0 {
 		t.Fatalf("after the drain dfree=%d pending=%d, want %d and 0", d, pend, reusePendingCap)
 	}
+}
+
+// TestFullDescriptorFreelistSpills: a descriptor released into a full
+// freelist is dropped to the GC like every other overflow — counted as
+// one PoolSpill and traced as one PoolSpill event, not dropped silently.
+func TestFullDescriptorFreelistSpills(t *testing.T) {
+	prev := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	trace.SetEnabled(true)
+	defer trace.SetEnabled(false)
+	trace.Reset()
+
+	p := New().Register()
+	defer p.Unregister()
+	for len(p.dfree) < reusePendingCap {
+		p.dfree = append(p.dfree, &descriptor{})
+	}
+	p.releaseDescriptor(&descriptor{})
+	if got := p.metrics.Load(obs.PoolSpills); got != 1 {
+		t.Fatalf("PoolSpills = %d after one overflowing release, want 1", got)
+	}
+	if got := countEvents(p, trace.PoolSpill); got != 1 {
+		t.Fatalf("%d PoolSpill events after one overflowing release, want 1", got)
+	}
+	if len(p.dfree) != reusePendingCap {
+		t.Fatalf("dfree grew to %d past its cap %d", len(p.dfree), reusePendingCap)
+	}
+}
+
+// countEvents counts the trace events of kind k that p recorded.
+func countEvents(p *Proc, k trace.Kind) int {
+	n := 0
+	for _, e := range trace.Snapshot().Events {
+		if e.Proc == p.id && e.Kind == k {
+			n++
+		}
+	}
+	return n
 }
 
 // TestProcRNGSeedsDiffer: every registered Proc must get its own

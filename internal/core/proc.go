@@ -171,12 +171,10 @@ func (rt *Runtime) Register() *Proc {
 
 // Unregister releases the Proc's epoch slot and folds its metrics block
 // into the obs retired totals (so snapshots taken after a worker exits
-// still see its events). Pending retirements are handed to the manager;
-// objects awaiting pooled reuse are dropped to the garbage collector
-// (their grace periods may not have elapsed, so they cannot join
-// another Proc's freelist).
+// still see its events). Objects awaiting pooled reuse are dropped to
+// the garbage collector (their grace periods may not have elapsed, so
+// they cannot join another Proc's freelist).
 func (p *Proc) Unregister() {
-	p.slot.Drain()
 	p.slot.Unregister()
 	p.pending = nil
 	p.metrics.Release()
@@ -239,9 +237,9 @@ func (p *Proc) traceAtSlow(k trace.Kind, ts int64, lock, a, b uint64) {
 func (p *Proc) ID() uint64 { return p.id }
 
 // Begin enters an epoch guard. Every data structure operation must run
-// between Begin and End so that memory retired by concurrent operations
-// stays valid while this worker might still reference it. Guards nest.
-// Begin also paces the pooled-reuse drain (pool.go).
+// between Begin and End so that pooled objects unlinked by concurrent
+// operations are not reused while this worker might still reference
+// them. Guards nest. Begin also paces the pooled-reuse drain (pool.go).
 func (p *Proc) Begin() {
 	p.slot.Enter()
 	p.reuseTickDrain()
@@ -253,11 +251,10 @@ func (p *Proc) End() { p.slot.Exit() }
 // Runtime returns the Proc's runtime.
 func (p *Proc) Runtime() *Runtime { return p.rt }
 
-// Drain forces epoch advancement and runs ripe retirement callbacks,
-// including moving ripe pooled objects to their freelists; for tests and
-// shutdown paths. Must be called outside any guard.
+// Drain tries to advance the epoch and moves ripe pooled objects to
+// their freelists, for tests and shutdown paths.
 func (p *Proc) Drain() {
-	p.slot.Drain()
+	p.rt.epochs.TryAdvance()
 	p.drainReuse()
 }
 

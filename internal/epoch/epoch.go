@@ -1,27 +1,26 @@
-// Package epoch implements epoch-based reclamation (EBR) in the style used
-// by the Flock library ("Lock-Free Locks Revisited", PPoPP 2022, §6).
+// Package epoch implements the epoch-based grace periods of the Flock
+// library ("Lock-Free Locks Revisited", PPoPP 2022, §6).
 //
 // Every operation on a concurrent structure runs inside a guard
-// (Enter/Exit). Objects unlinked from a structure are handed to Retire,
-// which defers a reclamation callback until every guard that could have
-// observed the object has exited. Epochs advance when all active guards
-// have caught up with the global epoch.
+// (Enter/Exit). Epochs advance when all active guards have caught up
+// with the global epoch, and SafeBefore reports the bound below which
+// an object unlinked at some epoch can no longer be reached by any
+// guard. This package keeps no retire queue of its own: in Go the
+// garbage collector frees unlinked structure nodes (the paper's free),
+// and the only objects whose reuse waits out a grace period are the
+// pooled descriptors, spill blocks and boxes of internal/core, whose
+// per-worker pending lists consult SafeBefore (DESIGN.md S10).
 //
 // Two Flock-specific requirements shape the API:
 //
 //   - Helper epoch lowering. When a process helps a thunk that was started
 //     by another process it must take on the minimum of its own epoch and
 //     the thunk's birth epoch, so that anything the thunk read when it
-//     began stays unreclaimed while the helper replays it. Lower and
+//     began stays unreused while the helper replays it. Lower and
 //     Restore implement this.
 //
 //   - Quiescence. A registered process that is between operations announces
-//     a sentinel so it never holds back reclamation.
-//
-// In Go the garbage collector already rules out use-after-free; EBR here
-// gates *reuse* (pooled objects, user callbacks) and provides the paper's
-// retire semantics. The implementation is nevertheless a complete,
-// self-contained EBR manager.
+//     a sentinel so it never holds back advancement or reuse.
 package epoch
 
 import (
@@ -36,7 +35,7 @@ import (
 const Quiescent = ^uint64(0)
 
 // advanceEvery controls how many guard entries a slot performs between
-// attempts to advance the global epoch and reclaim its retired batches.
+// attempts to advance the global epoch.
 const advanceEvery = 64
 
 // Manager coordinates a set of registered slots (one per worker).
@@ -47,32 +46,22 @@ type Manager struct {
 	// scans during TryAdvance are lock-free. Registration is rare.
 	slots atomic.Pointer[[]*Slot]
 
-	mu      sync.Mutex // serializes Register/Unregister and pin bookkeeping
-	orphans []batch    // retired batches from unregistered slots
+	mu sync.Mutex // serializes Register/Unregister and pin bookkeeping
 
-	// pins holds the live reclamation pins (Pin); minPinned caches the
+	// pins holds the live reuse pins (Pin); minPinned caches the
 	// minimum pinned epoch (Quiescent when none) so SafeBefore stays one
-	// atomic load on the hot reclaim/reuse paths.
+	// atomic load on the hot reuse path.
 	pins      []*Pin
 	minPinned atomic.Uint64
 }
 
-// batch is a group of deferred reclamation callbacks retired in one epoch.
-type batch struct {
-	epoch uint64
-	fns   []func()
-}
-
-// Slot is a single worker's announcement record plus its local retire lists.
-// A Slot must only be used by the goroutine that registered it.
+// Slot is a single worker's announcement record. A Slot must only be
+// used by the goroutine that registered it.
 type Slot struct {
 	announced atomic.Uint64
 	mgr       *Manager
-	dead      atomic.Bool
 
 	// Goroutine-local state (no synchronization needed).
-	pending []batch
-	cur     batch
 	entries uint64
 	depth   int // nested guard depth
 
@@ -108,15 +97,13 @@ func (m *Manager) Register() *Slot {
 	return s
 }
 
-// Unregister removes the slot from epoch scans and hands its pending
-// retire batches to the manager. The slot must be quiescent.
+// Unregister removes the slot from epoch scans. The slot must be
+// quiescent.
 func (s *Slot) Unregister() {
 	if s.depth != 0 {
 		panic("epoch: Unregister inside a guard")
 	}
-	s.flushCur()
 	m := s.mgr
-	s.dead.Store(true)
 	s.announced.Store(Quiescent)
 	m.mu.Lock()
 	old := *m.slots.Load()
@@ -127,8 +114,6 @@ func (s *Slot) Unregister() {
 		}
 	}
 	m.slots.Store(&next)
-	m.orphans = append(m.orphans, s.pending...)
-	s.pending = nil
 	m.mu.Unlock()
 }
 
@@ -143,7 +128,6 @@ func (s *Slot) Enter() {
 		s.entries++
 		if s.entries%advanceEvery == 0 {
 			s.mgr.TryAdvance()
-			s.reclaim()
 		}
 	}
 	s.depth++
@@ -181,34 +165,6 @@ func (s *Slot) Lower(e uint64) (prev uint64) {
 // Restore resets the announcement after a Lower.
 func (s *Slot) Restore(prev uint64) { s.announced.Store(prev) }
 
-// Retire defers fn until every guard active at (or lowered to) the current
-// epoch has exited, plus the usual two-epoch grace period. fn may be nil,
-// in which case Retire is a no-op (the GC reclaims the object); callers use
-// that form purely for its timing semantics in tests and pools.
-func (s *Slot) Retire(fn func()) {
-	if fn == nil {
-		return
-	}
-	e := s.mgr.global.Load()
-	if s.cur.fns != nil && s.cur.epoch != e {
-		s.flushCur()
-	}
-	s.cur.epoch = e
-	s.cur.fns = append(s.cur.fns, fn)
-	if len(s.cur.fns) >= 32 {
-		s.flushCur()
-		s.mgr.TryAdvance()
-		s.reclaim()
-	}
-}
-
-func (s *Slot) flushCur() {
-	if s.cur.fns != nil {
-		s.pending = append(s.pending, s.cur)
-		s.cur = batch{}
-	}
-}
-
 // minAnnounced scans all slots and returns the minimum announced epoch.
 func (m *Manager) minAnnounced() uint64 {
 	min := Quiescent
@@ -224,7 +180,7 @@ func (m *Manager) minAnnounced() uint64 {
 // quiescent or has caught up with it. Returns whether it advanced.
 // Attempts and successes are counted on the shared obs block: advancement
 // is a global event with no per-worker owner, and it fires orders of
-// magnitude less often than lock events (advanceEvery, batch flushes).
+// magnitude less often than lock events (advanceEvery, pool drains).
 func (m *Manager) TryAdvance() bool {
 	track := obs.On()
 	if track {
@@ -248,16 +204,15 @@ func (m *Manager) TryAdvance() bool {
 	return ok
 }
 
-// SafeBefore returns the epoch bound below which retired objects may be
-// reclaimed — or reused. An object retired in epoch r is safe once every
-// active guard announced an epoch strictly greater than r: such guards
-// entered after the global epoch passed r, hence after the unlink that
-// preceded the retire, so they can never have found the object. With no
-// active guards, everything retired before the current epoch is safe.
-// Live pins (Pin) lower the bound the same way an announced guard would,
-// without blocking epoch advancement. Exported so the flock core can
-// gate pooled object reuse on the same grace period that gates
-// reclamation (its DESIGN.md S10 invariant).
+// SafeBefore returns the epoch bound below which unlinked objects may be
+// reused. An object unlinked in epoch r is safe once every active guard
+// announced an epoch strictly greater than r: such guards entered after
+// the global epoch passed r, hence after the unlink, so they can never
+// have found the object. With no active guards, everything unlinked
+// before the current epoch is safe. Live pins (Pin) lower the bound the
+// same way an announced guard would, without blocking epoch advancement.
+// The flock core gates pooled object reuse on it (its DESIGN.md S10
+// invariant).
 func (m *Manager) SafeBefore() uint64 {
 	min := m.minAnnounced()
 	if p := m.minPinned.Load(); p < min {
@@ -269,10 +224,10 @@ func (m *Manager) SafeBefore() uint64 {
 	return min
 }
 
-// Pin is a long-lived reclamation bound: while it is live, objects
-// retired at or after its epoch are neither reclaimed nor reused, yet —
-// unlike a held guard — the global epoch keeps advancing, so short-lived
-// operations around the pin reclaim their own garbage normally. Pins
+// Pin is a long-lived reuse bound: while it is live, objects unlinked
+// at or after its epoch are not reused, yet — unlike a held guard — the
+// global epoch keeps advancing, so the guards of short-lived operations
+// around the pin never wait on it. Pins
 // back long readers (kv snapshots) that dip in and out of guards over
 // their lifetime: each chunk read is guard-protected on its own, and the
 // pin keeps pooled-object reuse from crossing the reader's whole window.
@@ -282,7 +237,7 @@ type Pin struct {
 	released bool // guarded by mgr.mu
 }
 
-// Pin takes a reclamation pin at the current global epoch. Release it
+// Pin takes a reuse pin at the current global epoch. Release it
 // exactly once; pins are expected to be rare and long-lived (snapshot
 // lifetimes, not operation lifetimes).
 func (m *Manager) Pin() *Pin {
@@ -296,10 +251,10 @@ func (m *Manager) Pin() *Pin {
 	return p
 }
 
-// Epoch returns the epoch the pin holds the reclamation bound at.
+// Epoch returns the epoch the pin holds the reuse bound at.
 func (p *Pin) Epoch() uint64 { return p.epoch }
 
-// Release drops the pin, letting the reclamation bound advance past its
+// Release drops the pin, letting the reuse bound advance past its
 // epoch. Releasing an already-released pin is a no-op.
 func (p *Pin) Release() {
 	m := p.mgr
@@ -326,92 +281,4 @@ func (p *Pin) Release() {
 	m.pins = next
 	m.minPinned.Store(min)
 	m.mu.Unlock()
-}
-
-// reclaim runs the slot's ripe batches.
-func (s *Slot) reclaim() {
-	bound := s.mgr.SafeBefore()
-	track := obs.On()
-	i := 0
-	for ; i < len(s.pending); i++ {
-		if s.pending[i].epoch >= bound {
-			break
-		}
-		if track {
-			// Reclamation lag: how many epochs a batch waited between
-			// retirement and reclamation (bound > epoch for ripe batches).
-			obs.Global().Inc(obs.EpochReclaimBatches)
-			obs.Global().Add(obs.EpochReclaimLagEpochs, bound-s.pending[i].epoch)
-		}
-		if trace.On() {
-			trace.Global().Emit(trace.EpochReclaim, 0, s.pending[i].epoch, uint64(len(s.pending[i].fns)))
-		}
-		for _, fn := range s.pending[i].fns {
-			fn()
-		}
-	}
-	if i > 0 {
-		s.pending = append(s.pending[:0], s.pending[i:]...)
-	}
-	s.mgr.reclaimOrphans(bound)
-}
-
-func (m *Manager) reclaimOrphans(bound uint64) {
-	// Opportunistic: if another worker is registering or reclaiming, skip
-	// this round rather than serialize the hot path.
-	if !m.mu.TryLock() {
-		return
-	}
-	var ripe []batch
-	if len(m.orphans) > 0 {
-		var keep []batch
-		for _, b := range m.orphans {
-			if b.epoch < bound {
-				ripe = append(ripe, b)
-			} else {
-				keep = append(keep, b)
-			}
-		}
-		m.orphans = keep
-	}
-	m.mu.Unlock()
-	track := obs.On()
-	for _, b := range ripe {
-		if track {
-			obs.Global().Inc(obs.EpochReclaimBatches)
-			obs.Global().Add(obs.EpochReclaimLagEpochs, bound-b.epoch)
-		}
-		if trace.On() {
-			trace.Global().Emit(trace.EpochReclaim, 0, b.epoch, uint64(len(b.fns)))
-		}
-		for _, fn := range b.fns {
-			fn()
-		}
-	}
-}
-
-// Drain force-advances the epoch and reclaims everything that becomes
-// safe. It is intended for shutdown and tests; it requires all slots to be
-// quiescent to make progress and panics if called from inside a guard.
-func (s *Slot) Drain() {
-	if s.depth != 0 {
-		panic("epoch: Drain inside a guard")
-	}
-	s.flushCur()
-	for i := 0; i < 4; i++ {
-		s.mgr.TryAdvance()
-		s.reclaim()
-		if len(s.pending) == 0 {
-			break
-		}
-	}
-}
-
-// PendingRetires reports how many callbacks are queued (tests only).
-func (s *Slot) PendingRetires() int {
-	n := len(s.cur.fns)
-	for _, b := range s.pending {
-		n += len(b.fns)
-	}
-	return n
 }

@@ -94,61 +94,6 @@ func TestAdvanceBlockedByLaggingGuard(t *testing.T) {
 	b.Exit()
 }
 
-func TestRetireRunsAfterGracePeriod(t *testing.T) {
-	m := NewManager()
-	s := m.Register()
-	var freed atomic.Int32
-	s.Enter()
-	s.Retire(func() { freed.Add(1) })
-	s.Exit()
-	if freed.Load() != 0 {
-		t.Fatalf("retire callback ran inside the retiring epoch")
-	}
-	s.Drain()
-	if freed.Load() != 1 {
-		t.Fatalf("retire callback did not run after drain: %d", freed.Load())
-	}
-}
-
-func TestRetireNilIsNoop(t *testing.T) {
-	m := NewManager()
-	s := m.Register()
-	s.Enter()
-	s.Retire(nil)
-	s.Exit()
-	if n := s.PendingRetires(); n != 0 {
-		t.Fatalf("nil retire queued %d callbacks", n)
-	}
-}
-
-func TestRetireBlockedByConcurrentGuard(t *testing.T) {
-	m := NewManager()
-	s := m.Register()
-	holder := m.Register()
-
-	holder.Enter() // pins the current epoch
-	s.Enter()
-	var freed atomic.Int32
-	s.Retire(func() { freed.Add(1) })
-	s.Exit()
-
-	// With holder still inside a guard announced at the retire epoch, the
-	// callback must not run no matter how hard we try.
-	s.flushCur()
-	for i := 0; i < 10; i++ {
-		m.TryAdvance()
-		s.reclaim()
-	}
-	if freed.Load() != 0 {
-		t.Fatalf("retire callback ran while a guard could still hold the object")
-	}
-	holder.Exit()
-	s.Drain()
-	if freed.Load() != 1 {
-		t.Fatalf("retire callback did not run after guard exit")
-	}
-}
-
 func TestLowerAndRestore(t *testing.T) {
 	m := NewManager()
 	s := m.Register()
@@ -177,10 +122,12 @@ func TestLowerAndRestore(t *testing.T) {
 	s.Exit()
 }
 
+// TestLoweredGuardBlocksReclaim: a helper lowered to an old thunk birth
+// epoch holds both advancement and the reuse bound at that epoch, and
+// releases both once it restores and exits.
 func TestLoweredGuardBlocksReclaim(t *testing.T) {
 	m := NewManager()
 	helper := m.Register()
-	s := m.Register()
 
 	birth := m.GlobalEpoch() // descriptor's birth epoch
 	for i := 0; i < 4; i++ {
@@ -189,42 +136,21 @@ func TestLoweredGuardBlocksReclaim(t *testing.T) {
 
 	helper.Enter()
 	prev := helper.Lower(birth)
-
-	s.Enter()
-	var freed atomic.Int32
-	s.Retire(func() { freed.Add(1) })
-	s.Exit()
-	s.flushCur()
 	for i := 0; i < 10; i++ {
-		m.TryAdvance()
-		s.reclaim()
+		if m.TryAdvance() {
+			t.Fatalf("TryAdvance passed a helper lowered to %d (global %d)", birth, m.GlobalEpoch())
+		}
 	}
-	if freed.Load() != 0 {
-		t.Fatalf("lowered helper did not hold back reclamation")
+	if got := m.SafeBefore(); got != birth {
+		t.Fatalf("SafeBefore = %d under a helper lowered to %d", got, birth)
 	}
 	helper.Restore(prev)
 	helper.Exit()
-	s.Drain()
-	if freed.Load() != 1 {
-		t.Fatalf("callback never ran after helper restored")
+	if !m.TryAdvance() {
+		t.Fatal("TryAdvance blocked after the helper exited")
 	}
-}
-
-func TestUnregisterHandsOffPending(t *testing.T) {
-	m := NewManager()
-	s := m.Register()
-	other := m.Register()
-	var freed atomic.Int32
-	s.Enter()
-	s.Retire(func() { freed.Add(1) })
-	s.Exit()
-	s.Unregister()
-	if freed.Load() != 0 {
-		t.Fatalf("unregister ran callbacks synchronously")
-	}
-	other.Drain()
-	if freed.Load() != 1 {
-		t.Fatalf("orphaned retire batch never reclaimed")
+	if got := m.SafeBefore(); got != m.GlobalEpoch() || got <= birth+4 {
+		t.Fatalf("SafeBefore = %d after the helper exited, want global %d", got, m.GlobalEpoch())
 	}
 }
 
@@ -240,31 +166,11 @@ func TestUnregisterInsideGuardPanics(t *testing.T) {
 	s.Unregister()
 }
 
-func TestManyRetiresTriggerAutomaticReclaim(t *testing.T) {
-	m := NewManager()
-	s := m.Register()
-	var freed atomic.Int32
-	const n = 10_000
-	for i := 0; i < n; i++ {
-		s.Enter()
-		s.Retire(func() { freed.Add(1) })
-		s.Exit()
-	}
-	if freed.Load() == 0 {
-		t.Fatalf("no automatic reclamation after %d retires", n)
-	}
-	s.Drain()
-	if freed.Load() != n {
-		t.Fatalf("freed %d of %d after drain", freed.Load(), n)
-	}
-}
-
-// TestConcurrentStress exercises registration, guards, retirement and
-// advancing from many goroutines, and checks the core EBR safety property:
-// a callback must never run while any guard that could reference its object
-// is active. We model this by recording, for each retired object, the set
-// of guard "sessions" overlapping its unlink; the callback asserts all have
-// exited.
+// TestConcurrentStress exercises registration, guards, helper lowering
+// and advancing from many goroutines, and checks the safety property
+// pooled reuse rests on: while a guard is open, SafeBefore never exceeds
+// its announcement, lowered or not, so nothing unlinked at or after
+// that epoch is ever handed out for reuse under it.
 func TestConcurrentStress(t *testing.T) {
 	m := NewManager()
 	const workers = 8
@@ -272,50 +178,41 @@ func TestConcurrentStress(t *testing.T) {
 
 	var wg sync.WaitGroup
 	var violations atomic.Int32
-	var totalFreed atomic.Int64
 
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(id int) {
+		go func() {
 			defer wg.Done()
 			s := m.Register()
 			for i := 0; i < opsPer; i++ {
 				s.Enter()
-				// Retire an object whose callback checks the retiring
-				// slot has since exited at least this guard (callbacks
-				// only run from reclaim points outside that guard).
-				myEpoch := m.GlobalEpoch()
-				s.Retire(func() {
-					// The batch epoch must be strictly below every
-					// currently-announced epoch at reclaim time.
-					for _, sl := range *m.slots.Load() {
-						if a := sl.announced.Load(); a <= myEpoch && a != Quiescent {
-							// a == myEpoch is allowed only if that guard
-							// started after the advance; we cannot tell
-							// here, so only flag strictly smaller.
-							if a < myEpoch {
-								violations.Add(1)
-							}
-						}
+				a := s.Announced()
+				if i%8 == 0 {
+					prev := s.Lower(a - 1)
+					if m.SafeBefore() > a-1 {
+						violations.Add(1)
 					}
-					totalFreed.Add(1)
-				})
+					s.Restore(prev)
+				}
+				m.TryAdvance()
+				if m.SafeBefore() > a {
+					violations.Add(1)
+				}
 				s.Exit()
 			}
-			s.Drain()
 			s.Unregister()
-		}(w)
+		}()
 	}
 	wg.Wait()
 
-	// Final drain from a fresh slot to pick up orphans.
-	s := m.Register()
-	s.Drain()
 	if violations.Load() != 0 {
-		t.Fatalf("%d reclamation-safety violations", violations.Load())
+		t.Fatalf("%d reuse-bound violations", violations.Load())
 	}
-	if totalFreed.Load() != workers*opsPer {
-		t.Fatalf("freed %d of %d", totalFreed.Load(), workers*opsPer)
+	if g := m.GlobalEpoch(); g == 2 {
+		t.Fatal("the global epoch never advanced")
+	}
+	if got := m.SafeBefore(); got != m.GlobalEpoch() {
+		t.Fatalf("SafeBefore = %d with every slot gone, want global %d", got, m.GlobalEpoch())
 	}
 }
 
@@ -327,20 +224,6 @@ func BenchmarkGuardEnterExit(b *testing.B) {
 		s.Enter()
 		s.Exit()
 	}
-}
-
-func BenchmarkRetire(b *testing.B) {
-	m := NewManager()
-	s := m.Register()
-	nop := func() {}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Enter()
-		s.Retire(nop)
-		s.Exit()
-	}
-	b.StopTimer()
-	s.Drain()
 }
 
 // TestSafeBeforeBounds pins the exported reuse bound: with no active
@@ -379,9 +262,10 @@ func TestSafeBeforeBounds(t *testing.T) {
 }
 
 // TestMetricsAdvanceAndReclaimCounters pins the obs wiring (DESIGN.md
-// S14): TryAdvance traffic lands on the shared global block, and every
-// reclaimed batch contributes one batch count plus its epoch lag
-// (bound - retirement epoch) to the lag sum.
+// S14): TryAdvance traffic lands on the shared global block, and the
+// epoch manager adds nothing to the reclaim counters — those belong to
+// the one grace-period queue, the pooled-reuse drain in internal/core
+// (its TestMetricsReclaimCountersMatchTrace).
 func TestMetricsAdvanceAndReclaimCounters(t *testing.T) {
 	prev := obs.Enabled()
 	obs.SetEnabled(true)
@@ -404,11 +288,7 @@ func TestMetricsAdvanceAndReclaimCounters(t *testing.T) {
 	}
 	q.Exit()
 
-	// Successful advances, with a retirement riding along.
-	reclaimed := 0
-	s.Enter()
-	s.Retire(func() { reclaimed++ })
-	s.Exit()
+	// Successful advances.
 	for i := 0; i < 4; i++ {
 		s.Enter()
 		s.Exit()
@@ -416,14 +296,10 @@ func TestMetricsAdvanceAndReclaimCounters(t *testing.T) {
 			t.Fatalf("quiescent TryAdvance %d failed", i)
 		}
 	}
-	s.Drain()
-	if reclaimed != 1 {
-		t.Fatalf("retired callback ran %d times, want 1", reclaimed)
-	}
 
 	d := obs.Snapshot().Sub(s0)
-	// The slot machinery auto-advances on its own cadence (advanceEvery,
-	// batch flushes), so exact counts would pin an internal policy; the
+	// The slot machinery auto-advances on its own cadence (advanceEvery),
+	// so exact counts would pin an internal policy; the
 	// invariants are what matter: at least our 5 explicit successes, and
 	// strictly more tries than successes (the blocked attempt counted).
 	tries, adv := d.Get(obs.EpochAdvanceTries), d.Get(obs.EpochAdvances)
@@ -433,13 +309,8 @@ func TestMetricsAdvanceAndReclaimCounters(t *testing.T) {
 	if tries <= adv {
 		t.Errorf("EpochAdvanceTries = %d with %d advances: the blocked attempt was not counted", tries, adv)
 	}
-	if b := d.Get(obs.EpochReclaimBatches); b == 0 {
-		t.Error("reclaimed a batch but EpochReclaimBatches stayed 0")
-	}
-	// The batch waited at least the two-epoch grace period, so the lag
-	// sum must be >= the batch count.
-	if lag, b := d.Get(obs.EpochReclaimLagEpochs), d.Get(obs.EpochReclaimBatches); lag < b {
-		t.Errorf("lag sum %d < batch count %d: lag not recorded", lag, b)
+	if b, lag := d.Get(obs.EpochReclaimBatches), d.Get(obs.EpochReclaimLagEpochs); b != 0 || lag != 0 {
+		t.Errorf("epoch manager counted %d reclaim batches (lag %d); only the pool drain reclaims", b, lag)
 	}
 	q.Unregister()
 	s.Unregister()
@@ -451,9 +322,7 @@ func TestPinHoldsReclaimWithoutBlockingAdvance(t *testing.T) {
 	defer s.Unregister()
 
 	pin := m.Pin()
-	ran := false
 	s.Enter()
-	s.Retire(func() { ran = true })
 	s.Exit()
 
 	// The pin must not block epoch advancement...
@@ -466,20 +335,15 @@ func TestPinHoldsReclaimWithoutBlockingAdvance(t *testing.T) {
 	if m.GlobalEpoch() != g0+4 {
 		t.Fatalf("global epoch = %d, want %d", m.GlobalEpoch(), g0+4)
 	}
-	// ...but it must hold the reclamation bound at its epoch.
+	// ...but it must hold the reuse bound at its epoch.
 	if got := m.SafeBefore(); got > pin.Epoch() {
 		t.Fatalf("SafeBefore = %d while pinned at %d", got, pin.Epoch())
-	}
-	s.Drain()
-	if ran {
-		t.Fatal("retired callback ran while a pin held its epoch")
 	}
 
 	pin.Release()
 	pin.Release() // double release is a no-op
-	s.Drain()
-	if !ran {
-		t.Fatal("retired callback did not run after the pin was released")
+	if got := m.SafeBefore(); got != m.GlobalEpoch() {
+		t.Fatalf("SafeBefore = %d after the pin was released, want global %d", got, m.GlobalEpoch())
 	}
 }
 

@@ -54,8 +54,8 @@ type PointMetrics struct {
 	// allocated nothing through the pools).
 	PoolHitRate float64 `json:"pool_hit_rate"`
 	// EpochAdvances counts global-epoch advancements; EpochLagEpochs is
-	// the mean number of epochs a reclaimed batch waited between
-	// retirement and reclamation.
+	// the mean number of epochs a batch of pooled objects waited in a
+	// pending list between unlink and reuse (obs.EpochReclaim*).
 	EpochAdvances  uint64  `json:"epoch_advances"`
 	EpochLagEpochs float64 `json:"epoch_lag_epochs"`
 	// OptRestartsPerOp/OptEscalationsPerOp are the obs-mirrored

@@ -89,11 +89,13 @@ const (
 	// calls and the subset that moved the global epoch.
 	EpochAdvanceTries
 	EpochAdvances
-	// EpochReclaimBatches counts reclaimed retire batches, and
+	// EpochReclaimBatches counts batches of pooled objects that the
+	// pooled-reuse drain moved from a Proc's pending list to its
+	// freelists (one batch per distinct unlink epoch per drain), and
 	// EpochReclaimLagEpochs sums, over those batches, the number of
-	// epochs between retirement and reclamation — their ratio is the
-	// mean reclamation lag, the "how long does freed memory wait"
-	// figure for the pools.
+	// epochs between unlink and reuse (the drain's SafeBefore bound
+	// minus the batch epoch) — their ratio is the mean reclamation lag,
+	// the "how long does freed memory wait" figure for the pools.
 	EpochReclaimBatches
 	EpochReclaimLagEpochs
 	// TxnDepth* histogram the number of distinct shard locks acquired
@@ -260,7 +262,7 @@ func (b *Block) Release() {
 }
 
 // global is the shared block for rare events with no natural per-worker
-// owner (epoch advancement, orphan reclamation). Contended in theory,
+// owner (epoch advancement). Contended in theory,
 // but its events fire orders of magnitude less often than lock events.
 var global = NewBlock()
 

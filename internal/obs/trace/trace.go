@@ -106,8 +106,9 @@ const (
 	PoolSpill
 	// EpochAdvance: the global epoch advanced. A=the new epoch, B=0.
 	EpochAdvance
-	// EpochReclaim: a retire batch was reclaimed. A=the batch's
-	// retirement epoch, B=callback count.
+	// EpochReclaim: the pooled-reuse drain moved one batch of pooled
+	// objects, all unlinked in the same epoch, from the Proc's pending
+	// list to its freelists. A=the batch's unlink epoch, B=object count.
 	EpochReclaim
 	// KVOp: one KV client operation completed (a span: the event is
 	// emitted at completion and B carries the duration). Lock=shard
@@ -358,7 +359,7 @@ func (r *Ring) Release() {
 }
 
 // global is the shared ring for rare events with no owning Proc
-// (epoch advancement, orphan reclamation). Multi-writer, best-effort;
+// (epoch advancement). Multi-writer, best-effort;
 // see the package comment.
 var global = func() *Ring {
 	r := NewRing(0)

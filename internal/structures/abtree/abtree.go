@@ -152,7 +152,6 @@ func (t *Tree) Insert(p *flock.Proc, k, v uint64) bool {
 				return &node{leaf: true, keys: nk, vals: nv}
 			})
 			par.children[parIdx].Store(hp, nl)
-			flock.Retire(hp, leaf, nil)
 			return true
 		})
 		if ok {
@@ -200,7 +199,6 @@ func (t *Tree) Delete(p *flock.Proc, k uint64) bool {
 				return &node{leaf: true, keys: nk, vals: nv}
 			})
 			par.children[parIdx].Store(hp, nl)
-			flock.Retire(hp, leaf, nil)
 			return true
 		})
 		if ok {
@@ -298,7 +296,6 @@ func (t *Tree) splitChild(p *flock.Proc, gp *node, gpIdx int, par *node, parIdx 
 				})
 				cur.removed.Store(hp2, true)
 				par.children[0].Store(hp2, newRoot)
-				flock.Retire(hp2, cur, nil)
 				return true
 			})
 		})
@@ -321,8 +318,6 @@ func (t *Tree) splitChild(p *flock.Proc, gp *node, gpIdx int, par *node, parIdx 
 				par.removed.Store(hp3, true)
 				cur.removed.Store(hp3, true)
 				gp.children[gpIdx].Store(hp3, newPar)
-				flock.Retire(hp3, par, nil)
-				flock.Retire(hp3, cur, nil)
 				return true
 			})
 		})
@@ -449,8 +444,6 @@ func (t *Tree) rebalanceLeaves(hp *flock.Proc, par *node, parIdx int, cur *node,
 			return &node{leaf: true, keys: nk, vals: nv}
 		})
 		t.replaceMerged(hp, par, parIdx, cur, lo, merged)
-		flock.Retire(hp, loN, nil)
-		flock.Retire(hp, hiN, nil)
 		return
 	}
 	// Borrow: rebalance the two leaves evenly and update the separator.
@@ -468,8 +461,6 @@ func (t *Tree) rebalanceLeaves(hp *flock.Proc, par *node, parIdx int, cur *node,
 		return &node{leaf: true, keys: nk, vals: nv}
 	})
 	t.replaceBorrowed(hp, par, parIdx, cur, lo, newLo, newHi, newHi.keys[0])
-	flock.Retire(hp, loN, nil)
-	flock.Retire(hp, hiN, nil)
 }
 
 // rebalanceInternals merges or rotates between adjacent internal children
@@ -492,8 +483,6 @@ func (t *Tree) rebalanceInternals(hp *flock.Proc, par *node, parIdx int, cur *no
 		t.replaceMerged(hp, par, parIdx, cur, lo, merged)
 		loN.removed.Store(hp, true)
 		hiN.removed.Store(hp, true)
-		flock.Retire(hp, loN, nil)
-		flock.Retire(hp, hiN, nil)
 		return
 	}
 	// Rotate: move children across to even out, threading separators.
@@ -519,8 +508,6 @@ func (t *Tree) rebalanceInternals(hp *flock.Proc, par *node, parIdx int, cur *no
 	t.replaceBorrowed(hp, par, parIdx, cur, lo, newLo, newHi, newSep)
 	loN.removed.Store(hp, true)
 	hiN.removed.Store(hp, true)
-	flock.Retire(hp, loN, nil)
-	flock.Retire(hp, hiN, nil)
 }
 
 func loadKids(hp *flock.Proc, n *node) []*node {
@@ -539,7 +526,6 @@ func (t *Tree) replaceMerged(hp *flock.Proc, par *node, parIdx int, cur *node, l
 		// Root collapse: the merged node becomes the root.
 		cur.removed.Store(hp, true)
 		par.children[0].Store(hp, merged)
-		flock.Retire(hp, cur, nil)
 		return
 	}
 	kids := loadKids(hp, cur)
@@ -564,7 +550,6 @@ func (t *Tree) replaceMerged(hp *flock.Proc, par *node, parIdx int, cur *node, l
 	})
 	cur.removed.Store(hp, true)
 	par.children[parIdx].Store(hp, newCur)
-	flock.Retire(hp, cur, nil)
 }
 
 // replaceBorrowed rebuilds cur with children lo, lo+1 replaced by newLo,
@@ -584,7 +569,6 @@ func (t *Tree) replaceBorrowed(hp *flock.Proc, par *node, parIdx int, cur *node,
 	})
 	cur.removed.Store(hp, true)
 	par.children[parIdx].Store(hp, newCur)
-	flock.Retire(hp, cur, nil)
 }
 
 // Keys returns the sorted key snapshot (single-threaded use).

@@ -520,7 +520,6 @@ func (t *Tree) Insert(p *flock.Proc, k, v uint64) bool {
 					grown := buildInner(hp2, n.prefix, pairs)
 					n.removed.Store(hp2, true)
 					store(hp2, grown)
-					flock.Retire(hp2, n, nil)
 					return true
 				})
 			}) {
@@ -541,7 +540,6 @@ func (t *Tree) Insert(p *flock.Proc, k, v uint64) bool {
 						sortedPairs(pair{n.prefix[cp], clone}, pair{kb[depth+cp], nl}))
 					n.removed.Store(hp2, true)
 					store(hp2, split)
-					flock.Retire(hp2, n, nil)
 					return true
 				})
 			}) {
@@ -591,7 +589,6 @@ func (t *Tree) Delete(p *flock.Proc, k uint64) bool {
 					return false
 				}
 				t.root.Store(hp, nil)
-				flock.Retire(hp, leaf, nil)
 				return true
 			}) {
 				return true
@@ -612,12 +609,10 @@ func (t *Tree) Delete(p *flock.Proc, k uint64) bool {
 						small := buildInner(hp2, n.prefix, pairs)
 						n.removed.Store(hp2, true)
 						store(hp2, small)
-						flock.Retire(hp2, n, nil)
 					} else {
 						n.removeChild(hp2, b)
 						n.count.Store(hp2, cnt-1)
 					}
-					flock.Retire(hp2, leaf, nil)
 					return true
 				}
 				// cnt == 2: path-compress n away, promoting the sibling.
@@ -626,8 +621,6 @@ func (t *Tree) Delete(p *flock.Proc, k uint64) bool {
 				if sib.c.isLeaf() {
 					n.removed.Store(hp2, true)
 					store(hp2, sib.c)
-					flock.Retire(hp2, n, nil)
-					flock.Retire(hp2, leaf, nil)
 					return true
 				}
 				// Inner sibling: clone it with the merged prefix.
@@ -638,9 +631,6 @@ func (t *Tree) Delete(p *flock.Proc, k uint64) bool {
 					n.removed.Store(hp3, true)
 					sib.c.removed.Store(hp3, true)
 					store(hp3, clone)
-					flock.Retire(hp3, n, nil)
-					flock.Retire(hp3, sib.c, nil)
-					flock.Retire(hp3, leaf, nil)
 					return true
 				})
 			})

@@ -112,7 +112,6 @@ func (l *List) Delete(p *flock.Proc, k uint64) bool {
 				lnk.removed.Store(hp2, true)
 				prev.next.Store(hp2, next) // splice out
 				next.prev.Store(hp2, prev)
-				flock.Retire(hp2, lnk, nil)
 				return true
 			})
 		}) {

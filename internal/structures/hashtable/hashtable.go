@@ -138,7 +138,6 @@ func (t *Table) Delete(p *flock.Proc, k uint64) bool {
 				next := curr.next.Load(hp2)
 				curr.removed.Store(hp2, true)
 				pred.next.Store(hp2, next)
-				flock.Retire(hp2, curr, nil)
 				return true
 			})
 		})

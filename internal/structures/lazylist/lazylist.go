@@ -117,7 +117,6 @@ func (l *List) Delete(p *flock.Proc, k uint64) bool {
 				next := curr.next.Load(hp2)
 				curr.removed.Store(hp2, true)
 				pred.next.Store(hp2, next) // splice out
-				flock.Retire(hp2, curr, nil)
 				return true
 			})
 		})

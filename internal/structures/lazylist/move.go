@@ -57,7 +57,6 @@ func Move(p *flock.Proc, src, dst *List, k uint64) bool {
 				return nn
 			})
 			dPred.next.Store(hp, moved) // splice into dst
-			flock.Retire(hp, sCurr, nil)
 			return true
 		}
 

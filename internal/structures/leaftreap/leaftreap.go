@@ -178,7 +178,6 @@ func (t *Tree) Delete(p *flock.Proc, k uint64) bool {
 					return &node{leaf: true, keys: nk, vals: nv}
 				})
 				childOf(pp, k).Store(hp, nl)
-				flock.Retire(hp, leaf, nil)
 				return true
 			})
 			if ok {
@@ -199,8 +198,6 @@ func (t *Tree) Delete(p *flock.Proc, k uint64) bool {
 				sibling := siblingOf(pp, k).Load(hp2)
 				pp.removed.Store(hp2, true)
 				childOf(gp, k).Store(hp2, sibling)
-				flock.Retire(hp2, pp, nil)
-				flock.Retire(hp2, leaf, nil)
 				return true
 			})
 		})

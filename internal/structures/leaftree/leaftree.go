@@ -148,7 +148,6 @@ func (t *Tree) replaceAt(p *flock.Proc, pp, leaf *node, k, v uint64) bool {
 		})
 		if leaf.k == k {
 			childOf(pp, k).Store(hp, newLeaf)
-			flock.Retire(hp, leaf, nil)
 			return true
 		}
 		inner := flock.Allocate(hp, func() *node {
@@ -164,7 +163,6 @@ func (t *Tree) replaceAt(p *flock.Proc, pp, leaf *node, k, v uint64) bool {
 			return in
 		})
 		childOf(pp, k).Store(hp, inner)
-		flock.Retire(hp, leaf, nil)
 		return true
 	})
 }
@@ -192,8 +190,6 @@ func (t *Tree) Delete(p *flock.Proc, k uint64) bool {
 				sibling := siblingOf(pp, k).Load(hp2)
 				pp.removed.Store(hp2, true)
 				childOf(gp, k).Store(hp2, sibling) // splice out pp and leaf
-				flock.Retire(hp2, pp, nil)
-				flock.Retire(hp2, leaf, nil)
 				return true
 			})
 		})
