@@ -40,11 +40,11 @@
 //	flockbench -structure leaftree -ycsb f -shards 8 -threads 16
 //	flockbench -structure leaftree -ycsb e -scanlen 64 -shards 8
 //
-// The allocation ablation (DESIGN.md S10) — pooled vs GC-fresh vs
-// blocking, with allocs/op reported alongside Mop/s:
+// The allocation figure (DESIGN.md S10) — lock-free, whose
+// descriptors are pooled, vs blocking, with allocs/op reported
+// alongside Mop/s (single points report allocs/op too):
 //
 //	flockbench -figure ext-alloc
-//	flockbench -structure leaftree -threads 16 -nopool
 //
 // The transactional extension (DESIGN.md S11) — multi-key atomic
 // operations over the sharded store via composed lock-free locks;
@@ -157,7 +157,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	flags.IntVar(&spec.UpdatePct, "update", 50, "single-point: update percentage")
 	flags.Float64Var(&spec.Alpha, "alpha", 0.75, "single-point: zipfian parameter")
 	flags.BoolVar(&spec.Blocking, "blocking", false, "single-point: blocking mode")
-	flags.BoolVar(&spec.NoPool, "nopool", false, "single-point: disable descriptor/log/mbox pooling (GC-fresh ablation arm)")
 	flags.BoolVar(&spec.HashKeys, "hashkeys", false, "single-point: sparsify keys by hashing")
 	flags.IntVar(&spec.StallEvery, "stall", 0, "single-point: inject a deschedule every N critical sections")
 	flags.StringVar(&spec.YCSB, "ycsb", "", "single-point: run a YCSB workload (a, b, c, e, f) against the sharded KV store")
@@ -283,9 +282,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if spec.TxnNonAtomic {
 				mode += " nonatomic"
 			}
-		}
-		if spec.NoPool {
-			mode += " nopool"
 		}
 		fmt.Fprintf(stdout, "%s threads=%d keys=%d update=%d%% alpha=%.2f blocking=%v stall=%d%s: %.3f Mop/s (±%.3f)  %.2f allocs/op  p50=%sµs p95=%sµs p99=%sµs\n",
 			spec.Structure, spec.Threads, spec.KeyRange, spec.UpdatePct, spec.Alpha, spec.Blocking, spec.StallEvery, mode,

@@ -7,10 +7,10 @@ package flock
 // read-first commit (compare-and-compare-and-swap, §6) a run that finds
 // the slot already committed returns the committed object without
 // calling mk, so a replay builds nothing; a run that races the first
-// commit, or any run under NoCCAS, calls mk and drops its object if it
-// loses (the paper's sysFree becomes garbage collection). mk must have
-// no side effects other than building the object. Outside a thunk it is
-// just mk().
+// commit (or, with the read-first commit off, any run) calls mk and
+// drops its object if it loses (the paper's sysFree becomes garbage
+// collection). mk must have no side effects other than building the
+// object. Outside a thunk it is just mk().
 func Allocate[T any](p *Proc, mk func() *T) *T {
 	if p.blk == nil {
 		return mk()

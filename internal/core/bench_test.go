@@ -17,7 +17,8 @@ import (
 // acquisition runs inside Begin/End, as a structure operation does:
 // Begin paces the pending-list drain, so the descriptor comes from the
 // pool instead of the garbage collector. Both variants do so and make
-// their thunk once, so they count only the lock's own allocations.
+// their thunk once, so they count only the lock's own allocations and
+// the stored value's box (1 alloc/op in both modes).
 func BenchmarkUncontendedTryLockLF(b *testing.B) {
 	rt := New()
 	p := rt.Register()
@@ -65,7 +66,7 @@ func BenchmarkAblationCCAS(b *testing.B) {
 		opts []Option
 	}{
 		{"ccas-on", nil},
-		{"ccas-off", []Option{NoCCAS()}},
+		{"ccas-off", []Option{noCCAS()}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			rt := New(cfg.opts...)
@@ -189,18 +190,19 @@ func BenchmarkTryVsStrict(b *testing.B) {
 }
 
 // BenchmarkAblationPooling isolates the S10 memory management: the same
-// guarded lock+store loop with per-Proc pooling on (default) and off
-// (the GC-fresh path). At par=1 the pooled arm runs allocation-free;
-// heavily oversubscribed arms converge (grace periods stretch across
-// scheduler quanta and the pools saturate to the GC fallback), which is
-// why the pending list and freelists are capped.
+// guarded lock+store loop with per-Proc descriptor pooling on (default)
+// and off (noPool, the GC-fresh path). At par=1 the pooled arm
+// allocates only the stored value's box; heavily oversubscribed arms
+// converge (grace periods stretch across scheduler quanta and the pool
+// saturates to the GC fallback), which is why the pending list and
+// freelist are capped.
 func BenchmarkAblationPooling(b *testing.B) {
 	for _, cfg := range []struct {
 		name string
 		opts []Option
 	}{
 		{"pooled", nil},
-		{"nopool", []Option{NoPool()}},
+		{"nopool", []Option{noPool()}},
 	} {
 		for _, par := range []int{1, 8} {
 			b.Run(cfg.name+"/par="+itoa(par), func(b *testing.B) {

@@ -65,12 +65,12 @@
 // The hot commit path is allocation-free (§6 of the paper, DESIGN.md
 // S10): committed pointers (boxes, descriptors, Allocate results) land
 // directly in log slots — no wrapper entries, no interface boxing —
-// with booleans and nil encoded as sentinel addresses, and descriptors,
-// spill log blocks and value boxes are recycled through per-Proc
-// freelists gated by the epoch manager's grace periods. Wrap every
-// operation in Proc.Begin/End: the guards delay pooled reuse while a
-// helper might still replay a log that references the object. Those
-// pending lists are the only grace-period queue; structure nodes are
-// never pooled, so unlinking one needs no call at all. NoPool restores
-// the GC-fresh behaviour (used by the ext-alloc ablation).
+// with booleans and nil encoded as sentinel addresses, and descriptors
+// (with their log blocks) are recycled through per-Proc freelists gated
+// by the epoch manager's grace periods. Wrap every operation in
+// Proc.Begin/End: the guards delay a descriptor's reuse while a helper
+// might still replay a log that references it. Those pending lists are
+// the only grace-period queue. Value boxes and structure nodes are
+// never pooled: the garbage collector is the paper's free for them, so
+// unlinking one needs no call at all.
 package flock

@@ -86,14 +86,14 @@ func TestSequentialReplayHasNoFurtherEffect(t *testing.T) {
 // TestReplayDoesNotRebuildAllocation: under the default read-first
 // commit, a replay that finds Allocate's slot committed returns the
 // committed object without calling mk, so across an owner run and a
-// replay mk runs exactly once. NoCCAS commits blindly, so every run
+// replay mk runs exactly once. noCCAS commits blindly, so every run
 // builds its object (and the loser's is dropped).
 func TestReplayDoesNotRebuildAllocation(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		opts      []Option
 		wantCalls int64
-	}{{"ccas", nil, 1}, {"noccas", []Option{NoCCAS()}, 2}} {
+	}{{"ccas", nil, 1}, {"noccas", []Option{noCCAS()}, 2}} {
 		t.Run(tc.name, func(t *testing.T) {
 			rt := New(tc.opts...)
 			p := rt.Register()

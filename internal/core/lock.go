@@ -347,13 +347,14 @@ func (l *Lock) Held() bool {
 // S1/S7/S10).
 //
 // help marks a caller that read ls from the word to help someone else's
-// acquisition. Its guard may have been announced after boxes that ls.d's
-// log commits were retired, so lowering the announcement to ls.d's birth
-// epoch can come too late to keep them from being recycled. So a helper
-// lowers first and then runs the thunk only if the word still holds ls:
-// while it does, the acquisition's owner is still inside its own guard,
-// which has kept those boxes from recycling since before they were
-// retired, and from then on the lowered announcement does. A word that
+// acquisition. Its guard may have been announced after descriptors that
+// ls.d's log commits (those of nested acquisitions) were retired, so
+// lowering the announcement to ls.d's birth epoch can come too late to
+// keep them from being recycled. So a helper lowers first and then runs
+// the thunk only if the word still holds ls: while it does, the
+// acquisition's owner is still inside its own guard, which has kept
+// those descriptors from recycling since before they were retired, and
+// from then on the lowered announcement does. A word that
 // moved on means the critical section was completed or released early,
 // and there is nothing left to help. The owner (help false) always
 // runs: it needs the thunk's result, and its own guard, or the enclosing

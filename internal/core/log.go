@@ -53,14 +53,6 @@ type logBlock struct {
 	next    atomic.Pointer[logBlock]
 }
 
-// resetPlain clears all entries (same grace-period contract as
-// logSlot.resetPlain).
-func (b *logBlock) resetPlain() {
-	for i := range b.entries {
-		b.entries[i].resetPlain()
-	}
-}
-
 // commitRaw implements the paper's commitValue (Algorithm 2, line 31)
 // over raw pointers: it attempts to record v at the Proc's current log
 // position and returns the pointer actually committed there together
@@ -142,17 +134,16 @@ func (p *Proc) commitBool(v bool) bool {
 }
 
 // advanceBlock moves the Proc's cursor to the next log block, creating
-// it idempotently if this run is the first to need it. Spill blocks come
-// from the Proc's freelist; a block that loses the linking CAS was never
-// published and goes straight back.
+// it idempotently if this run is the first to need it. A pooled
+// descriptor keeps the spill blocks of its earlier lives linked (they
+// are scrubbed with it), so a long thunk allocates a block only the
+// first time its descriptor's log grows that far; a block that loses the
+// linking CAS was never published and is left to the GC.
 func (p *Proc) advanceBlock(blk *logBlock) *logBlock {
 	next := blk.next.Load()
 	if next == nil {
-		nb := p.allocBlock()
-		if blk.next.CompareAndSwap(nil, nb) {
-			next = nb
-		} else {
-			p.freeBlock(nb)
+		next = &logBlock{}
+		if !blk.next.CompareAndSwap(nil, next) {
 			next = blk.next.Load()
 		}
 	}

@@ -183,7 +183,7 @@ func TestCommitNilValue(t *testing.T) {
 }
 
 func TestNoCCASOptionStillCorrect(t *testing.T) {
-	rt := New(NoCCAS())
+	rt := New(noCCAS())
 	p := rt.Register()
 	q := rt.Register()
 	defer p.Unregister()
@@ -196,6 +196,6 @@ func TestNoCCASOptionStillCorrect(t *testing.T) {
 	v, first := q.Commit("y")
 	exitQ()
 	if first || v != "x" {
-		t.Fatalf("NoCCAS replay = (%v,%v)", v, first)
+		t.Fatalf("noCCAS replay = (%v,%v)", v, first)
 	}
 }

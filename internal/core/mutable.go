@@ -7,12 +7,10 @@ import "sync/atomic"
 // by any location or log, so a box address can never recur in a location
 // while a log or helper still references it: box identity is ABA-free.
 // This plays the role of the paper's version tags (§6 "ABA"); lock
-// words use the version tags themselves when unlocked (lock.go). With
-// pooling enabled the uniqueness window is enforced by epoch grace
-// periods — a box CASed out of a location rejoins the freelist only
-// after every operation that could have committed it has finished
-// (DESIGN.md S10); with NoPool it is enforced by the garbage collector
-// as before (S1).
+// words use the version tags themselves when unlocked (lock.go). Boxes
+// are never pooled: the garbage collector frees a replaced box only
+// once no log or helper references it, so the address cannot recur
+// before then (DESIGN.md S1).
 type mbox[V comparable] struct {
 	v V
 }
@@ -61,25 +59,18 @@ func (m *Mutable[V]) Load(p *Proc) V {
 // logged load, then a CAS from the committed old box, so only the first
 // run's store takes effect. Stores must not race with other Stores or
 // CAMs on the same location (they are protected by the enclosing lock).
-// The replaced box is recycled after its epoch grace period; a box that
-// lost the install CAS was never published and is recycled immediately.
+// The replaced box, and a box that lost the install CAS, are left to
+// the garbage collector.
 func (m *Mutable[V]) Store(p *Proc, v V) {
 	if p.blk == nil {
-		old := m.b.Load()
-		m.b.Store(allocBox(p, v))
-		retireBox(p, old)
+		m.b.Store(&mbox[V]{v: v})
 		return
 	}
 	old := m.loadBox(p)
 	if p.rt.avoidCAS && m.b.Load() != old {
 		return // someone already moved it past old; our CAS would fail
 	}
-	nb := allocBox(p, v)
-	if m.b.CompareAndSwap(old, nb) {
-		retireBox(p, old)
-	} else {
-		freeBox(p, nb)
-	}
+	m.b.CompareAndSwap(old, &mbox[V]{v: v})
 }
 
 // CAM is a compare-and-modify: if the current value equals old, replace it
@@ -97,12 +88,7 @@ func (m *Mutable[V]) CAM(p *Proc, old, new V) {
 	if p.blk != nil && p.rt.avoidCAS && m.b.Load() != bx {
 		return
 	}
-	nb := allocBox(p, new)
-	if m.b.CompareAndSwap(bx, nb) {
-		retireBox(p, bx)
-	} else {
-		freeBox(p, nb)
-	}
+	m.b.CompareAndSwap(bx, &mbox[V]{v: new})
 }
 
 // Link is a pointer location that needs no box because its pointers are
@@ -110,8 +96,8 @@ func (m *Mutable[V]) CAM(p *Proc, old, new V) {
 // thunk, Load commits the pointer itself to the log and Store is one CAS
 // from the committed pointer to the new one, of which exactly one run's
 // attempt can succeed. Outside any thunk (including all of blocking
-// mode) Load and Store are plain atomics. No box is allocated, pooled or
-// retired, so a hop through a Link is one dependent load, not two.
+// mode) Load and Store are plain atomics. No box is allocated, so a hop
+// through a Link is one dependent load, not two.
 //
 // Contract: a pointer stored in a Link never recurs in that Link, and
 // its pointees are never pooled, so the garbage collector keeps any
@@ -159,9 +145,7 @@ func (l *Link[T]) Store(p *Proc, v *T) {
 // store is a plain write (every run writes the same value) and a load
 // commits the box pointer it read, like Mutable, with no wrapper entry.
 //
-// UpdateOnce never pools its boxes: its Store is a racy idempotent plain
-// write, so no single run can claim the unique unlink needed for pooled
-// reuse. Every box is therefore fresh from the heap, and a committed box
+// As with Mutable, every box is fresh from the heap, so a committed box
 // pointer names one value for good: every run reads the same value
 // from it.
 //

@@ -7,10 +7,10 @@ import (
 	"flock/internal/obs/trace"
 )
 
-// Tests for the S10 invariant: a pooled object unlinked at epoch e may
-// rejoin a freelist only once every guard (or helper lowered to a thunk
-// birth) from epoch <= e has finished. While such a guard is open the
-// object must sit in the pending list, not the pool.
+// Tests for the S10 invariant: a descriptor released at epoch e may
+// rejoin the freelist only once every guard (or helper lowered to a
+// thunk birth) from epoch <= e has finished. While such a guard is open
+// the descriptor must sit in the pending list, not the freelist.
 
 func drainHard(p *Proc) {
 	for i := 0; i < 6; i++ {
@@ -18,9 +18,10 @@ func drainHard(p *Proc) {
 	}
 }
 
-// holder is one way a worker can still reference an object unlinked by
-// run: hold starts holding and returns the matching release. Each holder
-// must keep the unlinked object out of the freelists until released.
+// holder is one way a worker can still reference a descriptor released
+// by run: hold starts holding and returns the matching release. Each
+// holder must keep the released descriptor out of the freelist until
+// released.
 type holder struct {
 	name string
 	hold func(rt *Runtime, q *Proc, run func()) (release func())
@@ -35,8 +36,8 @@ var holders = []holder{
 		return q.End
 	}},
 	{name: "lowered guard", hold: func(rt *Runtime, q *Proc, run func()) func() {
-		// A helper that enters after the unlink, once the object is
-		// already ripe, and lowers to the birth epoch of a thunk that
+		// A helper that enters after the release, once the descriptor
+		// is already ripe, and lowers to the birth epoch of a thunk that
 		// could still load it.
 		birth := rt.epochs.GlobalEpoch()
 		run()
@@ -58,7 +59,7 @@ var holders = []holder{
 }
 
 // checkReuseWaits runs setup and then run under each holder, and checks
-// that what run unlinks reaches a freelist (reused reports how much)
+// that what run releases reaches the freelist (reused reports how much)
 // only after the holder releases.
 func checkReuseWaits(t *testing.T, setup func(*Proc) func(), reused func(*Proc) int) {
 	for _, h := range holders {
@@ -84,22 +85,11 @@ func checkReuseWaits(t *testing.T, setup func(*Proc) func(), reused func(*Proc) 
 			if n := reused(p); n == 0 {
 				t.Fatal("nothing recycled after release")
 			}
-			if _, _, _, pending := p.PoolStats(); pending != 0 {
-				t.Fatalf("%d objects still pending after release", pending)
+			if pending := len(p.pending); pending != 0 {
+				t.Fatalf("%d descriptors still pending after release", pending)
 			}
 		})
 	}
-}
-
-func TestBoxReuseWaitsForGuards(t *testing.T) {
-	checkReuseWaits(t, func(p *Proc) func() {
-		m := new(Mutable[int])
-		m.Init(1)
-		return func() { m.Store(p, 2) }
-	}, func(p *Proc) int {
-		_, _, boxes, _ := p.PoolStats()
-		return boxes
-	})
 }
 
 func TestDescriptorReuseWaitsForGuards(t *testing.T) {
@@ -115,30 +105,28 @@ func TestDescriptorReuseWaitsForGuards(t *testing.T) {
 				t.Fatal("second acquisition failed")
 			}
 		}
-	}, func(p *Proc) int {
-		dfree, _, _, _ := p.PoolStats()
-		return dfree
-	})
+	}, func(p *Proc) int { return len(p.dfree) })
 }
 
 // TestBeginCadenceRecyclesWithoutDrain: the Begin cadence alone moves
-// ripe pending entries to the freelists — a worker that never calls
-// Drain still reuses its boxes and never saturates its pending list.
+// ripe pending entries to the freelist — a worker that never calls
+// Drain still reuses its descriptors and never saturates its pending
+// list.
 func TestBeginCadenceRecyclesWithoutDrain(t *testing.T) {
 	prev := obs.Enabled()
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(prev)
 	p := New().Register()
 	defer p.Unregister()
-	var m Mutable[int]
-	m.Init(0)
+	var l Lock
+	nop := func(*Proc) bool { return true }
 	for i := 0; i < 4*reusePendingCap; i++ {
 		p.Begin()
-		m.Store(p, i)
+		l.TryLock(p, nop)
 		p.End()
 	}
 	if hits := p.metrics.Load(obs.PoolHits); hits == 0 {
-		t.Fatal("no box was reused without Drain")
+		t.Fatal("no descriptor was reused without Drain")
 	}
 	if spills := p.metrics.Load(obs.PoolSpills); spills != 0 {
 		t.Fatalf("pending list saturated without Drain: %d spills", spills)
@@ -147,13 +135,14 @@ func TestBeginCadenceRecyclesWithoutDrain(t *testing.T) {
 
 // TestLeakedProcHoldsBackNothing: a Proc registered, used and then
 // abandoned outside any guard without Unregister is quiescent, so it
-// blocks neither epoch advancement nor another Proc's pooled reuse.
+// blocks neither epoch advancement nor another Proc's descriptor reuse.
 func TestLeakedProcHoldsBackNothing(t *testing.T) {
 	rt := New()
 	leaked := rt.Register()
-	var m Mutable[int]
+	var l Lock
+	nop := func(*Proc) bool { return true }
 	leaked.Begin()
-	m.Store(leaked, 1)
+	l.TryLock(leaked, nop)
 	leaked.End()
 
 	p := rt.Register()
@@ -163,15 +152,15 @@ func TestLeakedProcHoldsBackNothing(t *testing.T) {
 			t.Fatalf("TryAdvance %d blocked by a leaked Proc", i)
 		}
 	}
-	m.Store(p, 2)
+	l.TryLock(p, nop)
 	drainHard(p)
-	if _, _, boxes, pending := p.PoolStats(); boxes == 0 || pending != 0 {
-		t.Fatalf("reuse held back by a leaked Proc: boxes=%d pending=%d", boxes, pending)
+	if dfree, pending := len(p.dfree), len(p.pending); dfree == 0 || pending != 0 {
+		t.Fatalf("reuse held back by a leaked Proc: dfree=%d pending=%d", dfree, pending)
 	}
 }
 
-// TestPooledValuesStayCorrect hammers a counter through recycled boxes
-// and descriptors and checks nothing leaks across reuse: the committed
+// TestPooledValuesStayCorrect hammers a counter through recycled
+// descriptors and checks nothing leaks across reuse: the committed
 // total must match exactly (a double-recycle or premature reuse would
 // corrupt it).
 func TestPooledValuesStayCorrect(t *testing.T) {
@@ -196,18 +185,18 @@ func TestPooledValuesStayCorrect(t *testing.T) {
 	if got := c.Load(p); got != n {
 		t.Fatalf("counter %d, want %d (reuse corrupted state)", got, n)
 	}
-	d, b, bx, pend := p.PoolStats()
-	if d == 0 && bx == 0 && pend == 0 {
-		t.Fatalf("pools never engaged: dfree=%d bfree=%d boxes=%d pending=%d", d, b, bx, pend)
+	if d, pend := len(p.dfree), len(p.pending); d == 0 && pend == 0 {
+		t.Fatalf("pool never engaged: dfree=%d pending=%d", d, pend)
 	}
 }
 
-// TestNoPoolRuntimeNeverPools pins the GC-fresh ablation arm: with
-// NoPool, nothing is parked and nothing is recycled.
+// TestNoPoolRuntimeNeverPools pins the GC-fresh arm the pooled-vs-fresh
+// tests measure against: with pooling off, nothing is parked and
+// nothing is recycled.
 func TestNoPoolRuntimeNeverPools(t *testing.T) {
-	rt := New(NoPool())
-	if rt.Pooling() {
-		t.Fatal("NoPool runtime reports pooling enabled")
+	rt := New(noPool())
+	if rt.pooling {
+		t.Fatal("noPool runtime reports pooling enabled")
 	}
 	p := rt.Register()
 	defer p.Unregister()
@@ -224,37 +213,55 @@ func TestNoPoolRuntimeNeverPools(t *testing.T) {
 		p.End()
 	}
 	drainHard(p)
-	if d, b, bx, pend := p.PoolStats(); d != 0 || b != 0 || bx != 0 || pend != 0 {
-		t.Fatalf("NoPool runtime pooled objects: dfree=%d bfree=%d boxes=%d pending=%d", d, b, bx, pend)
+	if d, pend := len(p.dfree), len(p.pending); d != 0 || pend != 0 {
+		t.Fatalf("noPool runtime pooled descriptors: dfree=%d pending=%d", d, pend)
 	}
 }
 
-// TestSpillBlocksRecycled: a thunk long enough to spill past the
-// embedded block feeds the block freelist once its descriptor is
-// scrubbed.
+// TestSpillBlocksRecycled: spill blocks stay linked to their
+// descriptor through its pooled life, so a thunk whose log spans more
+// than two blocks allocates nothing per op once its descriptors have
+// been round the pool, and a scrubbed descriptor still carries its
+// chain.
 func TestSpillBlocksRecycled(t *testing.T) {
 	rt := New()
 	p := rt.Register()
 	defer p.Unregister()
 	var l Lock
 	var cells [4]Mutable[uint64]
+	const loads = logBlockLen * 3
 	f := func(hp *Proc) bool {
-		for s := 0; s < logBlockLen*3; s++ {
-			c := &cells[s%len(cells)]
-			c.Store(hp, c.Load(hp)+1)
+		for s := 0; s < loads; s++ {
+			cells[s%len(cells)].Load(hp)
 		}
 		return true
 	}
-	for i := 0; i < 3; i++ {
+	op := func() {
 		p.Begin()
 		if !l.TryLock(p, f) {
-			t.Fatalf("tryLock %d failed", i)
+			t.Fatal("uncontended tryLock failed")
 		}
 		p.End()
-		drainHard(p)
 	}
-	if _, bfree, _, _ := p.PoolStats(); bfree == 0 {
-		t.Fatal("spill blocks never recycled")
+	warm(2000, op)
+	if got := testing.AllocsPerRun(500, op); got != 0 {
+		t.Errorf("a thunk logging %d slots allocates %v per op, want 0", loads, got)
+	}
+	drainHard(p)
+	if len(p.dfree) == 0 {
+		t.Fatal("no descriptor recycled")
+	}
+	blocks := 0
+	for b := p.dfree[len(p.dfree)-1].first.next.Load(); b != nil; b = b.next.Load() {
+		for i := range b.entries {
+			if b.entries[i].load() != nil {
+				t.Fatalf("spill block %d slot %d survived the scrub", blocks, i)
+			}
+		}
+		blocks++
+	}
+	if blocks < 2 {
+		t.Fatalf("recycled descriptor carries %d spill blocks, want >= 2", blocks)
 	}
 }
 
@@ -275,48 +282,70 @@ func TestFullPendingListDrainsWithoutSpill(t *testing.T) {
 	if got := p.metrics.Load(obs.PoolSpills) - spills; got != 0 {
 		t.Fatalf("drain spilled %d descriptors", got)
 	}
-	if d, _, _, pend := p.PoolStats(); d != reusePendingCap || pend != 0 {
+	if d, pend := len(p.dfree), len(p.pending); d != reusePendingCap || pend != 0 {
 		t.Fatalf("after the drain dfree=%d pending=%d, want %d and 0", d, pend, reusePendingCap)
 	}
 }
 
-// TestFullDescriptorFreelistSpills: a descriptor released into a full
-// freelist is dropped to the GC like every other overflow — counted as
-// one PoolSpill and traced as one PoolSpill event, not dropped silently.
+// TestFullDescriptorFreelistSpills: a descriptor that finds the
+// freelist or the pending list full is dropped to the GC, counted as one
+// PoolSpill and traced as one PoolSpill event whose A names the site —
+// not dropped silently. Only the pending-list site counts
+// PoolPendingFull.
 func TestFullDescriptorFreelistSpills(t *testing.T) {
 	prev := obs.Enabled()
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(prev)
 	trace.SetEnabled(true)
 	defer trace.SetEnabled(false)
-	trace.Reset()
 
-	p := New().Register()
-	defer p.Unregister()
-	for len(p.dfree) < reusePendingCap {
-		p.dfree = append(p.dfree, &descriptor{})
-	}
-	p.releaseDescriptor(&descriptor{})
-	if got := p.metrics.Load(obs.PoolSpills); got != 1 {
-		t.Fatalf("PoolSpills = %d after one overflowing release, want 1", got)
-	}
-	if got := countEvents(p, trace.PoolSpill); got != 1 {
-		t.Fatalf("%d PoolSpill events after one overflowing release, want 1", got)
-	}
-	if len(p.dfree) != reusePendingCap {
-		t.Fatalf("dfree grew to %d past its cap %d", len(p.dfree), reusePendingCap)
-	}
-}
-
-// countEvents counts the trace events of kind k that p recorded.
-func countEvents(p *Proc, k trace.Kind) int {
-	n := 0
-	for _, e := range trace.Snapshot().Events {
-		if e.Proc == p.id && e.Kind == k {
-			n++
+	for _, c := range []struct {
+		name        string
+		fill, spill func(p *Proc)
+		site        uint64
+		pendingFull uint64
+	}{
+		{"freelist",
+			func(p *Proc) {
+				for len(p.dfree) < reusePendingCap {
+					p.dfree = append(p.dfree, &descriptor{})
+				}
+			},
+			func(p *Proc) { p.releaseDescriptor(&descriptor{}) },
+			spillFreelistFull, 0},
+		{"pending",
+			func(p *Proc) {
+				for len(p.pending) < reusePendingCap {
+					p.retireDescriptor(&descriptor{})
+				}
+			},
+			func(p *Proc) { p.retireDescriptor(&descriptor{}) },
+			spillPendingFull, 1},
+	} {
+		trace.Reset()
+		p := New().Register()
+		c.fill(p)
+		c.spill(p)
+		if got := p.metrics.Load(obs.PoolSpills); got != 1 {
+			t.Errorf("%s: PoolSpills = %d after one overflow, want 1", c.name, got)
 		}
+		if got := p.metrics.Load(obs.PoolPendingFull); got != c.pendingFull {
+			t.Errorf("%s: PoolPendingFull = %d after one overflow, want %d", c.name, got, c.pendingFull)
+		}
+		var sites []uint64
+		for _, e := range trace.Snapshot().Events {
+			if e.Proc == p.id && e.Kind == trace.PoolSpill {
+				sites = append(sites, e.A)
+			}
+		}
+		if len(sites) != 1 || sites[0] != c.site {
+			t.Errorf("%s: PoolSpill events with sites %v, want one with site %d", c.name, sites, c.site)
+		}
+		if len(p.dfree) > reusePendingCap || len(p.pending) > reusePendingCap {
+			t.Errorf("%s: dfree=%d pending=%d grew past the cap %d", c.name, len(p.dfree), len(p.pending), reusePendingCap)
+		}
+		p.Unregister()
 	}
-	return n
 }
 
 // TestProcRNGSeedsDiffer: every registered Proc must get its own

@@ -15,12 +15,12 @@ import (
 type Runtime struct {
 	epochs   *epoch.Manager
 	blocking atomic.Bool
+	// avoidCAS (compare-and-compare-and-swap, §6) and pooling
+	// (descriptor reuse through per-Proc freelists gated by epoch grace
+	// periods, DESIGN.md S10) are always on; core's tests and ablation
+	// benchmarks turn them off to measure what they buy.
 	avoidCAS bool
-	// pooling, when true (the default), recycles descriptors, spill log
-	// blocks and mboxes through per-Proc freelists gated by epoch grace
-	// periods (DESIGN.md S10) instead of allocating fresh objects on
-	// every operation. Disabled by NoPool for the ext-alloc ablation.
-	pooling bool
+	pooling  bool
 	// stallEvery, when nonzero, makes every stallEvery-th successful
 	// top-level lock acquisition yield the processor while holding the
 	// lock — an injected descheduling event (the phenomenon behind the
@@ -40,18 +40,8 @@ type Option func(*Runtime)
 // mode instead of lock-free mode.
 func Blocking() Option { return func(rt *Runtime) { rt.blocking.Store(true) } }
 
-// NoCCAS disables the compare-and-compare-and-swap optimization (§6); used
-// by the ablation benchmarks.
-func NoCCAS() Option { return func(rt *Runtime) { rt.avoidCAS = false } }
-
-// NoPool disables descriptor/log-block/mbox pooling: every operation
-// allocates fresh objects and drops replaced ones to the garbage
-// collector. This is the repository's pre-pooling behaviour, kept as the
-// "GC-fresh" arm of the ext-alloc ablation.
-func NoPool() Option { return func(rt *Runtime) { rt.pooling = false } }
-
 // New creates a Runtime. The default mode is lock-free with the
-// compare-and-compare-and-swap optimization and object pooling enabled.
+// compare-and-compare-and-swap optimization and descriptor pooling.
 func New(opts ...Option) *Runtime {
 	rt := &Runtime{epochs: epoch.NewManager(), avoidCAS: true, pooling: true, maxOptimistic: 3}
 	for _, o := range opts {
@@ -70,9 +60,6 @@ func (rt *Runtime) Blocking() bool { return rt.blocking.Load() }
 // so a lock's version carries on across a switch and never restarts at
 // 0: a tag never returns to its word.
 func (rt *Runtime) SetBlocking(v bool) { rt.blocking.Store(v) }
-
-// Pooling reports whether object pooling is enabled.
-func (rt *Runtime) Pooling() bool { return rt.pooling }
 
 // Epochs exposes the runtime's epoch manager (used by tests and by
 // structures that manage auxiliary memory).
@@ -95,7 +82,7 @@ func (rt *Runtime) SetStallInjection(n int) {
 
 // Proc is the per-worker execution context: the paper's "process". It
 // carries the current thunk log and position, the worker's epoch slot, a
-// private RNG, and the per-worker object freelists (DESIGN.md S10). A
+// private RNG, and the per-worker descriptor freelist (DESIGN.md S10). A
 // Proc must only be used by one goroutine at a time.
 type Proc struct {
 	rt     *Runtime
@@ -129,13 +116,10 @@ type Proc struct {
 	// per operation in lock-free mode, biasing the ext-txn comparisons.
 	bheld []blockHeld
 
-	// Object pools (see pool.go). dfree/bfree hold clean descriptors and
-	// spill blocks; pools holds per-type mbox freelists; pending holds
-	// objects waiting out their epoch grace period.
+	// The descriptor pool (see pool.go): dfree holds clean descriptors,
+	// pending the released ones waiting out their epoch grace period.
 	dfree     []*descriptor
-	bfree     []*logBlock
-	pools     []typedPool
-	pending   []reusable
+	pending   []parked
 	reuseTick uint64
 
 	_ [32]byte // discourage false sharing between adjacent Procs
@@ -171,9 +155,9 @@ func (rt *Runtime) Register() *Proc {
 
 // Unregister releases the Proc's epoch slot and folds its metrics block
 // into the obs retired totals (so snapshots taken after a worker exits
-// still see its events). Objects awaiting pooled reuse are dropped to
-// the garbage collector (their grace periods may not have elapsed, so
-// they cannot join another Proc's freelist).
+// still see its events). Descriptors awaiting reuse are dropped to the
+// garbage collector (their grace periods may not have elapsed, so they
+// cannot join another Proc's freelist).
 func (p *Proc) Unregister() {
 	p.slot.Unregister()
 	p.pending = nil
@@ -237,9 +221,10 @@ func (p *Proc) traceAtSlow(k trace.Kind, ts int64, lock, a, b uint64) {
 func (p *Proc) ID() uint64 { return p.id }
 
 // Begin enters an epoch guard. Every data structure operation must run
-// between Begin and End so that pooled objects unlinked by concurrent
+// between Begin and End so that descriptors released by concurrent
 // operations are not reused while this worker might still reference
-// them. Guards nest. Begin also paces the pooled-reuse drain (pool.go).
+// them. Guards nest. Begin also paces the descriptor-reuse drain
+// (pool.go).
 func (p *Proc) Begin() {
 	p.slot.Enter()
 	p.reuseTickDrain()
@@ -251,8 +236,8 @@ func (p *Proc) End() { p.slot.Exit() }
 // Runtime returns the Proc's runtime.
 func (p *Proc) Runtime() *Runtime { return p.rt }
 
-// Drain tries to advance the epoch and moves ripe pooled objects to
-// their freelists, for tests and shutdown paths.
+// Drain tries to advance the epoch and moves ripe pending descriptors
+// to the freelist, for tests and shutdown paths.
 func (p *Proc) Drain() {
 	p.rt.epochs.TryAdvance()
 	p.drainReuse()

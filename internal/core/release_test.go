@@ -15,9 +15,7 @@ import (
 // wordDescriptor returns the descriptor held by l's lock word.
 func wordDescriptor(l *Lock) *descriptor { return decodeWord(l.w.Load()).d }
 
-// pendingDescriptors counts every object p has parked for reuse. The
-// thunks that count them store nothing, so each one is a descriptor:
-// the lock word itself parks nothing.
+// pendingDescriptors counts the descriptors p has parked for reuse.
 func pendingDescriptors(p *Proc) int { return len(p.pending) }
 
 // TestReleasedWordHoldsNoDescriptor pins that every lock-free release —
@@ -69,7 +67,7 @@ func TestReleasedWordHoldsNoDescriptor(t *testing.T) {
 // TestEachAcquisitionParksOneDescriptor pins exactly-once retirement:
 // every lock-free acquisition adds exactly one descriptor to its Proc's
 // pending list (a nested pair adds two), whether its lock is taken again
-// or never touched after, and the NoPool arm parks none.
+// or never touched after, and with pooling off none is parked.
 func TestEachAcquisitionParksOneDescriptor(t *testing.T) {
 	const n = 8
 	nop := func(*Proc) bool { return true }
@@ -97,7 +95,7 @@ func TestEachAcquisitionParksOneDescriptor(t *testing.T) {
 		for _, pooling := range []bool{true, false} {
 			var opts []Option
 			if !pooling {
-				opts = append(opts, NoPool())
+				opts = append(opts, noPool())
 			}
 			p := New(opts...).Register()
 			locks := make([]Lock, 2*n)
@@ -134,13 +132,13 @@ func holdCapturing(p *Proc, l *Lock, collected chan struct{}) {
 
 // TestReleasedThunkNotRetained pins that a released lock stops pinning
 // its last critical section: once the released descriptor's grace
-// period has passed (pooling) or immediately (NoPool), the thunk and
+// period has passed (pooling) or immediately (pooling off), the thunk and
 // everything it captured are garbage.
 func TestReleasedThunkNotRetained(t *testing.T) {
 	for _, pooling := range []bool{true, false} {
 		var opts []Option
 		if !pooling {
-			opts = append(opts, NoPool())
+			opts = append(opts, noPool())
 		}
 		p := New(opts...).Register()
 		var l Lock
@@ -214,66 +212,87 @@ func TestEarlyUnlockAcquisitionVerdict(t *testing.T) {
 
 // TestLateHelperSkipsReleasedDescriptor builds the window a helper has
 // between reading a descriptor from the lock word and lowering its
-// announcement to the descriptor's birth epoch. The helper's guard is
-// announced after the owner's run retired the box its log committed;
-// the owner then releases and leaves, the box is recycled, and a later
-// store puts it back in the same location. Replaying the thunk then would
-// read the box's new value through the old log entry and land its CAS
-// on it: a second increment. The helper must find the word moved on
-// after lowering and leave the finished critical section alone.
+// announcement to the descriptor's birth epoch. The owner's thunk nests
+// a TryLock, so its log commits the nested acquisition's descriptor,
+// which the nested release retires at once. The helper's guard is
+// announced after that retirement; the owner then releases and leaves,
+// the nested descriptor ripens, and a new acquisition on a third lock
+// pops it. Replaying the owner's thunk then would reach the recycled
+// descriptor through the old log entry and run the new acquisition's
+// critical section before that acquisition has taken its lock. The
+// helper must find the word moved on after lowering and leave the
+// finished critical section alone, so the new acquisition's effect
+// happens once, inside its own acquisition.
 func TestLateHelperSkipsReleasedDescriptor(t *testing.T) {
-	for _, opts := range [][]Option{nil, {NoCCAS()}} {
+	for _, opts := range [][]Option{nil, {noCCAS()}} {
 		rt := New(opts...)
 		p, q := rt.Register(), rt.Register()
-		var l Lock
+		var l, inner, third Lock
 		var m Mutable[uint64]
-		m.Init(1)
-		x := m.b.Load()
+		nop := func(*Proc) bool { return true }
+		outer := func(hp *Proc) bool { return inner.TryLock(hp, nop) }
 		incr := func(hp *Proc) bool {
 			m.Store(hp, m.Load(hp)+1)
 			return true
 		}
 
-		// The owner installs its descriptor and runs it once: m goes
-		// 1 -> 2 and x is retired at the current epoch.
+		// The owner installs its descriptor and runs it once: the nested
+		// descriptor is committed to its log, released and retired at the
+		// current epoch.
 		p.Begin()
 		cur := l.load(p)
-		d := p.newDescriptor(incr, cur.ver+1)
+		d := p.newDescriptor(outer, cur.ver+1)
 		myLS := lockState{d: d, locked: true, ver: cur.ver + 1}
 		if !l.cas(p, cur, myLS) {
 			t.Fatal("install failed")
 		}
 		d.started.Store(1)
 		p.run(d)
+		if len(p.pending) != 1 {
+			t.Fatalf("setup: %d descriptors parked by the owner's run, want the nested one", len(p.pending))
+		}
+		nested := p.pending[0].d
 		if !rt.epochs.TryAdvance() {
 			t.Fatal("epoch did not advance")
 		}
 
-		// The helper enters its guard past x's retire epoch and reads the
-		// word while the descriptor is still installed.
+		// The helper enters its guard past the nested descriptor's retire
+		// epoch and reads the word while the owner's descriptor is still
+		// installed.
 		q.Begin()
 		seen := l.load(q)
 		if seen != myLS {
 			t.Fatalf("helper read %+v, want the installed %+v", seen, myLS)
 		}
 
-		// The owner releases and leaves; x ripens and is reused by a
-		// store that sets m back to 1.
+		// The owner releases and leaves; the nested descriptor ripens and
+		// a new acquisition on a third lock pops it.
 		if !l.cas(p, myLS, lockState{ver: myLS.ver + 1}) {
 			t.Fatal("release failed")
 		}
 		p.retireDescriptor(d)
 		p.End()
 		p.drainReuse()
-		m.Store(p, 1)
-		if m.b.Load() != x {
-			t.Fatal("setup: the retired box was not reused")
+		cur3 := third.load(p)
+		d3 := p.newDescriptor(incr, cur3.ver+1)
+		if d3 != nested {
+			t.Fatal("setup: the nested descriptor was not reused")
 		}
 
 		l.runAndUnlock(q, seen, true)
+		if v := m.Load(p); v != 0 {
+			t.Fatalf("opts=%d: m = %d after the late helper: it ran a critical section whose lock was not taken", len(opts), v)
+		}
+
+		// The new acquisition takes its lock and runs its thunk.
+		ls3 := lockState{d: d3, locked: true, ver: cur3.ver + 1}
+		if !third.cas(p, cur3, ls3) {
+			t.Fatal("third install failed")
+		}
+		third.runAndUnlock(p, ls3, false)
 		q.End()
 		if v := m.Load(q); v != 1 {
-			t.Fatalf("opts=%d: m = %d after the late helper, want 1", len(opts), v)
+			t.Fatalf("opts=%d: m = %d after the new acquisition, want 1", len(opts), v)
 		}
 		p.Unregister()
 		q.Unregister()

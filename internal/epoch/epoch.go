@@ -8,8 +8,8 @@
 // guard. This package keeps no retire queue of its own: in Go the
 // garbage collector frees unlinked structure nodes (the paper's free),
 // and the only objects whose reuse waits out a grace period are the
-// pooled descriptors, spill blocks and boxes of internal/core, whose
-// per-worker pending lists consult SafeBefore (DESIGN.md S10).
+// pooled descriptors of internal/core, whose per-worker pending lists
+// consult SafeBefore (DESIGN.md S10).
 //
 // Two Flock-specific requirements shape the API:
 //

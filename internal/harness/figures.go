@@ -52,7 +52,7 @@ func DefaultScale() Scale {
 }
 
 // Series names one line in a figure and embeds the spec fields that set
-// it apart: Structure, Blocking, HashKeys, NoPool, Shards, TxnNonAtomic,
+// it apart: Structure, Blocking, HashKeys, Shards, TxnNonAtomic,
 // Optimistic and SnapshotLoop. On the KV and transactional figures
 // Shards 0 means Scale.Shards and 1 is the unsharded control.
 type Series struct {
@@ -300,20 +300,14 @@ var figures = []FigureSpec{
 	{ID: "ext-stall", Paper: "Extension: deschedule-injection sweep, oversubscribed, 50% updates, alpha 0.75",
 		Series: []Series{leaftreeBL, leaftreeLF, hashtableBL, hashtableLF},
 		Spec:   Spec{UpdatePct: 50, Alpha: 0.75}, Keys: smallKeys, Threads: overThreads, Axis: byStall},
-	// Extension: the §6 memory-management ablation. The paper's thunk
-	// machinery is practical only because log/descriptor overhead stays
-	// near zero; this figure reads out allocs/op (and Mop/s) at
-	// increasing update rates.
-	{ID: "ext-alloc", Paper: "Extension: allocations per operation — pooled vs GC-fresh vs blocking, update sweep",
-		Series: []Series{
-			{"leaftree-lf-pooled", Spec{Structure: "leaftree"}},
-			{"leaftree-lf-fresh", Spec{Structure: "leaftree", NoPool: true}},
-			leaftreeBL,
-			{"hashtable-lf-pooled", Spec{Structure: "hashtable"}},
-			{"hashtable-lf-fresh", Spec{Structure: "hashtable", NoPool: true}},
-			hashtableBL,
-		},
-		Spec: Spec{Alpha: 0.75}, Keys: smallKeys, Threads: baseThreads, Axis: byUpdate,
+	// Extension: the §6 memory management. The paper's thunk machinery
+	// is practical only because log/descriptor overhead stays near zero;
+	// this figure reads out allocs/op (and Mop/s) of the lock-free arm,
+	// whose descriptors are pooled, against the blocking arm, which has
+	// none, at increasing update rates.
+	{ID: "ext-alloc", Paper: "Extension: allocations per operation — lock-free (pooled descriptors) vs blocking, update sweep",
+		Series: []Series{leaftreeLF, leaftreeBL, hashtableLF, hashtableBL},
+		Spec:   Spec{Alpha: 0.75}, Keys: smallKeys, Threads: baseThreads, Axis: byUpdate,
 		X: []string{"0", "10", "50"}},
 	// Extension: the helping machinery made visible (DESIGN.md S14). With
 	// obs metrics forced on (they are this figure's payload), the

@@ -92,10 +92,10 @@ func TestYCSBFigureSeriesShards(t *testing.T) {
 	}
 }
 
-// TestExtAllocFigureWiring pins the allocation-ablation spec: the fresh
-// arm really disables pooling on the built runtime, the pooled and
-// blocking arms keep it, and a measured point carries the allocs/op
-// metric through Result and Point.
+// TestExtAllocFigureWiring pins the allocation figure's spec: it has a
+// lock-free and a blocking arm, each built runtime runs in its series'
+// mode, and a measured point carries the allocs/op metric through
+// Result and Point.
 func TestExtAllocFigureWiring(t *testing.T) {
 	sc := DefaultScale()
 	figs := Figures()
@@ -103,27 +103,23 @@ func TestExtAllocFigureWiring(t *testing.T) {
 	if !ok {
 		t.Fatal("ext-alloc missing")
 	}
-	var sawFresh, sawPooled, sawBlocking bool
+	var sawLockFree, sawBlocking bool
 	for _, s := range fa.Series {
 		spec := fa.SpecFor(sc, s, "10")
-		if spec.NoPool != s.NoPool || spec.UpdatePct != 10 {
+		if spec.Blocking != s.Blocking || spec.UpdatePct != 10 {
 			t.Fatalf("series %s: bad spec %+v", s.Name, spec)
 		}
-		if rt := newRuntime(spec); rt.Pooling() == spec.NoPool {
-			t.Fatalf("series %s: runtime pooling=%v with NoPool=%v", s.Name, rt.Pooling(), spec.NoPool)
+		if rt := newRuntime(spec); rt.Blocking() != spec.Blocking {
+			t.Fatalf("series %s: runtime blocking=%v with Blocking=%v", s.Name, rt.Blocking(), spec.Blocking)
 		}
-		switch {
-		case s.NoPool:
-			sawFresh = true
-		case s.Blocking:
+		if s.Blocking {
 			sawBlocking = true
-		default:
-			sawPooled = true
+		} else {
+			sawLockFree = true
 		}
 	}
-	if !sawFresh || !sawPooled || !sawBlocking {
-		t.Fatalf("ext-alloc must cover pooled, GC-fresh and blocking arms (got %v %v %v)",
-			sawPooled, sawFresh, sawBlocking)
+	if !sawLockFree || !sawBlocking {
+		t.Fatalf("ext-alloc must cover lock-free and blocking arms (got %v %v)", sawLockFree, sawBlocking)
 	}
 
 	spec := fa.SpecFor(sc, fa.Series[0], "10")

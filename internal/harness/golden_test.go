@@ -14,7 +14,7 @@ import (
 // (figure, series, x) triple, figures in FigureIDs order. A change to a
 // figure table, a Series or the spec-building path that alters any
 // point's spec changes the digest.
-const goldenSpecDigest = "daecb762b5677ccc5853ebe290882ef03ae82a94e00b9e06773ef83058c58771"
+const goldenSpecDigest = "f863a5f7c3260d16f0e6fa00093ced4a048aa8d7d171c135c25fe819a4a0d332"
 
 // goldenScale is an explicit Scale (DefaultScale depends on GOMAXPROCS).
 func goldenScale() Scale {

@@ -119,10 +119,6 @@ type Spec struct {
 	// Shards is the store's shard count on the KV and transactional
 	// paths (values < 1 mean 1, the unsharded control).
 	Shards int
-	// NoPool disables the flock core's descriptor/log-block/mbox
-	// pooling (the GC-fresh arm of the ext-alloc ablation). Ignored by
-	// the non-flock baselines.
-	NoPool bool
 	// TxnMix, when nonempty ("transfer" or "ycsbt"), selects the
 	// transactional path: multi-key atomic operations against a
 	// txn.Store of Shards shards built over Structure (DESIGN.md S11).
@@ -266,11 +262,7 @@ type window func() (closeWindow func(*Result))
 
 // newRuntime builds the flock runtime a bare-structure spec runs on.
 func newRuntime(spec Spec) *flock.Runtime {
-	var opts []flock.Option
-	if spec.NoPool {
-		opts = append(opts, flock.NoPool())
-	}
-	rt := flock.New(opts...)
+	rt := flock.New()
 	rt.SetBlocking(spec.Blocking)
 	return rt
 }
@@ -332,7 +324,7 @@ func build(spec Spec) (Worker, window, error) {
 		if spec.TxnNonAtomic {
 			mode = txn.NonAtomic
 		}
-		ts := txn.New(kv.Factory(f), txn.Options{Shards: spec.Shards, Mode: mode, NoPool: spec.NoPool,
+		ts := txn.New(kv.Factory(f), txn.Options{Shards: spec.Shards, Mode: mode,
 			KeyRange: spec.KeyRange, OptimisticReads: spec.Optimistic})
 		st = ts.KV()
 		worker = func(w uint64) (func(uint64, bool) time.Time, func()) {
@@ -367,7 +359,7 @@ func build(spec Spec) (Worker, window, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		st = kv.New(kv.Factory(f), kv.Options{Shards: spec.Shards, Blocking: spec.Blocking, NoPool: spec.NoPool,
+		st = kv.New(kv.Factory(f), kv.Options{Shards: spec.Shards, Blocking: spec.Blocking,
 			KeyRange: spec.KeyRange, OptimisticReads: spec.Optimistic})
 		switch {
 		case probe.HasScans() && !st.Scannable():

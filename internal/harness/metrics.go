@@ -50,8 +50,8 @@ type PointMetrics struct {
 	ReplaysPerOp   float64 `json:"replays_per_op"`
 	CASFailsPerOp  float64 `json:"cas_fails_per_op"`
 	SpinsPerOp     float64 `json:"spins_per_op"`
-	// PoolHitRate is freelist hits over hits+misses (0 when the window
-	// allocated nothing through the pools).
+	// PoolHitRate is descriptor freelist hits over hits+misses (0 when
+	// the window took no descriptor).
 	PoolHitRate float64 `json:"pool_hit_rate"`
 	// EpochAdvances counts global-epoch advancements; EpochLagEpochs is
 	// the mean number of epochs a batch of pooled objects waited in a

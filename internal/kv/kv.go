@@ -48,9 +48,6 @@ type Options struct {
 	Shards int
 	// Blocking selects the lock mode of the store's runtime.
 	Blocking bool
-	// NoPool disables descriptor/log-block/mbox pooling on the store's
-	// runtime (the GC-fresh ablation arm; see flock.NoPool).
-	NoPool bool
 	// KeyRange is a sizing hint: the expected total number of distinct
 	// keys, split evenly across shards when sizing each structure
 	// (hashtable bucket arrays, for example). 0 defaults to 1<<16.
@@ -146,11 +143,7 @@ func newStore(f Factory, opt Options, composed bool) *Store {
 		optGet: opt.OptimisticReads, optScan: opt.OptimisticReads,
 		shardOps: make([]atomic.Uint64, n),
 	}
-	var fopts []flock.Option
-	if opt.NoPool {
-		fopts = append(fopts, flock.NoPool())
-	}
-	st.rt = flock.New(fopts...)
+	st.rt = flock.New()
 	st.rt.SetBlocking(opt.Blocking)
 	locks := make([]*flock.Lock, n)
 	rts := make([]*flock.Runtime, n)

@@ -78,20 +78,22 @@ const (
 	// migrated here off flock.Runtime.
 	OptRestarts
 	OptEscalations
-	// PoolHits/PoolMisses count freelist allocations vs fresh ones
-	// (descriptors, spill log blocks, mboxes); PoolSpills counts
-	// objects dropped to the GC because a freelist or the pending list
-	// was at capacity.
+	// PoolHits/PoolMisses count descriptors taken from the freelist vs
+	// allocated fresh (descriptors are the only pooled objects);
+	// PoolSpills counts descriptors dropped to the GC because the
+	// freelist or the pending list was at capacity, and PoolPendingFull
+	// the part of those spills at the pending list.
 	PoolHits
 	PoolMisses
 	PoolSpills
+	PoolPendingFull
 	// EpochAdvanceTries/EpochAdvances count epoch.Manager.TryAdvance
 	// calls and the subset that moved the global epoch.
 	EpochAdvanceTries
 	EpochAdvances
-	// EpochReclaimBatches counts batches of pooled objects that the
-	// pooled-reuse drain moved from a Proc's pending list to its
-	// freelists (one batch per distinct unlink epoch per drain), and
+	// EpochReclaimBatches counts batches of descriptors that the reuse
+	// drain moved from a Proc's pending list to its freelist (one batch
+	// per distinct release epoch per drain), and
 	// EpochReclaimLagEpochs sums, over those batches, the number of
 	// epochs between unlink and reuse (the drain's SafeBefore bound
 	// minus the batch epoch) — their ratio is the mean reclamation lag,
@@ -121,7 +123,7 @@ var counterNames = [NumCounters]string{
 	"helps_given", "helps_received", "own_completions", "thunk_replays",
 	"install_cas_fails", "strict_spins", "tag_overflows",
 	"opt_restarts", "opt_escalations",
-	"pool_hits", "pool_misses", "pool_spills",
+	"pool_hits", "pool_misses", "pool_spills", "pool_pending_full",
 	"epoch_advance_tries", "epoch_advances",
 	"epoch_reclaim_batches", "epoch_reclaim_lag_epochs",
 	"txn_depth_1", "txn_depth_2", "txn_depth_3", "txn_depth_4",

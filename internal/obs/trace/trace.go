@@ -101,14 +101,14 @@ const (
 	// OptEscalate: an optimistic read gave up and escalated to the
 	// logged path. A=0, B=0.
 	OptEscalate
-	// PoolSpill: a pooled object was dropped to the GC (freelist or
-	// pending list at capacity). A=0, B=0.
+	// PoolSpill: a descriptor was dropped to the GC. A=the site: 0 when
+	// the pending list was at capacity, 1 when the freelist was. B=0.
 	PoolSpill
 	// EpochAdvance: the global epoch advanced. A=the new epoch, B=0.
 	EpochAdvance
-	// EpochReclaim: the pooled-reuse drain moved one batch of pooled
-	// objects, all unlinked in the same epoch, from the Proc's pending
-	// list to its freelists. A=the batch's unlink epoch, B=object count.
+	// EpochReclaim: the reuse drain moved one batch of descriptors, all
+	// released in the same epoch, from the Proc's pending list to its
+	// freelist. A=the batch's release epoch, B=descriptor count.
 	EpochReclaim
 	// KVOp: one KV client operation completed (a span: the event is
 	// emitted at completion and B carries the duration). Lock=shard

@@ -334,20 +334,14 @@ func TestStragglerCannotReinsertDeletedKey(t *testing.T) {
 
 // TestAllocsUpsertPresentKey pins the box-free child store: an Upsert of
 // a present key allocates its new leaf and the replace section's
-// closure, and the lock-free machinery adds only pooled objects. With
-// NoPool every pooled object is a fresh allocation, so the count lists
-// all of them: the descriptor and the locked lock-word box, and no box
-// for the child pointer the store swings.
+// closure, and nothing else, in either mode. The lock-free machinery
+// adds nothing on top: its descriptor comes from the pool, the lock word
+// is a static tag, and the child pointer the store swings needs no box.
 func TestAllocsUpsertPresentKey(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts []flock.Option
-		max  float64
-	}{
-		{"pooled", nil, 2},
-		{"NoPool", []flock.Option{flock.NoPool()}, 4},
-	} {
-		rt := flock.New(tc.opts...)
+	var got [2]float64
+	for i, blocking := range []bool{false, true} {
+		rt := flock.New()
+		rt.SetBlocking(blocking)
 		p := rt.Register()
 		tr := New(rt)
 		for k := uint64(1); k <= 64; k++ {
@@ -358,12 +352,13 @@ func TestAllocsUpsertPresentKey(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			op()
 		}
-		if got := testing.AllocsPerRun(500, op); got > tc.max {
-			t.Errorf("%s: Upsert of a present key allocates %v per op, want <= %v", tc.name, got, tc.max)
-		}
+		got[i] = testing.AllocsPerRun(500, op)
 		if v, ok := tr.Find(p, 17); !ok || v != 17+2000+501 {
-			t.Errorf("%s: Find(17) = (%d,%v) after the upserts", tc.name, v, ok)
+			t.Errorf("blocking=%v: Find(17) = (%d,%v) after the upserts", blocking, v, ok)
 		}
 		p.Unregister()
+	}
+	if got[0] != got[1] || got[0] != 2 {
+		t.Errorf("Upsert of a present key allocates %v per op lock-free, %v blocking, want 2 (leaf + closure) in both", got[0], got[1])
 	}
 }

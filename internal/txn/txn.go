@@ -104,8 +104,6 @@ type Options struct {
 	Mode Mode
 	// KeyRange is the kv sizing hint (see kv.Options.KeyRange).
 	KeyRange uint64
-	// NoPool disables the runtime's object pooling (ablation arm).
-	NoPool bool
 	// OptimisticReads forwards kv.Options.OptimisticReads: read-only
 	// MultiGet (and Get) in LockFree mode then runs as an unlogged
 	// version-vector-validated read (kv.Client.MultiGet) instead of a
@@ -138,7 +136,6 @@ func New(f kv.Factory, opt Options) *Store {
 	st := kv.NewComposed(f, kv.Options{
 		Shards:          opt.Shards,
 		Blocking:        opt.Mode == Blocking,
-		NoPool:          opt.NoPool,
 		KeyRange:        opt.KeyRange,
 		OptimisticReads: opt.OptimisticReads && opt.Mode == LockFree,
 	})
