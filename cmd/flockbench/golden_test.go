@@ -41,8 +41,8 @@ func goldenFigure() harness.Figure {
 		HelpsPerOp: 0.125, HelpsRecvPerOp: 0.0625, ReplaysPerOp: 0.5,
 		CASFailsPerOp: 0.03125, SpinsPerOp: 1.5, PoolHitRate: 0.975,
 		EpochAdvances: 12, EpochLagEpochs: 2.5,
-		OptRestartsPerOp: 0.001, OptEscalationsPerOp: 0.0002,
-		TxnHelpedPerOp: 0.25, TxnDepthHist: []uint64{10, 5, 0, 0, 1, 0},
+		OptRestartsPerOp: 0.001,
+		TxnHelpedPerOp:   0.25, TxnDepthHist: []uint64{10, 5, 0, 0, 1, 0},
 		ShardSkew: 1.75, ShardOps: []uint64{100, 75, 25, 0},
 		Samples: []harness.MetricSample{
 			{AtMs: 12.5, Helps: 3, CASFails: 1, Goroutines: 9, GCPauseNs: 0},
@@ -55,7 +55,7 @@ func goldenFigure() harness.Figure {
 		Points: []harness.Point{
 			{Figure: "ext-golden", Series: "arm-lf", X: "1", Mops: 1.234567, Std: 0.0123, AllocsPerOp: 2.5,
 				P50: 1500 * time.Nanosecond, P95: 2750 * time.Nanosecond, P99: 12345 * time.Nanosecond,
-				OptRestarts: 3, OptEscalations: 1, FairMaxMin: 1.5, FairCoV: 0.125,
+				OptRestarts: 3, FairMaxMin: 1.5, FairCoV: 0.125,
 				SnapCycles: 4, SnapKeysPerSec: 12345.6, Metrics: full},
 			{Figure: "ext-golden", Series: "arm-bl-with-a-long-name", X: "1", Mops: 0.5, Std: 0, AllocsPerOp: 0,
 				P50: 900 * time.Nanosecond, P95: 4 * time.Microsecond, P99: 2 * time.Millisecond,

@@ -100,7 +100,7 @@ func run(w io.Writer) error {
 		sn.Close()
 		return fmt.Errorf("dump: %w", err)
 	}
-	sn.Close() // releases the epoch pin and the overlay hooks
+	sn.Close() // deactivates the overlay hooks and releases the client
 	fmt.Fprintf(w, "dump: %d bytes (checksummed)\n", backup.Len())
 
 	// Restore into a fresh store (any shard count) and verify the

@@ -7,9 +7,11 @@ package flock
 // outside the thunk log (plain atomic loads, no descriptor, no commit
 // traffic), then checks that no critical section of the guarding lock
 // overlapped the read window. A reader that finds the lock held helps
-// the holder to its release (Lock.Help) and reads again; after
-// MaxOptimistic reads of one lock it escalates to the ordinary logged
-// path under the lock. The retry loop lives in internal/kv/engine.
+// the holder to its release (Lock.Help) and reads again until a read
+// validates: each discarded read means some critical section of the lock
+// completed, so the reads are lock-free as a whole (blocking mode, where
+// Help yields, waits the holder out). The retry loop lives in
+// internal/kv/engine.
 //
 // Soundness under helping: every effective store of a critical section
 // is performed by some run of its thunk, every run is reached only via
@@ -44,19 +46,3 @@ func (l *Lock) Validate(v uint64) bool {
 	cur, ok := l.ReadVersion()
 	return ok && cur == v
 }
-
-// MaxOptimistic sets how many optimistic reads per shard the KV layer's
-// optimistic arm makes before escalating to the logged path under the
-// shard locks. Values < 1 are clamped to 1. The default is 3, mirroring
-// the olcart baseline's restart bound.
-func MaxOptimistic(n int) Option {
-	return func(rt *Runtime) {
-		if n < 1 {
-			n = 1
-		}
-		rt.maxOptimistic = n
-	}
-}
-
-// MaxOptimistic returns the runtime's bound on optimistic reads per shard.
-func (rt *Runtime) MaxOptimistic() int { return rt.maxOptimistic }

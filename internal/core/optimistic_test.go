@@ -89,78 +89,93 @@ func TestReadVersionRefusesHeldLock(t *testing.T) {
 	}
 }
 
-// TestOptimisticReadValidatesAndEscalates drives the combinator through
-// its three outcomes: clean validation (no counter movement), restart
-// then success, and escalation to the logged path after MaxOptimistic
-// failures.
+// TestOptimisticReadValidatesAndEscalates drives the test combinator
+// through its three outcomes: clean validation (no restart), one
+// restart then validation, and escalation to the logged path after
+// optimisticReadBound failures. Production readers never escalate (they
+// help and re-read until a read validates, internal/kv/engine); the
+// restart and validation cases are the ReadVersion/Validate contract
+// both loops rest on.
 func TestOptimisticReadValidatesAndEscalates(t *testing.T) {
-	// Restart/escalation counts live in the obs layer now (per-Proc
-	// blocks, gated); enable collection for the duration of the test and
-	// read p's own block, which no other goroutine writes.
+	// Restart counts live in the obs layer (per-Proc blocks, gated);
+	// enable collection for the duration of the test and read p's own
+	// block, which no other goroutine writes.
 	prev := obs.Enabled()
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(prev)
 
-	rt := New(MaxOptimistic(3))
+	rt := New()
 	p := rt.Register()
 	defer p.Unregister()
 	var l Lock
 	var m Mutable[uint64]
 	l.Lock(p, func(hp *Proc) bool { m.Store(hp, 42); return true })
+	w := rt.Register()
+	defer w.Unregister()
+	bump := func() { l.Lock(w, func(q *Proc) bool { m.Store(q, m.Load(q)+1); return true }) }
+	final := func() uint64 { p.Begin(); defer p.End(); return m.Load(p) }
 
-	// Clean run: no contention, value observed, counters untouched.
+	// Clean run: no contention, value observed, counter untouched.
 	var got uint64
 	ok := rt.OptimisticRead(p, &l, func(hp *Proc) bool {
 		got = m.Load(hp)
 		return true
 	})
-	r0, e0 := p.Obs().Load(obs.OptRestarts), p.Obs().Load(obs.OptEscalations)
 	if !ok || got != 42 {
 		t.Fatalf("clean optimistic read = (%v, %d), want (true, 42)", ok, got)
 	}
-	if r0 != 0 || e0 != 0 {
-		t.Fatalf("clean read moved counters: restarts=%d escalations=%d", r0, e0)
+	if r := p.Obs().Load(obs.OptRestarts); r != 0 {
+		t.Fatalf("clean read counted %d restarts", r)
 	}
 
-	// Every attempt dirtied: a writer bumps the version inside fn, so
-	// all MaxOptimistic attempts fail validation and the read escalates.
-	// The escalated run holds the lock, so the bump-inside-fn cannot
-	// happen there and the logged read completes.
-	w := rt.Register()
-	defer w.Unregister()
+	// One dirtied attempt: a writer bumps the version inside the first
+	// read only, so that read is discarded and the second validates.
 	reads := 0
 	ok = rt.OptimisticRead(p, &l, func(hp *Proc) bool {
 		reads++
 		got = m.Load(hp)
-		if !hp.InThunk() {
-			l.Lock(w, func(q *Proc) bool { m.Store(q, m.Load(q)+1); return true })
+		if reads == 1 {
+			bump()
 		}
 		return true
 	})
-	r1, e1 := p.Obs().Load(obs.OptRestarts), p.Obs().Load(obs.OptEscalations)
+	if !ok || reads != 2 || got != final() {
+		t.Fatalf("restarted read = (%v, %d) after %d reads, want (true, %d) after 2", ok, got, reads, final())
+	}
+	if r := p.Obs().Load(obs.OptRestarts); r != 1 {
+		t.Fatalf("restarts = %d after one dirtied read, want 1", r)
+	}
+
+	// Every attempt dirtied: all optimisticReadBound attempts fail
+	// validation and the read escalates. The escalated run holds the
+	// lock, so the bump-inside-fn cannot happen there and the logged
+	// read completes.
+	reads = 0
+	ok = rt.OptimisticRead(p, &l, func(hp *Proc) bool {
+		reads++
+		got = m.Load(hp)
+		if !hp.InThunk() {
+			bump()
+		}
+		return true
+	})
 	if !ok {
 		t.Fatal("escalated optimistic read failed")
 	}
-	if e1 != 1 {
-		t.Fatalf("escalations = %d, want 1", e1)
+	if r := p.Obs().Load(obs.OptRestarts); r != 1+optimisticReadBound {
+		t.Fatalf("restarts = %d, want 1+%d", r, optimisticReadBound)
 	}
-	if r1 != 3 {
-		t.Fatalf("restarts = %d, want MaxOptimistic=3", r1)
+	if reads != optimisticReadBound+1 {
+		t.Fatalf("fn ran %d times, want %d optimistic + 1 escalated", reads, optimisticReadBound)
 	}
-	if reads != 4 {
-		t.Fatalf("fn ran %d times, want 3 optimistic + 1 escalated", reads)
-	}
-	p.Begin()
-	want := m.Load(p)
-	p.End()
-	if got != want {
-		t.Fatalf("escalated read observed %d, want the final value %d", got, want)
+	if got != final() {
+		t.Fatalf("escalated read observed %d, want the final value %d", got, final())
 	}
 }
 
 // TestOptimisticReadNestedFallsBack pins that the combinator never runs
 // the unlogged arm from inside a thunk: a nested call goes straight to
-// the logged path (counters untouched) and still returns fn's result.
+// the logged path (counter untouched) and still returns fn's result.
 func TestOptimisticReadNestedFallsBack(t *testing.T) {
 	prev := obs.Enabled()
 	obs.SetEnabled(true)
@@ -186,8 +201,8 @@ func TestOptimisticReadNestedFallsBack(t *testing.T) {
 	if !ok || got != 7 {
 		t.Fatalf("nested OptimisticRead = (%v, %d), want (true, 7)", ok, got)
 	}
-	if r, e := p.Obs().Load(obs.OptRestarts), p.Obs().Load(obs.OptEscalations); r != 0 || e != 0 {
-		t.Fatalf("nested fallback moved counters: restarts=%d escalations=%d", r, e)
+	if r := p.Obs().Load(obs.OptRestarts); r != 0 {
+		t.Fatalf("nested fallback counted %d restarts", r)
 	}
 }
 

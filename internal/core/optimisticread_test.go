@@ -9,15 +9,19 @@ import (
 // Production readers run the shard-group loop of internal/kv/engine,
 // which helps a held lock instead of restarting (DESIGN.md S13); this
 // helper keeps the older rule: restart on a held lock or a moved
-// version, then escalate to the strict Lock after MaxOptimistic
+// version, then escalate to the strict Lock after optimisticReadBound
 // attempts. The tests use it to drive ReadVersion/Validate through the
 // validated, restarted, escalated and nested cases.
+
+// optimisticReadBound is how many optimistic attempts OptimisticRead
+// makes before it escalates.
+const optimisticReadBound = 3
 
 // OptimisticRead runs fn as an optimistic unlogged read validated
 // against l's version: fn executes at top level (outside any thunk, so
 // its Mutable loads are plain atomic loads with no commit traffic) and
 // its result is returned iff no critical section of l overlapped the
-// read. After MaxOptimistic failed attempts it escalates to l.Lock with
+// read. After optimisticReadBound failed attempts it escalates to l.Lock with
 // fn as the logged thunk, which always completes (helping in lock-free
 // mode, waiting in blocking mode).
 //
@@ -39,7 +43,7 @@ func (rt *Runtime) OptimisticRead(p *Proc, l *Lock, fn Thunk) bool {
 		return l.Lock(p, fn)
 	}
 	p.Begin()
-	for i := 0; i < rt.maxOptimistic; i++ {
+	for i := 0; i < optimisticReadBound; i++ {
 		if v, ok := l.ReadVersion(); ok {
 			res := fn(p)
 			if l.Validate(v) {
@@ -47,14 +51,9 @@ func (rt *Runtime) OptimisticRead(p *Proc, l *Lock, fn Thunk) bool {
 				return res
 			}
 		}
-		// Restart/escalation counts live in the obs metrics layer
-		// (per-Proc blocks, obs.Snapshot to aggregate), replacing the
-		// Runtime-global atomics this combinator carried before it.
 		p.metrics.Inc(obs.OptRestarts)
 		p.traceEmit(trace.OptRestart, lockID(l), 0, 0)
 	}
 	p.End()
-	p.metrics.Inc(obs.OptEscalations)
-	p.traceEmit(trace.OptEscalate, lockID(l), 0, 0)
 	return l.Lock(p, fn) // holds its own epoch guard (DESIGN.md S7)
 }

@@ -25,8 +25,6 @@ func drainHard(p *Proc) {
 type holder struct {
 	name string
 	hold func(rt *Runtime, q *Proc, run func()) (release func())
-	// advances reports whether the global epoch keeps moving while held.
-	advances bool
 }
 
 var holders = []holder{
@@ -51,11 +49,6 @@ var holders = []holder{
 			q.End()
 		}
 	}},
-	{name: "pin", advances: true, hold: func(rt *Runtime, q *Proc, run func()) func() {
-		pin := rt.epochs.Pin()
-		run()
-		return pin.Release
-	}},
 }
 
 // checkReuseWaits runs setup and then run under each holder, and checks
@@ -71,15 +64,11 @@ func checkReuseWaits(t *testing.T, setup func(*Proc) func(), reused func(*Proc) 
 			defer q.Unregister()
 
 			release := h.hold(rt, q, setup(p))
-			g := rt.epochs.GlobalEpoch()
 			drainHard(p)
-			held, advanced := reused(p), rt.epochs.GlobalEpoch()-g
+			held := reused(p)
 			release()
 			if held != 0 {
 				t.Fatalf("recycled %d objects while held", held)
-			}
-			if h.advances && advanced < 2 {
-				t.Fatalf("global epoch advanced %d times while held, want >= 2", advanced)
 			}
 			drainHard(p)
 			if n := reused(p); n == 0 {

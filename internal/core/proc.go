@@ -27,10 +27,6 @@ type Runtime struct {
 	// paper's oversubscription results, which OS quanta on a large
 	// machine produce naturally). 0 disables injection.
 	stallEvery atomic.Uint32
-	// maxOptimistic bounds optimistic reads per shard before escalating
-	// to the logged path (optimistic.go). Restart/escalation counts live in
-	// the obs metrics layer (per-Proc blocks), not on the Runtime.
-	maxOptimistic int
 }
 
 // Option configures a Runtime.
@@ -43,7 +39,7 @@ func Blocking() Option { return func(rt *Runtime) { rt.blocking.Store(true) } }
 // New creates a Runtime. The default mode is lock-free with the
 // compare-and-compare-and-swap optimization and descriptor pooling.
 func New(opts ...Option) *Runtime {
-	rt := &Runtime{epochs: epoch.NewManager(), avoidCAS: true, pooling: true, maxOptimistic: 3}
+	rt := &Runtime{epochs: epoch.NewManager(), avoidCAS: true, pooling: true}
 	for _, o := range opts {
 		o(rt)
 	}
@@ -60,10 +56,6 @@ func (rt *Runtime) Blocking() bool { return rt.blocking.Load() }
 // so a lock's version carries on across a switch and never restarts at
 // 0: a tag never returns to its word.
 func (rt *Runtime) SetBlocking(v bool) { rt.blocking.Store(v) }
-
-// Epochs exposes the runtime's epoch manager (used by tests and by
-// structures that manage auxiliary memory).
-func (rt *Runtime) Epochs() *epoch.Manager { return rt.epochs }
 
 // SetStallInjection makes every n-th successful top-level lock
 // acquisition yield the processor while inside the critical section,

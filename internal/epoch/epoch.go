@@ -46,13 +46,7 @@ type Manager struct {
 	// scans during TryAdvance are lock-free. Registration is rare.
 	slots atomic.Pointer[[]*Slot]
 
-	mu sync.Mutex // serializes Register/Unregister and pin bookkeeping
-
-	// pins holds the live reuse pins (Pin); minPinned caches the
-	// minimum pinned epoch (Quiescent when none) so SafeBefore stays one
-	// atomic load on the hot reuse path.
-	pins      []*Pin
-	minPinned atomic.Uint64
+	mu sync.Mutex // serializes Register/Unregister
 }
 
 // Slot is a single worker's announcement record. A Slot must only be
@@ -73,7 +67,6 @@ type Slot struct {
 func NewManager() *Manager {
 	m := &Manager{}
 	m.global.Store(2)
-	m.minPinned.Store(Quiescent)
 	empty := make([]*Slot, 0)
 	m.slots.Store(&empty)
 	return m
@@ -209,76 +202,11 @@ func (m *Manager) TryAdvance() bool {
 // announced an epoch strictly greater than r: such guards entered after
 // the global epoch passed r, hence after the unlink, so they can never
 // have found the object. With no active guards, everything unlinked
-// before the current epoch is safe. Live pins (Pin) lower the bound the
-// same way an announced guard would, without blocking epoch advancement.
-// The flock core gates pooled object reuse on it (its DESIGN.md S10
-// invariant).
+// before the current epoch is safe. The flock core gates pooled object
+// reuse on it (its DESIGN.md S10 invariant).
 func (m *Manager) SafeBefore() uint64 {
-	min := m.minAnnounced()
-	if p := m.minPinned.Load(); p < min {
-		min = p
+	if min := m.minAnnounced(); min != Quiescent {
+		return min
 	}
-	if min == Quiescent {
-		return m.global.Load()
-	}
-	return min
-}
-
-// Pin is a long-lived reuse bound: while it is live, objects unlinked
-// at or after its epoch are not reused, yet — unlike a held guard — the
-// global epoch keeps advancing, so the guards of short-lived operations
-// around the pin never wait on it. Pins
-// back long readers (kv snapshots) that dip in and out of guards over
-// their lifetime: each chunk read is guard-protected on its own, and the
-// pin keeps pooled-object reuse from crossing the reader's whole window.
-type Pin struct {
-	mgr      *Manager
-	epoch    uint64
-	released bool // guarded by mgr.mu
-}
-
-// Pin takes a reuse pin at the current global epoch. Release it
-// exactly once; pins are expected to be rare and long-lived (snapshot
-// lifetimes, not operation lifetimes).
-func (m *Manager) Pin() *Pin {
-	m.mu.Lock()
-	p := &Pin{mgr: m, epoch: m.global.Load()}
-	m.pins = append(m.pins, p)
-	if p.epoch < m.minPinned.Load() {
-		m.minPinned.Store(p.epoch)
-	}
-	m.mu.Unlock()
-	return p
-}
-
-// Epoch returns the epoch the pin holds the reuse bound at.
-func (p *Pin) Epoch() uint64 { return p.epoch }
-
-// Release drops the pin, letting the reuse bound advance past its
-// epoch. Releasing an already-released pin is a no-op.
-func (p *Pin) Release() {
-	m := p.mgr
-	m.mu.Lock()
-	if p.released {
-		m.mu.Unlock()
-		return
-	}
-	p.released = true
-	next := m.pins[:0]
-	min := Quiescent
-	for _, q := range m.pins {
-		if q == p {
-			continue
-		}
-		next = append(next, q)
-		if q.epoch < min {
-			min = q.epoch
-		}
-	}
-	if n := len(next); n < len(m.pins) {
-		m.pins[n] = nil // drop the released pin's reference
-	}
-	m.pins = next
-	m.minPinned.Store(min)
-	m.mu.Unlock()
+	return m.global.Load()
 }

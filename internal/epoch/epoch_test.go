@@ -315,60 +315,3 @@ func TestMetricsAdvanceAndReclaimCounters(t *testing.T) {
 	q.Unregister()
 	s.Unregister()
 }
-
-func TestPinHoldsReclaimWithoutBlockingAdvance(t *testing.T) {
-	m := NewManager()
-	s := m.Register()
-	defer s.Unregister()
-
-	pin := m.Pin()
-	s.Enter()
-	s.Exit()
-
-	// The pin must not block epoch advancement...
-	g0 := m.GlobalEpoch()
-	for i := 0; i < 4; i++ {
-		if !m.TryAdvance() {
-			t.Fatalf("TryAdvance blocked by a pin (global=%d)", m.GlobalEpoch())
-		}
-	}
-	if m.GlobalEpoch() != g0+4 {
-		t.Fatalf("global epoch = %d, want %d", m.GlobalEpoch(), g0+4)
-	}
-	// ...but it must hold the reuse bound at its epoch.
-	if got := m.SafeBefore(); got > pin.Epoch() {
-		t.Fatalf("SafeBefore = %d while pinned at %d", got, pin.Epoch())
-	}
-
-	pin.Release()
-	pin.Release() // double release is a no-op
-	if got := m.SafeBefore(); got != m.GlobalEpoch() {
-		t.Fatalf("SafeBefore = %d after the pin was released, want global %d", got, m.GlobalEpoch())
-	}
-}
-
-func TestPinMinimumAcrossPins(t *testing.T) {
-	m := NewManager()
-	s := m.Register()
-	defer s.Unregister()
-
-	p1 := m.Pin()
-	for i := 0; i < 3; i++ {
-		m.TryAdvance()
-	}
-	p2 := m.Pin()
-	if p2.Epoch() <= p1.Epoch() {
-		t.Fatalf("later pin epoch %d not above earlier %d", p2.Epoch(), p1.Epoch())
-	}
-	if got := m.SafeBefore(); got > p1.Epoch() {
-		t.Fatalf("SafeBefore = %d, want <= oldest pin %d", got, p1.Epoch())
-	}
-	p1.Release()
-	if got := m.SafeBefore(); got > p2.Epoch() {
-		t.Fatalf("SafeBefore = %d after oldest release, want <= %d", got, p2.Epoch())
-	}
-	p2.Release()
-	if got := m.SafeBefore(); got != m.GlobalEpoch() {
-		t.Fatalf("SafeBefore = %d with no pins or guards, want global %d", got, m.GlobalEpoch())
-	}
-}

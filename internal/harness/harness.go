@@ -198,14 +198,12 @@ type Result struct {
 	Mops        float64
 	AllocsPerOp float64
 	Hist        *LatencyHist
-	// OptRestarts counts discarded optimistic shard reads and
-	// OptEscalations counts operations that fell back to the locked path
-	// when one shard would need more than MaxOptimistic reads, both
-	// summed from the store's always-on counters over the measured
-	// window (KV and txn paths with Spec.Optimistic; zero otherwise). The obs metrics layer mirrors the
-	// same events per worker when Spec.Metrics is set (Metrics.Window).
-	OptRestarts    uint64
-	OptEscalations uint64
+	// OptRestarts counts discarded optimistic shard reads, summed from
+	// the store's always-on counter over the measured window (KV and txn
+	// paths with Spec.Optimistic; zero otherwise). The obs metrics layer
+	// mirrors the same events per worker when Spec.Metrics is set
+	// (Metrics.Window).
+	OptRestarts uint64
 	// FairMaxMin and FairCoV summarize the per-thread op-count spread of
 	// the window (always computed): the busiest thread's count over the
 	// laziest's (clamped to >= 1 op to stay finite on tiny windows), and
@@ -409,7 +407,7 @@ func build(spec Spec) (Worker, window, error) {
 	st.SetStallInjection(spec.StallEvery)
 
 	return worker, func() func(*Result) {
-		r0, e0 := st.OptimisticStats()
+		r0, _ := st.OptimisticStats()
 		so0 := st.ShardOps()
 		// The snapshot loop: snapshot, iterate fully, close, repeat. The
 		// stop flag is checked only after a completed cycle, so even the
@@ -439,8 +437,8 @@ func build(spec Spec) (Worker, window, error) {
 			stop.Store(true)
 			wg.Wait()
 			res.SnapCycles, res.SnapKeys = cycles, keys
-			r1, e1 := st.OptimisticStats()
-			res.OptRestarts, res.OptEscalations = r1-r0, e1-e0
+			r1, _ := st.OptimisticStats()
+			res.OptRestarts = r1 - r0
 			if res.Metrics != nil {
 				// Workers closed their clients inside the window (measure
 				// waits for them), so the fold-on-Close totals now cover it.
@@ -671,8 +669,8 @@ func measure(spec Spec, worker Worker, win window) Result {
 // The fields aggregate Result's over the measured repetitions: Mops and
 // Std are the throughput mean and standard deviation; AllocsPerOp,
 // FairMaxMin, FairCoV and SnapKeysPerSec are means; the percentiles
-// come from the merged histograms; OptRestarts, OptEscalations and
-// SnapCycles are totals; Metrics sums the obs windows (time series from
+// come from the merged histograms; OptRestarts and SnapCycles are
+// totals; Metrics sums the obs windows (time series from
 // the last repetition); Trace is the last repetition's recorder
 // snapshot (rings are overwritten across repetitions).
 type Point struct {
@@ -686,7 +684,6 @@ type Point struct {
 	P95            time.Duration `json:"p95_ns"`
 	P99            time.Duration `json:"p99_ns"`
 	OptRestarts    uint64        `json:"opt_restarts,omitempty"`
-	OptEscalations uint64        `json:"opt_escalations,omitempty"`
 	FairMaxMin     float64       `json:"fair_maxmin"`
 	FairCoV        float64       `json:"fair_cov"`
 	SnapCycles     uint64        `json:"snap_cycles,omitempty"`
@@ -721,7 +718,6 @@ func RunStats(spec Spec, warmup, repeats int) (Point, error) {
 		ops += r.Ops
 		pt.AllocsPerOp += r.AllocsPerOp
 		pt.OptRestarts += r.OptRestarts
-		pt.OptEscalations += r.OptEscalations
 		pt.FairMaxMin += r.FairMaxMin
 		pt.FairCoV += r.FairCoV
 		pt.SnapCycles += r.SnapCycles

@@ -58,11 +58,9 @@ type PointMetrics struct {
 	// pending list between unlink and reuse (obs.EpochReclaim*).
 	EpochAdvances  uint64  `json:"epoch_advances"`
 	EpochLagEpochs float64 `json:"epoch_lag_epochs"`
-	// OptRestartsPerOp/OptEscalationsPerOp are the obs-mirrored
-	// optimistic-read rates (the absolute store counters already ride on
-	// Point.OptRestarts/OptEscalations).
-	OptRestartsPerOp    float64 `json:"opt_restarts_per_op"`
-	OptEscalationsPerOp float64 `json:"opt_escalations_per_op"`
+	// OptRestartsPerOp is the obs-mirrored optimistic restart rate (the
+	// absolute store counter already rides on Point.OptRestarts).
+	OptRestartsPerOp float64 `json:"opt_restarts_per_op"`
 	// TxnHelpedPerOp is the fraction of committed transactions that a
 	// foreign Proc ran at least part of; TxnDepthHist is the
 	// nested-acquire depth histogram (buckets 1, 2, 3, 4, 5-8, 9+).
@@ -91,15 +89,14 @@ func pointMetrics(opCount uint64, m *MetricsWindow) *PointMetrics {
 	}
 	w := m.Window
 	pm := &PointMetrics{
-		HelpsPerOp:          float64(w.Get(obs.HelpsGiven)) / ops,
-		HelpsRecvPerOp:      float64(w.Get(obs.HelpsReceived)) / ops,
-		ReplaysPerOp:        float64(w.Get(obs.ThunkReplays)) / ops,
-		CASFailsPerOp:       float64(w.Get(obs.InstallCASFails)) / ops,
-		SpinsPerOp:          float64(w.Get(obs.StrictSpins)) / ops,
-		EpochAdvances:       w.Get(obs.EpochAdvances),
-		OptRestartsPerOp:    float64(w.Get(obs.OptRestarts)) / ops,
-		OptEscalationsPerOp: float64(w.Get(obs.OptEscalations)) / ops,
-		Samples:             m.Samples,
+		HelpsPerOp:       float64(w.Get(obs.HelpsGiven)) / ops,
+		HelpsRecvPerOp:   float64(w.Get(obs.HelpsReceived)) / ops,
+		ReplaysPerOp:     float64(w.Get(obs.ThunkReplays)) / ops,
+		CASFailsPerOp:    float64(w.Get(obs.InstallCASFails)) / ops,
+		SpinsPerOp:       float64(w.Get(obs.StrictSpins)) / ops,
+		EpochAdvances:    w.Get(obs.EpochAdvances),
+		OptRestartsPerOp: float64(w.Get(obs.OptRestarts)) / ops,
+		Samples:          m.Samples,
 	}
 	if hm := w.Get(obs.PoolHits) + w.Get(obs.PoolMisses); hm > 0 {
 		pm.PoolHitRate = float64(w.Get(obs.PoolHits)) / float64(hm)

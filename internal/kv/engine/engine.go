@@ -13,16 +13,15 @@
 //     section would only serialize readers against each other);
 //   - the optimistic arm: unlogged per-shard reads, each after its
 //     shard's version read (helping the holder of a held lock), with
-//     whole-vector validation after every round, re-reads of only the
-//     shards that moved, and escalation to a locked arm when one shard
-//     would need more than MaxOptimistic reads (DESIGN.md S13).
+//     whole-vector validation after every round and re-reads of only
+//     the shards that moved, until the vector validates (DESIGN.md S13).
 //
 // Before this package existed the three arms were triplicated across
 // kv/scan.go, kv/optimistic.go and txn/txn.go, each with its own retry
 // loop, idempotent-buffer discipline and restart accounting. The engine
 // owns them once, and owns the obs counters and flight-recorder spans
-// they emit (optimistic restarts/escalations, transaction depth and
-// helped flags), so call sites publish results and nothing else.
+// they emit (optimistic restarts, transaction depth and helped flags),
+// so call sites publish results and nothing else.
 // DESIGN.md S17 documents the consolidation.
 package engine
 
@@ -40,8 +39,9 @@ import (
 type Config struct {
 	// Locks are the per-shard lock handles, one per shard.
 	Locks []*flock.Lock
-	// Runtimes holds each shard's runtime. Every store kv builds has
-	// one runtime, repeated here once per shard.
+	// Runtimes is ignored: New reads no per-shard runtime. The field
+	// stays only because perfbench's engine probes still set it; it goes
+	// with the next change to perfbench.
 	Runtimes []*flock.Runtime
 	// Shared is the store's runtime when its locked writers compose
 	// across shards (a store built by txn), and nil otherwise. Non-nil
@@ -50,32 +50,27 @@ type Config struct {
 	Shared *flock.Runtime
 	// Route maps a key to its shard index (the store's ShardOf).
 	Route func(uint64) int
-	// Restarts and Escalations are the store's always-on optimistic
-	// counters; the engine increments them beside the gated obs metrics.
-	// Either may be nil.
-	Restarts, Escalations *atomic.Uint64
+	// Restarts is the store's always-on optimistic restart counter; the
+	// engine increments it beside the gated obs metric. May be nil.
+	Restarts *atomic.Uint64
 }
 
 // Engine executes shard-group operations for one store. It is
 // goroutine-safe: all state is per-call or owned by the shards.
 type Engine struct {
-	locks       []*flock.Lock
-	runtimes    []*flock.Runtime
-	composed    bool
-	route       func(uint64) int
-	restarts    *atomic.Uint64
-	escalations *atomic.Uint64
+	locks    []*flock.Lock
+	composed bool
+	route    func(uint64) int
+	restarts *atomic.Uint64
 }
 
 // New builds an engine over the given shards.
 func New(cfg Config) *Engine {
 	return &Engine{
-		locks:       cfg.Locks,
-		runtimes:    cfg.Runtimes,
-		composed:    cfg.Shared != nil,
-		route:       cfg.Route,
-		restarts:    cfg.Restarts,
-		escalations: cfg.Escalations,
+		locks:    cfg.Locks,
+		composed: cfg.Shared != nil,
+		route:    cfg.Route,
+		restarts: cfg.Restarts,
 	}
 }
 
@@ -303,63 +298,51 @@ func (e *Engine) restart(p *flock.Proc) {
 	p.Trace(trace.OptRestart, 0, 0, 0)
 }
 
-// escalate records the fall back to the logged path when one shard
-// would need more than MaxOptimistic reads.
-func (e *Engine) escalate(p *flock.Proc) {
-	if e.escalations != nil {
-		e.escalations.Add(1)
-	}
-	p.Obs().Inc(obs.OptEscalations)
-	p.Trace(trace.OptEscalate, 0, 0, 0)
-}
-
 // shardRead is the optimistic loop's state for one shard of the group:
-// the version its last data read is validated against, how many reads
-// it has taken, and whether that read still stands (false: read it).
+// the version its last data read is validated against, and whether that
+// read still stands (false: read it).
 type shardRead struct {
 	ver   uint64
-	reads int
 	valid bool
 }
 
 // Optimistic runs read as unlogged per-shard reads over the shard group,
-// validated against the group's shard locks, and reports whether the
-// reads form one consistent cut. Each round reads every stale shard's
-// version — helping the holder first if the shard lock is held (Lock.
-// Help), so a reader never waits out a lock-free critical section — and
-// then calls read(s) for that shard's data. After the round it validates
-// the whole vector; a shard whose version moved becomes stale and is
-// re-read alone in the next round. A validated round is a consistent cut:
-// every shard's version is unchanged from its own version read until the
-// validation pass, and every data read lies between the two, so at the
-// start of that pass every shard is free and shows the state its read saw
+// validated against the group's shard locks, until the reads form one
+// consistent cut. Each round reads every stale shard's version — helping
+// the holder first if the shard lock is held (Lock.Help), so a reader
+// never waits out a lock-free critical section — and then calls read(s)
+// for that shard's data. After the round it validates the whole vector;
+// a shard whose version moved becomes stale and is re-read alone in the
+// next round. A validated round is a consistent cut: every shard's
+// version is unchanged from its own version read until the validation
+// pass, and every data read lies between the two, so at the start of
+// that pass every shard is free and shows the state its read saw
 // (DESIGN.md S13).
 //
-// A shard read is discarded when the lock is still held after helping
-// (blocking mode: the holder cannot be helped) or when its version moved;
-// each discard counts one restart. When one shard would need more than
-// MaxOptimistic reads, the escalation is recorded and Optimistic returns
-// false: the caller completes on the locked arm. So a group of n shards
-// makes at most n*MaxOptimistic shard reads.
+// A shard read is discarded, counting one restart, when the lock is
+// still held after helping or when its version moved. Either way some
+// critical section of that lock ran during the read, so a discarded read
+// is another thread's progress and the loop is lock-free, like the
+// paper's failed try-lock that helps and retries (§3). In blocking mode
+// the holder cannot be helped; Help yields and the loop waits it out.
 //
 // read runs inside p's epoch guard, must only perform unlogged loads
 // (set.OptimisticReader / set.OptimisticScanner) into run-local state,
 // and may run again for the same shard, replacing its earlier result;
-// the caller uses the results only when Optimistic returns true.
-func (e *Engine) Optimistic(p *flock.Proc, shards []int, read func(s int)) bool {
-	return e.optimistic(p, shards, false, read)
+// its last run for each shard is the one that validated.
+func (e *Engine) Optimistic(p *flock.Proc, shards []int, read func(s int)) {
+	e.optimistic(p, shards, false, read)
 }
 
 // OptimisticGroup is Optimistic with a read that covers the whole group
 // at once: read runs once per round, after every shard's version read,
-// and a round with any moved shard re-reads the whole vector, so at most
-// MaxOptimistic rounds run. The caller uses read's results only when
-// OptimisticGroup returns true. procs holds one Proc per shard, all
-// registered with the store's runtime; the loop runs on the first
+// and a round with any moved shard re-reads the whole vector. read's
+// last run is the one that validated. procs holds one Proc per shard,
+// all registered with the store's runtime; the loop runs on the first
 // listed shard's.
-func (e *Engine) OptimisticGroup(procs []*flock.Proc, shards []int, read func()) bool {
+func (e *Engine) OptimisticGroup(procs []*flock.Proc, shards []int, read func()) {
 	last := shards[len(shards)-1]
-	return e.optimistic(procs[shards[0]], shards, true, func(s int) {
+	e.optimistic(procs[shards[0]], shards, true, func(s int) {
 		if s == last {
 			read()
 		}
@@ -368,39 +351,35 @@ func (e *Engine) OptimisticGroup(procs []*flock.Proc, shards []int, read func())
 
 // OptimisticFind is the single-shard case of the optimistic arm, a
 // validated unlogged lookup of k on shard. Its closure does not escape,
-// so the validated path allocates nothing. validated=false means the
-// escalation was recorded; the caller completes under the shard lock.
-func (e *Engine) OptimisticFind(p *flock.Proc, shard int, r set.OptimisticReader, k uint64) (v uint64, found, validated bool) {
-	validated = e.optimistic(p, []int{shard}, false, func(int) {
+// so it allocates nothing.
+func (e *Engine) OptimisticFind(p *flock.Proc, shard int, r set.OptimisticReader, k uint64) (v uint64, found bool) {
+	e.optimistic(p, []int{shard}, false, func(int) {
 		v, found = r.OptimisticFind(p, k)
 	})
-	return v, found, validated
+	return v, found
 }
 
 // optimistic is the optimistic arm's one retry loop (see Optimistic).
 // whole re-reads every shard when any moved, for OptimisticGroup.
-func (e *Engine) optimistic(p *flock.Proc, shards []int, whole bool, read func(s int)) bool {
+func (e *Engine) optimistic(p *flock.Proc, shards []int, whole bool, read func(s int)) {
 	var small [8]shardRead // a Get's state stays on the stack
 	rs := small[:]
 	if len(shards) > len(rs) {
 		rs = make([]shardRead, len(shards))
 	}
 	rs = rs[:len(shards)]
-	// The guard spans the version reads through validation, so no
-	// descriptor in a lock word is recycled while it is decoded or helped.
-	p.Begin()
-	defer p.End()
 	for {
+		// Each round's guard spans its version reads through validation,
+		// so no descriptor in a lock word is recycled while it is decoded
+		// or helped. A reader that retries for long does not hold back
+		// reclamation across rounds: a standing read keeps only its
+		// version number and its own results.
+		p.Begin()
 		for j, s := range shards {
 			r := &rs[j]
 			if r.valid {
 				continue
 			}
-			if r.reads == e.runtimes[s].MaxOptimistic() {
-				e.escalate(p)
-				return false
-			}
-			r.reads++
 			l := e.locks[s]
 			v, ok := l.ReadVersion()
 			if !ok {
@@ -423,8 +402,9 @@ func (e *Engine) optimistic(p *flock.Proc, shards []int, whole bool, read func(s
 			}
 			all = all && r.valid
 		}
+		p.End()
 		if all {
-			return true
+			return
 		}
 		if whole {
 			for j := range rs {

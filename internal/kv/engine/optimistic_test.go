@@ -9,28 +9,27 @@ import (
 )
 
 // optEngine is a bare engine over n shard locks on one runtime, with its
-// restart and escalation counters, the reader's Proc and a second Proc
-// that moves shard versions from inside a read.
+// restart counter, the reader's Proc and a second Proc that moves shard
+// versions from inside a read.
 type optEngine struct {
-	eng                   *engine.Engine
-	locks                 []*flock.Lock
-	p                     *flock.Proc
-	writer                *flock.Proc
-	restarts, escalations atomic.Uint64
+	eng      *engine.Engine
+	locks    []*flock.Lock
+	p        *flock.Proc
+	writer   *flock.Proc
+	restarts atomic.Uint64
 }
 
 func newOptEngine(t *testing.T, n int) *optEngine {
 	rt := flock.New()
 	o := &optEngine{locks: make([]*flock.Lock, n), p: rt.Register(), writer: rt.Register()}
-	rts := make([]*flock.Runtime, n)
 	for i := range o.locks {
-		o.locks[i], rts[i] = new(flock.Lock), rt
+		o.locks[i] = new(flock.Lock)
 	}
 	t.Cleanup(func() { o.p.Unregister(); o.writer.Unregister() })
 	o.eng = engine.New(engine.Config{
-		Locks: o.locks, Runtimes: rts, Shared: rt,
+		Locks: o.locks, Shared: rt,
 		Route:    func(k uint64) int { return int(k % uint64(n)) },
-		Restarts: &o.restarts, Escalations: &o.escalations,
+		Restarts: &o.restarts,
 	})
 	return o
 }
@@ -40,10 +39,10 @@ func (o *optEngine) move(s int) {
 	o.locks[s].TryLock(o.writer, func(*flock.Proc) bool { return true })
 }
 
-func (o *optEngine) counters(t *testing.T, restarts, escalations uint64) {
+func (o *optEngine) counters(t *testing.T, restarts uint64) {
 	t.Helper()
-	if r, e := o.restarts.Load(), o.escalations.Load(); r != restarts || e != escalations {
-		t.Fatalf("restarts=%d escalations=%d, want %d/%d", r, e, restarts, escalations)
+	if r := o.restarts.Load(); r != restarts {
+		t.Fatalf("restarts=%d, want %d", r, restarts)
 	}
 }
 
@@ -62,19 +61,16 @@ func equalReads(got, want []int) bool {
 func TestOptimisticRereadsOnlyMovedShards(t *testing.T) {
 	o := newOptEngine(t, 3)
 	reads := make([]int, 3)
-	ok := o.eng.Optimistic(o.p, []int{0, 1, 2}, func(s int) {
+	o.eng.Optimistic(o.p, []int{0, 1, 2}, func(s int) {
 		reads[s]++
 		if s == 1 && reads[s] == 1 {
 			o.move(1)
 		}
 	})
-	if !ok {
-		t.Fatal("one moved shard escalated")
-	}
 	if want := []int{1, 2, 1}; !equalReads(reads, want) {
 		t.Fatalf("per-shard reads = %v, want %v", reads, want)
 	}
-	o.counters(t, 1, 0)
+	o.counters(t, 1)
 }
 
 // TestOptimisticValidatesWholeVector pins that every round validates
@@ -86,7 +82,7 @@ func TestOptimisticRereadsOnlyMovedShards(t *testing.T) {
 func TestOptimisticValidatesWholeVector(t *testing.T) {
 	o := newOptEngine(t, 3)
 	reads := make([]int, 3)
-	ok := o.eng.Optimistic(o.p, []int{0, 1, 2}, func(s int) {
+	o.eng.Optimistic(o.p, []int{0, 1, 2}, func(s int) {
 		reads[s]++
 		if s == 1 {
 			switch reads[s] {
@@ -97,63 +93,61 @@ func TestOptimisticValidatesWholeVector(t *testing.T) {
 			}
 		}
 	})
-	if !ok {
-		t.Fatal("two moves on different shards escalated")
-	}
 	if want := []int{2, 2, 1}; !equalReads(reads, want) {
 		t.Fatalf("per-shard reads = %v, want %v", reads, want)
 	}
-	o.counters(t, 2, 0)
+	o.counters(t, 2)
 }
 
-// TestOptimisticEscalatesPerShardBudget pins the escalation bound: a
-// shard that moves under each of its MaxOptimistic reads escalates the
-// group exactly once, with one restart per discarded read, and the
-// other shards are read once.
-func TestOptimisticEscalatesPerShardBudget(t *testing.T) {
+// TestOptimisticLoopsUntilValidated pins that the loop has no read
+// budget: a shard that moves under each of its first five reads (more
+// than a per-shard budget of three would allow) is read a sixth time,
+// which validates, with one restart per discarded read; the other
+// shards are read once. OptimisticGroup re-reads its whole group just as long.
+func TestOptimisticLoopsUntilValidated(t *testing.T) {
+	const moves = 5
 	o := newOptEngine(t, 3)
 	reads := make([]int, 3)
-	ok := o.eng.Optimistic(o.p, []int{0, 1, 2}, func(s int) {
+	o.eng.Optimistic(o.p, []int{0, 1, 2}, func(s int) {
 		reads[s]++
-		if s == 2 {
+		if s == 2 && reads[s] <= moves {
 			o.move(2)
 		}
 	})
-	if ok {
-		t.Fatal("a shard that moved under every read validated")
-	}
-	max := o.p.Runtime().MaxOptimistic()
-	if want := []int{1, 1, max}; !equalReads(reads, want) {
+	if want := []int{1, 1, moves + 1}; !equalReads(reads, want) {
 		t.Fatalf("per-shard reads = %v, want %v", reads, want)
 	}
-	o.counters(t, uint64(max), 1)
+	o.counters(t, moves)
+
+	rounds := 0
+	procs := []*flock.Proc{o.p, o.p, o.p}
+	o.eng.OptimisticGroup(procs, []int{0, 1, 2}, func() {
+		rounds++
+		if rounds <= moves {
+			o.move(0)
+		}
+	})
+	if rounds != moves+1 {
+		t.Fatalf("group read ran %d times, want %d", rounds, moves+1)
+	}
+	o.counters(t, 2*moves)
 }
 
 // TestOptimisticGroupRereadsWhole pins OptimisticGroup's whole-vector
 // meaning: read covers every shard, so a round with any moved shard runs
-// it again whole, and it escalates after MaxOptimistic rounds.
+// it again whole.
 func TestOptimisticGroupRereadsWhole(t *testing.T) {
 	o := newOptEngine(t, 3)
 	procs := []*flock.Proc{o.p, o.p, o.p}
 	rounds := 0
-	if !o.eng.OptimisticGroup(procs, []int{0, 1, 2}, func() {
+	o.eng.OptimisticGroup(procs, []int{0, 1, 2}, func() {
 		rounds++
 		if rounds == 1 {
 			o.move(1)
 		}
-	}) {
-		t.Fatal("one moved shard escalated")
-	}
+	})
 	if rounds != 2 {
 		t.Fatalf("read ran %d times, want 2", rounds)
 	}
-	o.counters(t, 1, 0)
-
-	rounds = 0
-	if o.eng.OptimisticGroup(procs, []int{0, 1, 2}, func() { rounds++; o.move(0) }) {
-		t.Fatal("a group that moved under every read validated")
-	}
-	if max := o.p.Runtime().MaxOptimistic(); rounds != max {
-		t.Fatalf("read ran %d times, want MaxOptimistic=%d", rounds, max)
-	}
+	o.counters(t, 1)
 }

@@ -19,9 +19,8 @@
 // each shard carries a flock.Lock handle (ShardLock) that transactions
 // acquire — nested, in ascending shard order — around the Shard*
 // operations, and NewComposed builds a store whose locked reads
-// (escalated MultiGet, locked Scan, snapshot activation) hold every
-// involved shard lock at once, so they serialize against those
-// transactions. Plain Client writes take no shard lock, so a store
+// (locked Scan, snapshot activation) hold every involved shard lock at
+// once, so they serialize against those transactions. Plain Client writes take no shard lock, so a store
 // built by New runs its locked reads one shard at a time.
 package kv
 
@@ -52,16 +51,14 @@ type Options struct {
 	// keys, split evenly across shards when sizing each structure
 	// (hashtable bucket arrays, for example). 0 defaults to 1<<16.
 	KeyRange uint64
-	// OptimisticReads routes Get, Scan and MultiGet through unlogged
-	// optimistic reads validated against the shard locks' version
-	// counters (flock.Lock.ReadVersion), helping a held shard lock,
-	// re-reading only the shards whose version moved, and escalating to
-	// the ordinary logged path under the shard locks when one shard
-	// would need more than MaxOptimistic reads. It
-	// takes effect only when the structure implements the matching
-	// set.OptimisticReader / set.OptimisticScanner capability (see
-	// Store.OptimisticReads / OptimisticScans); otherwise the logged
-	// path is used unchanged.
+	// OptimisticReads routes Get, Scan, MultiGet and snapshot chunks
+	// through unlogged optimistic reads validated against the shard
+	// locks' version counters (flock.Lock.ReadVersion), helping a held
+	// shard lock and re-reading only the shards whose version moved,
+	// until the version vector validates. It takes effect only when the
+	// structure implements the matching set.OptimisticReader /
+	// set.OptimisticScanner capability (see Store.OptimisticReads /
+	// OptimisticScans); otherwise the logged path is used unchanged.
 	OptimisticReads bool
 }
 
@@ -106,12 +103,10 @@ type Store struct {
 	// serializes the administrative transitions themselves.
 	snaps  atomic.Pointer[snapList]
 	snapMu sync.Mutex
-	// Optimistic-read counters: discarded shard reads (lock still held
-	// after helping, or version moved under the read) and escalations to
-	// the logged path. The
-	// harness samples them around measured windows (RunStats).
-	optRestarts    atomic.Uint64
-	optEscalations atomic.Uint64
+	// optRestarts counts discarded optimistic shard reads (lock still
+	// held after helping, or version moved under the read). The harness
+	// samples it around measured windows (RunStats).
+	optRestarts atomic.Uint64
 	// shardOps accumulates per-shard routed-op counts for skew
 	// visibility (obs metrics). Clients count locally, with no
 	// synchronization, and fold into these atomics on Close; counts only
@@ -146,7 +141,6 @@ func newStore(f Factory, opt Options, composed bool) *Store {
 	st.rt = flock.New()
 	st.rt.SetBlocking(opt.Blocking)
 	locks := make([]*flock.Lock, n)
-	rts := make([]*flock.Runtime, n)
 	for i := range st.shards {
 		s := f(st.rt, perShard)
 		up, _ := s.(set.Upserter)
@@ -167,11 +161,10 @@ func newStore(f Factory, opt Options, composed bool) *Store {
 		}
 		loc, _ := s.(set.Locator)
 		st.shards[i] = shard{s: s, up: up, sc: sc, or: or, osc: osc, loc: loc}
-		locks[i], rts[i] = &st.shards[i].lck, st.rt
+		locks[i] = &st.shards[i].lck
 	}
 	cfg := engine.Config{
-		Locks: locks, Runtimes: rts, Route: st.ShardOf,
-		Restarts: &st.optRestarts, Escalations: &st.optEscalations,
+		Locks: locks, Route: st.ShardOf, Restarts: &st.optRestarts,
 	}
 	if composed {
 		cfg.Shared = st.rt
@@ -196,13 +189,13 @@ func (st *Store) OptimisticReads() bool { return st.optGet }
 // set.OptimisticScanner).
 func (st *Store) OptimisticScans() bool { return st.optScan }
 
-// OptimisticStats returns the cumulative optimistic-read counters:
-// restarts (discarded shard reads across Get, Scan, MultiGet and
-// snapshot chunks) and
-// escalations to the logged path. Monotonic; sample before/after a
-// window to attribute counts to it.
-func (st *Store) OptimisticStats() (restarts, escalations uint64) {
-	return st.optRestarts.Load(), st.optEscalations.Load()
+// OptimisticStats returns the cumulative count of optimistic restarts
+// (discarded shard reads across Get, Scan, MultiGet and snapshot
+// chunks). Monotonic; sample before/after a window to attribute counts
+// to it. The second result always reads 0 (an optimistic read has no
+// fallback to count); it stays only while perfbench reads both results.
+func (st *Store) OptimisticStats() (restarts, _ uint64) {
+	return st.optRestarts.Load(), 0
 }
 
 // ShardOps returns the cumulative per-shard routed-op counts folded in
@@ -305,15 +298,14 @@ func (c *Client) route(k uint64) (int, *shard) {
 // Options.OptimisticReads (and a capable structure) the lookup runs as
 // an unlogged optimistic read validated against the shard lock's
 // version, helping the lock's holder when it finds the lock held and
-// escalating to a logged read under the shard lock after MaxOptimistic
-// failed reads (optimistic.go).
+// reading again until a read validates (internal/kv/engine).
 func (c *Client) Get(k uint64) (uint64, bool) {
 	t0 := traceStart()
 	i, sh := c.route(k)
 	var v uint64
 	var ok bool
 	if c.st.optGet && !c.p.InThunk() {
-		v, ok = c.optimisticGet(sh, i, k)
+		v, ok = c.st.eng.OptimisticFind(c.p, i, sh.or, k)
 	} else {
 		v, ok = sh.s.Find(c.p, k)
 	}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"flock/internal/kv"
 	"flock/internal/txn"
@@ -45,8 +46,8 @@ func TestOptimisticCapabilityGate(t *testing.T) {
 
 // TestOptimisticCountersQuiescent pins that plain single-key traffic
 // never invalidates optimistic reads: Put and Get do not take shard
-// locks, so shard versions never move and no restart or escalation can
-// occur without transactions or locked scans in the mix.
+// locks, so shard versions never move and no restart can occur without
+// transactions or locked scans in the mix.
 func TestOptimisticCountersQuiescent(t *testing.T) {
 	st := kv.New(leaftreeFactory, kv.Options{Shards: 4, OptimisticReads: true})
 	c := st.Register()
@@ -61,8 +62,8 @@ func TestOptimisticCountersQuiescent(t *testing.T) {
 	}
 	c.Scan(0, math.MaxUint64, -1)
 	c.MultiGet([]uint64{1, 99, 200, 511})
-	if r, e := st.OptimisticStats(); r != 0 || e != 0 {
-		t.Fatalf("quiescent store counted restarts=%d escalations=%d, want 0/0", r, e)
+	if r, _ := st.OptimisticStats(); r != 0 {
+		t.Fatalf("quiescent store counted %d restarts, want 0", r)
 	}
 }
 
@@ -183,30 +184,36 @@ func TestOptimisticTxnReadArm(t *testing.T) {
 	}
 }
 
-// TestOptimisticEscalationStorm is the restart-storm guard, made
-// deterministic: a writer parks inside the shard-lock critical section
-// (blocking mode, so the reader cannot help it to completion), which
-// pins ReadVersion to failure for as long as the lock is held. The
-// optimistic Get must burn exactly MaxOptimistic restarts, escalate
-// once — never spin unboundedly — block on the locked path until the
-// writer releases, and still return the correct committed value. The
-// counters pin the exact escalation protocol.
-func TestOptimisticEscalationStorm(t *testing.T) {
+// TestOptimisticGetWaitsOutBlockingHolder is the restart-storm guard,
+// made deterministic: a writer parks inside the shard-lock critical
+// section in blocking mode, where the reader cannot help it to
+// completion, so ReadVersion fails for as long as the lock is held. The
+// optimistic Get must keep re-reading (counting restarts, past any
+// fixed budget) without ever taking the shard lock itself, and return
+// the writer's committed value once the writer releases. The shard
+// version afterwards shows the writer's one critical section and
+// nothing else.
+func TestOptimisticGetWaitsOutBlockingHolder(t *testing.T) {
 	st := kv.New(leaftreeFactory, kv.Options{Shards: 1, Blocking: true, OptimisticReads: true})
 	c := st.Register()
 	defer c.Close()
 	const key = 42
 	c.Put(key, 1)
+	v0, _ := st.ShardLock(0).ReadVersion()
 
 	locked := make(chan struct{})
 	release := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
+	writerDone := make(chan struct{})
+	// Release the writer on every path, so a failing check does not
+	// leave it, and the reader behind it, parked.
+	unpark := sync.OnceFunc(func() { close(release) })
+	defer unpark()
 	go func() {
-		defer wg.Done()
+		defer close(writerDone)
 		wc := st.Register()
 		defer wc.Close()
 		ok := st.Engine().Nest(wc.Proc(), []int{0}, func(hp *flock.Proc) {
+			st.ShardPut(0, hp, key, 2)
 			close(locked)
 			<-release
 		})
@@ -216,39 +223,53 @@ func TestOptimisticEscalationStorm(t *testing.T) {
 	}()
 	<-locked
 
-	// The lock is held: once the reader has escalated (the counter moves
-	// before the locked read blocks), let the writer go.
-	wg.Add(1)
+	type result struct {
+		v  uint64
+		ok bool
+	}
+	got := make(chan result, 1)
 	go func() {
-		defer wg.Done()
-		for {
-			if _, e := st.OptimisticStats(); e > 0 {
-				close(release)
-				return
-			}
-			runtime.Gosched()
-		}
+		v, ok := c.Get(key)
+		got <- result{v, ok}
 	}()
-
-	if v, ok := c.Get(key); !ok || v != 1 {
-		t.Fatalf("Get(%d) under held shard lock = (%d,%v), want (1,true)", key, v, ok)
+	// Let the reader discard more reads against the held lock than a
+	// fixed budget of 3 would allow.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		r, _ := st.OptimisticStats()
+		if r > 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("reader stopped re-reading after %d restarts", r)
+		}
+		runtime.Gosched()
 	}
-	wg.Wait()
-
-	restarts, escalations := st.OptimisticStats()
-	if want := uint64(3); restarts != want { // flock.New's MaxOptimistic default
-		t.Fatalf("held-lock read burned %d restarts, want exactly MaxOptimistic=%d", restarts, want)
+	select {
+	case r := <-got:
+		t.Fatalf("Get returned (%d,%v) while the writer held the shard lock", r.v, r.ok)
+	default:
 	}
-	if escalations != 1 {
-		t.Fatalf("held-lock read escalated %d times, want exactly 1", escalations)
+	if !st.ShardLock(0).Held() {
+		t.Fatal("shard lock not held while the writer is parked")
+	}
+	unpark()
+	<-writerDone
+	r := <-got
+	if !r.ok || r.v != 2 {
+		t.Fatalf("Get(%d) after the writer released = (%d,%v), want the committed (2,true)", key, r.v, r.ok)
+	}
+	restarts, _ := st.OptimisticStats()
+	if v, ok := st.ShardLock(0).ReadVersion(); !ok || v != v0+2 {
+		t.Fatalf("shard version %d -> (%d,%v), want (%d,true): only the writer's section may move it", v0, v, ok, v0+2)
 	}
 
 	// The storm over: subsequent optimistic reads validate cleanly again.
-	if v, ok := c.Get(key); !ok || v != 1 {
-		t.Fatalf("post-storm Get(%d) = (%d,%v), want (1,true)", key, v, ok)
+	if v, ok := c.Get(key); !ok || v != 2 {
+		t.Fatalf("post-storm Get(%d) = (%d,%v), want (2,true)", key, v, ok)
 	}
 	if r, _ := st.OptimisticStats(); r != restarts {
-		t.Fatalf("post-storm read restarted (%d -> %d): version parity corrupt after escalation", restarts, r)
+		t.Fatalf("post-storm read restarted (%d -> %d)", restarts, r)
 	}
 }
 

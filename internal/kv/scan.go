@@ -27,20 +27,19 @@ func (st *Store) Scannable() bool { return st.scan }
 // in ascending key order across every shard (limit < 0 means unbounded,
 // limit 0 yields an empty result; 0 and MaxUint64 are the open-interval
 // bound sentinels, see set.ClampScanBounds). With
-// Options.OptimisticReads (and a capable structure) the scan first runs
-// the engine's optimistic arm — unlogged per-shard scans validated
-// against a version vector over every shard lock, re-scanning only the
-// shards whose version moved — and escalates to the locked arm when one
-// shard would need more than MaxOptimistic scans. On the locked arm each
-// shard contributes a run collected by the structure's scan thunk while
-// that shard's lock is held: one composed critical section over all shards
-// on a txn store (so the scan is atomic with respect to multi-key
-// transactions — as is a validated optimistic scan, per the
-// version-vector argument), ascending one-shard sections on a plain
-// store. Plain single-key Client operations never take shard locks, so
-// the result is weakly consistent with respect to them either way:
-// every returned pair was present, and every missing in-range key
-// absent, at some instant during the scan.
+// Options.OptimisticReads (and a capable structure) the scan runs the
+// engine's optimistic arm: unlogged per-shard scans validated against a
+// version vector over every shard lock, re-scanning only the shards
+// whose version moved until the vector validates. Otherwise it runs the
+// locked arm, where each shard contributes a run collected by the
+// structure's scan thunk while that shard's lock is held: one composed
+// critical section over all shards on a txn store (so the scan is
+// atomic with respect to multi-key transactions — as is a validated
+// optimistic scan, per the version-vector argument), ascending
+// one-shard sections on a plain store. Plain single-key Client
+// operations never take shard locks, so the result is weakly consistent
+// with respect to them either way: every returned pair was present, and
+// every missing in-range key absent, at some instant during the scan.
 //
 // Scan panics if the store's structure does not implement set.Scanner
 // (see Scannable).
@@ -53,19 +52,15 @@ func (c *Client) Scan(lo, hi uint64, limit int) []set.KV {
 		return nil
 	}
 	t0 := traceStart()
-	if st.optScan && !c.p.InThunk() {
-		parts := make([][]set.KV, len(st.shards))
-		ok := st.eng.Optimistic(c.p, st.eng.AllShards(), func(s int) {
-			parts[s] = st.shards[s].osc.OptimisticScan(c.p, lo, hi, limit)
-		})
-		if ok {
-			traceOp(c.p, t0, multiShard, trace.KVScan)
-			return engine.MergeRuns(parts, limit)
-		}
+	defer traceOp(c.p, t0, multiShard, trace.KVScan)
+	if !st.optScan || c.p.InThunk() {
+		return c.scanLocked(lo, hi, limit)
 	}
-	out := c.scanLocked(lo, hi, limit)
-	traceOp(c.p, t0, multiShard, trace.KVScan)
-	return out
+	parts := make([][]set.KV, len(st.shards))
+	st.eng.Optimistic(c.p, st.eng.AllShards(), func(s int) {
+		parts[s] = st.shards[s].osc.OptimisticScan(c.p, lo, hi, limit)
+	})
+	return engine.MergeRuns(parts, limit)
 }
 
 // scanLocked is the logged arm: per-shard scan thunks under the shard

@@ -1,8 +1,8 @@
 // Epoch-consistent whole-store snapshots (DESIGN.md S17). A Snapshot is
 // a read-only view of the entire store that is atomic with respect to
-// every lock-holding writer (transactions, escalated operations) while
-// never holding the shard locks for the duration of the iteration. The
-// protocol has three parts:
+// every lock-holding writer (transactions) while never holding the
+// shard locks for the duration of the iteration. The protocol has three
+// parts:
 //
 //  1. Activation. The registry of live snapshots (Store.snaps) flips
 //     inside one brief composed critical section over every shard lock
@@ -45,11 +45,10 @@
 // writers go through transactions, like the conserved-sum workloads —
 // sees an exact atomic cut.
 //
-// The snapshot holds an epoch.Pin on the store's runtime for its
-// lifetime: the reclamation bound freezes at the pin epoch without
-// blocking epoch advance, so chunk traversals stay safe against node
-// reuse no matter how long a consumer stalls between chunks, while
-// writers keep retiring at full speed.
+// A snapshot holds no epoch state between chunks. Structure nodes and
+// value boxes are left to the garbage collector, each chunk read runs in
+// its own epoch guard, and the cursor resumes by key, so a consumer that
+// stalls between chunks holds nothing back.
 
 package kv
 
@@ -64,7 +63,6 @@ import (
 	"sync"
 
 	flock "flock/internal/core"
-	"flock/internal/epoch"
 	"flock/internal/kv/engine"
 	"flock/internal/structures/set"
 )
@@ -92,14 +90,13 @@ type preImage struct {
 // Snapshot is a consistent read-only view of the whole store. Iterate,
 // Dump and Close must be called from one goroutine at a time; the
 // overlay writes from concurrent store writers are synchronized
-// internally. Close releases the snapshot's epoch pin and client
-// handle; a closed snapshot must not be iterated.
+// internally. Close releases the snapshot's client handle; a closed
+// snapshot must not be iterated.
 type Snapshot struct {
 	st     *Store
 	c      *Client    // dedicated handle for iterator reads
 	over   []sync.Map // per-shard overlay: uint64 key -> preImage
-	pin    *epoch.Pin
-	vers   []uint64 // best-effort activation version vector
+	vers   []uint64   // best-effort activation version vector
 	closed bool
 }
 
@@ -149,8 +146,8 @@ func (l *snapList) record(i int, k, v uint64, present bool) {
 // Snapshot captures a consistent read-only view of the whole store (see
 // the package comment in this file for the protocol and its exact
 // consistency contract). It panics if the store's structure does not
-// implement set.Scanner. The snapshot holds a registered client and an
-// epoch pin until Close; creation cost is one brief locked section over
+// implement set.Scanner. The snapshot holds a registered client until
+// Close; creation cost is one brief locked section over
 // all shard locks (composed on a txn store).
 func (st *Store) Snapshot() *Snapshot {
 	if !st.scan {
@@ -160,7 +157,6 @@ func (st *Store) Snapshot() *Snapshot {
 		st:   st,
 		c:    st.Register(),
 		over: make([]sync.Map, len(st.shards)),
-		pin:  st.rt.Epochs().Pin(),
 	}
 	st.snapMu.Lock()
 	old := st.snaps.Load()
@@ -215,8 +211,8 @@ func (s *Snapshot) Versions() []uint64 {
 }
 
 // Close deactivates the snapshot: the registry flips past it inside the
-// same locked section as activation, its epoch pin releases, and its
-// client handle closes. Idempotent.
+// same locked section as activation and its client handle closes.
+// Idempotent.
 func (s *Snapshot) Close() {
 	if s.closed {
 		return
@@ -234,7 +230,6 @@ func (s *Snapshot) Close() {
 	}
 	st.installSnaps(s.c, old, &snapList{snaps: kept})
 	st.snapMu.Unlock()
-	s.pin.Release()
 	s.c.Close()
 	s.closed = true
 }
@@ -245,24 +240,22 @@ func (s *Snapshot) Close() {
 const snapChunk = 256
 
 // chunk reads up to snapChunk raw pairs from shard i over [pos, hi]: a
-// version-validated optimistic pass when the structure supports it
-// (bounded restarts through the engine), falling back to a plain
-// top-level scan. The fallback is still correct with respect to
-// lock-holding writers — overlay repair reconstructs activation-time
-// state whatever the interleaving — validation merely narrows the
-// plain-writer fuzz window.
+// version-validated optimistic pass through the engine when the store
+// runs optimistic scans, a plain top-level scan otherwise. The plain
+// scan is still correct with respect to lock-holding writers — overlay
+// repair reconstructs activation-time state whatever the interleaving —
+// validation merely narrows the plain-writer fuzz window.
 func (s *Snapshot) chunk(i int, pos, hi uint64) []set.KV {
 	st := s.st
 	sh := &st.shards[i]
-	if st.optScan {
-		var run []set.KV
-		if st.eng.Optimistic(s.c.p, []int{i}, func(int) {
-			run = sh.osc.OptimisticScan(s.c.p, pos, hi, snapChunk)
-		}) {
-			return run
-		}
+	if !st.optScan {
+		return sh.sc.Scan(s.c.p, pos, hi, snapChunk)
 	}
-	return sh.sc.Scan(s.c.p, pos, hi, snapChunk)
+	var run []set.KV
+	st.eng.Optimistic(s.c.p, []int{i}, func(int) {
+		run = sh.osc.OptimisticScan(s.c.p, pos, hi, snapChunk)
+	})
+	return run
 }
 
 // patch repairs one raw chunk covering [pos, end] against shard i's

@@ -160,9 +160,9 @@ func (h *Handle) Scan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
 // ordinary KFind and checked identically: the capability contract
 // requires a top-level OptimisticFind to be linearizable, exactly like
 // Find. Rejected (invalid-version) attempts never reach a Handle — the
-// read arms retry internally and only the validated or escalated result
-// returns — so by construction only committed observations are
-// recorded (see TestOptimisticRejectedReadsNotReported).
+// read arms retry internally and only the validated result returns — so
+// by construction only committed observations are recorded (see
+// TestOptimisticRejectedReadsNotReported).
 func (h *Handle) FindOptimistic(p *flock.Proc, k uint64) (uint64, bool) {
 	or, implements := h.r.s.(set.OptimisticReader)
 	if !implements {

@@ -10,11 +10,11 @@ import (
 // TestOptimisticRejectedReadsNotReported is the optimistic-read
 // recording contract (DESIGN.md S13): an optimistic attempt whose
 // version validation failed observed a possibly-torn state, its result
-// is discarded, and only the validated (or escalated) retry reaches the
-// history. Each case synthesizes the same torn attempt twice — once
-// correctly unreported (the history must pass) and once wrongly
-// reported as a completed operation (the checker must flag it) — so a
-// recording-layer bug that leaks rejected observations cannot pass.
+// is discarded, and only the validated retry reaches the history. Each
+// case synthesizes the same torn attempt twice — once correctly
+// unreported (the history must pass) and once wrongly reported as a
+// completed operation (the checker must flag it) — so a recording-layer
+// bug that leaks rejected observations cannot pass.
 func TestOptimisticRejectedReadsNotReported(t *testing.T) {
 	// Ground truth: key 1 holds 10 over [1,2]..[5,6], then is deleted.
 	base := []Op{

@@ -73,11 +73,9 @@ const (
 	// lock allocates. Counted once per release, by the run whose CAS or
 	// store installed the word.
 	TagOverflows
-	// OptRestarts and OptEscalations are the optimistic-read counters
-	// (failed unlogged attempts, and fallbacks to the logged path),
-	// migrated here off flock.Runtime.
+	// OptRestarts counts discarded optimistic shard reads (the lock
+	// still held after helping, or its version moved under the read).
 	OptRestarts
-	OptEscalations
 	// PoolHits/PoolMisses count descriptors taken from the freelist vs
 	// allocated fresh (descriptors are the only pooled objects);
 	// PoolSpills counts descriptors dropped to the GC because the
@@ -122,7 +120,7 @@ var counterNames = [NumCounters]string{
 	"acquires_lf", "acquires_blocking",
 	"helps_given", "helps_received", "own_completions", "thunk_replays",
 	"install_cas_fails", "strict_spins", "tag_overflows",
-	"opt_restarts", "opt_escalations",
+	"opt_restarts",
 	"pool_hits", "pool_misses", "pool_spills", "pool_pending_full",
 	"epoch_advance_tries", "epoch_advances",
 	"epoch_reclaim_batches", "epoch_reclaim_lag_epochs",

@@ -98,9 +98,6 @@ const (
 	// A=0, B=0. Lock is the validated lock (0 for multi-shard
 	// version-vector reads).
 	OptRestart
-	// OptEscalate: an optimistic read gave up and escalated to the
-	// logged path. A=0, B=0.
-	OptEscalate
 	// PoolSpill: a descriptor was dropped to the GC. A=the site: 0 when
 	// the pending list was at capacity, 1 when the freelist was. B=0.
 	PoolSpill
@@ -127,7 +124,7 @@ const (
 var kindNames = [NumKinds]string{
 	"none", "acq_start", "acq_installed", "acq_blocking", "release",
 	"help_begin", "help_end", "replay", "spin_episode", "stall",
-	"opt_restart", "opt_escalate", "pool_spill",
+	"opt_restart", "pool_spill",
 	"epoch_advance", "epoch_reclaim", "kv_op", "txn_span",
 }
 

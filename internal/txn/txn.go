@@ -23,9 +23,9 @@
 // of a composed thunk share one epoch manager, protecting memory retired
 // on any shard, and one mode flag all runs agree on. New builds its
 // store with kv.NewComposed: transactions are the writers that take
-// shard locks, so the store's locked reads (escalated MultiGet, locked
-// Scan, snapshot activation) must hold every involved shard lock at
-// once to serialize against them.
+// shard locks, so the store's locked reads (locked Scan, snapshot
+// activation) must hold every involved shard lock at once to serialize
+// against them, and its optimistic reads validate against those locks.
 //
 // # Determinism rules for composed thunks
 //

@@ -177,10 +177,10 @@ func TestTxnAbortWritesNothing(t *testing.T) {
 }
 
 // TestLockedComposesOnlyOnTxnStores pins which stores compose their
-// locked read arm (engine.Locked: escalated MultiGet, locked Scan,
-// snapshot activation). A plain kv store has no writer that takes a
-// shard lock, so each body holds exactly one shard lock, in ascending
-// order, and readers never hold every lock at once. A txn store's
+// locked read arm (engine.Locked: locked Scan, snapshot activation). A
+// plain kv store has no writer that takes a shard lock, so each body
+// holds exactly one shard lock, in ascending order, and readers never
+// hold every lock at once. A txn store's
 // transactions do take them, so one body holds every shard lock and the
 // read is atomic with respect to them. Both stores run on one runtime.
 func TestLockedComposesOnlyOnTxnStores(t *testing.T) {
