@@ -161,7 +161,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	flags.IntVar(&spec.StallEvery, "stall", 0, "single-point: inject a deschedule every N critical sections")
 	flags.StringVar(&spec.YCSB, "ycsb", "", "single-point: run a YCSB workload (a, b, c, e, f) against the sharded KV store")
 	flags.IntVar(&spec.ScanLen, "scanlen", 0, "single-point: max zipf-drawn scan length for scan-bearing YCSB mixes (-ycsb e; 0 = default)")
-	flags.BoolVar(&spec.Optimistic, "optimistic", false, "single-point: route KV reads through the version-validated optimistic arm (-ycsb/-txn)")
 	flags.StringVar(&spec.TxnMix, "txn", "", "single-point: run a transactional workload (transfer, ycsbt) against the txn layer")
 	flags.IntVar(&spec.TxnSize, "txnsize", 2, "single-point: keys per multi-key transaction (-txn)")
 	flags.BoolVar(&spec.TxnNonAtomic, "nonatomic", false, "single-point: per-key non-atomic arm of the txn layer (-txn)")
@@ -273,9 +272,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if spec.ScanLen > 0 {
 				mode += fmt.Sprintf(" scanlen=%d", spec.ScanLen)
 			}
-		}
-		if spec.Optimistic {
-			mode += " optimistic"
 		}
 		if spec.TxnMix != "" {
 			mode = fmt.Sprintf(" txn=%s size=%d shards=%d", spec.TxnMix, spec.TxnSize, spec.Shards)

@@ -68,7 +68,8 @@ type dinfo struct {
 	pupdate  *upd
 }
 
-// Tree is the Ellen et al. BST. Keys must be < inf1.
+// Tree is the Ellen et al. BST. Keys must be in [1, set.MaxKey], below
+// the inf1 sentinel.
 type Tree struct {
 	root *node
 }

@@ -45,7 +45,8 @@ func newInternal(k uint64, l, r *node) *node {
 	return n
 }
 
-// Tree is the Natarajan–Mittal BST. Keys must be < inf0.
+// Tree is the Natarajan–Mittal BST. Keys must be in [1, set.MaxKey],
+// below the inf0 sentinel.
 type Tree struct {
 	root *node // R(inf2): left = S(inf1), right = leaf(inf2)
 	s    *node // S(inf1): left = leaf(inf0), right = leaf(inf1)

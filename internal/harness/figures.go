@@ -52,8 +52,8 @@ func DefaultScale() Scale {
 }
 
 // Series names one line in a figure and embeds the spec fields that set
-// it apart: Structure, Blocking, HashKeys, Shards, TxnNonAtomic,
-// Optimistic and SnapshotLoop. On the KV and transactional figures
+// it apart: Structure, Blocking, HashKeys, Shards, TxnNonAtomic and
+// SnapshotLoop. On the KV and transactional figures
 // Shards 0 means Scale.Shards and 1 is the unsharded control.
 type Series struct {
 	Name string
@@ -201,7 +201,6 @@ var (
 	hashtableLF   = Series{"hashtable-lf", Spec{Structure: "hashtable"}}
 	kvLeaftreeLF  = Series{"kv-leaftree-lf", Spec{Structure: "leaftree"}}
 	kvLeaftreeBL  = Series{"kv-leaftree-bl", Spec{Structure: "leaftree", Blocking: true}}
-	kvLeaftreeOpt = Series{"kv-leaftree-opt", Spec{Structure: "leaftree", Optimistic: true}}
 	kvHashtableLF = Series{"kv-hashtable-lf", Spec{Structure: "hashtable"}}
 	txnLeaftreeLF = Series{"txn-leaftree-lf", Spec{Structure: "leaftree"}}
 	txnLeaftreeBL = Series{"txn-leaftree-bl", Spec{Structure: "leaftree", Blocking: true}}
@@ -239,7 +238,7 @@ var (
 	// vs lock-free on the same sharded store, plus an unsharded control
 	// (Shards: 1) showing what sharding itself buys; hashtable-lf adds
 	// the structure the paper found cheapest to make lock-free.
-	kvSeries = []Series{kvLeaftreeLF, kvLeaftreeBL, kvLeaftreeOpt,
+	kvSeries = []Series{kvLeaftreeLF, kvLeaftreeBL,
 		{"kv-leaftree-lf-1shard", Spec{Structure: "leaftree", Shards: 1}}, kvHashtableLF}
 	// Extension: the transactional layer (internal/txn, DESIGN.md S11).
 	// Three arms per structure: composed lock-free try-locks, the same
@@ -334,7 +333,7 @@ var figures = []FigureSpec{
 	// scans mean longer critical sections for the flock arms and more
 	// revalidation surface (hence restarts) for the OLC baseline.
 	{ID: "ext-ycsb-e", Paper: "Extension: YCSB-E (95% scan / 5% insert) on the sharded KV store, zipfian 0.99, scan-length sweep",
-		Series: []Series{kvLeaftreeLF, kvLeaftreeBL, kvLeaftreeOpt,
+		Series: []Series{kvLeaftreeLF, kvLeaftreeBL,
 			{"kv-abtree-lf", Spec{Structure: "abtree"}}, {"kv-olcart", Spec{Structure: "olcart"}}},
 		Spec: Spec{YCSB: "e", Alpha: 0.99}, Keys: smallKeys, Threads: baseThreads, Axis: byScanLen},
 	{ID: "ext-ycsb-shards", Paper: "Extension: YCSB-A on the KV store, oversubscribed threads, zipfian 0.99, shard sweep",

@@ -132,12 +132,6 @@ type Spec struct {
 	// false the arm follows Blocking: composed blocking locks vs
 	// composed lock-free locks.
 	TxnNonAtomic bool
-	// Optimistic routes the KV path's reads (Get, Scan, MultiGet)
-	// through the unlogged version-validated arm
-	// (kv.Options.OptimisticReads). Requesting it over a structure
-	// without the set.OptimisticReader capability is refused up front,
-	// like the Scannable gate. Ignored when YCSB and TxnMix are empty.
-	Optimistic bool
 	// SnapshotLoop runs a background goroutine beside the measured
 	// workload that repeatedly takes a whole-store snapshot
 	// (kv.Store.Snapshot), iterates it fully and closes it (KV and
@@ -180,8 +174,6 @@ func (spec Spec) modeLabel() string {
 		return "nonatomic"
 	case spec.Blocking:
 		return "blocking"
-	case spec.Optimistic:
-		return "optimistic"
 	default:
 		return "lockfree"
 	}
@@ -198,9 +190,10 @@ type Result struct {
 	Mops        float64
 	AllocsPerOp float64
 	Hist        *LatencyHist
-	// OptRestarts counts discarded optimistic shard reads, summed from
-	// the store's always-on counter over the measured window (KV and txn
-	// paths with Spec.Optimistic; zero otherwise). The obs metrics layer
+	// OptRestarts counts discarded validated shard reads, summed from
+	// the store's always-on counter over the measured window (the txn
+	// path's atomic modes; zero otherwise, since a plain KV store's
+	// reads validate nothing). The obs metrics layer
 	// mirrors the same events per worker when Spec.Metrics is set
 	// (Metrics.Window).
 	OptRestarts uint64
@@ -267,7 +260,7 @@ func newRuntime(spec Spec) *flock.Runtime {
 
 // build is the workload builder behind RunTimed and Workers. It looks
 // the structure up, applies the capability gates (txn-capable,
-// scannable, optimistic, snapshot loop) before any prefilling, builds
+// scannable, snapshot loop) before any prefilling, builds
 // the bare structure, kv.Store or txn.Store the spec selects, prefills
 // it, turns stall injection on and returns the per-worker op closures
 // and the window hooks (nil on the bare-structure path).
@@ -322,8 +315,7 @@ func build(spec Spec) (Worker, window, error) {
 		if spec.TxnNonAtomic {
 			mode = txn.NonAtomic
 		}
-		ts := txn.New(kv.Factory(f), txn.Options{Shards: spec.Shards, Mode: mode,
-			KeyRange: spec.KeyRange, OptimisticReads: spec.Optimistic})
+		ts := txn.New(kv.Factory(f), txn.Options{Shards: spec.Shards, Mode: mode, KeyRange: spec.KeyRange})
 		st = ts.KV()
 		worker = func(w uint64) (func(uint64, bool) time.Time, func()) {
 			c := ts.Register()
@@ -357,17 +349,9 @@ func build(spec Spec) (Worker, window, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		st = kv.New(kv.Factory(f), kv.Options{Shards: spec.Shards, Blocking: spec.Blocking,
-			KeyRange: spec.KeyRange, OptimisticReads: spec.Optimistic})
-		switch {
-		case probe.HasScans() && !st.Scannable():
+		st = kv.New(kv.Factory(f), kv.Options{Shards: spec.Shards, Blocking: spec.Blocking, KeyRange: spec.KeyRange})
+		if probe.HasScans() && !st.Scannable() {
 			return nil, nil, fmt.Errorf("harness: YCSB-%s has scans but structure %q does not implement set.Scanner (ordered structures only)",
-				spec.YCSB, spec.Structure)
-		case spec.Optimistic && !st.OptimisticReads():
-			return nil, nil, fmt.Errorf("harness: optimistic reads requested but structure %q does not implement set.OptimisticReader",
-				spec.Structure)
-		case spec.Optimistic && probe.HasScans() && !st.OptimisticScans():
-			return nil, nil, fmt.Errorf("harness: YCSB-%s has scans but structure %q does not implement set.OptimisticScanner",
 				spec.YCSB, spec.Structure)
 		}
 		worker = func(w uint64) (func(uint64, bool) time.Time, func()) {

@@ -228,46 +228,37 @@ func TestRunTimedTxn(t *testing.T) {
 }
 
 // TestOptimisticSpecWiring pins the harness's optimistic-read plumbing:
-// the capability gate refuses incapable structures up front, capable
-// specs run end to end on the unlogged arm (YCSB and txn paths), and
-// RunStats exports the restart counter — zero for the read-only mix,
-// where no shard lock is ever taken, so a nonzero value here would mean
-// the before/after delta sampling is broken.
+// RunStats exports the store's restart counter, which reads zero on the
+// KV path — a plain store's reads validate nothing, so a nonzero value
+// there would mean the before/after delta sampling is broken — and the
+// scan-bearing KV mix and the txn path, whose reads are validated, run
+// end to end through the builder.
 func TestOptimisticSpecWiring(t *testing.T) {
-	// leaftreap implements set.Scanner but not the optimistic
-	// interfaces: requesting the optimistic arm must fail loudly, not
-	// silently fall back to the logged path mid-figure.
-	if _, _, err := build(Spec{Structure: "leaftreap", Threads: 1, KeyRange: 64,
-		Duration: time.Millisecond, YCSB: "c", Shards: 2, Optimistic: true}); err == nil {
-		t.Fatal("optimistic reads over a non-optimistic structure accepted")
-	}
 	st, err := RunStats(Spec{
 		Structure: "leaftree", Threads: 4, KeyRange: 256, Alpha: 0.99,
-		Duration: 15 * time.Millisecond, Seed: 9, YCSB: "c", Shards: 2, Optimistic: true,
+		Duration: 15 * time.Millisecond, Seed: 9, YCSB: "a", Shards: 2,
 	}, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Mops <= 0 {
-		t.Fatalf("optimistic YCSB-C measured %v Mop/s", st.Mops)
+		t.Fatalf("YCSB-A measured %v Mop/s", st.Mops)
 	}
 	if st.OptRestarts != 0 {
-		t.Fatalf("read-only optimistic run counted %d restarts, want 0", st.OptRestarts)
+		t.Fatalf("plain KV run counted %d restarts, want 0", st.OptRestarts)
 	}
-	// Scan-bearing optimistic mix and the txn read arm both drive the
-	// same plumbing through the builder.
 	for _, spec := range []Spec{
 		{Structure: "leaftree", Threads: 2, KeyRange: 128, Alpha: 0.99,
-			Duration: 10 * time.Millisecond, Seed: 9, YCSB: "e", ScanLen: 8, Shards: 2, Optimistic: true},
+			Duration: 10 * time.Millisecond, Seed: 9, YCSB: "e", ScanLen: 8, Shards: 2},
 		{Structure: "leaftree", Threads: 2, KeyRange: 128, Alpha: 0.75,
-			Duration: 10 * time.Millisecond, Seed: 9, TxnMix: "transfer", TxnSize: 2, Shards: 2, Optimistic: true},
+			Duration: 10 * time.Millisecond, Seed: 9, TxnMix: "transfer", TxnSize: 2, Shards: 2},
 	} {
 		res, err := RunTimed(spec)
 		if err != nil {
-			t.Fatalf("optimistic spec %+v: %v", spec, err)
+			t.Fatalf("spec %+v: %v", spec, err)
 		}
 		if res.Ops == 0 || res.Hist.Count() != res.Ops {
-			t.Fatalf("optimistic spec ops=%d samples=%d", res.Ops, res.Hist.Count())
+			t.Fatalf("spec ops=%d samples=%d", res.Ops, res.Hist.Count())
 		}
 	}
 }

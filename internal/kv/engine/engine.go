@@ -1,28 +1,27 @@
-// Package engine is the unified shard-group execution layer under the
-// sharded KV store and the transaction layer. Every multi-shard
-// operation in this repository — range scans, atomic multi-key reads,
-// transactions, snapshot activation — reduces to one of three execution
-// arms over an ascending, duplicate-free shard group:
+// Package engine is the shard-group execution layer under the sharded KV
+// store and the transaction layer. Every multi-shard operation in this
+// repository that must be atomic with respect to shard-lock holders
+// reduces to one of two arms over an ascending, duplicate-free shard
+// group:
 //
 //   - the composed-thunk arm: per-shard lock-free locks nested by
 //     TryLock in ascending shard order (the paper's §4 composition, the
 //     transaction protocol of DESIGN.md S11), retried until the whole
-//     chain is acquired once;
-//   - the per-shard arm: the same logic shard by shard for stores whose
-//     writers take no shard lock (plain kv stores, where a composed
-//     section would only serialize readers against each other);
-//   - the optimistic arm: unlogged per-shard reads, each after its
-//     shard's version read (helping the holder of a held lock), with
-//     whole-vector validation after every round and re-reads of only
-//     the shards that moved, until the vector validates (DESIGN.md S13).
+//     chain is acquired once. Transactions commit through it, and
+//     snapshot activation flips the registry inside it;
+//   - the optimistic arm: top-level per-shard structure reads, each
+//     after its shard's version read (helping the holder of a held
+//     lock), with whole-vector validation after every round and
+//     re-reads of only the shards that moved, until the vector validates
+//     (DESIGN.md S13). Every read of a store whose writers take shard
+//     locks (kv.NewComposed) runs through it.
 //
-// Before this package existed the three arms were triplicated across
-// kv/scan.go, kv/optimistic.go and txn/txn.go, each with its own retry
-// loop, idempotent-buffer discipline and restart accounting. The engine
-// owns them once, and owns the obs counters and flight-recorder spans
-// they emit (optimistic restarts, transaction depth and helped flags),
-// so call sites publish results and nothing else.
-// DESIGN.md S17 documents the consolidation.
+// A store whose writers take no shard lock (kv.New) needs neither for
+// its reads: they call the structures directly. The engine owns the
+// retry loops and the obs counters and flight-recorder spans they emit
+// (optimistic restarts, transaction depth and helped flags), so call
+// sites publish results and nothing else. DESIGN.md S17 documents the
+// layer.
 package engine
 
 import (
@@ -43,10 +42,9 @@ type Config struct {
 	// stays only because perfbench's engine probes still set it; it goes
 	// with the next change to perfbench.
 	Runtimes []*flock.Runtime
-	// Shared is the store's runtime when its locked writers compose
-	// across shards (a store built by txn), and nil otherwise. Non-nil
-	// makes Locked run one composed section over the whole group, so a
-	// locked read is atomic with respect to transactions.
+	// Shared is ignored: the engine runs the same arms on every store.
+	// The field stays only because perfbench's engine probes still set
+	// it; it goes with the next change to perfbench.
 	Shared *flock.Runtime
 	// Route maps a key to its shard index (the store's ShardOf).
 	Route func(uint64) int
@@ -59,7 +57,6 @@ type Config struct {
 // goroutine-safe: all state is per-call or owned by the shards.
 type Engine struct {
 	locks    []*flock.Lock
-	composed bool
 	route    func(uint64) int
 	restarts *atomic.Uint64
 }
@@ -68,7 +65,6 @@ type Engine struct {
 func New(cfg Config) *Engine {
 	return &Engine{
 		locks:    cfg.Locks,
-		composed: cfg.Shared != nil,
 		route:    cfg.Route,
 		restarts: cfg.Restarts,
 	}
@@ -161,15 +157,6 @@ func (e *Engine) Nest(p *flock.Proc, shards []int, body func(hp *flock.Proc)) bo
 	return nest(p, 0)
 }
 
-// pace yields between lock retries on the read arms (helping already
-// happened inside the failed TryLock, so a short yield is all that is
-// useful).
-func pace(attempt int) {
-	if attempt >= 2 {
-		runtime.Gosched()
-	}
-}
-
 // backoff spins-then-yields with per-Proc jitter between transactional
 // acquisition attempts (shared constants would synchronize contending
 // clients' retries).
@@ -245,44 +232,6 @@ func (e *Engine) Atomic(p *flock.Proc, shards []int, mkBody func() func(hp *floc
 	}
 }
 
-// Attempt is one locked-arm execution attempt: Body runs inside the
-// critical section (idempotent publication through per-attempt
-// atomics); Commit runs once, outside any lock, after the attempt's
-// chain was acquired — it moves the published results into the caller's
-// plain variables.
-type Attempt struct {
-	Body   func(hp *flock.Proc)
-	Commit func()
-}
-
-// Locked runs the group's logged read arm to completion on p, in
-// sections: runs of the group whose shard locks one critical section
-// holds at once. On a composed engine (a txn store) the whole group is
-// one section, atomic with respect to transactions. Otherwise each shard
-// is its own section, in ascending order: plain stores run no
-// shard-locking writers, so holding every lock at once would buy no
-// atomicity and only serialize readers. mk builds an attempt over the
-// section it is given and is re-invoked on every retry, so each attempt
-// gets fresh buffers; the successful attempt's Commit runs before the
-// next section starts.
-func (e *Engine) Locked(p *flock.Proc, shards []int, mk func(section []int) Attempt) {
-	for i := 0; i < len(shards); {
-		sec := shards[i:]
-		if !e.composed {
-			sec = shards[i : i+1]
-		}
-		for attempt := 0; ; attempt++ {
-			a := mk(sec)
-			if e.Nest(p, sec, a.Body) {
-				a.Commit()
-				break
-			}
-			pace(attempt)
-		}
-		i += len(sec)
-	}
-}
-
 // ---------------------------------------------------------------------
 // Optimistic version-vector arm
 // ---------------------------------------------------------------------
@@ -326,10 +275,10 @@ type shardRead struct {
 // paper's failed try-lock that helps and retries (§3). In blocking mode
 // the holder cannot be helped; Help yields and the loop waits it out.
 //
-// read runs inside p's epoch guard, must only perform unlogged loads
-// (set.OptimisticReader / set.OptimisticScanner) into run-local state,
-// and may run again for the same shard, replacing its earlier result;
-// its last run for each shard is the one that validated.
+// read runs inside p's epoch guard at top level, so a structure's Find
+// or Scan there logs nothing; it must write only run-local state, and it
+// may run again for the same shard, replacing its earlier result; its
+// last run for each shard is the one that validated.
 func (e *Engine) Optimistic(p *flock.Proc, shards []int, read func(s int)) {
 	e.optimistic(p, shards, false, read)
 }
@@ -339,7 +288,8 @@ func (e *Engine) Optimistic(p *flock.Proc, shards []int, read func(s int)) {
 // and a round with any moved shard re-reads the whole vector. read's
 // last run is the one that validated. procs holds one Proc per shard,
 // all registered with the store's runtime; the loop runs on the first
-// listed shard's.
+// listed shard's. No store calls it: it stays only while perfbench's
+// engine probe does, and goes with the next change to perfbench.
 func (e *Engine) OptimisticGroup(procs []*flock.Proc, shards []int, read func()) {
 	last := shards[len(shards)-1]
 	e.optimistic(procs[shards[0]], shards, true, func(s int) {
@@ -350,11 +300,11 @@ func (e *Engine) OptimisticGroup(procs []*flock.Proc, shards []int, read func())
 }
 
 // OptimisticFind is the single-shard case of the optimistic arm, a
-// validated unlogged lookup of k on shard. Its closure does not escape,
-// so it allocates nothing.
-func (e *Engine) OptimisticFind(p *flock.Proc, shard int, r set.OptimisticReader, k uint64) (v uint64, found bool) {
+// validated top-level lookup of k in shard's structure s. Its closure
+// does not escape, so it allocates nothing.
+func (e *Engine) OptimisticFind(p *flock.Proc, shard int, s set.Set, k uint64) (v uint64, found bool) {
 	e.optimistic(p, []int{shard}, false, func(int) {
-		v, found = r.OptimisticFind(p, k)
+		v, found = s.Find(p, k)
 	})
 	return v, found
 }

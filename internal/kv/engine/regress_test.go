@@ -53,11 +53,15 @@ func (d digest) kvs(pairs []set.KV) {
 	}
 }
 
-// goldenKV drives one kv.Store configuration through a seeded op mix.
-func goldenKV(d digest, shards int, optimistic bool, seed uint64) {
-	st := kv.New(goldenFactory, kv.Options{
-		Shards: shards, KeyRange: 1 << 10, OptimisticReads: optimistic,
-	})
+// goldenKV drives one kv.Store configuration through a seeded op mix:
+// a store built by kv.NewComposed when composed is set (validated
+// reads), by kv.New otherwise (plain reads).
+func goldenKV(d digest, shards int, composed bool, seed uint64) {
+	opt := kv.Options{Shards: shards, KeyRange: 1 << 10}
+	st := kv.New(goldenFactory, opt)
+	if composed {
+		st = kv.NewComposed(goldenFactory, opt)
+	}
 	c := st.Register()
 	defer c.Close()
 	rng := workload.NewSplitMix64(seed)
@@ -103,10 +107,8 @@ func goldenKV(d digest, shards int, optimistic bool, seed uint64) {
 
 // goldenTxn drives one txn.Store configuration through a seeded
 // transaction mix.
-func goldenTxn(d digest, mode txn.Mode, optimistic bool, seed uint64) {
-	st := txn.New(goldenFactory, txn.Options{
-		Shards: 4, Mode: mode, KeyRange: 1 << 10, OptimisticReads: optimistic,
-	})
+func goldenTxn(d digest, mode txn.Mode, seed uint64) {
+	st := txn.New(goldenFactory, txn.Options{Shards: 4, Mode: mode, KeyRange: 1 << 10})
 	c := st.Register()
 	defer c.Close()
 	rng := workload.NewSplitMix64(seed)
@@ -169,10 +171,10 @@ func goldenSequence() uint64 {
 	goldenKV(d, 4, false, 13)
 	goldenKV(d, 4, true, 14)
 	goldenKV(d, 4, false, 15)
-	goldenTxn(d, txn.LockFree, true, 21)
-	goldenTxn(d, txn.LockFree, false, 22)
-	goldenTxn(d, txn.Blocking, false, 23)
-	goldenTxn(d, txn.NonAtomic, false, 24)
+	goldenTxn(d, txn.LockFree, 21)
+	goldenTxn(d, txn.LockFree, 22)
+	goldenTxn(d, txn.Blocking, 23)
+	goldenTxn(d, txn.NonAtomic, 24)
 	return h.Sum64()
 }
 

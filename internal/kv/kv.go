@@ -15,13 +15,18 @@
 // documented as non-atomic under contention (NativeUpsert reports which
 // regime a store is in).
 //
-// Two extension points serve the transactional layer (internal/txn):
-// each shard carries a flock.Lock handle (ShardLock) that transactions
-// acquire — nested, in ascending shard order — around the Shard*
-// operations, and NewComposed builds a store whose locked reads
-// (locked Scan, snapshot activation) hold every involved shard lock at
-// once, so they serialize against those transactions. Plain Client writes take no shard lock, so a store
-// built by New runs its locked reads one shard at a time.
+// Each store kind has one read protocol, fixed when it is built, with no
+// option (DESIGN.md S13). Every shard carries a flock.Lock handle
+// (ShardLock) that internal/txn acquires — nested, in ascending shard
+// order — around the Shard* operations. On a store built by New no
+// writer takes those locks, so Get, MultiGet, Scan and snapshot chunks
+// call the structures directly, with no lock and no validation: the
+// paper's optimistic traversal. On a store built by NewComposed the
+// transactions that do take them are the writers to serialize against,
+// so those reads run the engine's optimistic arm (internal/kv/engine)
+// over the same structure reads, validated against the shard locks'
+// versions. A read called inside a thunk is a plain structure read on
+// both kinds.
 package kv
 
 import (
@@ -51,15 +56,6 @@ type Options struct {
 	// keys, split evenly across shards when sizing each structure
 	// (hashtable bucket arrays, for example). 0 defaults to 1<<16.
 	KeyRange uint64
-	// OptimisticReads routes Get, Scan, MultiGet and snapshot chunks
-	// through unlogged optimistic reads validated against the shard
-	// locks' version counters (flock.Lock.ReadVersion), helping a held
-	// shard lock and re-reading only the shards whose version moved,
-	// until the version vector validates. It takes effect only when the
-	// structure implements the matching set.OptimisticReader /
-	// set.OptimisticScanner capability (see Store.OptimisticReads /
-	// OptimisticScans); otherwise the logged path is used unchanged.
-	OptimisticReads bool
 }
 
 // shard is one partition: a structure bound to the store's runtime and
@@ -68,11 +64,9 @@ type Options struct {
 // lock.
 type shard struct {
 	s   set.Set
-	up  set.Upserter          // nil when s has no native upsert
-	sc  set.Scanner           // nil when s is not ordered (no range scans)
-	or  set.OptimisticReader  // nil when s has no unlogged Find
-	osc set.OptimisticScanner // nil when s has no unlogged Scan
-	loc set.Locator           // nil when s has no located point ops
+	up  set.Upserter // nil when s has no native upsert
+	sc  set.Scanner  // nil when s is not ordered (no range scans)
+	loc set.Locator  // nil when s has no located point ops
 	// lck serializes transactional access to this shard (internal/txn
 	// acquires the locks of every touched shard in ascending index
 	// order, nested, inside one composed thunk). It lives here, with
@@ -84,12 +78,13 @@ type shard struct {
 // Store is a sharded concurrent KV store. Create clients with Register;
 // all data-path methods live on Client.
 type Store struct {
-	shards  []shard
-	native  bool
-	scan    bool           // every shard implements set.Scanner
-	optGet  bool           // OptimisticReads requested and Find arm capable
-	optScan bool           // OptimisticReads requested and Scan arm capable
-	rt      *flock.Runtime // the one runtime every shard runs on
+	shards []shard
+	native bool
+	scan   bool // every shard implements set.Scanner
+	// composed marks a store built by NewComposed: its reads validate
+	// against the shard locks (see the package comment).
+	composed bool
+	rt       *flock.Runtime // the one runtime every shard runs on
 	// eng executes every multi-shard operation: lock nesting, retry
 	// loops, the optimistic version-vector arm, and their obs/trace
 	// accounting all live there (internal/kv/engine, DESIGN.md S17).
@@ -98,14 +93,15 @@ type Store struct {
 	// COW list the write paths consult to record pre-images. nil or
 	// empty when no snapshot is active, so the write-side check is one
 	// atomic load. Every transition installs a freshly allocated snapList
-	// (never nil, so no transition's CAS can land twice) inside a
-	// brief all-shard locked section (the activation cut); snapMu
-	// serializes the administrative transitions themselves.
+	// (never nil, so no transition's CAS can land twice) inside a brief
+	// composed section over every shard lock (the activation cut);
+	// snapMu serializes the administrative transitions themselves.
 	snaps  atomic.Pointer[snapList]
 	snapMu sync.Mutex
-	// optRestarts counts discarded optimistic shard reads (lock still
-	// held after helping, or version moved under the read). The harness
-	// samples it around measured windows (RunStats).
+	// optRestarts counts discarded validated shard reads (lock still
+	// held after helping, or version moved under the read); it stays 0
+	// on a store built by New. The harness samples it around measured
+	// windows (RunStats).
 	optRestarts atomic.Uint64
 	// shardOps accumulates per-shard routed-op counts for skew
 	// visibility (obs metrics). Clients count locally, with no
@@ -115,12 +111,14 @@ type Store struct {
 }
 
 // New builds a store whose shards each hold a fresh structure from f.
+// Its writers take no shard lock, so its reads call the structures
+// directly.
 func New(f Factory, opt Options) *Store { return newStore(f, opt, false) }
 
-// NewComposed is New for a store whose writers take shard locks: the
-// locked read arms then run one composed critical section over every
-// involved shard, atomic with respect to those writers. internal/txn
-// builds its stores with it.
+// NewComposed is New for a store whose writers take shard locks
+// (internal/txn builds its stores with it): Get, MultiGet, Scan and
+// snapshot chunks validate against those locks' versions, so they are
+// atomic with respect to those writers.
 func NewComposed(f Factory, opt Options) *Store { return newStore(f, opt, true) }
 
 func newStore(f Factory, opt Options, composed bool) *Store {
@@ -134,8 +132,7 @@ func newStore(f Factory, opt Options, composed bool) *Store {
 	}
 	perShard := kr/uint64(n) + 1
 	st := &Store{
-		shards: make([]shard, n), native: true, scan: true,
-		optGet: opt.OptimisticReads, optScan: opt.OptimisticReads,
+		shards: make([]shard, n), native: true, scan: true, composed: composed,
 		shardOps: make([]atomic.Uint64, n),
 	}
 	st.rt = flock.New()
@@ -151,25 +148,13 @@ func newStore(f Factory, opt Options, composed bool) *Store {
 		if sc == nil {
 			st.scan = false
 		}
-		or, _ := s.(set.OptimisticReader)
-		if or == nil {
-			st.optGet = false
-		}
-		osc, _ := s.(set.OptimisticScanner)
-		if osc == nil {
-			st.optScan = false
-		}
 		loc, _ := s.(set.Locator)
-		st.shards[i] = shard{s: s, up: up, sc: sc, or: or, osc: osc, loc: loc}
+		st.shards[i] = shard{s: s, up: up, sc: sc, loc: loc}
 		locks[i] = &st.shards[i].lck
 	}
-	cfg := engine.Config{
+	st.eng = engine.New(engine.Config{
 		Locks: locks, Route: st.ShardOf, Restarts: &st.optRestarts,
-	}
-	if composed {
-		cfg.Shared = st.rt
-	}
-	st.eng = engine.New(cfg)
+	})
 	return st
 }
 
@@ -179,21 +164,12 @@ func newStore(f Factory, opt Options, composed bool) *Store {
 // Store methods instead.
 func (st *Store) Engine() *engine.Engine { return st.eng }
 
-// OptimisticReads reports whether Get and MultiGet run the optimistic
-// unlogged arm (Options.OptimisticReads was set and the structure
-// implements set.OptimisticReader).
-func (st *Store) OptimisticReads() bool { return st.optGet }
-
-// OptimisticScans reports whether Scan runs the optimistic unlogged arm
-// (Options.OptimisticReads was set and the structure implements
-// set.OptimisticScanner).
-func (st *Store) OptimisticScans() bool { return st.optScan }
-
 // OptimisticStats returns the cumulative count of optimistic restarts
-// (discarded shard reads across Get, Scan, MultiGet and snapshot
-// chunks). Monotonic; sample before/after a window to attribute counts
-// to it. The second result always reads 0 (an optimistic read has no
-// fallback to count); it stays only while perfbench reads both results.
+// (discarded validated shard reads across Get, Scan, MultiGet and
+// snapshot chunks; always 0 on a store built by New). Monotonic; sample
+// before/after a window to attribute counts to it. The second result
+// always reads 0 (a validated read has no fallback to count); it stays
+// only while perfbench reads both results.
 func (st *Store) OptimisticStats() (restarts, _ uint64) {
 	return st.optRestarts.Load(), 0
 }
@@ -294,9 +270,8 @@ func (c *Client) route(k uint64) (int, *shard) {
 	return i, &c.st.shards[i]
 }
 
-// Get returns the value stored under k, if present. With
-// Options.OptimisticReads (and a capable structure) the lookup runs as
-// an unlogged optimistic read validated against the shard lock's
+// Get returns the value stored under k, if present. On a store built
+// by NewComposed the lookup is validated against the shard lock's
 // version, helping the lock's holder when it finds the lock held and
 // reading again until a read validates (internal/kv/engine).
 func (c *Client) Get(k uint64) (uint64, bool) {
@@ -304,8 +279,8 @@ func (c *Client) Get(k uint64) (uint64, bool) {
 	i, sh := c.route(k)
 	var v uint64
 	var ok bool
-	if c.st.optGet && !c.p.InThunk() {
-		v, ok = c.st.eng.OptimisticFind(c.p, i, sh.or, k)
+	if c.st.composed && !c.p.InThunk() {
+		v, ok = c.st.eng.OptimisticFind(c.p, i, sh.s, k)
 	} else {
 		v, ok = sh.s.Find(c.p, k)
 	}
@@ -495,8 +470,40 @@ func (c *Client) byShard(keys []uint64, visit func(i, s int, sh *shard)) {
 	}
 }
 
+// MultiGet looks up every key, filling vals and oks (freshly allocated,
+// len(keys) each). On a store built by NewComposed it is an atomic
+// multi-key read: the engine's optimistic arm validates a version vector
+// over every involved shard around the reads, so it serializes against
+// the transactions that hold those locks. internal/txn's MultiGet is
+// this read. On a store built by New it is GetBatch.
+func (c *Client) MultiGet(keys []uint64) (vals []uint64, oks []bool) {
+	if !c.st.composed || c.p.InThunk() {
+		return c.GetBatch(keys)
+	}
+	t0 := traceStart()
+	defer traceOp(c.p, t0, multiShard, trace.KVBatch)
+	vals = make([]uint64, len(keys))
+	oks = make([]bool, len(keys))
+	if len(keys) == 0 {
+		return vals, oks
+	}
+	st := c.st
+	// The operation's footprint: each key's shard and the involved
+	// group, ascending and duplicate-free.
+	shardOf := st.eng.ShardIndices(keys)
+	st.eng.Optimistic(c.p, st.eng.Group(nil, shardOf), func(s int) {
+		for i, k := range keys {
+			if shardOf[i] == s {
+				vals[i], oks[i] = st.shards[s].s.Find(c.p, k)
+			}
+		}
+	})
+	return vals, oks
+}
+
 // GetBatch looks up every key, filling vals and oks (which it returns;
-// both are freshly allocated, len(keys) each).
+// both are freshly allocated, len(keys) each). The lookups are
+// independent plain reads with no mutual consistency.
 func (c *Client) GetBatch(keys []uint64) (vals []uint64, oks []bool) {
 	t0 := traceStart()
 	vals = make([]uint64, len(keys))

@@ -247,10 +247,11 @@ func TestScannableDetection(t *testing.T) {
 	c.Scan(1, 10, -1)
 }
 
-// TestScanSerializesWithTransactions is the composed-lock atomicity
-// check: on a txn store a scan holds every shard lock at once, so
-// concurrent multi-shard Transfers can never tear it — every full scan
-// of the account pool must see the conserved total balance.
+// TestScanSerializesWithTransactions is the composed-store atomicity
+// check: on a txn store a scan validates every shard lock's version
+// around its per-shard reads, so concurrent multi-shard Transfers can
+// never tear it — every full scan of the account pool must see the
+// conserved total balance.
 func TestScanSerializesWithTransactions(t *testing.T) {
 	const accounts = 64
 	const initial = 100

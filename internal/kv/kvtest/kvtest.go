@@ -44,34 +44,45 @@ var Modes = []struct {
 	{"blocking", true},
 }
 
+// config is one suite configuration: the store options and the store
+// kind (kv.New, or kv.NewComposed when composed is set).
+type config struct {
+	kv.Options
+	composed bool
+}
+
+// store builds a fresh store of the configured kind.
+func (c config) store(f kv.Factory) *kv.Store {
+	if c.composed {
+		return kv.NewComposed(f, c.Options)
+	}
+	return kv.New(f, c.Options)
+}
+
 // Run executes the full suite against the factory, across lock modes
-// and shard counts (including the unsharded control). When the
-// structure implements the optimistic read capability
-// (set.OptimisticReader), every configuration is additionally run with
-// Options.OptimisticReads — the whole suite must be indistinguishable
-// between the logged and optimistic read paths.
+// and shard counts (including the unsharded control), once per store
+// kind: the plain store (kv.New), whose reads call the structures
+// directly, and — under the "optimistic" arm — the composed store
+// (kv.NewComposed), whose Get, MultiGet, Scan and snapshot reads run
+// the engine's validated optimistic loop. The whole suite must be
+// indistinguishable between the two read protocols.
 func Run(t *testing.T, f kv.Factory) {
 	t.Helper()
-	optCapable := kv.New(f, kv.Options{Shards: 1, OptimisticReads: true}).OptimisticReads()
-	arms := []bool{false}
-	if optCapable {
-		arms = append(arms, true)
-	}
 	for _, m := range Modes {
 		for _, shards := range []int{1, 4} {
-			for _, optimistic := range arms {
+			for _, composed := range []bool{false, true} {
 				name := fmt.Sprintf("%s/shards=%d", m.Name, shards)
-				if optimistic {
+				if composed {
 					name += "/optimistic"
 				}
-				opt := kv.Options{Shards: shards, Blocking: m.Blocking, KeyRange: 4096, OptimisticReads: optimistic}
+				opt := config{kv.Options{Shards: shards, Blocking: m.Blocking, KeyRange: 4096}, composed}
 				t.Run(name, func(t *testing.T) {
 					t.Run("SequentialModel", func(t *testing.T) { sequentialModel(t, f, opt) })
 					t.Run("MutexMapDifferential", func(t *testing.T) { mutexMapDifferential(t, f, opt) })
 					t.Run("Batches", func(t *testing.T) { batches(t, f, opt) })
 					t.Run("BatchOrdering", func(t *testing.T) { batchOrdering(t, f, opt) })
 					t.Run("Oversubscribed", func(t *testing.T) { oversubscribed(t, f, opt) })
-					native := kv.New(f, opt).NativeUpsert()
+					native := opt.store(f).NativeUpsert()
 					if native {
 						t.Run("ContendedAlgebra", func(t *testing.T) { contendedAlgebra(t, f, opt) })
 						t.Run("RMWCounter", func(t *testing.T) { rmwCounter(t, f, opt) })
@@ -87,7 +98,7 @@ func Run(t *testing.T, f kv.Factory) {
 		if scannable {
 			t.Run(m.Name+"/SnapshotConservedSum", func(t *testing.T) { snapshotConservedSum(t, f, m.Blocking) })
 			t.Run(m.Name+"/DumpRestoreRoundTrip", func(t *testing.T) {
-				dumpRestoreRoundTrip(t, f, kv.Options{Shards: 4, Blocking: m.Blocking, KeyRange: 4096, OptimisticReads: optCapable})
+				dumpRestoreRoundTrip(t, f, config{kv.Options{Shards: 4, Blocking: m.Blocking, KeyRange: 4096}, true})
 			})
 		}
 	}
@@ -105,7 +116,7 @@ func snapshotConservedSum(t *testing.T, f kv.Factory, blocking bool) {
 	if blocking {
 		mode = txn.Blocking
 	}
-	st := txn.New(f, txn.Options{Shards: 4, KeyRange: 8192, Mode: mode, OptimisticReads: true})
+	st := txn.New(f, txn.Options{Shards: 4, KeyRange: 8192, Mode: mode})
 	// Enough accounts that an iteration spans several cursor chunks per
 	// shard — the snapshot must stay consistent across a long fuzzy
 	// iteration, not just a near-atomic single-chunk read.
@@ -194,8 +205,8 @@ func snapshotConservedSum(t *testing.T, f kv.Factory, blocking bool) {
 // store: Dump then Restore into a fresh store reproduces the exact
 // key-value contents (differential full scans), the record count is
 // reported faithfully, and a corrupted stream fails the checksum.
-func dumpRestoreRoundTrip(t *testing.T, f kv.Factory, opt kv.Options) {
-	st := kv.New(f, opt)
+func dumpRestoreRoundTrip(t *testing.T, f kv.Factory, opt config) {
+	st := opt.store(f)
 	c := st.Register()
 	rng := rand.New(rand.NewSource(99))
 	model := map[uint64]uint64{}
@@ -213,7 +224,7 @@ func dumpRestoreRoundTrip(t *testing.T, f kv.Factory, opt kv.Options) {
 	}
 	raw := append([]byte(nil), buf.Bytes()...)
 
-	fresh := kv.New(f, opt)
+	fresh := opt.store(f)
 	n, err := fresh.Restore(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
@@ -239,15 +250,15 @@ func dumpRestoreRoundTrip(t *testing.T, f kv.Factory, opt kv.Options) {
 	// count, if the flip lands in the trailer).
 	bad := append([]byte(nil), raw...)
 	bad[len(bad)/2] ^= 0x40
-	if _, err := kv.New(f, opt).Restore(bytes.NewReader(bad)); err == nil {
+	if _, err := opt.store(f).Restore(bytes.NewReader(bad)); err == nil {
 		t.Fatalf("Restore accepted a corrupted stream")
 	}
 }
 
 // sequentialModel drives one client through a scripted mix of all four
 // operations and compares every return value against a map.
-func sequentialModel(t *testing.T, f kv.Factory, opt kv.Options) {
-	st := kv.New(f, opt)
+func sequentialModel(t *testing.T, f kv.Factory, opt config) {
+	st := opt.store(f)
 	c := st.Register()
 	defer c.Close()
 	model := map[uint64]uint64{}
@@ -300,8 +311,8 @@ func sequentialModel(t *testing.T, f kv.Factory, opt kv.Options) {
 // partitions against a single mutex-guarded map: each key is touched by
 // one worker only, so store and model answers must agree exactly, while
 // the store still sees fully concurrent traffic on every shard.
-func mutexMapDifferential(t *testing.T, f kv.Factory, opt kv.Options) {
-	st := kv.New(f, opt)
+func mutexMapDifferential(t *testing.T, f kv.Factory, opt config) {
+	st := opt.store(f)
 	const workers = 8
 	const keysPer = 100
 	const ops = 500
@@ -383,8 +394,8 @@ func mutexMapDifferential(t *testing.T, f kv.Factory, opt kv.Options) {
 
 // batches checks the batch variants against a map, with keys scattered
 // across shards and some duplicates within a batch (later entries win).
-func batches(t *testing.T, f kv.Factory, opt kv.Options) {
-	st := kv.New(f, opt)
+func batches(t *testing.T, f kv.Factory, opt config) {
+	st := opt.store(f)
 	c := st.Register()
 	defer c.Close()
 	model := map[uint64]uint64{}
@@ -472,8 +483,8 @@ func batches(t *testing.T, f kv.Factory, opt kv.Options) {
 // keys[i], duplicate keys in a GetBatch all answer, and duplicate keys
 // in a PutBatch resolve to the *input-order-last* value (shard-grouped
 // visiting is index-stable within a shard, and this pins that contract).
-func batchOrdering(t *testing.T, f kv.Factory, opt kv.Options) {
-	st := kv.New(f, opt)
+func batchOrdering(t *testing.T, f kv.Factory, opt config) {
+	st := opt.store(f)
 	c := st.Register()
 	defer c.Close()
 
@@ -534,8 +545,8 @@ func batchOrdering(t *testing.T, f kv.Factory, opt kv.Options) {
 // successful deletes must equal final presence (0 or 1). This requires
 // atomic upserts — the fallback's delete-then-insert window breaks the
 // accounting — so it runs only on native-upsert stores.
-func contendedAlgebra(t *testing.T, f kv.Factory, opt kv.Options) {
-	st := kv.New(f, opt)
+func contendedAlgebra(t *testing.T, f kv.Factory, opt config) {
+	st := opt.store(f)
 	const workers = 8
 	const hotKeys = 10
 	const ops = 1200
@@ -591,8 +602,8 @@ func contendedAlgebra(t *testing.T, f kv.Factory, opt kv.Options) {
 // rmwCounter is the lost-update test: all workers increment a few hot
 // keys through ReadModifyWrite; with atomic upserts the final sums must
 // equal the exact number of increments.
-func rmwCounter(t *testing.T, f kv.Factory, opt kv.Options) {
-	st := kv.New(f, opt)
+func rmwCounter(t *testing.T, f kv.Factory, opt config) {
+	st := opt.store(f)
 	const workers = 8
 	const keys = 4
 	const ops = 600
@@ -630,8 +641,8 @@ func rmwCounter(t *testing.T, f kv.Factory, opt kv.Options) {
 // history and verifies a legal sequential witness exists. stallEvery > 0
 // additionally injects descheduling inside critical sections so most
 // operations complete via helping.
-func linearizable(t *testing.T, f kv.Factory, opt kv.Options, stallEvery int) {
-	st := kv.New(f, opt)
+func linearizable(t *testing.T, f kv.Factory, opt config, stallEvery int) {
+	st := opt.store(f)
 	st.SetStallInjection(stallEvery)
 	const workers = 6
 	const keys = 4
@@ -693,8 +704,8 @@ func linearizable(t *testing.T, f kv.Factory, opt kv.Options, stallEvery int) {
 // oversubscribed runs many more clients than GOMAXPROCS over disjoint
 // key partitions (RMW counters per key, so the final state is exact for
 // fallback stores too), with deschedule injection in lock-free mode.
-func oversubscribed(t *testing.T, f kv.Factory, opt kv.Options) {
-	st := kv.New(f, opt)
+func oversubscribed(t *testing.T, f kv.Factory, opt config) {
+	st := opt.store(f)
 	if !opt.Blocking {
 		st.SetStallInjection(50)
 	}

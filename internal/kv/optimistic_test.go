@@ -14,42 +14,12 @@ import (
 	flock "flock/internal/core"
 )
 
-// TestOptimisticCapabilityGate pins the detection rule: OptimisticReads
-// takes effect only when every shard's structure implements the
-// matching capability interface, and requesting it on an incapable
-// structure silently degrades to the logged path.
-func TestOptimisticCapabilityGate(t *testing.T) {
-	cases := []struct {
-		name              string
-		f                 kv.Factory
-		wantGet, wantScan bool
-	}{
-		{"leaftree", leaftreeFactory, true, true},
-		{"lazylist", lazylistFactory, true, true},
-		{"hashtable", hashtableFactory, true, true}, // unordered, but scans via sorted bucket sweep
-	}
-	for _, tc := range cases {
-		st := kv.New(tc.f, kv.Options{Shards: 2, OptimisticReads: true})
-		if st.OptimisticReads() != tc.wantGet {
-			t.Errorf("%s: OptimisticReads() = %v, want %v", tc.name, st.OptimisticReads(), tc.wantGet)
-		}
-		if st.OptimisticScans() != tc.wantScan {
-			t.Errorf("%s: OptimisticScans() = %v, want %v", tc.name, st.OptimisticScans(), tc.wantScan)
-		}
-	}
-	// Off by default even on a capable structure.
-	st := kv.New(leaftreeFactory, kv.Options{Shards: 2})
-	if st.OptimisticReads() || st.OptimisticScans() {
-		t.Fatalf("optimistic reads enabled without Options.OptimisticReads")
-	}
-}
-
 // TestOptimisticCountersQuiescent pins that plain single-key traffic
-// never invalidates optimistic reads: Put and Get do not take shard
-// locks, so shard versions never move and no restart can occur without
-// transactions or locked scans in the mix.
+// never invalidates a composed store's validated reads: Put and Get do
+// not take shard locks, so shard versions never move and no restart can
+// occur without transactions in the mix.
 func TestOptimisticCountersQuiescent(t *testing.T) {
-	st := kv.New(leaftreeFactory, kv.Options{Shards: 4, OptimisticReads: true})
+	st := kv.NewComposed(leaftreeFactory, kv.Options{Shards: 4})
 	c := st.Register()
 	defer c.Close()
 	for k := uint64(1); k <= 512; k++ {
@@ -67,8 +37,8 @@ func TestOptimisticCountersQuiescent(t *testing.T) {
 	}
 }
 
-// TestOptimisticScanSerializesWithTransactions is the optimistic arm of
-// the composed-lock atomicity check: validated optimistic scans and
+// TestOptimisticScanSerializesWithTransactions is the composed store's
+// atomicity check: validated optimistic scans and
 // MultiGets must see the conserved total balance despite concurrent
 // multi-shard Transfers — each shard's version is read before its data
 // loads and validated, with every other shard's, after all of them, so
@@ -77,10 +47,7 @@ func TestOptimisticCountersQuiescent(t *testing.T) {
 func TestOptimisticScanSerializesWithTransactions(t *testing.T) {
 	const accounts = 64
 	const initial = 100
-	st := txn.New(leaftreeFactory, txn.Options{Shards: 4, KeyRange: accounts, OptimisticReads: true})
-	if !st.KV().OptimisticReads() || !st.KV().OptimisticScans() {
-		t.Fatal("transactional store did not enable optimistic reads")
-	}
+	st := txn.New(leaftreeFactory, txn.Options{Shards: 4, KeyRange: accounts})
 	seed := st.KV().Register()
 	for k := uint64(1); k <= accounts; k++ {
 		seed.Put(k, initial)
@@ -148,12 +115,11 @@ func TestOptimisticScanSerializesWithTransactions(t *testing.T) {
 	wg.Wait()
 }
 
-// TestOptimisticTxnReadArm pins internal/txn's read routing: with
-// OptimisticReads the store still answers Get and read-only MultiGet
-// correctly (through the unlogged arm) while Transfers and mixed
-// transactions keep committing through the locked path.
+// TestOptimisticTxnReadArm pins internal/txn's read routing: the store
+// answers Get and read-only MultiGet correctly through the validated
+// arm while Transfers keep committing through the locked path.
 func TestOptimisticTxnReadArm(t *testing.T) {
-	st := txn.New(leaftreeFactory, txn.Options{Shards: 4, KeyRange: 256, OptimisticReads: true})
+	st := txn.New(leaftreeFactory, txn.Options{Shards: 4, KeyRange: 256})
 	c := st.Register()
 	defer c.Close()
 	kvc := st.KV().Register()
@@ -194,7 +160,7 @@ func TestOptimisticTxnReadArm(t *testing.T) {
 // version afterwards shows the writer's one critical section and
 // nothing else.
 func TestOptimisticGetWaitsOutBlockingHolder(t *testing.T) {
-	st := kv.New(leaftreeFactory, kv.Options{Shards: 1, Blocking: true, OptimisticReads: true})
+	st := kv.NewComposed(leaftreeFactory, kv.Options{Shards: 1, Blocking: true})
 	c := st.Register()
 	defer c.Close()
 	const key = 42
@@ -275,12 +241,11 @@ func TestOptimisticGetWaitsOutBlockingHolder(t *testing.T) {
 
 // TestOptimisticGetHelpsHeldLock is the lock-free counterpart of the
 // storm test: a writer's critical section parks only when its own Proc
-// runs it, so any other Proc can run it to completion. An optimistic Get
+// runs it, so any other Proc can run it to completion. A validated Get
 // that finds the shard lock held must help the writer's section finish
-// and release the lock, then read the committed value, with no
-// escalation to the strict Lock.
+// and release the lock, then read the committed value.
 func TestOptimisticGetHelpsHeldLock(t *testing.T) {
-	st := kv.New(leaftreeFactory, kv.Options{Shards: 1, OptimisticReads: true})
+	st := kv.NewComposed(leaftreeFactory, kv.Options{Shards: 1})
 	c := st.Register()
 	defer c.Close()
 	const key = 42
@@ -316,16 +281,13 @@ func TestOptimisticGetHelpsHeldLock(t *testing.T) {
 	if !ok || v != 2 {
 		t.Fatalf("Get(%d) under held shard lock = (%d,%v), want the committed (2,true)", key, v, ok)
 	}
-	if _, e := st.OptimisticStats(); e != 0 {
-		t.Fatalf("held-lock Get escalated %d times, want 0: the reader must help, not take the lock", e)
-	}
 }
 
 // TestAllocsOptimisticGet pins a validated optimistic Get at zero
 // allocations: the engine's retry loop keeps its per-shard state and its
 // read closure on the stack.
 func TestAllocsOptimisticGet(t *testing.T) {
-	st := kv.New(leaftreeFactory, kv.Options{Shards: 4, OptimisticReads: true})
+	st := kv.NewComposed(leaftreeFactory, kv.Options{Shards: 4})
 	c := st.Register()
 	defer c.Close()
 	for k := uint64(1); k <= 64; k++ {

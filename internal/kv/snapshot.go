@@ -25,9 +25,10 @@
 //     values can never poison the overlay.
 //
 //  3. Fuzzy iteration with overlay repair. The iterator walks each
-//     shard with a resumable chunked cursor (set.Cursor) — validated
-//     optimistic chunk reads when the structure supports them, plain
-//     top-level scans otherwise — and repairs each chunk against the
+//     shard with a resumable chunked cursor (set.Cursor) — each chunk
+//     the store kind's read: a validated optimistic scan on a store
+//     built by NewComposed, a plain top-level scan on one built by
+//     New — and repairs each chunk against the
 //     overlay: recorded pre-images replace read values, keys recorded
 //     absent-at-activation are dropped, and overlay-only keys in the
 //     chunk's interval (deleted since activation) are merged back in.
@@ -59,6 +60,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -147,8 +149,8 @@ func (l *snapList) record(i int, k, v uint64, present bool) {
 // the package comment in this file for the protocol and its exact
 // consistency contract). It panics if the store's structure does not
 // implement set.Scanner. The snapshot holds a registered client until
-// Close; creation cost is one brief locked section over
-// all shard locks (composed on a txn store).
+// Close; creation cost is one brief composed section over every shard
+// lock.
 func (st *Store) Snapshot() *Snapshot {
 	if !st.scan {
 		panic(fmt.Sprintf("kv: Snapshot on a store whose structure (%T) does not implement set.Scanner", st.shards[0].s))
@@ -171,19 +173,19 @@ func (st *Store) Snapshot() *Snapshot {
 }
 
 // installSnaps flips the registry from old to next inside one composed
-// critical section over every shard lock — the activation cut (on a
-// plain store the sections run shard by shard; such stores have no
-// locked writers to order against). The body's CAS
-// is idempotent across helper runs and replay-safe: only the first run
-// can move old to next, and a straggler replaying this transition after
-// a later one has installed a different (fresh) list fails the CAS.
+// critical section over every shard lock — the activation cut — retried
+// until the chain is acquired once. On a store built by New no writer
+// holds those locks, so the section only orders activation against
+// other snapshot transitions; the cost is one brief section either way.
+// The body's CAS is idempotent across helper runs and replay-safe: only
+// the first run can move old to next, and a straggler replaying this
+// transition after a later one has installed a different (fresh) list
+// fails the CAS.
 func (st *Store) installSnaps(c *Client, old, next *snapList) {
-	st.eng.Locked(c.p, st.eng.AllShards(), func([]int) engine.Attempt {
-		return engine.Attempt{
-			Body:   func(*flock.Proc) { st.snaps.CompareAndSwap(old, next) },
-			Commit: func() {},
-		}
-	})
+	all := st.eng.AllShards()
+	for !st.eng.Nest(c.p, all, func(*flock.Proc) { st.snaps.CompareAndSwap(old, next) }) {
+		runtime.Gosched() // the failed TryLock already helped the holder
+	}
 }
 
 // captureVersions samples every shard lock's version just after
@@ -239,21 +241,22 @@ func (s *Snapshot) Close() {
 // pins a shard's optimistic window for long.
 const snapChunk = 256
 
-// chunk reads up to snapChunk raw pairs from shard i over [pos, hi]: a
-// version-validated optimistic pass through the engine when the store
-// runs optimistic scans, a plain top-level scan otherwise. The plain
-// scan is still correct with respect to lock-holding writers — overlay
-// repair reconstructs activation-time state whatever the interleaving —
-// validation merely narrows the plain-writer fuzz window.
+// chunk reads up to snapChunk raw pairs from shard i over [pos, hi]
+// with the store kind's read: a version-validated scan through the
+// engine on a store built by NewComposed, a plain top-level scan on one
+// built by New, whose writers hold no shard lock to validate against.
+// Overlay repair reconstructs activation-time state whatever the
+// interleaving with lock-holding writers; validation merely narrows the
+// plain-writer fuzz window.
 func (s *Snapshot) chunk(i int, pos, hi uint64) []set.KV {
 	st := s.st
 	sh := &st.shards[i]
-	if !st.optScan {
+	if !st.composed {
 		return sh.sc.Scan(s.c.p, pos, hi, snapChunk)
 	}
 	var run []set.KV
 	st.eng.Optimistic(s.c.p, []int{i}, func(int) {
-		run = sh.osc.OptimisticScan(s.c.p, pos, hi, snapChunk)
+		run = sh.sc.Scan(s.c.p, pos, hi, snapChunk)
 	})
 	return run
 }
@@ -426,8 +429,10 @@ func (s *Snapshot) Dump(w io.Writer) error {
 // (typically into a fresh store), and returns how many pairs were
 // applied. Records stream in batches as they are read, so a stream
 // whose trailer fails verification can leave a partial restore behind;
-// the error reports exactly which check failed (magic, truncation,
-// count or checksum).
+// the error reports exactly which check failed (magic, truncation, a
+// key outside the structures' key space [1, set.MaxKey], count or
+// checksum). A record with such a key is refused before it reaches a
+// structure.
 func (st *Store) Restore(r io.Reader) (int, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(dumpMagic))
@@ -469,6 +474,9 @@ func (st *Store) Restore(r io.Reader) (int, error) {
 			}
 			flush()
 			return int(count), nil
+		}
+		if k == 0 || k > set.MaxKey {
+			return int(count), fmt.Errorf("kv: dump record %d has key %#x outside [1, %#x]", count, k, uint64(set.MaxKey))
 		}
 		h.Write(rec[:])
 		count++

@@ -1,6 +1,10 @@
 package kv
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	flock "flock/internal/core"
@@ -52,5 +56,51 @@ func TestSnapshotTransitionReplayCannotLand(t *testing.T) {
 	defer s3.Close()
 	if reg := st.snaps.Load(); len(reg.snaps) != 1 || reg.snaps[0] != s3 {
 		t.Fatalf("registry after a new activation = %v, want exactly the new snapshot", reg.snaps)
+	}
+}
+
+// TestRestoreRefusesKeysOutsideKeySpace feeds Restore well-formed dump
+// streams (valid magic, count and checksum) whose one record carries a
+// key outside [1, set.MaxKey]. MaxUint64-1 is leaftree's inner
+// sentinel: upserting it would collide with the sentinel leaf. Restore
+// reads outside input, so it must refuse the record with an error before
+// it reaches a structure, and never panic.
+func TestRestoreRefusesKeysOutsideKeySpace(t *testing.T) {
+	for _, k := range []uint64{0, set.MaxKey + 1, math.MaxUint64 - 1} {
+		h := fnv.New64a()
+		var rec [16]byte
+		binary.LittleEndian.PutUint64(rec[:8], k)
+		binary.LittleEndian.PutUint64(rec[8:], 5)
+		h.Write(rec[:])
+		stream := append([]byte(dumpMagic), rec[:]...)
+		binary.LittleEndian.PutUint64(rec[:8], math.MaxUint64)
+		binary.LittleEndian.PutUint64(rec[8:], 1)
+		stream = append(stream, rec[:]...)
+		stream = binary.LittleEndian.AppendUint64(stream, h.Sum64())
+
+		st := New(func(rt *flock.Runtime, _ uint64) set.Set { return leaftree.New(rt) }, Options{Shards: 2})
+		if _, err := st.Restore(bytes.NewReader(stream)); err == nil {
+			t.Fatalf("Restore accepted key %#x", k)
+		}
+		c := st.Register()
+		if got := c.Scan(0, math.MaxUint64, -1); len(got) != 0 {
+			t.Fatalf("Restore of key %#x left %v behind", k, got)
+		}
+		c.Close()
+	}
+	// The top key itself restores.
+	var buf bytes.Buffer
+	src := New(func(rt *flock.Runtime, _ uint64) set.Set { return leaftree.New(rt) }, Options{Shards: 2})
+	c := src.Register()
+	c.Put(set.MaxKey, 9)
+	c.Close()
+	sn := src.Snapshot()
+	if err := sn.Dump(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sn.Close()
+	dst := New(func(rt *flock.Runtime, _ uint64) set.Set { return leaftree.New(rt) }, Options{Shards: 2})
+	if n, err := dst.Restore(&buf); err != nil || n != 1 {
+		t.Fatalf("Restore of key MaxKey = (%d, %v), want (1, nil)", n, err)
 	}
 }

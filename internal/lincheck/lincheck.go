@@ -154,48 +154,6 @@ func (h *Handle) Scan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
 	return res
 }
 
-// FindOptimistic records a find performed through the structure's
-// unlogged optimistic read path; it panics if the wrapped set does not
-// implement set.OptimisticReader. The observation is recorded as an
-// ordinary KFind and checked identically: the capability contract
-// requires a top-level OptimisticFind to be linearizable, exactly like
-// Find. Rejected (invalid-version) attempts never reach a Handle — the
-// read arms retry internally and only the validated result returns — so
-// by construction only committed observations are recorded (see
-// TestOptimisticRejectedReadsNotReported).
-func (h *Handle) FindOptimistic(p *flock.Proc, k uint64) (uint64, bool) {
-	or, implements := h.r.s.(set.OptimisticReader)
-	if !implements {
-		panic("lincheck: wrapped set does not implement set.OptimisticReader")
-	}
-	start := h.r.clock.Add(1)
-	v, ok := or.OptimisticFind(p, k)
-	end := h.r.clock.Add(1)
-	h.r.hists[h.w] = append(h.r.hists[h.w], Op{
-		Kind: KFind, Key: k, Ok: ok, Val: v, Start: start, End: end, Worker: h.w,
-	})
-	return v, ok
-}
-
-// ScanOptimistic records a range scan through the structure's unlogged
-// optimistic path; it panics if the wrapped set does not implement
-// set.OptimisticScanner. Recorded as an ordinary KScan and held to the
-// same interval-snapshot semantics as Scan.
-func (h *Handle) ScanOptimistic(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
-	osc, implements := h.r.s.(set.OptimisticScanner)
-	if !implements {
-		panic("lincheck: wrapped set does not implement set.OptimisticScanner")
-	}
-	start := h.r.clock.Add(1)
-	res := osc.OptimisticScan(p, lo, hi, limit)
-	end := h.r.clock.Add(1)
-	h.r.hists[h.w] = append(h.r.hists[h.w], Op{
-		Kind: KScan, Lo: lo, Hi: hi, Limit: limit, Scan: res,
-		Start: start, End: end, Worker: h.w,
-	})
-	return res
-}
-
 // Find records a find.
 func (h *Handle) Find(p *flock.Proc, k uint64) (uint64, bool) {
 	start := h.r.clock.Add(1)

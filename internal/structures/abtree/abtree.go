@@ -256,26 +256,6 @@ func (t *Tree) Scan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
 	return out
 }
 
-// OptimisticFind implements set.OptimisticReader. The descent is a pure
-// load chain over immutable key arrays (nodes replaced copy-on-write),
-// so at top level Find is already unlogged; this method only asserts
-// the top-level contract.
-func (t *Tree) OptimisticFind(p *flock.Proc, k uint64) (uint64, bool) {
-	if p.InThunk() {
-		panic("abtree: OptimisticFind inside a thunk")
-	}
-	return t.Find(p, k)
-}
-
-// OptimisticScan implements set.OptimisticScanner; see OptimisticFind —
-// the scan walk is store-free with run-local accumulation.
-func (t *Tree) OptimisticScan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
-	if p.InThunk() {
-		panic("abtree: OptimisticScan inside a thunk")
-	}
-	return t.Scan(p, lo, hi, limit)
-}
-
 // splitChild splits full node cur (a child of par at parIdx) into two
 // halves, pushing the median separator into a rebuilt par. When par is
 // the entry pseudo-root, cur is the root and a new root is created

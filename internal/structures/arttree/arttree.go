@@ -139,7 +139,7 @@ type artNode struct {
 func (n *artNode) isLeaf() bool { return n.kind == kLeaf }
 
 // Tree is a concurrent ART set. Any uint64 key except 0 is allowed
-// (0 is permitted too, in fact; the set package's [1, MaxUint64-2] bound
+// (0 is permitted too, in fact; the set package's [1, set.MaxKey] bound
 // is honored by callers for uniformity).
 type Tree struct {
 	root    flock.Mutable[*artNode]

@@ -35,7 +35,7 @@ type node struct {
 }
 
 // List is a concurrent sorted linked-list set with coupled locking.
-// Keys must be in [1, MaxUint64-1].
+// Keys must be in [1, set.MaxKey].
 type List struct {
 	head *node
 }
@@ -48,6 +48,13 @@ func New(rt *flock.Runtime) *List {
 	head.next.Init(tail)
 	return &List{head: head}
 }
+
+// newResult builds an operation attempt's result cell. Insert and Delete
+// allocate it with flock.Allocate so that, when they run nested inside
+// an enclosing thunk (a transaction), every run of that thunk shares the
+// cell: the coupled chain's descriptor, and so the cell its thunk
+// stores into, is whichever run committed it first.
+func newResult() *flock.Mutable[uint8] { return &flock.Mutable[uint8]{} }
 
 // Outcomes communicated through the committed result cell.
 const (
@@ -75,7 +82,7 @@ func (l *List) Insert(p *flock.Proc, k, v uint64) bool {
 	p.Begin()
 	defer p.End()
 	for {
-		res := &flock.Mutable[uint8]{}
+		res := flock.Allocate(p, newResult)
 		var step func(pred *node) flock.Thunk
 		step = func(pred *node) flock.Thunk {
 			return func(hp *flock.Proc) bool {
@@ -118,7 +125,7 @@ func (l *List) Delete(p *flock.Proc, k uint64) bool {
 	p.Begin()
 	defer p.End()
 	for {
-		res := &flock.Mutable[uint8]{}
+		res := flock.Allocate(p, newResult)
 		var step func(pred *node) flock.Thunk
 		step = func(pred *node) flock.Thunk {
 			return func(hp *flock.Proc) bool {

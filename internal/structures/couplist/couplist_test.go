@@ -12,7 +12,7 @@ import (
 
 func factory(rt *flock.Runtime) set.Set { return New(rt) }
 
-func TestSuite(t *testing.T) { settest.Run(t, factory) }
+func TestSuite(t *testing.T) { settest.RunComposable(t, factory) }
 
 func TestNoLockLeaksAfterOps(t *testing.T) {
 	rt := flock.New()

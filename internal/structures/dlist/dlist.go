@@ -25,7 +25,7 @@ type link struct {
 }
 
 // List is a concurrent sorted doubly-linked list set. Keys must be in
-// [1, MaxUint64-1].
+// [1, set.MaxKey].
 type List struct {
 	head *link
 	tail *link

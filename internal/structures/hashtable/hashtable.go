@@ -79,17 +79,6 @@ func (t *Table) Find(p *flock.Proc, k uint64) (uint64, bool) {
 	return 0, false
 }
 
-// OptimisticFind implements set.OptimisticReader. The chain walk takes
-// no locks and logs nothing at top level, and the removed flag plus the
-// boxed value pin the presence instant, so Find is already the unlogged
-// optimistic read; this method only asserts the top-level contract.
-func (t *Table) OptimisticFind(p *flock.Proc, k uint64) (uint64, bool) {
-	if p.InThunk() {
-		panic("hashtable: OptimisticFind inside a thunk")
-	}
-	return t.Find(p, k)
-}
-
 // Insert adds (k, v); false if already present.
 func (t *Table) Insert(p *flock.Proc, k, v uint64) bool {
 	p.Begin()
@@ -232,17 +221,6 @@ func (t *Table) Scan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
 		out = out[:limit]
 	}
 	return out
-}
-
-// OptimisticScan implements set.OptimisticScanner; like OptimisticFind,
-// the bucket sweep is store-free with run-local accumulation, so at top
-// level it is already unlogged and this method only asserts the
-// top-level contract.
-func (t *Table) OptimisticScan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
-	if p.InThunk() {
-		panic("hashtable: OptimisticScan inside a thunk")
-	}
-	return t.Scan(p, lo, hi, limit)
 }
 
 // Size counts all elements (single-threaded use).

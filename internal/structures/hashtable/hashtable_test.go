@@ -12,7 +12,7 @@ import (
 
 func factory(rt *flock.Runtime) set.Set { return New(rt, 64) }
 
-func TestSuite(t *testing.T) { settest.Run(t, factory) }
+func TestSuite(t *testing.T) { settest.RunComposable(t, factory) }
 
 func TestSingleBucketDegenerate(t *testing.T) {
 	// One bucket: the table degenerates to a sorted list; all collision

@@ -25,7 +25,7 @@ type node struct {
 }
 
 // List is a concurrent sorted linked-list set. Keys must be in
-// [1, MaxUint64-1].
+// [1, set.MaxKey].
 type List struct {
 	head *node
 	id   uint64 // global creation order; Move nests locks by (id, key)
@@ -153,26 +153,6 @@ func (l *List) Scan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
 		curr = curr.next.Load(p)
 	}
 	return out
-}
-
-// OptimisticFind implements set.OptimisticReader. locate takes no locks
-// and logs nothing at top level, and the removed flag pins the presence
-// instant, so Find is already the unlogged optimistic read; this method
-// only asserts the top-level contract.
-func (l *List) OptimisticFind(p *flock.Proc, k uint64) (uint64, bool) {
-	if p.InThunk() {
-		panic("lazylist: OptimisticFind inside a thunk")
-	}
-	return l.Find(p, k)
-}
-
-// OptimisticScan implements set.OptimisticScanner; see OptimisticFind —
-// the forward traversal is store-free with run-local accumulation.
-func (l *List) OptimisticScan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
-	if p.InThunk() {
-		panic("lazylist: OptimisticScan inside a thunk")
-	}
-	return l.Scan(p, lo, hi, limit)
 }
 
 // Keys returns a snapshot of the keys (single-threaded use: tests and

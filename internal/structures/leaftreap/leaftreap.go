@@ -41,7 +41,7 @@ type node struct {
 }
 
 // Tree is a concurrent blocked external tree. Keys must be in
-// [1, MaxUint64-1].
+// [1, set.MaxKey].
 type Tree struct {
 	root *node
 }

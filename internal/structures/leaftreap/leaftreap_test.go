@@ -13,7 +13,7 @@ import (
 
 func factory(rt *flock.Runtime) set.Set { return New(rt) }
 
-func TestSuite(t *testing.T) { settest.Run(t, factory) }
+func TestSuite(t *testing.T) { settest.RunComposable(t, factory) }
 
 func TestBlockSplitOnOverflow(t *testing.T) {
 	rt := flock.New()

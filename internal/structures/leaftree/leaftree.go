@@ -39,7 +39,7 @@ type node struct {
 	lck     flock.Lock
 }
 
-// Tree is a concurrent external BST. Keys must be in [1, MaxUint64-2].
+// Tree is a concurrent external BST. Keys must be in [1, set.MaxKey].
 type Tree struct {
 	root   *node
 	strict bool
@@ -314,28 +314,6 @@ func (t *Tree) Scan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
 	}
 	walk(t.root, lo, hi)
 	return out
-}
-
-// OptimisticFind implements set.OptimisticReader. Find is already an
-// unlogged read when called at top level — a pure descent over Link
-// loads, which commit nothing outside a thunk, with copy-on-write
-// subtree replacement pinning every loaded pointer — so the optimistic
-// arm is Find itself; this method only asserts the top-level contract.
-func (t *Tree) OptimisticFind(p *flock.Proc, k uint64) (uint64, bool) {
-	if p.InThunk() {
-		panic("leaftree: OptimisticFind inside a thunk")
-	}
-	return t.Find(p, k)
-}
-
-// OptimisticScan implements set.OptimisticScanner; see OptimisticFind —
-// the scan walk is store-free with run-local accumulation, so at top
-// level it is already unlogged.
-func (t *Tree) OptimisticScan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
-	if p.InThunk() {
-		panic("leaftree: OptimisticScan inside a thunk")
-	}
-	return t.Scan(p, lo, hi, limit)
 }
 
 func maxKey(a, b uint64) uint64 {

@@ -3,13 +3,15 @@
 // 8-byte keys with 8-byte values supporting insert, delete and lookup,
 // and — for the ordered structures — range scans.
 //
-// Keys must lie in [1, math.MaxUint64-1]: the extreme values are reserved
-// for sentinels by several structures. Scan bounds are deliberately wider
-// than the key space: 0 and math.MaxUint64 are open-interval sentinels
-// ("from the smallest key" / "to the largest key") that can never name a
-// real key, so ClampScanBounds folds them into the reserved-sentinel key
-// bounds [1, MaxUint64-1] and no scan can ever observe a structure's
-// internal sentinel nodes.
+// Keys must lie in [1, MaxKey], MaxKey = math.MaxUint64-3: every
+// structure in the registry honours that range, and the values above it
+// are reserved for sentinels (leaftree and ellen use MaxUint64-1 as their
+// inner infinity, natarajan MaxUint64-2 and MaxUint64-1, the lists and
+// tries MaxUint64). Scan bounds are deliberately wider than the key
+// space: 0 and math.MaxUint64 are open-interval sentinels ("from the
+// smallest key" / "to the largest key") that can never name a real key,
+// so ClampScanBounds folds them into [1, MaxKey] and no scan can ever
+// observe a structure's internal sentinel nodes.
 package set
 
 import (
@@ -62,45 +64,22 @@ type Scanner interface {
 	Scan(p *flock.Proc, lo, hi uint64, limit int) []KV
 }
 
-// ClampScanBounds folds the open-interval scan sentinels into the key
-// space shared by every structure: lo 0 becomes 1 and hi MaxUint64
-// becomes MaxUint64-1, so [0, MaxUint64] means "everything" and no
-// structure-reserved sentinel key can fall inside the scanned interval.
+// MaxKey is the largest key every structure accepts (see the package
+// comment).
+const MaxKey = math.MaxUint64 - 3
+
+// ClampScanBounds folds the scan bounds into the key space shared by
+// every structure: lo 0 becomes 1 and any hi above MaxKey becomes MaxKey,
+// so [0, MaxUint64] means "everything" and no structure-reserved
+// sentinel key can fall inside the scanned interval.
 func ClampScanBounds(lo, hi uint64) (uint64, uint64) {
 	if lo == 0 {
 		lo = 1
 	}
-	if hi == math.MaxUint64 {
-		hi = math.MaxUint64 - 1
+	if hi > MaxKey {
+		hi = MaxKey
 	}
 	return lo, hi
-}
-
-// OptimisticReader is optionally implemented by sets whose Find is an
-// unlogged optimistic read: a pure traversal over plain atomic loads
-// with no commit traffic, validated (or inherently safe) against
-// concurrent mutation. OptimisticFind must be called at top level
-// (outside any thunk) — implementations may panic on nested calls —
-// and must be linearizable exactly like Find. The KV layer routes Get
-// through it when Options.OptimisticReads is set; settest auto-runs
-// differential and linearizability passes against any implementer.
-type OptimisticReader interface {
-	// OptimisticFind returns the value associated with k, if present,
-	// without logging any loads.
-	OptimisticFind(p *flock.Proc, k uint64) (uint64, bool)
-}
-
-// OptimisticScanner is optionally implemented by ordered sets whose
-// Scan can run unlogged: run-local accumulation, no stores, plain
-// atomic loads. OptimisticScan has Scan's exact result contract
-// (bounds, ascending order, limit semantics, weak interval
-// consistency) and the same top-level-only restriction as
-// OptimisticFind. The KV layer's optimistic Scan arm wraps it in
-// per-shard version validation (internal/kv/scan.go).
-type OptimisticScanner interface {
-	// OptimisticScan collects the pairs in [lo, hi], ascending, up to
-	// limit, without logging any loads.
-	OptimisticScan(p *flock.Proc, lo, hi uint64, limit int) []KV
 }
 
 // Cursor resumes a range scan over a Scanner in bounded chunks: each

@@ -16,13 +16,16 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	flock "flock/internal/core"
 	"flock/internal/lincheck"
+	"flock/internal/obs"
 	"flock/internal/structures/set"
 )
 
@@ -45,20 +48,27 @@ var Modes = []struct {
 // sequential model scans, the sentinel-bounds pin, the limit-0 pin, the
 // concurrent-mutation differential against a mutex-protected map, and
 // scan linearizability (interval semantics) through lincheck.
-// Structures that implement set.OptimisticReader / set.OptimisticScanner
-// additionally get the optimistic-read conformance passes: sequential
-// differentials of the unlogged arms against the model, a
-// concurrent-mutation differential reading exclusively through the
-// optimistic arms, and lincheck linearizability of optimistic reads
-// racing logged mutators. Structures that implement set.Locator get a
-// located-operation model pass.
-func Run(t *testing.T, f Factory) {
+// Structures that implement set.Locator get a located-operation model
+// pass. Every structure gets the key-bounds pass.
+func Run(t *testing.T, f Factory) { run(t, f, false) }
+
+// RunComposable is Run for a structure the transactional layer composes
+// (the harness's txn-capable set). A composed kv store reads such a
+// structure optimistically: its top-level Find and Scan, validated
+// against shard locks that writers hold around their structure updates
+// (DESIGN.md S13). So the structure additionally gets the optimistic
+// passes: sequential models that pin Find and Scan as lock-free reads —
+// no lock acquired, no descriptor taken — and lincheck and
+// concurrent-differential passes in which top-level reads race writers
+// whose updates run nested inside outer critical sections, helped and
+// replayed, as a composed store's transactions run them.
+func RunComposable(t *testing.T, f Factory) { run(t, f, true) }
+
+func run(t *testing.T, f Factory, composable bool) {
 	t.Helper()
 	probe, _ := newSet(f, false)
 	_, upsertable := probe.(set.Upserter)
 	_, scannable := probe.(set.Scanner)
-	_, optFind := probe.(set.OptimisticReader)
-	_, optScan := probe.(set.OptimisticScanner)
 	_, locator := probe.(set.Locator)
 	for _, m := range Modes {
 		t.Run(m.Name, func(t *testing.T) {
@@ -68,6 +78,7 @@ func Run(t *testing.T, f Factory) {
 			t.Run("ContendedStress", func(t *testing.T) { contendedStress(t, f, m.Blocking) })
 			t.Run("Oversubscribed", func(t *testing.T) { oversubscribed(t, f, m.Blocking) })
 			t.Run("NodeGrowthSweep", func(t *testing.T) { nodeGrowth(t, f, m.Blocking) })
+			t.Run("KeyBounds", func(t *testing.T) { keyBounds(t, f, m.Blocking) })
 			t.Run("Linearizable", func(t *testing.T) { linearizable(t, f, m.Blocking, 0) })
 			if !m.Blocking {
 				// Descheduling injection exercises helping on every
@@ -87,17 +98,22 @@ func Run(t *testing.T, f Factory) {
 				t.Run("ScanSentinelBounds", func(t *testing.T) { scanSentinelBounds(t, f, m.Blocking) })
 				t.Run("ScanLimitZero", func(t *testing.T) { scanLimitZero(t, f, m.Blocking) })
 				t.Run("CursorEquivalence", func(t *testing.T) { cursorEquivalence(t, f, m.Blocking) })
-				t.Run("ScanConcurrentDifferential", func(t *testing.T) { scanConcurrentDifferential(t, f, m.Blocking, false) })
-				t.Run("ScanLinearizable", func(t *testing.T) { scanLinearizable(t, f, m.Blocking, false) })
+				t.Run("ScanConcurrentDifferential", func(t *testing.T) { scanConcurrentDifferential(t, f, m.Blocking) })
+				t.Run("ScanLinearizable", func(t *testing.T) { scanLinearizable(t, f, m.Blocking) })
 			}
-			if optFind {
-				t.Run("OptimisticFindModel", func(t *testing.T) { optimisticFindModel(t, f, m.Blocking) })
-				t.Run("OptimisticLinearizable", func(t *testing.T) { optimisticLinearizable(t, f, m.Blocking) })
+			if !composable {
+				return
 			}
-			if optScan {
+			stalls := 0
+			if !m.Blocking {
+				stalls = 25 // descheduled holders: helpers replay the nested updates
+			}
+			t.Run("OptimisticFindModel", func(t *testing.T) { optimisticFindModel(t, f, m.Blocking) })
+			t.Run("OptimisticLinearizable", func(t *testing.T) { linearizable(t, nestedWriters(f), m.Blocking, stalls) })
+			if scannable {
 				t.Run("OptimisticScanModel", func(t *testing.T) { optimisticScanModel(t, f, m.Blocking) })
-				t.Run("OptimisticScanDifferential", func(t *testing.T) { scanConcurrentDifferential(t, f, m.Blocking, true) })
-				t.Run("OptimisticScanLinearizable", func(t *testing.T) { scanLinearizable(t, f, m.Blocking, true) })
+				t.Run("OptimisticScanDifferential", func(t *testing.T) { scanConcurrentDifferential(t, nestedWriters(f), m.Blocking) })
+				t.Run("OptimisticScanLinearizable", func(t *testing.T) { scanLinearizable(t, nestedWriters(f), m.Blocking) })
 			}
 		})
 	}
@@ -685,9 +701,7 @@ func scanSentinelBounds(t *testing.T, f Factory, blocking bool) {
 	sc := s.(set.Scanner)
 	p := rt.Register()
 	defer p.Unregister()
-	// MaxUint64-2 is the largest key every structure accepts (leaftree
-	// additionally reserves MaxUint64-1 as its inf1 sentinel).
-	maxKey := uint64(math.MaxUint64 - 2)
+	maxKey := uint64(set.MaxKey) // the largest key every structure accepts
 	for _, k := range []uint64{1, 5, maxKey} {
 		if !s.Insert(p, k, k+100) {
 			t.Fatalf("Insert(%d) failed", k)
@@ -811,13 +825,6 @@ func scanLimitZero(t *testing.T, f Factory, blocking bool) {
 	if got := sc.Scan(p, 0, math.MaxUint64, -1); len(got) != 64 {
 		t.Fatalf("unbounded scan after limit-0 scans: %d pairs, want 64", len(got))
 	}
-	if osc, ok := s.(set.OptimisticScanner); ok {
-		for _, b := range bounds {
-			if got := osc.OptimisticScan(p, b[0], b[1], 0); len(got) != 0 {
-				t.Fatalf("OptimisticScan(%d,%d,0) = %v, want empty", b[0], b[1], got)
-			}
-		}
-	}
 }
 
 // scanConcurrentDifferential is the concurrent-mutation differential:
@@ -826,16 +833,9 @@ func scanLimitZero(t *testing.T, f Factory, blocking bool) {
 // into a mutex-protected model map. Scans running throughout must be
 // sorted, bounded, limited, exact on stable keys and plausible on
 // volatile keys; the final full scan must equal the model exactly.
-// With optimistic set, the scanner goroutines read exclusively through
-// the structure's unlogged OptimisticScan arm, so the same interval
-// guarantees are enforced on the optimistic path under real mutation.
-func scanConcurrentDifferential(t *testing.T, f Factory, blocking bool, optimistic bool) {
+func scanConcurrentDifferential(t *testing.T, f Factory, blocking bool) {
 	s, rt := newSet(f, blocking)
-	sc := s.(set.Scanner)
-	scan := sc.Scan
-	if optimistic {
-		scan = s.(set.OptimisticScanner).OptimisticScan
-	}
+	scan := s.(set.Scanner).Scan
 	const workers = 6
 	const keySpace = 192 // keys 1..keySpace; even = stable, odd = volatile
 	opsPer := 1200
@@ -989,10 +989,8 @@ func scanConcurrentDifferential(t *testing.T, f Factory, blocking bool, optimist
 
 // scanLinearizable records contended histories mixing scans with
 // inserts and deletes and checks them with lincheck's interval-snapshot
-// Scan semantics. With optimistic set, the scan fraction of the history
-// runs through the structure's unlogged OptimisticScan arm instead —
-// validated optimistic scans must satisfy the same interval semantics.
-func scanLinearizable(t *testing.T, f Factory, blocking bool, optimistic bool) {
+// Scan semantics.
+func scanLinearizable(t *testing.T, f Factory, blocking bool) {
 	s, rt := newSet(f, blocking)
 	const workers = 6
 	const keys = 6
@@ -1011,9 +1009,6 @@ func scanLinearizable(t *testing.T, f Factory, blocking bool, optimistic bool) {
 			defer p.Unregister()
 			rng := rand.New(rand.NewSource(int64(w)*1201 + 17))
 			scan := h.Scan
-			if optimistic {
-				scan = h.ScanOptimistic
-			}
 			for i := 0; i < opsPer; i++ {
 				k := uint64(rng.Intn(keys) + 1)
 				switch rng.Intn(5) {
@@ -1044,14 +1039,35 @@ func scanLinearizable(t *testing.T, f Factory, blocking bool, optimistic bool) {
 	}
 }
 
-// optimisticFindModel is the sequential differential for the unlogged
-// read arm: a scripted mix of inserts, deletes, logged finds and
-// optimistic finds, with every optimistic result compared against the
-// model AND against the logged Find — sequentially the two arms must be
-// indistinguishable.
+// lockFree fails t when p acquired a lock or took a descriptor since
+// the before snapshot (obs counters, which the caller has switched on).
+func lockFree(t *testing.T, p *flock.Proc, before [4]uint64, op string) {
+	t.Helper()
+	if now := lockCounts(p); now != before {
+		t.Fatalf("%s took a lock: acquires lf/blocking, descriptors hit/miss %v -> %v", op, before, now)
+	}
+}
+
+// lockCounts reads p's lock-acquisition and descriptor counters.
+func lockCounts(p *flock.Proc) [4]uint64 {
+	b := p.Obs()
+	return [4]uint64{b.Load(obs.AcquiresLF), b.Load(obs.AcquiresBlocking), b.Load(obs.PoolHits), b.Load(obs.PoolMisses)}
+}
+
+// withObs runs f with the obs counters switched on.
+func withObs(f func()) {
+	was := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(was)
+	f()
+}
+
+// optimisticFindModel is the sequential differential for Find as the
+// optimistic read a composed kv store validates: a scripted mix of
+// inserts, deletes and finds, with every find compared against the
+// model and required to take no lock and no descriptor.
 func optimisticFindModel(t *testing.T, f Factory, blocking bool) {
 	s, rt := newSet(f, blocking)
-	or := s.(set.OptimisticReader)
 	p := rt.Register()
 	defer p.Unregister()
 	model := map[uint64]uint64{}
@@ -1059,43 +1075,37 @@ func optimisticFindModel(t *testing.T, f Factory, blocking bool) {
 
 	const ops = 4000
 	const keySpace = 180
-	for i := 0; i < ops; i++ {
-		k := uint64(rng.Intn(keySpace) + 1)
-		switch rng.Intn(4) {
-		case 0:
-			v := rng.Uint64()
-			if _, had := model[k]; !had {
-				model[k] = v
-			}
-			s.Insert(p, k, v)
-		case 1:
-			s.Delete(p, k)
-			delete(model, k)
-		case 2:
-			want, had := model[k]
-			v, got := s.Find(p, k)
-			if got != had || (had && v != want) {
-				t.Fatalf("op %d: Find(%d)=(%d,%v), model (%d,%v)", i, k, v, got, want, had)
-			}
-		default:
-			want, had := model[k]
-			v, got := or.OptimisticFind(p, k)
-			if got != had || (had && v != want) {
-				t.Fatalf("op %d: OptimisticFind(%d)=(%d,%v), model (%d,%v)", i, k, v, got, want, had)
-			}
-			lv, lok := s.Find(p, k)
-			if got != lok || (got && v != lv) {
-				t.Fatalf("op %d: OptimisticFind(%d)=(%d,%v) disagrees with Find (%d,%v)", i, k, v, got, lv, lok)
+	withObs(func() {
+		for i := 0; i < ops; i++ {
+			k := uint64(rng.Intn(keySpace) + 1)
+			switch rng.Intn(3) {
+			case 0:
+				v := rng.Uint64()
+				if _, had := model[k]; !had {
+					model[k] = v
+				}
+				s.Insert(p, k, v)
+			case 1:
+				s.Delete(p, k)
+				delete(model, k)
+			default:
+				want, had := model[k]
+				before := lockCounts(p)
+				v, got := s.Find(p, k)
+				lockFree(t, p, before, fmt.Sprintf("op %d: Find(%d)", i, k))
+				if got != had || (had && v != want) {
+					t.Fatalf("op %d: Find(%d)=(%d,%v), model (%d,%v)", i, k, v, got, want, had)
+				}
 			}
 		}
-	}
+	})
 }
 
-// optimisticScanModel is the sequential differential for the unlogged
-// scan arm, mirroring scanModel through OptimisticScan.
+// optimisticScanModel is optimisticFindModel for Scan, mirroring
+// scanModel: every scan must match the model and take no lock.
 func optimisticScanModel(t *testing.T, f Factory, blocking bool) {
 	s, rt := newSet(f, blocking)
-	osc := s.(set.OptimisticScanner)
+	sc := s.(set.Scanner)
 	p := rt.Register()
 	defer p.Unregister()
 	model := map[uint64]uint64{}
@@ -1103,82 +1113,124 @@ func optimisticScanModel(t *testing.T, f Factory, blocking bool) {
 
 	const ops = 2500
 	const keySpace = 140
-	for i := 0; i < ops; i++ {
-		switch rng.Intn(5) {
-		case 0, 1:
-			k := uint64(rng.Intn(keySpace) + 1)
-			v := rng.Uint64()
-			if _, had := model[k]; !had {
-				model[k] = v
-			}
-			s.Insert(p, k, v)
-		case 2:
-			k := uint64(rng.Intn(keySpace) + 1)
-			s.Delete(p, k)
-			delete(model, k)
-		default:
-			lo := uint64(rng.Intn(keySpace + 1))
-			hi := lo + uint64(rng.Intn(keySpace))
-			if rng.Intn(8) == 0 {
-				lo, hi = 0, math.MaxUint64
-			}
-			limit := -1
-			if rng.Intn(2) == 0 {
-				limit = rng.Intn(12) + 1
-			}
-			got := osc.OptimisticScan(p, lo, hi, limit)
-			want := expectedScan(model, lo, hi, limit)
-			if len(got) != len(want) {
-				t.Fatalf("op %d: OptimisticScan(%d,%d,%d) = %d pairs, want %d", i, lo, hi, limit, len(got), len(want))
-			}
-			for j := range got {
-				if got[j] != want[j] {
-					t.Fatalf("op %d: OptimisticScan(%d,%d,%d)[%d] = %v, want %v", i, lo, hi, limit, j, got[j], want[j])
+	withObs(func() {
+		for i := 0; i < ops; i++ {
+			switch rng.Intn(5) {
+			case 0, 1:
+				k := uint64(rng.Intn(keySpace) + 1)
+				v := rng.Uint64()
+				if _, had := model[k]; !had {
+					model[k] = v
+				}
+				s.Insert(p, k, v)
+			case 2:
+				k := uint64(rng.Intn(keySpace) + 1)
+				s.Delete(p, k)
+				delete(model, k)
+			default:
+				lo := uint64(rng.Intn(keySpace + 1))
+				hi := lo + uint64(rng.Intn(keySpace))
+				if rng.Intn(8) == 0 {
+					lo, hi = 0, math.MaxUint64
+				}
+				limit := -1
+				if rng.Intn(2) == 0 {
+					limit = rng.Intn(12) + 1
+				}
+				before := lockCounts(p)
+				got := sc.Scan(p, lo, hi, limit)
+				lockFree(t, p, before, fmt.Sprintf("op %d: Scan(%d,%d,%d)", i, lo, hi, limit))
+				want := expectedScan(model, lo, hi, limit)
+				if len(got) != len(want) {
+					t.Fatalf("op %d: Scan(%d,%d,%d) = %d pairs, want %d", i, lo, hi, limit, len(got), len(want))
+				}
+				for j := range got {
+					if got[j] != want[j] {
+						t.Fatalf("op %d: Scan(%d,%d,%d)[%d] = %v, want %v", i, lo, hi, limit, j, got[j], want[j])
+					}
 				}
 			}
 		}
+	})
+}
+
+// nestedWriters wraps f's structures so that every Insert and Delete runs
+// as the body of an outer critical section — a TryLock thunk on one of
+// nestedLocks locks chosen by key, retried until it commits — the way a
+// composed kv store's transactions run structure updates under shard
+// locks. Helpers of a held outer lock replay the structure's own nested
+// acquisitions. Find and Scan still run at top level.
+func nestedWriters(f Factory) Factory {
+	return func(rt *flock.Runtime) set.Set { return &nested{Set: f(rt)} }
+}
+
+const nestedLocks = 4
+
+type nested struct {
+	set.Set
+	locks [nestedLocks]flock.Lock
+}
+
+func (n *nested) Insert(p *flock.Proc, k, v uint64) bool {
+	return n.run(p, k, func(hp *flock.Proc) bool { return n.Set.Insert(hp, k, v) })
+}
+
+func (n *nested) Delete(p *flock.Proc, k uint64) bool {
+	return n.run(p, k, func(hp *flock.Proc) bool { return n.Set.Delete(hp, k) })
+}
+
+func (n *nested) Scan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
+	return n.Set.(set.Scanner).Scan(p, lo, hi, limit)
+}
+
+// run retries op's outer critical section until it commits. Each
+// attempt publishes op's result through its own atomic, which every run
+// of the thunk stores identically (op's result flows from logged loads).
+func (n *nested) run(p *flock.Proc, k uint64, op func(hp *flock.Proc) bool) bool {
+	l := &n.locks[k%nestedLocks]
+	for {
+		res := new(atomic.Bool)
+		if l.TryLock(p, func(hp *flock.Proc) bool { res.Store(op(hp)); return true }) {
+			return res.Load()
+		}
+		runtime.Gosched()
 	}
 }
 
-// optimisticLinearizable records contended histories where half the
-// reads go through the unlogged OptimisticFind arm while logged
-// inserts, deletes and finds race them, and checks the combined history
-// with lincheck: a validated optimistic read must be linearizable
-// exactly like a logged one.
-func optimisticLinearizable(t *testing.T, f Factory, blocking bool) {
+// keyBounds round-trips Insert, Find and Delete at both ends of the key
+// space every structure shares, [1, set.MaxKey], on an empty structure
+// and next to each other: the top key must not collide with any
+// structure's sentinel.
+func keyBounds(t *testing.T, f Factory, blocking bool) {
 	s, rt := newSet(f, blocking)
-	const workers = 6
-	const keys = 5
-	const opsPer = 250
-	rec := lincheck.NewRecorder(s, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			h := rec.Worker(w)
-			p := rt.Register()
-			defer p.Unregister()
-			rng := rand.New(rand.NewSource(int64(w)*2111 + 29))
-			for i := 0; i < opsPer; i++ {
-				k := uint64(rng.Intn(keys) + 1)
-				switch rng.Intn(4) {
-				case 0:
-					h.Insert(p, k, uint64(w)*1000+uint64(i))
-				case 1:
-					h.Delete(p, k)
-				case 2:
-					h.Find(p, k)
-				default:
-					h.FindOptimistic(p, k)
-				}
+	p := rt.Register()
+	defer p.Unregister()
+	for _, order := range [][]uint64{{1, set.MaxKey}, {set.MaxKey, 1}} {
+		for _, k := range order {
+			if v, ok := s.Find(p, k); ok {
+				t.Fatalf("Find(%d) on an absent key = (%d,true)", k, v)
 			}
-		}(w)
-	}
-	wg.Wait()
-	hist := rec.History()
-	if res := lincheck.Check(hist); !res.Ok {
-		t.Fatalf("history of %d ops: %v", len(hist), res)
+			if !s.Insert(p, k, k^7) {
+				t.Fatalf("Insert(%d) of an absent key failed", k)
+			}
+			if s.Insert(p, k, 0) {
+				t.Fatalf("second Insert(%d) succeeded", k)
+			}
+			if v, ok := s.Find(p, k); !ok || v != k^7 {
+				t.Fatalf("Find(%d) = (%d,%v), want (%d,true)", k, v, ok, k^7)
+			}
+		}
+		for _, k := range order {
+			if !s.Delete(p, k) {
+				t.Fatalf("Delete(%d) of a present key failed", k)
+			}
+			if s.Delete(p, k) {
+				t.Fatalf("second Delete(%d) succeeded", k)
+			}
+			if _, ok := s.Find(p, k); ok {
+				t.Fatalf("Find(%d) after Delete reports present", k)
+			}
+		}
 	}
 }
 

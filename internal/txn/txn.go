@@ -21,11 +21,11 @@
 //
 // Every kv store runs all its shards on one flock.Runtime, so helpers
 // of a composed thunk share one epoch manager, protecting memory retired
-// on any shard, and one mode flag all runs agree on. New builds its
-// store with kv.NewComposed: transactions are the writers that take
-// shard locks, so the store's locked reads (locked Scan, snapshot
-// activation) must hold every involved shard lock at once to serialize
-// against them, and its optimistic reads validate against those locks.
+// on any shard, and one mode flag all runs agree on. In the atomic modes
+// New builds its store with kv.NewComposed: transactions are the writers
+// that take shard locks, so the store's reads (Get, MultiGet, Scan,
+// snapshot chunks) validate against those locks' versions and serialize
+// against them without taking a lock or logging a load.
 //
 // # Determinism rules for composed thunks
 //
@@ -104,15 +104,9 @@ type Options struct {
 	Mode Mode
 	// KeyRange is the kv sizing hint (see kv.Options.KeyRange).
 	KeyRange uint64
-	// OptimisticReads forwards kv.Options.OptimisticReads: read-only
-	// MultiGet (and Get) in LockFree mode then runs as an unlogged
-	// version-vector-validated read (kv.Client.MultiGet) instead of a
-	// read-only locked transaction. The validated read is atomic with
-	// respect to committed transactions — each shard's version is read
-	// before its data loads and is unchanged at the validation pass
-	// after all of them, so every shard lock was free at that pass and
-	// the reads are one cut — so the conserved-sum guarantee against
-	// concurrent Transfers is preserved (txn_test).
+	// OptimisticReads is ignored: every atomic-mode store validates its
+	// reads (see MultiGet). The field stays only because perfbench still
+	// sets it; it goes with the next change to perfbench.
 	OptimisticReads bool
 }
 
@@ -131,15 +125,14 @@ type Store struct {
 // must be loggable, deterministically replayable thunk code. Non-flock
 // baselines (which ignore the runtime) and strict-lock variants would
 // silently break atomicity under helping — the harness refuses them
-// (see its txnCapable set).
+// (see its txnCapable set). A NonAtomic store takes no shard lock, so it
+// is a plain kv.New store.
 func New(f kv.Factory, opt Options) *Store {
-	st := kv.NewComposed(f, kv.Options{
-		Shards:          opt.Shards,
-		Blocking:        opt.Mode == Blocking,
-		KeyRange:        opt.KeyRange,
-		OptimisticReads: opt.OptimisticReads && opt.Mode == LockFree,
-	})
-	return &Store{kv: st, mode: opt.Mode}
+	kvOpt := kv.Options{Shards: opt.Shards, Blocking: opt.Mode == Blocking, KeyRange: opt.KeyRange}
+	if opt.Mode == NonAtomic {
+		return &Store{kv: kv.New(f, kvOpt), mode: opt.Mode}
+	}
+	return &Store{kv: kv.NewComposed(f, kvOpt), mode: opt.Mode}
 }
 
 // KV exposes the underlying store (prefill, monitoring, and the
@@ -203,7 +196,7 @@ type kind uint8
 
 const (
 	kindFunc     kind = iota // a user TxnFunc (Txn)
-	kindSet                  // write vals as given (MultiPut; none for reads)
+	kindSet                  // write vals as given (MultiPut)
 	kindTransfer             // move amount from the first read key to the second
 )
 
@@ -433,29 +426,17 @@ func (c *Client) Txn(readKeys, writeKeys []uint64, fn TxnFunc) (vals []uint64, o
 	return c.run(pl)
 }
 
-// readPlan is the plan of a read-only transaction over keys.
-func (c *Client) readPlan(keys []uint64) *plan {
-	pl := c.newPlan(keys, nil)
-	pl.kind = kindSet
-	return pl
-}
-
 // MultiGet returns a consistent snapshot of the keys: all values read
 // at one serialization point (in atomic modes; in NonAtomic mode it is
-// kv's shard-grouped batch read). With Options.OptimisticReads in
-// LockFree mode the snapshot is taken by kv's optimistic
-// version-vector-validated read instead of a read-only locked
-// transaction — same atomicity, no shard locks, no logging on the
-// validated path.
+// kv's shard-grouped batch read). The snapshot is kv's
+// version-vector-validated read (kv.Client.MultiGet): each shard's
+// version is read before its data loads and is unchanged at the
+// validation pass after all of them, so every shard lock was free at
+// that pass and the reads are one cut between transactions — with no
+// shard lock taken and no load logged. In Blocking mode a read that
+// finds a lock held waits for its holder to release it.
 func (c *Client) MultiGet(keys []uint64) ([]uint64, []bool) {
-	if c.st.mode == NonAtomic {
-		return c.kc.GetBatch(keys)
-	}
-	if c.st.kv.OptimisticReads() {
-		return c.kc.MultiGet(keys)
-	}
-	vals, oks, _ := c.run(c.readPlan(keys))
-	return vals, oks
+	return c.kc.MultiGet(keys)
 }
 
 // MultiPut atomically upserts keys[i] -> vals[i] for every i (later
@@ -511,22 +492,12 @@ func (c *Client) Transfer(a, b, amount uint64) bool {
 	return c.exec(pl).ok.Load()
 }
 
-// Get is single-key read sugar: a one-key transaction in atomic modes
-// (serialized against multi-key transactions), a plain kv read in
-// NonAtomic mode.
+// Get is single-key read sugar: in atomic modes a read validated
+// against the key's shard lock (kv.Client.Get), so it serializes against
+// multi-key transactions like MultiGet; a plain kv read in NonAtomic
+// mode.
 func (c *Client) Get(k uint64) (uint64, bool) {
-	if c.st.mode == NonAtomic {
-		return c.kc.Get(k)
-	}
-	if c.st.kv.OptimisticReads() {
-		// kv.Client.Get's optimistic arm validates against the shard
-		// lock, so the read serializes against transactions just like
-		// the one-key read-only transaction it replaces.
-		return c.kc.Get(k)
-	}
-	keys := [1]uint64{k}
-	vals, oks, _ := c.run(c.readPlan(keys[:]))
-	return vals[0], oks[0]
+	return c.kc.Get(k)
 }
 
 // Put is single-key upsert sugar with the same serialization contract

@@ -3,13 +3,14 @@ package txn_test
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	flock "flock/internal/core"
 	"flock/internal/harness"
 	"flock/internal/kv"
-	"flock/internal/kv/engine"
 	"flock/internal/obs"
 	"flock/internal/structures/abtree"
 	"flock/internal/structures/arttree"
@@ -176,51 +177,72 @@ func TestTxnAbortWritesNothing(t *testing.T) {
 	}
 }
 
-// TestLockedComposesOnlyOnTxnStores pins which stores compose their
-// locked read arm (engine.Locked: locked Scan, snapshot activation). A
-// plain kv store has no writer that takes a shard lock, so each body
-// holds exactly one shard lock, in ascending order, and readers never
-// hold every lock at once. A txn store's
-// transactions do take them, so one body holds every shard lock and the
-// read is atomic with respect to them. Both stores run on one runtime.
-func TestLockedComposesOnlyOnTxnStores(t *testing.T) {
-	const shards = 4
-	for _, blocking := range []bool{false, true} {
-		mode := txn.LockFree
-		if blocking {
-			mode = txn.Blocking
-		}
-		plain := kv.New(leaftreeFactory, kv.Options{Shards: shards, Blocking: blocking})
-		composed := newStore(mode, shards).KV()
-		for _, tc := range []struct {
-			name string
-			st   *kv.Store
-			want [][]int
-		}{
-			{"plain", plain, [][]int{{0}, {1}, {2}, {3}}},
-			{"txn", composed, [][]int{{0, 1, 2, 3}}},
-		} {
-			c := tc.st.Register()
-			var got [][]int
-			tc.st.Engine().Locked(c.Proc(), tc.st.Engine().AllShards(), func([]int) engine.Attempt {
-				return engine.Attempt{
-					Body: func(*flock.Proc) {
-						var held []int
-						for i := 0; i < shards; i++ {
-							if tc.st.ShardLock(i).Held() {
-								held = append(held, i)
-							}
-						}
-						got = append(got, held)
-					},
-					Commit: func() {},
+// TestReadArmFollowsStoreKind pins the one read protocol per store
+// kind. A writer parks inside shard 0's lock in blocking mode, where no
+// reader can help it. A plain kv store has no writer that takes shard
+// locks, so its Get, MultiGet and Scan read the structure directly and
+// return while the lock is held, restarting nothing. A txn store's reads
+// validate against the lock: they re-read, counting restarts, until the
+// holder releases, and then return the committed value.
+func TestReadArmFollowsStoreKind(t *testing.T) {
+	const key = 42
+	for _, tc := range []struct {
+		name     string
+		st       *kv.Store
+		validate bool
+	}{
+		{"plain", kv.New(leaftreeFactory, kv.Options{Shards: 1, Blocking: true}), false},
+		{"txn", txn.New(leaftreeFactory, txn.Options{Shards: 1, Mode: txn.Blocking}).KV(), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := tc.st
+			c := st.Register()
+			defer c.Close()
+			c.Put(key, 1)
+			locked, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			unpark := sync.OnceFunc(func() { close(release) })
+			defer unpark()
+			go func() {
+				defer close(done)
+				wc := st.Register()
+				defer wc.Close()
+				st.Engine().Nest(wc.Proc(), []int{0}, func(hp *flock.Proc) {
+					st.ShardPut(0, hp, key, 2)
+					close(locked)
+					<-release
+				})
+			}()
+			<-locked
+			got := make(chan uint64, 3)
+			go func() {
+				v, _ := c.Get(key)
+				got <- v
+				vals, _ := c.MultiGet([]uint64{key})
+				got <- vals[0]
+				got <- c.Scan(key, key, -1)[0].Value
+			}()
+			if tc.validate {
+				for r, _ := st.OptimisticStats(); r == 0; r, _ = st.OptimisticStats() {
+					runtime.Gosched() // wait for the reader to find the lock held
 				}
-			})
-			c.Close()
-			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
-				t.Errorf("blocking=%v %s store: shard locks held per body = %v, want %v", blocking, tc.name, got, tc.want)
+				select {
+				case v := <-got:
+					t.Fatalf("validated read returned %d while the writer held the shard lock", v)
+				default:
+				}
+				unpark()
 			}
-		}
+			for i := 0; i < 3; i++ {
+				if v := <-got; v != 2 {
+					t.Fatalf("read %d = %d, want the written 2", i, v)
+				}
+			}
+			unpark()
+			<-done
+			if r, _ := st.OptimisticStats(); (r != 0) != tc.validate {
+				t.Fatalf("%d restarts; validated reads: %v", r, tc.validate)
+			}
+		})
 	}
 }
 
@@ -344,7 +366,7 @@ func TestStragglerReplaysLocatedTransfer(t *testing.T) {
 	go func() {
 		c := st.Register()
 		defer c.Close()
-		c.MultiGet([]uint64{a}) // a locked read: finds a's shard held and helps
+		c.MultiGet([]uint64{a}) // a validated read: finds a's shard held and helps
 		close(helperDone)
 	}()
 	<-helperIn
