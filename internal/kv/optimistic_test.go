@@ -14,6 +14,95 @@ import (
 	flock "flock/internal/core"
 )
 
+// TestOptimisticCapabilityGate pins what selects the validated read
+// arm: the store kind alone, with no option to set and no structure
+// capability to consult. On each structure, the unordered hashtable
+// included, a writer parks inside shard 0's lock in blocking mode, where
+// no reader can help it. A store built by New answers Get, MultiGet and
+// Scan while the lock is held and restarts nothing; one built by
+// NewComposed restarts those reads until the holder releases, then
+// returns the written value.
+func TestOptimisticCapabilityGate(t *testing.T) {
+	const key = 42
+	for _, tc := range []struct {
+		name string
+		f    kv.Factory
+	}{
+		{"leaftree", leaftreeFactory},
+		{"lazylist", lazylistFactory},
+		{"hashtable", hashtableFactory},
+	} {
+		for _, composed := range []bool{false, true} {
+			build := kv.New
+			if composed {
+				build = kv.NewComposed
+			}
+			st := build(tc.f, kv.Options{Shards: 1, Blocking: true})
+			if !st.Scannable() {
+				t.Fatalf("%s: store does not scan", tc.name)
+			}
+			c := st.Register()
+			c.Put(key, 1)
+			locked, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			unpark := sync.OnceFunc(func() { close(release) })
+			go func() {
+				defer close(done)
+				wc := st.Register()
+				defer wc.Close()
+				st.Engine().Nest(wc.Proc(), []int{0}, func(hp *flock.Proc) {
+					st.ShardPut(0, hp, key, 2)
+					close(locked)
+					<-release
+				})
+			}()
+			<-locked
+			got := make(chan uint64, 3)
+			go func() {
+				v, _ := c.Get(key)
+				got <- v
+				vals, _ := c.MultiGet([]uint64{key})
+				got <- vals[0]
+				got <- c.Scan(key, key, -1)[0].Value
+			}()
+			if composed {
+				deadline := time.Now().Add(10 * time.Second)
+				for r, _ := st.OptimisticStats(); r == 0; r, _ = st.OptimisticStats() {
+					if time.Now().After(deadline) {
+						unpark()
+						t.Fatalf("%s composed: reader never found the shard lock held", tc.name)
+					}
+					runtime.Gosched()
+				}
+				select {
+				case v := <-got:
+					unpark()
+					t.Fatalf("%s composed: read returned %d while the writer held the shard lock", tc.name, v)
+				default:
+				}
+				unpark()
+			}
+			for i := 0; i < 3; i++ {
+				select {
+				case v := <-got:
+					if v != 2 {
+						unpark()
+						t.Fatalf("%s composed=%v: read %d = %d, want the written 2", tc.name, composed, i, v)
+					}
+				case <-time.After(10 * time.Second):
+					unpark()
+					t.Fatalf("%s composed=%v: read %d still waiting 10s on the held shard lock", tc.name, composed, i)
+				}
+			}
+			unpark()
+			<-done
+			c.Close()
+			if r, _ := st.OptimisticStats(); (r != 0) != composed {
+				t.Errorf("%s composed=%v: %d restarts", tc.name, composed, r)
+			}
+		}
+	}
+}
+
 // TestOptimisticCountersQuiescent pins that plain single-key traffic
 // never invalidates a composed store's validated reads: Put and Get do
 // not take shard locks, so shard versions never move and no restart can

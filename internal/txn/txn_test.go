@@ -177,6 +177,68 @@ func TestTxnAbortWritesNothing(t *testing.T) {
 	}
 }
 
+// TestLockedComposesOnlyOnTxnStores pins which stores run sections that
+// hold shard locks, the fact each store kind's read arm rests on. A
+// plain kv store's writers take no shard lock: a ReadModifyWrite on
+// each shard sees none held while its update runs, so its reads need
+// not validate. A txn store's transactions compose every shard they
+// touch in one body: a Txn over all shards sees every shard lock held
+// at once, so its reads validate against them. Both modes.
+func TestLockedComposesOnlyOnTxnStores(t *testing.T) {
+	const shards = 4
+	held := func(st *kv.Store) []int {
+		var h []int
+		for i := 0; i < shards; i++ {
+			if st.ShardLock(i).Held() {
+				h = append(h, i)
+			}
+		}
+		return h
+	}
+	// oneKeyPerShard returns, for each shard of st, a key routed to it.
+	oneKeyPerShard := func(st *kv.Store) []uint64 {
+		keys := make([]uint64, shards)
+		for k, n := uint64(1), 0; n < shards; k++ {
+			if s := st.ShardOf(k); keys[s] == 0 {
+				keys[s] = k
+				n++
+			}
+		}
+		return keys
+	}
+	for _, blocking := range []bool{false, true} {
+		mode := txn.LockFree
+		if blocking {
+			mode = txn.Blocking
+		}
+		plain := kv.New(leaftreeFactory, kv.Options{Shards: shards, Blocking: blocking, KeyRange: 1024})
+		pc := plain.Register()
+		var got [][]int
+		for _, k := range oneKeyPerShard(plain) {
+			pc.ReadModifyWrite(k, func(old uint64, _ bool) uint64 {
+				got = append(got, held(plain))
+				return old + 1
+			})
+		}
+		pc.Close()
+		if want := "[[] [] [] []]"; fmt.Sprint(got) != want {
+			t.Errorf("blocking=%v plain store: shard locks held per write = %v, want %v", blocking, got, want)
+		}
+
+		st := newStore(mode, shards)
+		tc := st.Register()
+		got = nil
+		_, _, ok := tc.Txn(oneKeyPerShard(st.KV()), nil, func([]uint64, []bool) ([]uint64, bool) {
+			got = append(got, held(st.KV()))
+			return nil, true
+		})
+		tc.Close()
+		if want := "[[0 1 2 3]]"; !ok || fmt.Sprint(got) != want {
+			t.Errorf("blocking=%v txn store: committed %v, shard locks held per body = %v, want %v", blocking, ok, got, want)
+		}
+	}
+}
+
 // TestReadArmFollowsStoreKind pins the one read protocol per store
 // kind. A writer parks inside shard 0's lock in blocking mode, where no
 // reader can help it. A plain kv store has no writer that takes shard
