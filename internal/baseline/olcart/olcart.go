@@ -25,8 +25,9 @@
 //     index before the child); Node256 indexes children directly.
 //   - Node4/Node16 additionally maintain a packed 16-byte key image
 //     (two atomic words) + occupancy mask that readers probe with one
-//     vector compare (internal/simd) to find candidate lanes; the slot
-//     load confirming a candidate remains the linearization point.
+//     SWAR match over the two words (internal/simd) to find candidate
+//     lanes; the slot load confirming a candidate remains the
+//     linearization point.
 //     Writers, serialized by the node's version lock, publish a lane's
 //     packed byte before its slot on insert and clear the slot before
 //     the lane on remove, so a packed miss is authoritative for
@@ -114,35 +115,25 @@ type node struct {
 	children []atomic.Pointer[node] // k48 (48), k256 (256)
 	count    atomic.Int32           // inner: number of children
 
-	// k4/k16 packed key image: lane i's key byte at byte i of the
-	// little-endian pkLo/pkHi pair, occupancy bit i in pkOcc (uint16
+	// k4/k16 packed key image: lane i's key byte in the pkLo/pkHi pair
+	// (laid out by simd.With), occupancy bit i in pkOcc (uint16
 	// range). Written only under the node's version (write) lock, read
 	// by optimistic readers; lanes with a clear occupancy bit may hold
-	// stale bytes.
+	// stale bytes. Searches load pkLo, then pkHi, then pkOcc. The three
+	// loads are not mutually atomic, but the per-lane invariant (a live
+	// slot's byte and bit are published before the slot and retracted
+	// after it) makes candidate misses and hits sound; the confirming
+	// slot load is the linearization point either way.
 	pkLo, pkHi atomic.Uint64
 	pkOcc      atomic.Uint32
-}
-
-// pkLoad snapshots the packed image in the array form simd.Match16
-// takes. The three loads are not mutually atomic, but the per-lane
-// invariant (a live slot's byte and bit are published before the slot
-// and retracted after it) makes candidate misses and hits sound; the
-// confirming slot load is the linearization point either way.
-func (n *node) pkLoad() (keys [16]byte, occ uint16) {
-	binary.LittleEndian.PutUint64(keys[0:8], n.pkLo.Load())
-	binary.LittleEndian.PutUint64(keys[8:16], n.pkHi.Load())
-	return keys, uint16(n.pkOcc.Load())
 }
 
 // pkSet publishes lane i's key byte and occupancy bit. Caller holds
 // the write lock and stores the slot only after pkSet returns.
 func (n *node) pkSet(i int, b byte) {
-	w := &n.pkLo
-	if i >= 8 {
-		w = &n.pkHi
-	}
-	sh := uint(i&7) * 8
-	w.Store(w.Load()&^(uint64(0xff)<<sh) | uint64(b)<<sh)
+	lo, hi := simd.With(n.pkLo.Load(), n.pkHi.Load(), i, b)
+	n.pkLo.Store(lo)
+	n.pkHi.Store(hi)
 	n.pkOcc.Store(n.pkOcc.Load() | 1<<uint(i))
 }
 
@@ -193,13 +184,13 @@ func newInner(kind uint8, prefix []byte) *node {
 func (n *node) getChild(b byte) *node {
 	switch n.kind {
 	case k4, k16:
-		// One vector compare over the packed key image yields the
+		// One SWAR match over the packed key image yields the
 		// candidate lanes; the authoritative slot load confirms. A
 		// packed miss is authoritative for absence (see pkSet/pkClear
 		// ordering); optimistic callers additionally validate the
 		// node's version afterwards, as before.
-		keys, occ := n.pkLoad()
-		for m := simd.Match16(&keys, b) & occ; m != 0; m &= m - 1 {
+		lo, hi := n.pkLo.Load(), n.pkHi.Load()
+		for m := simd.Match(lo, hi, b) & uint16(n.pkOcc.Load()); m != 0; m &= m - 1 {
 			if sv := n.slots[bits.TrailingZeros16(m)].Load(); sv != nil && sv.b == b {
 				return sv.c
 			}
@@ -250,8 +241,8 @@ func (n *node) replaceChild(b byte, c *node) {
 	case k4, k16:
 		// Slot-only update: the key byte is unchanged, so the packed
 		// image needs no maintenance.
-		keys, occ := n.pkLoad()
-		for m := simd.Match16(&keys, b) & occ; m != 0; m &= m - 1 {
+		lo, hi := n.pkLo.Load(), n.pkHi.Load()
+		for m := simd.Match(lo, hi, b) & uint16(n.pkOcc.Load()); m != 0; m &= m - 1 {
 			i := bits.TrailingZeros16(m)
 			if sv := n.slots[i].Load(); sv != nil && sv.b == b {
 				n.slots[i].Store(&slot{b: b, c: c})
@@ -270,8 +261,8 @@ func (n *node) replaceChild(b byte, c *node) {
 func (n *node) removeChild(b byte) {
 	switch n.kind {
 	case k4, k16:
-		keys, occ := n.pkLoad()
-		for m := simd.Match16(&keys, b) & occ; m != 0; m &= m - 1 {
+		lo, hi := n.pkLo.Load(), n.pkHi.Load()
+		for m := simd.Match(lo, hi, b) & uint16(n.pkOcc.Load()); m != 0; m &= m - 1 {
 			i := bits.TrailingZeros16(m)
 			if sv := n.slots[i].Load(); sv != nil && sv.b == b {
 				n.slots[i].Store(nil) // clear the slot first …
@@ -402,7 +393,7 @@ func keyBytes(k uint64) [8]byte {
 
 // commonLen is the length of the longest common prefix of a and b —
 // every descent mismatch check and prefix-split computation routes
-// through the simd package's Mismatch (vectorized on amd64).
+// through the simd package's word-wise Mismatch.
 func commonLen(a, b []byte) int { return simd.Mismatch(a, b) }
 
 // Find reports the value stored under key. Restart-bounded: after
@@ -794,7 +785,7 @@ func (t *Tree) CheckInvariants(_ *flock.Proc) error {
 		if n.kind == k4 || n.kind == k16 {
 			// Quiesced, the packed key image must mirror the slots
 			// exactly: matching bytes on live lanes, occ == occupancy.
-			keys, pkOcc := n.pkLoad()
+			lo, hi, pkOcc := n.pkLo.Load(), n.pkHi.Load(), uint16(n.pkOcc.Load())
 			var occ uint16
 			for i := range n.slots {
 				sv := n.slots[i].Load()
@@ -805,9 +796,9 @@ func (t *Tree) CheckInvariants(_ *flock.Proc) error {
 				if pkOcc&(1<<i) == 0 {
 					return fmt.Errorf("olcart: %s lane %d live but packed bit clear", kindName(n.kind), i)
 				}
-				if keys[i] != sv.b {
-					return fmt.Errorf("olcart: %s lane %d packed byte %#x != slot byte %#x",
-						kindName(n.kind), i, keys[i], sv.b)
+				if simd.Match(lo, hi, sv.b)&(1<<i) == 0 {
+					return fmt.Errorf("olcart: %s lane %d packed image %#x:%#x misses slot byte %#x",
+						kindName(n.kind), i, hi, lo, sv.b)
 				}
 			}
 			if pkOcc != occ {

@@ -178,10 +178,9 @@ func TestConcurrentDeleteStorm(t *testing.T) {
 	}
 }
 
-// TestFindZeroAlloc pins the vectorized read path's allocation budget:
+// TestFindZeroAlloc pins the packed-key read path's allocation budget:
 // Find on a tree whose root is a full Node16 (the packed-key getChild
-// path) must not allocate — the stack copy of the packed key image
-// handed to simd.Match16 must not escape.
+// path, one SWAR match over pkLo/pkHi) must not allocate.
 func TestFindZeroAlloc(t *testing.T) {
 	tr := New()
 	var p *flock.Proc

@@ -57,7 +57,7 @@
 //     other's thunks in a loop (unbounded recursion), not merely block.
 //     See lazylist.Move for the cross-structure ordering pattern.
 //
-// The seven data structures under internal/structures are written in
+// The eight data structures under internal/structures are written in
 // exactly this style and serve as larger examples.
 //
 // # Memory management

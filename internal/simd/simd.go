@@ -1,21 +1,5 @@
-// Package simd provides the vectorized node-search primitives used by
-// the ART implementations (internal/structures/arttree and
-// internal/baseline/olcart): a 16-lane key-byte match and a byte-slice
-// mismatch scan. On amd64 the primitives are implemented in assembly
-// (SSE2 always; AVX2 for long Mismatch inputs when the CPU and OS
-// support it) and selected at build time; everywhere else — and under
-// the `flock_noasm` build tag, which forces the portable path on any
-// architecture — the pure-Go generic implementations below are used.
-// The generic implementations are always compiled and exported so the
-// differential tests and benchmarks can compare the two paths under
-// either tag configuration.
-//
-// Conventions: a node's packed key image is a 16-byte array where lane
-// i holds the key byte of slot i, plus a uint16 occupancy mask whose
-// bit i says lane i is live. Match16 returns the raw 16-bit equality
-// mask (callers AND it with their occupancy mask); Find16 folds the
-// AND in and returns the first matching lane, -1 if none. Lanes whose
-// occupancy bit is clear may hold stale bytes; masking keeps them out.
+// Package simd is the ART trees' node search: an exact SWAR ("SIMD within a
+// register") byte match over a key image of two words, lane i at byte i&7 of word i>>3.
 package simd
 
 import (
@@ -23,44 +7,34 @@ import (
 	"math/bits"
 )
 
-// Find16Generic is the portable Find16: the first lane i with
-// keys[i] == b and valid bit i set, or -1.
-func Find16Generic(keys *[16]byte, b byte, valid uint16) int {
-	if m := Match16Generic(keys, b) & valid; m != 0 {
-		return bits.TrailingZeros16(m)
-	}
-	return -1
+// Match sets bit i iff lane i of (lo, hi) is b; callers AND out stale lanes.
+func Match(lo, hi uint64, b byte) uint16 { return uint16(match8(lo, b) | match8(hi, b)<<8) }
+
+// match8 is Match on one word. x&low7 + low7 cannot carry across bytes: no false match.
+func match8(w uint64, b byte) uint64 {
+	const ones, low7 = 0x0101010101010101, 0x7f7f7f7f7f7f7f7f
+	x := w ^ uint64(b)*ones
+	y := ^((x&low7 + low7) | x | low7)         // bit 7 of a byte set iff that byte of x is 0
+	return (y >> 7) * 0x0102040810204080 >> 56 // gathers bit 8k into bit 56+k
 }
 
-// Match16Generic is the portable Match16: bit i of the result is set
-// iff keys[i] == b.
-func Match16Generic(keys *[16]byte, b byte) uint16 {
-	var m uint16
-	for i := 0; i < 16; i++ {
-		if keys[i] == b {
-			m |= 1 << i
-		}
-	}
-	return m
+// With returns (lo, hi) with lane i set to b.
+func With(lo, hi uint64, i int, b byte) (uint64, uint64) {
+	w := [2]uint64{lo, hi}
+	w[i>>3] = w[i>>3]&^(0xff<<(i&7*8)) | uint64(b)<<(i&7*8)
+	return w[0], w[1]
 }
 
-// MismatchGeneric is the portable Mismatch: the length of the longest
-// common prefix of a and b — the index of the first differing byte, or
-// min(len(a), len(b)) when one slice is a prefix of the other. It
-// compares 8-byte words (byte order fixed by the little-endian load,
-// so the result is endian-independent) and finishes byte-wise.
-func MismatchGeneric(a, b []byte) int {
-	n := min(len(a), len(b))
-	i := 0
+// Mismatch returns the length of the longest common prefix of a and b.
+func Mismatch(a, b []byte) int {
+	n, i := min(len(a), len(b)), 0
 	for ; i+8 <= n; i += 8 {
 		if x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]); x != 0 {
 			return i + bits.TrailingZeros64(x)>>3
 		}
 	}
-	for ; i < n; i++ {
-		if a[i] != b[i] {
-			return i
-		}
+	for i < n && a[i] == b[i] {
+		i++
 	}
-	return n
+	return i
 }

@@ -1,13 +1,14 @@
 package simd
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"math/rand"
 	"testing"
 )
 
-// find16Ref is the trivially-correct oracle both the tag-selected and
-// the generic implementations are compared against.
+// The byte-loop oracles every kernel result is compared against.
+
 func find16Ref(keys *[16]byte, b byte, valid uint16) int {
 	for i := 0; i < 16; i++ {
 		if valid&(1<<i) != 0 && keys[i] == b {
@@ -37,28 +38,80 @@ func mismatchRef(a, b []byte) int {
 	return n
 }
 
+// words packs a 16-byte image into the (lo, hi) form the trees keep.
+func words(keys *[16]byte) (lo, hi uint64) {
+	return binary.LittleEndian.Uint64(keys[0:8]), binary.LittleEndian.Uint64(keys[8:16])
+}
+
+// find16 is the trees' search idiom: the first live lane of Match.
+func find16(keys *[16]byte, b byte, valid uint16) int {
+	lo, hi := words(keys)
+	if m := Match(lo, hi, b) & valid; m != 0 {
+		return bits.TrailingZeros16(m)
+	}
+	return -1
+}
+
 func checkFind16(t *testing.T, keys *[16]byte, b byte, valid uint16) {
 	t.Helper()
-	want := find16Ref(keys, b, valid)
-	if got := Find16(keys, b, valid); got != want {
-		t.Fatalf("Find16(%v, %#x, %#x) = %d, want %d [variant %s]", *keys, b, valid, got, want, Variant())
+	if got, want := find16(keys, b, valid), find16Ref(keys, b, valid); got != want {
+		t.Fatalf("find16(%v, %#x, %#x) = %d, want %d", *keys, b, valid, got, want)
 	}
-	if got := Find16Generic(keys, b, valid); got != want {
-		t.Fatalf("Find16Generic(%v, %#x, %#x) = %d, want %d", *keys, b, valid, got, want)
+	lo, hi := words(keys)
+	if got, want := Match(lo, hi, b), match16Ref(keys, b); got != want {
+		t.Fatalf("Match(%v, %#x) = %#x, want %#x", *keys, b, got, want)
 	}
-	wantM := match16Ref(keys, b)
-	if got := Match16(keys, b); got != wantM {
-		t.Fatalf("Match16(%v, %#x) = %#x, want %#x [variant %s]", *keys, b, got, wantM, Variant())
+}
+
+// TestMatchExhaustive places every byte value at every lane, against
+// each neighbour filler, and searches for every byte value. The
+// fillers 0x00/0x01/0x7f/0x80/0xff sit at the carry and borrow edges
+// of byte-parallel arithmetic: a formula whose per-byte result leaks
+// into the next byte reports a false match here.
+func TestMatchExhaustive(t *testing.T) {
+	for _, fill := range []byte{0x00, 0x01, 0x7f, 0x80, 0xff} {
+		for lane := 0; lane < 16; lane++ {
+			for v := 0; v < 256; v++ {
+				var keys [16]byte
+				for i := range keys {
+					keys[i] = fill
+				}
+				keys[lane] = byte(v)
+				lo, hi := words(&keys)
+				for b := 0; b < 256; b++ {
+					if got, want := Match(lo, hi, byte(b)), match16Ref(&keys, byte(b)); got != want {
+						t.Fatalf("fill %#x, lane %d = %#x: Match(%#x) = %#x, want %#x", fill, lane, v, b, got, want)
+					}
+				}
+			}
+		}
 	}
-	if got := Match16Generic(keys, b); got != wantM {
-		t.Fatalf("Match16Generic(%v, %#x) = %#x, want %#x", *keys, b, got, wantM)
+}
+
+// TestWith sets every lane to every byte value over a random image:
+// the target lane reads back as set and no other lane moves.
+func TestWith(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 64; iter++ {
+		var keys [16]byte
+		rng.Read(keys[:])
+		lo, hi := words(&keys)
+		for lane := 0; lane < 16; lane++ {
+			for v := 0; v < 256; v++ {
+				want := keys
+				want[lane] = byte(v)
+				wlo, whi := words(&want)
+				if glo, ghi := With(lo, hi, lane, byte(v)); glo != wlo || ghi != whi {
+					t.Fatalf("With(%v, %d, %#x) = %#x %#x, want %#x %#x", keys, lane, v, glo, ghi, wlo, whi)
+				}
+			}
+		}
 	}
 }
 
 // TestFind16Positions: the target byte at every one of the 16 lanes,
 // under the empty, full, target-excluding and random occupancy masks.
 func TestFind16Positions(t *testing.T) {
-	t.Logf("variant: %s", Variant())
 	rng := rand.New(rand.NewSource(1))
 	for pos := 0; pos < 16; pos++ {
 		var keys [16]byte
@@ -76,7 +129,7 @@ func TestFind16Positions(t *testing.T) {
 
 // TestFind16Duplicates: the target byte in every pair of lanes (and in
 // all lanes), with masks that knock out subsets of the duplicates —
-// Find16 must return the lowest *valid* match, not the lowest match.
+// the search must return the lowest *valid* match, not the lowest match.
 func TestFind16Duplicates(t *testing.T) {
 	for lo := 0; lo < 16; lo++ {
 		for hi := lo + 1; hi < 16; hi++ {
@@ -127,17 +180,13 @@ func TestFind16Random(t *testing.T) {
 
 func checkMismatch(t *testing.T, a, b []byte) {
 	t.Helper()
-	want := mismatchRef(a, b)
-	if got := Mismatch(a, b); got != want {
-		t.Fatalf("Mismatch(len %d, len %d) = %d, want %d [variant %s]", len(a), len(b), got, want, Variant())
-	}
-	if got := MismatchGeneric(a, b); got != want {
-		t.Fatalf("MismatchGeneric(len %d, len %d) = %d, want %d", len(a), len(b), got, want)
+	if got, want := Mismatch(a, b), mismatchRef(a, b); got != want {
+		t.Fatalf("Mismatch(len %d, len %d) = %d, want %d", len(a), len(b), got, want)
 	}
 }
 
-// TestMismatchEveryIndex: for lengths spanning the byte, word, SSE2 and
-// AVX2 regimes, plant a mismatch at every index (and none), at every
+// TestMismatchEveryIndex: for lengths spanning the byte and word
+// regimes, plant a mismatch at every index (and none), at every
 // alignment offset 0..15 into a shared backing array — unaligned tails
 // and unaligned starts both covered.
 func TestMismatchEveryIndex(t *testing.T) {
@@ -179,7 +228,7 @@ func TestMismatchUnequalLengths(t *testing.T) {
 }
 
 // TestMismatchRandom: randomized differential with random common
-// prefix lengths and lengths straddling the vector-width thresholds.
+// prefix lengths and lengths straddling the word width.
 func TestMismatchRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 5000; iter++ {
@@ -202,9 +251,9 @@ func TestMismatchRandom(t *testing.T) {
 	}
 }
 
-// TestMatch16MaskIteration pins the idiom the tree getChild paths use:
-// walking all candidate lanes of (Match16 & occ) via m &= m-1 visits
-// exactly the reference matches in ascending order.
+// TestMatch16MaskIteration pins the idiom the trees' getChild paths
+// use: walking all candidate lanes of (Match & occ) via m &= m-1
+// visits exactly the reference matches in ascending order.
 func TestMatch16MaskIteration(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for iter := 0; iter < 2000; iter++ {
@@ -214,8 +263,9 @@ func TestMatch16MaskIteration(t *testing.T) {
 		}
 		b := byte(rng.Intn(4))
 		occ := uint16(rng.Intn(1 << 16))
+		lo, hi := words(&keys)
 		var got []int
-		for m := Match16(&keys, b) & occ; m != 0; m &= m - 1 {
+		for m := Match(lo, hi, b) & occ; m != 0; m &= m - 1 {
 			got = append(got, bits.TrailingZeros16(m))
 		}
 		var want []int
@@ -235,21 +285,19 @@ func TestMatch16MaskIteration(t *testing.T) {
 	}
 }
 
-func FuzzFind16(f *testing.F) {
-	f.Add([]byte("0123456789abcdef"), byte('a'), uint16(0xFFFF))
-	f.Add(make([]byte, 16), byte(0), uint16(0))
-	f.Fuzz(func(t *testing.T, raw []byte, b byte, valid uint16) {
+func FuzzMatch(f *testing.F) {
+	f.Add(uint64(0x3736353433323130), uint64(0x6665646362613938), byte('a'), uint16(0xFFFF))
+	f.Add(uint64(0), uint64(0), byte(0), uint16(0))
+	f.Add(uint64(0x0100010001000100), uint64(0xff80ff7f00ff0001), byte(0), uint16(0xFFFF))
+	f.Fuzz(func(t *testing.T, lo, hi uint64, b byte, valid uint16) {
 		var keys [16]byte
-		copy(keys[:], raw)
-		want := find16Ref(&keys, b, valid)
-		if got := Find16(&keys, b, valid); got != want {
-			t.Fatalf("Find16 = %d, want %d", got, want)
+		binary.LittleEndian.PutUint64(keys[0:8], lo)
+		binary.LittleEndian.PutUint64(keys[8:16], hi)
+		if got, want := Match(lo, hi, b), match16Ref(&keys, b); got != want {
+			t.Fatalf("Match(%#x, %#x, %#x) = %#x, want %#x", lo, hi, b, got, want)
 		}
-		if got := Find16Generic(&keys, b, valid); got != want {
-			t.Fatalf("Find16Generic = %d, want %d", got, want)
-		}
-		if got, want := Match16(&keys, b), match16Ref(&keys, b); got != want {
-			t.Fatalf("Match16 = %#x, want %#x", got, want)
+		if got, want := find16(&keys, b, valid), find16Ref(&keys, b, valid); got != want {
+			t.Fatalf("find16 = %d, want %d", got, want)
 		}
 	})
 }
@@ -259,12 +307,8 @@ func FuzzMismatch(f *testing.F) {
 	f.Add([]byte("abc"), []byte("abd"))
 	f.Add(make([]byte, 100), make([]byte, 99))
 	f.Fuzz(func(t *testing.T, a, b []byte) {
-		want := mismatchRef(a, b)
-		if got := Mismatch(a, b); got != want {
+		if got, want := Mismatch(a, b), mismatchRef(a, b); got != want {
 			t.Fatalf("Mismatch = %d, want %d", got, want)
-		}
-		if got := MismatchGeneric(a, b); got != want {
-			t.Fatalf("MismatchGeneric = %d, want %d", got, want)
 		}
 	})
 }

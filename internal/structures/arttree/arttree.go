@@ -12,12 +12,12 @@
 //     indexes children directly.
 //   - Node4/Node16 additionally maintain a packed 16-byte key image +
 //     occupancy mask (one Mutable box, so it is updated atomically and
-//     idempotently under helping) that readers probe with one vector
-//     compare (internal/simd) to find candidate lanes; the slot load
-//     that confirms a candidate remains the linearization point. The
-//     publication protocol (packed byte before slot on insert, slot
-//     before packed byte on remove) makes a packed miss authoritative
-//     for absence: see DESIGN.md S15.
+//     idempotently under helping) that readers probe with one SWAR
+//     match over its two words (internal/simd) to find candidate lanes;
+//     the slot load that confirms a candidate remains the
+//     linearization point. The publication protocol (packed byte
+//     before slot on insert, slot before packed byte on remove) makes
+//     a packed miss authoritative for absence: see DESIGN.md S15.
 //   - Prefixes and leaf contents are immutable: any change of prefix
 //     (path compression on delete, prefix split on insert) or node kind
 //     (grow/shrink) builds a replacement node under the locks of the
@@ -74,8 +74,8 @@ func kindName(kind uint8) string {
 	}
 }
 
-// packed16 is the vector-searchable image of a Node4/Node16: lane i of
-// the 16-byte key array holds slots[i]'s key byte, and bit i of occ
+// packed16 is the searchable key image of a Node4/Node16: lane i
+// (laid out by simd.With) holds slots[i]'s key byte, and bit i of occ
 // says the lane is live. It lives in a single Mutable box so updates
 // go through the logged CAS machinery — helpers replaying a thunk
 // cannot tear it or clobber it with stale halves — and a reader's one
@@ -86,22 +86,9 @@ type packed16 struct {
 	occ    uint16 // lane-occupancy bitmask
 }
 
-// keyArray splits the two words into the array form simd.Match16 takes.
-func (pk packed16) keyArray() [16]byte {
-	var a [16]byte
-	binary.LittleEndian.PutUint64(a[0:8], pk.lo)
-	binary.LittleEndian.PutUint64(a[8:16], pk.hi)
-	return a
-}
-
 // with returns pk with lane i holding key byte b and marked live.
 func (pk packed16) with(i int, b byte) packed16 {
-	sh := uint(i&7) * 8
-	if i < 8 {
-		pk.lo = pk.lo&^(uint64(0xff)<<sh) | uint64(b)<<sh
-	} else {
-		pk.hi = pk.hi&^(uint64(0xff)<<sh) | uint64(b)<<sh
-	}
+	pk.lo, pk.hi = simd.With(pk.lo, pk.hi, i, b)
 	pk.occ |= 1 << uint(i)
 	return pk
 }
@@ -160,7 +147,7 @@ func keyBytes(k uint64) [8]byte {
 
 // commonLen is the length of the longest common prefix of a and b —
 // every descent mismatch check and prefix-split computation routes
-// through the simd package's Mismatch (vectorized on amd64).
+// through the simd package's word-wise Mismatch.
 func commonLen(a, b []byte) int { return simd.Mismatch(a, b) }
 
 func newLeaf(k, v uint64) *artNode { return &artNode{kind: kLeaf, k: k, v: v} }
@@ -184,14 +171,13 @@ func newInner(kind uint8, prefix []byte) *artNode {
 func (n *artNode) getChild(p *flock.Proc, b byte) *artNode {
 	switch n.kind {
 	case k4, k16:
-		// One packed load + one vector compare yields the candidate
+		// One packed load + one SWAR match yields the candidate
 		// lanes; each candidate is confirmed by its authoritative slot
 		// load (stale packed lanes fail the confirm). A packed miss is
 		// authoritative for absence: a live slot's lane is always in
 		// the mask (publication protocol, DESIGN.md S15).
 		pk := n.pk.Load(p)
-		keys := pk.keyArray()
-		for m := simd.Match16(&keys, b) & pk.occ; m != 0; m &= m - 1 {
+		for m := simd.Match(pk.lo, pk.hi, b) & pk.occ; m != 0; m &= m - 1 {
 			sv := n.slots[bits.TrailingZeros16(m)].Load(p)
 			if sv.child != nil && sv.b == b {
 				return sv.child
@@ -244,8 +230,7 @@ func (n *artNode) replaceChild(hp *flock.Proc, b byte, c *artNode) {
 		// Slot-only update: the key byte is unchanged, so the packed
 		// image needs no maintenance.
 		pk := n.pk.Load(hp)
-		keys := pk.keyArray()
-		for m := simd.Match16(&keys, b) & pk.occ; m != 0; m &= m - 1 {
+		for m := simd.Match(pk.lo, pk.hi, b) & pk.occ; m != 0; m &= m - 1 {
 			i := bits.TrailingZeros16(m)
 			sv := n.slots[i].Load(hp)
 			if sv.child != nil && sv.b == b {
@@ -267,8 +252,7 @@ func (n *artNode) removeChild(hp *flock.Proc, b byte) {
 	switch n.kind {
 	case k4, k16:
 		pk := n.pk.Load(hp)
-		keys := pk.keyArray()
-		for m := simd.Match16(&keys, b) & pk.occ; m != 0; m &= m - 1 {
+		for m := simd.Match(pk.lo, pk.hi, b) & pk.occ; m != 0; m &= m - 1 {
 			i := bits.TrailingZeros16(m)
 			sv := n.slots[i].Load(hp)
 			if sv.child != nil && sv.b == b {
@@ -706,7 +690,6 @@ func (t *Tree) CheckInvariants(p *flock.Proc) error {
 			// Quiesced, the packed key image must mirror the slots
 			// exactly: matching bytes on live lanes, occ == occupancy.
 			pk := n.pk.Load(p)
-			keys := pk.keyArray()
 			var occ uint16
 			for i := range n.slots {
 				sv := n.slots[i].Load(p)
@@ -717,9 +700,9 @@ func (t *Tree) CheckInvariants(p *flock.Proc) error {
 				if pk.occ&(1<<i) == 0 {
 					return fmt.Errorf("arttree: %s lane %d live but packed bit clear", kindName(n.kind), i)
 				}
-				if keys[i] != sv.b {
-					return fmt.Errorf("arttree: %s lane %d packed byte %#x != slot byte %#x",
-						kindName(n.kind), i, keys[i], sv.b)
+				if simd.Match(pk.lo, pk.hi, sv.b)&(1<<i) == 0 {
+					return fmt.Errorf("arttree: %s lane %d packed image %#x:%#x misses slot byte %#x",
+						kindName(n.kind), i, pk.hi, pk.lo, sv.b)
 				}
 			}
 			if pk.occ != occ {

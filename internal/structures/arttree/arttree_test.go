@@ -244,10 +244,10 @@ func TestConcurrentGrowShrinkStorm(t *testing.T) {
 	}
 }
 
-// TestFindZeroAlloc pins the vectorized read path's allocation budget in
-// both runtime modes: Find on a tree whose root is a full Node16 (the
-// packed-key getChild path) must not allocate — the stack copy of the
-// packed key image handed to simd.Match16 must not escape.
+// TestFindZeroAlloc pins the packed-key read path's allocation budget
+// in both runtime modes: Find on a tree whose root is a full Node16
+// (the packed-key getChild path, one SWAR match over the image's two
+// words) must not allocate.
 func TestFindZeroAlloc(t *testing.T) {
 	for _, m := range settest.Modes {
 		t.Run(m.Name, func(t *testing.T) {

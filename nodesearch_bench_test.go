@@ -10,100 +10,23 @@ import (
 	"flock/internal/structures/set"
 )
 
-// The node-search microbenchmarks compare the tag-selected simd
-// implementations against the pure-Go fallbacks in one binary:
-// "selected" is what the trees actually call (SSE2/AVX2 on amd64,
-// generic under -tags flock_noasm), "generic" is always the fallback.
-// Build with -tags flock_noasm to confirm the two legs coincide.
+// The node-search benchmarks time the SWAR kernel alone and the Find
+// path of both ART trees over a full Node16 root.
 
 var (
 	sinkInt int
 	sinkU16 uint16
 )
 
-func BenchmarkNodeSearchFind16(b *testing.B) {
-	b.Logf("simd variant: %s", simd.Variant())
-	var keys [16]byte
-	for i := range keys {
-		keys[i] = byte(0x40 + i)
+// BenchmarkNodeSearchMatch times one 16-lane match over a packed key
+// image. The match is branch-free: a hit and a miss cost the same.
+func BenchmarkNodeSearchMatch(b *testing.B) {
+	lo, hi := uint64(0x4746454443424140), uint64(0x4f4e4d4c4b4a4948)
+	var acc uint16
+	for i := 0; i < b.N; i++ {
+		acc ^= simd.Match(lo, hi, byte(0x40+i&15))
 	}
-	const valid = 0xFFFF
-	// Lane 15 is the scalar worst case; a miss scans all lanes too.
-	cases := []struct {
-		name string
-		b    byte
-	}{
-		{"Hit", 0x4F},
-		{"Miss", 0xEE},
-	}
-	for _, c := range cases {
-		b.Run(c.name+"/selected", func(b *testing.B) {
-			acc := 0
-			for i := 0; i < b.N; i++ {
-				acc += simd.Find16(&keys, c.b, valid)
-			}
-			sinkInt = acc
-		})
-		b.Run(c.name+"/generic", func(b *testing.B) {
-			acc := 0
-			for i := 0; i < b.N; i++ {
-				acc += simd.Find16Generic(&keys, c.b, valid)
-			}
-			sinkInt = acc
-		})
-	}
-	b.Run("Match16/selected", func(b *testing.B) {
-		var acc uint16
-		for i := 0; i < b.N; i++ {
-			acc ^= simd.Match16(&keys, 0x48)
-		}
-		sinkU16 = acc
-	})
-	b.Run("Match16/generic", func(b *testing.B) {
-		var acc uint16
-		for i := 0; i < b.N; i++ {
-			acc ^= simd.Match16Generic(&keys, 0x48)
-		}
-		sinkU16 = acc
-	})
-}
-
-func BenchmarkNodeSearchMismatch(b *testing.B) {
-	b.Logf("simd variant: %s", simd.Variant())
-	for _, n := range []int{8, 16, 32, 64, 128, 512} {
-		x := make([]byte, n)
-		y := make([]byte, n)
-		for i := range x {
-			x[i] = byte(i * 13)
-			y[i] = x[i]
-		}
-		y[n-1] ^= 0x80 // mismatch at the last byte: full-length scan
-		b.Run(benchName("n", n)+"/selected", func(b *testing.B) {
-			b.SetBytes(int64(n))
-			acc := 0
-			for i := 0; i < b.N; i++ {
-				acc += simd.Mismatch(x, y)
-			}
-			sinkInt = acc
-		})
-		b.Run(benchName("n", n)+"/generic", func(b *testing.B) {
-			b.SetBytes(int64(n))
-			acc := 0
-			for i := 0; i < b.N; i++ {
-				acc += simd.MismatchGeneric(x, y)
-			}
-			sinkInt = acc
-		})
-	}
-}
-
-func benchName(prefix string, n int) string {
-	// fmt.Sprintf would be fine; this keeps the names fixed-width-free.
-	digits := []byte{}
-	for v := n; v > 0; v /= 10 {
-		digits = append([]byte{byte('0' + v%10)}, digits...)
-	}
-	return prefix + "=" + string(digits)
+	sinkU16 = acc
 }
 
 // nodeSearchTree measures the end-to-end Find path on a tree whose root
@@ -147,25 +70,16 @@ func BenchmarkNodeSearchTree(b *testing.B) {
 }
 
 // TestNodeSearchZeroAlloc pins the acceptance criterion that the simd
-// entry points allocate nothing: &keys must not escape through the
-// //go:noescape asm declarations, and the Mismatch wrapper must not box
-// its slices.
+// entry points allocate nothing: Mismatch must not box its slices.
 func TestNodeSearchZeroAlloc(t *testing.T) {
-	var keys [16]byte
-	for i := range keys {
-		keys[i] = byte(i)
-	}
 	x := make([]byte, 256)
 	y := make([]byte, 256)
 	checks := []struct {
 		name string
 		fn   func()
 	}{
-		{"Find16", func() { sinkInt = simd.Find16(&keys, 7, 0xFFFF) }},
-		{"Find16Generic", func() { sinkInt = simd.Find16Generic(&keys, 7, 0xFFFF) }},
-		{"Match16", func() { sinkU16 = simd.Match16(&keys, 7) }},
+		{"Match", func() { sinkU16 = simd.Match(0x0706050403020100, 0x0f0e0d0c0b0a0908, 7) }},
 		{"Mismatch", func() { sinkInt = simd.Mismatch(x, y) }},
-		{"MismatchGeneric", func() { sinkInt = simd.MismatchGeneric(x, y) }},
 	}
 	for _, c := range checks {
 		if n := testing.AllocsPerRun(1000, c.fn); n != 0 {
