@@ -22,17 +22,18 @@ import (
 // nodes (interval semantics): each node's slice of the result is pinned
 // by its own version validation, but different nodes validate at
 // different instants.
-func (t *Tree) Scan(_ *flock.Proc, lo, hi uint64, limit int) []set.KV {
+func (t *Tree) Scan(_ *flock.Proc, lo, hi uint64, limit int, dst []set.KV) []set.KV {
 	lo, hi = set.ClampScanBounds(lo, hi)
 	if limit == 0 {
-		return nil
+		return dst
 	}
+	end := len(dst) + limit // limit < 0: end is never reached
 	for attempt := 0; attempt < maxOptimistic; attempt++ {
-		if out, ok := t.scanOpt(lo, hi, limit); ok {
+		if out, ok := t.scanOpt(lo, hi, end, dst); ok {
 			return out
 		}
 	}
-	return t.scanLocked(lo, hi, limit)
+	return t.scanLocked(lo, hi, end, dst)
 }
 
 // boundsAt returns the smallest and largest keys reachable below the
@@ -47,12 +48,13 @@ func boundsAt(kb *[8]byte, used int) (uint64, uint64) {
 	return binary.BigEndian.Uint64(mnb[:]), binary.BigEndian.Uint64(mxb[:])
 }
 
-// scanOpt is one optimistic attempt; ok=false means a validation failed
-// somewhere and the whole scan restarts (partial results are discarded —
-// a node replacement may have moved keys the partial walk already
-// passed).
-func (t *Tree) scanOpt(lo, hi uint64, limit int) ([]set.KV, bool) {
-	var out []set.KV
+// scanOpt is one optimistic attempt appending to dst until out reaches
+// length end; ok=false means a validation failed somewhere and the
+// whole scan restarts (partial results are discarded — a node
+// replacement may have moved keys the partial walk already passed — and
+// the next attempt appends to dst again, over the same spare capacity).
+func (t *Tree) scanOpt(lo, hi uint64, end int, dst []set.KV) ([]set.KV, bool) {
+	out := dst
 	var kb [8]byte // path bytes of the current frontier node
 	// walk returns (continue, ok): continue=false stops the in-order
 	// walk (limit reached); ok=false aborts the attempt.
@@ -82,7 +84,7 @@ func (t *Tree) scanOpt(lo, hi uint64, limit int) ([]set.KV, bool) {
 				// Leaves are immutable; membership was pinned above.
 				if pr.c.k >= lo && pr.c.k <= hi {
 					out = append(out, set.KV{Key: pr.c.k, Value: pr.c.v})
-					if limit > 0 && len(out) >= limit {
+					if len(out) == end {
 						return false, true
 					}
 				}
@@ -99,7 +101,7 @@ func (t *Tree) scanOpt(lo, hi uint64, limit int) ([]set.KV, bool) {
 		return true, true
 	}
 	if _, ok := walk(t.root, 0); !ok {
-		return nil, false
+		return dst, false
 	}
 	return out, true
 }
@@ -107,9 +109,10 @@ func (t *Tree) scanOpt(lo, hi uint64, limit int) ([]set.KV, bool) {
 // scanLocked is the pessimistic fallback: the walk holds write locks on
 // the whole root-to-frontier path (writers lock strictly top-down, so
 // coupling top-down here cannot deadlock), which blocks writers out of
-// the scanned subtree but guarantees completion without restarts.
-func (t *Tree) scanLocked(lo, hi uint64, limit int) []set.KV {
-	var out []set.KV
+// the scanned subtree but guarantees completion without restarts. Like
+// scanOpt it appends to dst until out reaches length end.
+func (t *Tree) scanLocked(lo, hi uint64, end int, dst []set.KV) []set.KV {
+	out := dst
 	var kb [8]byte
 	var walk func(n *node, depth int) bool // caller holds n's lock
 	walk = func(n *node, depth int) bool {
@@ -124,7 +127,7 @@ func (t *Tree) scanLocked(lo, hi uint64, limit int) []set.KV {
 			if pr.c.isLeaf() {
 				if pr.c.k >= lo && pr.c.k <= hi {
 					out = append(out, set.KV{Key: pr.c.k, Value: pr.c.v})
-					if limit > 0 && len(out) >= limit {
+					if len(out) == end {
 						return false
 					}
 				}

@@ -26,6 +26,7 @@ package engine
 
 import (
 	"runtime"
+	"slices"
 	"sync/atomic"
 
 	flock "flock/internal/core"
@@ -57,14 +58,20 @@ type Config struct {
 // goroutine-safe: all state is per-call or owned by the shards.
 type Engine struct {
 	locks    []*flock.Lock
+	all      []int // 0..n-1, built once (AllShards)
 	route    func(uint64) int
 	restarts *atomic.Uint64
 }
 
 // New builds an engine over the given shards.
 func New(cfg Config) *Engine {
+	all := make([]int, len(cfg.Locks))
+	for i := range all {
+		all[i] = i
+	}
 	return &Engine{
 		locks:    cfg.Locks,
+		all:      all,
 		route:    cfg.Route,
 		restarts: cfg.Restarts,
 	}
@@ -118,13 +125,9 @@ func (e *Engine) Group(seen []bool, idxSets ...[]int) []int {
 }
 
 // AllShards returns the whole-store group 0..n-1 (scans, snapshots).
-func (e *Engine) AllShards() []int {
-	out := make([]int, len(e.locks))
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
+// Every call returns the same slice, built by New; callers must not
+// modify it.
+func (e *Engine) AllShards() []int { return e.all }
 
 // ---------------------------------------------------------------------
 // Composed-thunk arm
@@ -371,7 +374,9 @@ func (e *Engine) optimistic(p *flock.Proc, shards []int, whole bool, read func(s
 // MergeRuns merges sorted per-shard runs into one ascending result of
 // at most limit pairs (limit < 0 unbounded, 0 empty). Shard routing
 // partitions the key space, so no key appears in two runs. Shared by
-// the scan path and the snapshot iterator's scatter-gather.
+// the scan path and the snapshot iterator's scatter-gather. The result
+// is always freshly allocated (or nil) and never aliases parts, the
+// one-run fast path included, so callers may reuse their run buffers.
 func MergeRuns(parts [][]set.KV, limit int) []set.KV {
 	if limit == 0 {
 		return nil
@@ -390,7 +395,7 @@ func MergeRuns(parts [][]set.KV, limit int) []set.KV {
 				if limit > 0 && len(r) > limit {
 					r = r[:limit]
 				}
-				return r
+				return slices.Clone(r)
 			}
 		}
 		return nil
@@ -399,7 +404,12 @@ func MergeRuns(parts [][]set.KV, limit int) []set.KV {
 		limit = total
 	}
 	out := make([]set.KV, 0, limit)
-	idx := make([]int, len(parts))
+	var small [8]int // the cursors of a store of up to 8 shards stay on the stack
+	idx := small[:]
+	if len(parts) > len(idx) {
+		idx = make([]int, len(parts))
+	}
+	idx = idx[:len(parts)]
 	for len(out) < limit {
 		best := -1
 		for i, r := range parts {

@@ -233,12 +233,38 @@ type Client struct {
 	// scatter-gather scan touches every shard by construction, so it
 	// carries no skew signal.
 	ops []uint64
+	// Top-level scratch, reused across operations and never captured by
+	// a thunk: a read called inside a thunk may be replayed by a helper,
+	// so it allocates its own. runs holds Scan's per-shard runs, seen
+	// and shardOf MultiGet's planner bitmap and key-to-shard map. None
+	// keeps a buffer above maxScratch elements (retain).
+	runs    [][]set.KV
+	seen    []bool
+	shardOf []int
+}
+
+// maxScratch caps each scratch buffer a Client keeps between
+// operations, so a whole-store Scan or a huge MultiGet does not leave a
+// copy of its footprint pinned to the client.
+const maxScratch = 1024
+
+// retain returns buf for reuse by the next operation, or nil when it
+// has grown past maxScratch elements.
+func retain[T any](buf []T) []T {
+	if cap(buf) > maxScratch {
+		return nil
+	}
+	return buf
 }
 
 // Register creates a client, registering a worker context with the
 // store's runtime.
 func (st *Store) Register() *Client {
-	return &Client{st: st, p: st.rt.Register(), ops: make([]uint64, len(st.shards))}
+	n := len(st.shards)
+	return &Client{
+		st: st, p: st.rt.Register(), ops: make([]uint64, n),
+		runs: make([][]set.KV, n), seen: make([]bool, n),
+	}
 }
 
 // Proc returns the client's registered Proc, valid on every shard
@@ -489,9 +515,14 @@ func (c *Client) MultiGet(keys []uint64) (vals []uint64, oks []bool) {
 	}
 	st := c.st
 	// The operation's footprint: each key's shard and the involved
-	// group, ascending and duplicate-free.
-	shardOf := st.eng.ShardIndices(keys)
-	st.eng.Optimistic(c.p, st.eng.Group(nil, shardOf), func(s int) {
+	// group, ascending and duplicate-free, planned in client scratch
+	// (this path runs only at top level).
+	shardOf := c.shardOf[:0]
+	for _, k := range keys {
+		shardOf = append(shardOf, st.ShardOf(k))
+	}
+	c.shardOf = retain(shardOf)
+	st.eng.Optimistic(c.p, st.eng.Group(c.seen, shardOf), func(s int) {
 		for i, k := range keys {
 			if shardOf[i] == s {
 				vals[i], oks[i] = st.shards[s].s.Find(c.p, k)

@@ -47,14 +47,26 @@ func (c *Client) Scan(lo, hi uint64, limit int) []set.KV {
 	}
 	t0 := traceStart()
 	defer traceOp(c.p, t0, multiShard, trace.KVScan)
-	parts := make([][]set.KV, len(st.shards))
-	read := func(s int) { parts[s] = st.shards[s].sc.Scan(c.p, lo, hi, limit) }
-	if st.composed && !c.p.InThunk() {
+	// Each shard's read appends into its own run, reusing the run's
+	// storage from the client's last scan; a re-read of a shard whose
+	// version moved overwrites only that run. Inside a thunk a helper
+	// may run this same code, so the runs are fresh there and every
+	// read appends to nil.
+	parts, inThunk := c.runs, c.p.InThunk()
+	if inThunk {
+		parts = make([][]set.KV, len(st.shards))
+	}
+	read := func(s int) { parts[s] = st.shards[s].sc.Scan(c.p, lo, hi, limit, parts[s][:0]) }
+	if st.composed && !inThunk {
 		st.eng.Optimistic(c.p, st.eng.AllShards(), read)
 	} else {
 		for s := range parts {
 			read(s)
 		}
 	}
-	return engine.MergeRuns(parts, limit)
+	out := engine.MergeRuns(parts, limit) // a copy: never aliases a run
+	for s, r := range parts {
+		parts[s] = retain(r)
+	}
+	return out
 }

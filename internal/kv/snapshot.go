@@ -242,21 +242,22 @@ func (s *Snapshot) Close() {
 const snapChunk = 256
 
 // chunk reads up to snapChunk raw pairs from shard i over [pos, hi]
-// with the store kind's read: a version-validated scan through the
-// engine on a store built by NewComposed, a plain top-level scan on one
-// built by New, whose writers hold no shard lock to validate against.
-// Overlay repair reconstructs activation-time state whatever the
-// interleaving with lock-holding writers; validation merely narrows the
-// plain-writer fuzz window.
-func (s *Snapshot) chunk(i int, pos, hi uint64) []set.KV {
+// into buf's storage (buf[:0]) with the store kind's read: a
+// version-validated scan through the engine on a store built by
+// NewComposed, a plain top-level scan on one built by New, whose
+// writers hold no shard lock to validate against. Overlay repair
+// reconstructs activation-time state whatever the interleaving with
+// lock-holding writers; validation merely narrows the plain-writer fuzz
+// window.
+func (s *Snapshot) chunk(i int, pos, hi uint64, buf []set.KV) []set.KV {
 	st := s.st
 	sh := &st.shards[i]
 	if !st.composed {
-		return sh.sc.Scan(s.c.p, pos, hi, snapChunk)
+		return sh.sc.Scan(s.c.p, pos, hi, snapChunk, buf[:0])
 	}
-	var run []set.KV
+	run := buf[:0]
 	st.eng.Optimistic(s.c.p, []int{i}, func(int) {
-		run = sh.sc.Scan(s.c.p, pos, hi, snapChunk)
+		run = sh.sc.Scan(s.c.p, pos, hi, snapChunk, run[:0])
 	})
 	return run
 }
@@ -265,7 +266,8 @@ func (s *Snapshot) chunk(i int, pos, hi uint64) []set.KV {
 // overlay: pre-images replace read values, keys recorded absent at
 // activation are dropped, and overlay-only keys inside the interval
 // (present at activation, deleted since) are merged back in. raw is
-// sorted ascending; the result is too.
+// sorted ascending; the result is too, and is a fresh slice that never
+// aliases raw (the next chunk reuses raw's storage).
 func (s *Snapshot) patch(i int, raw []set.KV, pos, end uint64) []set.KV {
 	over := &s.over[i]
 	out := make([]set.KV, 0, len(raw))
@@ -305,11 +307,13 @@ func (s *Snapshot) patch(i int, raw []set.KV, pos, end uint64) []set.KV {
 
 // shardSnapIter streams one shard's repaired pairs: a set.Cursor over
 // the raw structure (resumption by key, so nothing is pinned between
-// chunks) feeding patched, buffered runs.
+// chunks) feeding patched, buffered runs. raw is the one chunk buffer
+// every read of this iterator reuses.
 type shardSnapIter struct {
 	s   *Snapshot
 	i   int
 	cur *set.Cursor
+	raw []set.KV
 	buf []set.KV
 	pos int
 }
@@ -320,7 +324,8 @@ type shardSnapIter struct {
 func (it *shardSnapIter) head() (set.KV, bool) {
 	for it.pos >= len(it.buf) && !it.cur.Done() {
 		pos := it.cur.Pos()
-		raw := it.s.chunk(it.i, pos, it.cur.Hi())
+		raw := it.s.chunk(it.i, pos, it.cur.Hi(), it.raw)
+		it.raw = raw
 		end := it.cur.Hi()
 		if len(raw) == snapChunk {
 			end = raw[len(raw)-1].Key

@@ -13,6 +13,7 @@ package lincheck
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -137,18 +138,19 @@ func (h *Handle) Upsert(p *flock.Proc, k, v uint64) (uint64, bool) {
 	return old, present
 }
 
-// Scan records a range-scan observation; it panics if the wrapped set
-// does not implement set.Scanner.
-func (h *Handle) Scan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
+// Scan records a range-scan observation, the pairs it appended to dst
+// (a copy, so the caller may reuse its buffer); it panics if the
+// wrapped set does not implement set.Scanner.
+func (h *Handle) Scan(p *flock.Proc, lo, hi uint64, limit int, dst []set.KV) []set.KV {
 	sc, ok := h.r.s.(set.Scanner)
 	if !ok {
 		panic("lincheck: wrapped set does not implement set.Scanner")
 	}
 	start := h.r.clock.Add(1)
-	res := sc.Scan(p, lo, hi, limit)
+	res := sc.Scan(p, lo, hi, limit, dst)
 	end := h.r.clock.Add(1)
 	h.r.hists[h.w] = append(h.r.hists[h.w], Op{
-		Kind: KScan, Lo: lo, Hi: hi, Limit: limit, Scan: res,
+		Kind: KScan, Lo: lo, Hi: hi, Limit: limit, Scan: slices.Clone(res[len(dst):]),
 		Start: start, End: end, Worker: h.w,
 	})
 	return res

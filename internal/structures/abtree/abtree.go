@@ -16,6 +16,7 @@ package abtree
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	flock "flock/internal/core"
@@ -209,51 +210,61 @@ func (t *Tree) Delete(p *flock.Proc, k uint64) bool {
 
 // Scan implements set.Scanner: an in-order walk of the children whose
 // covering interval ([keys[i-1], keys[i])) intersects [lo, hi],
-// collecting the qualifying slice of each intersecting leaf. Key arrays
-// are immutable and nodes are replaced copy-on-write, so each loaded
-// node is a point snapshot of its interval (interval semantics, as in
-// leaftree). The body is a single idempotent thunk: logged loads,
+// appending the qualifying slice of each intersecting leaf to dst. Key
+// arrays are immutable and nodes are replaced copy-on-write, so each
+// loaded node is a point snapshot of its interval (interval semantics,
+// as in leaftree). The body is a single idempotent thunk: logged loads,
 // run-local accumulation, no locks taken.
-func (t *Tree) Scan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
+func (t *Tree) Scan(p *flock.Proc, lo, hi uint64, limit int, dst []set.KV) []set.KV {
 	lo, hi = set.ClampScanBounds(lo, hi)
 	if limit == 0 {
-		return nil
+		return dst
 	}
 	p.Begin()
 	defer p.End()
-	var out []set.KV
-	var walk func(n *node) bool // false once limit is reached
-	walk = func(n *node) bool {
-		if n.leaf {
-			i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= lo })
-			for ; i < len(n.keys) && n.keys[i] <= hi; i++ {
-				out = append(out, set.KV{Key: n.keys[i], Value: n.vals[i]})
-				if limit > 0 && len(out) >= limit {
-					return false
-				}
+	w := scanWalk{p: p, lo: lo, hi: hi, out: dst, end: len(dst) + limit}
+	w.walk(t.entry.children[0].Load(p))
+	return w.out
+}
+
+// scanWalk is one Scan's state. It lives on Scan's stack, so the walk
+// allocates nothing but the growth of out.
+type scanWalk struct {
+	p      *flock.Proc
+	lo, hi uint64
+	out    []set.KV
+	// end is the length of out at which the walk stops. An unbounded
+	// scan (limit < 0) sets it below the starting length, where out
+	// never returns once it has grown.
+	end int
+}
+
+// walk visits n; it returns false once the limit is reached.
+func (w *scanWalk) walk(n *node) bool {
+	if n.leaf {
+		i, _ := slices.BinarySearch(n.keys, w.lo)
+		for ; i < len(n.keys) && n.keys[i] <= w.hi; i++ {
+			w.out = append(w.out, set.KV{Key: n.keys[i], Value: n.vals[i]})
+			if len(w.out) == w.end {
+				return false
 			}
-			return true
-		}
-		clo := uint64(0)
-		for i := range n.children {
-			chi := uint64(math.MaxUint64)
-			if i < len(n.keys) {
-				chi = n.keys[i] // child i covers [clo, chi)
-			}
-			// Intersects iff clo <= hi and lo < chi (chi is exclusive;
-			// the last child's chi of MaxUint64 always exceeds the
-			// clamped lo).
-			if clo <= hi && lo < chi {
-				if !walk(n.children[i].Load(p)) {
-					return false
-				}
-			}
-			clo = chi
 		}
 		return true
 	}
-	walk(t.entry.children[0].Load(p))
-	return out
+	clo := uint64(0)
+	for i := range n.children {
+		chi := uint64(math.MaxUint64)
+		if i < len(n.keys) {
+			chi = n.keys[i] // child i covers [clo, chi)
+		}
+		// Intersects iff clo <= hi and lo < chi (chi is exclusive; the
+		// last child's chi of MaxUint64 always exceeds the clamped lo).
+		if clo <= w.hi && w.lo < chi && !w.walk(n.children[i].Load(w.p)) {
+			return false
+		}
+		clo = chi
+	}
+	return true
 }
 
 // splitChild splits full node cur (a child of par at parIdx) into two

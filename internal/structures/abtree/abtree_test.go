@@ -1,6 +1,7 @@
 package abtree
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -159,5 +160,29 @@ func TestConcurrentStructuralStorm(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestAllocsScan pins the stack walker: a Scan appending into a dst with
+// room for its result allocates nothing, in either mode.
+func TestAllocsScan(t *testing.T) {
+	for _, blocking := range []bool{false, true} {
+		rt := flock.New()
+		rt.SetBlocking(blocking)
+		p := rt.Register()
+		tr := New(rt)
+		for k := uint64(1); k <= 256; k++ {
+			tr.Insert(p, k, k)
+		}
+		dst := make([]set.KV, 0, 32)
+		op := func() {
+			if dst = tr.Scan(p, 40, math.MaxUint64, 32, dst[:0]); len(dst) != 32 || dst[0].Key != 40 {
+				t.Fatalf("blocking=%v: Scan(40, max, 32) = %v", blocking, dst)
+			}
+		}
+		if n := testing.AllocsPerRun(200, op); n != 0 {
+			t.Errorf("blocking=%v: Scan into a sized dst allocates %v per op, want 0", blocking, n)
+		}
+		p.Unregister()
 	}
 }

@@ -167,15 +167,15 @@ func (l *List) Delete(p *flock.Proc, k uint64) bool {
 // pointer is frozen and the removed flag makes each reported pair's
 // presence instant well defined (interval semantics, DESIGN.md S12).
 // The body is a single idempotent thunk: logged loads, run-local
-// accumulation, no locks taken.
-func (l *List) Scan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
+// accumulation into dst, no locks taken.
+func (l *List) Scan(p *flock.Proc, lo, hi uint64, limit int, dst []set.KV) []set.KV {
 	lo, hi = set.ClampScanBounds(lo, hi)
 	if limit == 0 {
-		return nil
+		return dst
 	}
 	p.Begin()
 	defer p.End()
-	var out []set.KV
+	out, end := dst, len(dst)+limit // limit < 0: end is never reached
 	curr := l.head.next.Load(p)
 	for curr.k < lo {
 		curr = curr.next.Load(p)
@@ -183,7 +183,7 @@ func (l *List) Scan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
 	for curr.k <= hi { // the tail sentinel MaxUint64 always exceeds hi
 		if !curr.removed.Load(p) {
 			out = append(out, set.KV{Key: curr.k, Value: curr.v})
-			if limit > 0 && len(out) >= limit {
+			if len(out) == end {
 				break
 			}
 		}

@@ -130,19 +130,19 @@ func (l *List) Delete(p *flock.Proc, k uint64) bool {
 // splice, and in between Find and Insert still see the key, so a scan
 // that skipped the flagged link would report the key absent too early.
 // The body is a single idempotent thunk: logged loads, run-local
-// accumulation.
-func (l *List) Scan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
+// accumulation into dst.
+func (l *List) Scan(p *flock.Proc, lo, hi uint64, limit int, dst []set.KV) []set.KV {
 	lo, hi = set.ClampScanBounds(lo, hi)
 	if limit == 0 {
-		return nil
+		return dst
 	}
 	p.Begin()
 	defer p.End()
-	var out []set.KV
+	out, end := dst, len(dst)+limit // limit < 0: end is never reached
 	curr := l.findLink(p, lo)
 	for curr.k <= hi { // the tail sentinel MaxUint64 always exceeds hi
 		out = append(out, set.KV{Key: curr.k, Value: curr.v})
-		if limit > 0 && len(out) >= limit {
+		if len(out) == end {
 			break
 		}
 		curr = curr.next.Load(p)

@@ -133,7 +133,7 @@ func TestScanAgreesWithFindMidDelete(t *testing.T) {
 	if v, ok := l.Find(p, 2); !ok || v != 20 {
 		t.Fatalf("Find(2) = (%d,%v), want (20,true)", v, ok)
 	}
-	got := l.Scan(p, 0, math.MaxUint64, -1)
+	got := l.Scan(p, 0, math.MaxUint64, -1, nil)
 	want := []set.KV{{Key: 1, Value: 10}, {Key: 2, Value: 20}, {Key: 3, Value: 30}}
 	if len(got) != len(want) {
 		t.Fatalf("Scan = %v, want %v", got, want)

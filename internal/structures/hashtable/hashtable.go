@@ -7,8 +7,9 @@
 package hashtable
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	flock "flock/internal/core"
@@ -191,24 +192,24 @@ func (t *Table) Upsert(p *flock.Proc, k uint64, f func(old uint64, present bool)
 }
 
 // Scan implements set.Scanner on the unordered table: every chain is
-// walked once, in-range live pairs are collected run-locally, and the
-// result is sorted by key before the limit is applied (qualifying keys
-// are scattered across buckets, so an unordered structure cannot
-// early-exit on limit). The body keeps Scanner's thunk contract —
+// walked once, in-range live pairs are appended to dst run-locally, and
+// the appended tail is sorted by key before the limit is applied
+// (qualifying keys are scattered across buckets, so an unordered
+// structure cannot early-exit on limit). The body keeps Scanner's thunk contract —
 // logged loads only, run-local accumulation, no locks taken — so it can
 // run at top level (weak interval consistency) or nested under the KV
 // layer's shard locks. The cost is O(buckets + hits·log hits) rather
 // than the trees' output-proportional walks; the table exists for
 // point-op throughput, and its scan consumers (the snapshot iterator,
 // conserved-sum audits) accept the full sweep.
-func (t *Table) Scan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
+func (t *Table) Scan(p *flock.Proc, lo, hi uint64, limit int, dst []set.KV) []set.KV {
 	lo, hi = set.ClampScanBounds(lo, hi)
 	if limit == 0 || lo > hi {
-		return nil
+		return dst
 	}
 	p.Begin()
 	defer p.End()
-	var out []set.KV
+	out := dst
 	for i := range t.buckets {
 		for c := t.buckets[i].next.Load(p); c != nil; c = c.next.Load(p) {
 			if c.k >= lo && c.k <= hi && !c.removed.Load(p) {
@@ -216,9 +217,9 @@ func (t *Table) Scan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
 			}
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Key < out[b].Key })
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
+	slices.SortFunc(out[len(dst):], func(a, b set.KV) int { return cmp.Compare(a.Key, b.Key) })
+	if limit > 0 && len(out)-len(dst) > limit {
+		out = out[:len(dst)+limit]
 	}
 	return out
 }

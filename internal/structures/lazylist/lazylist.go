@@ -129,24 +129,25 @@ func (l *List) Delete(p *flock.Proc, k uint64) bool {
 }
 
 // Scan implements set.Scanner: an optimistic forward traversal from the
-// first node with key >= lo, skipping nodes whose removed flag is set
-// (each reported pair was present at the instant its removed flag read
-// false). The body is a single idempotent thunk — only logged loads and
-// run-local accumulation — so nested inside a composed critical section
-// every helper replay collects the identical pairs (DESIGN.md S12).
-func (l *List) Scan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
+// first node with key >= lo, appending to dst and skipping nodes whose
+// removed flag is set (each reported pair was present at the instant
+// its removed flag read false). The body is a single idempotent thunk
+// — only logged loads and run-local accumulation — so nested inside a
+// composed critical section every helper replay collects the identical
+// pairs (DESIGN.md S12).
+func (l *List) Scan(p *flock.Proc, lo, hi uint64, limit int, dst []set.KV) []set.KV {
 	lo, hi = set.ClampScanBounds(lo, hi)
 	if limit == 0 {
-		return nil
+		return dst
 	}
 	p.Begin()
 	defer p.End()
-	var out []set.KV
+	out, end := dst, len(dst)+limit // limit < 0: end is never reached
 	_, curr := l.locate(p, lo)
 	for curr.k <= hi { // the tail sentinel MaxUint64 always exceeds hi
 		if !curr.removed.Load(p) {
 			out = append(out, set.KV{Key: curr.k, Value: curr.v})
-			if limit > 0 && len(out) >= limit {
+			if len(out) == end {
 				break
 			}
 		}

@@ -15,6 +15,7 @@ package leaftreap
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	flock "flock/internal/core"
@@ -208,44 +209,57 @@ func (t *Tree) Delete(p *flock.Proc, k uint64) bool {
 }
 
 // Scan implements set.Scanner: an in-order walk of the routing tree
-// pruned to [lo, hi], collecting the qualifying slice of each
-// intersecting leaf block. Blocks are immutable and replaced
+// pruned to [lo, hi], appending the qualifying slice of each
+// intersecting leaf block to dst. Blocks are immutable and replaced
 // copy-on-write, so each loaded block is a consistent point snapshot of
 // its key interval (interval semantics across blocks, as in leaftree).
 // The body is a single idempotent thunk: logged loads, run-local
 // accumulation. The clamped hi is below the inf2 root sentinel, so the
 // root's (always empty) right block is never visited.
-func (t *Tree) Scan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
+func (t *Tree) Scan(p *flock.Proc, lo, hi uint64, limit int, dst []set.KV) []set.KV {
 	lo, hi = set.ClampScanBounds(lo, hi)
 	if limit == 0 {
-		return nil
+		return dst
 	}
 	p.Begin()
 	defer p.End()
-	var out []set.KV
-	var walk func(n *node) bool // false once limit is reached
-	walk = func(n *node) bool {
-		if n.leaf {
-			i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= lo })
-			for ; i < len(n.keys) && n.keys[i] <= hi; i++ {
-				out = append(out, set.KV{Key: n.keys[i], Value: n.vals[i]})
-				if limit > 0 && len(out) >= limit {
-					return false
-				}
+	w := scanWalk{p: p, lo: lo, hi: hi, out: dst, end: len(dst) + limit}
+	w.walk(t.root)
+	return w.out
+}
+
+// scanWalk is one Scan's state. It lives on Scan's stack, so the walk
+// allocates nothing but the growth of out.
+type scanWalk struct {
+	p      *flock.Proc
+	lo, hi uint64
+	out    []set.KV
+	// end is the length of out at which the walk stops. An unbounded
+	// scan (limit < 0) sets it below the starting length, where out
+	// never returns once it has grown.
+	end int
+}
+
+// walk visits n; it returns false once the limit is reached.
+func (w *scanWalk) walk(n *node) bool {
+	if n.leaf {
+		i, _ := slices.BinarySearch(n.keys, w.lo)
+		for ; i < len(n.keys) && n.keys[i] <= w.hi; i++ {
+			w.out = append(w.out, set.KV{Key: n.keys[i], Value: n.vals[i]})
+			if len(w.out) == w.end {
+				return false
 			}
-			return true
-		}
-		// n.left covers keys < n.k, n.right covers keys >= n.k.
-		if lo < n.k && !walk(n.left.Load(p)) {
-			return false
-		}
-		if hi >= n.k {
-			return walk(n.right.Load(p))
 		}
 		return true
 	}
-	walk(t.root)
-	return out
+	// n.left covers keys < n.k, n.right covers keys >= n.k.
+	if w.lo < n.k && !w.walk(n.left.Load(w.p)) {
+		return false
+	}
+	if w.hi >= n.k {
+		return w.walk(n.right.Load(w.p))
+	}
+	return true
 }
 
 // Keys returns the sorted key snapshot (single-threaded use).

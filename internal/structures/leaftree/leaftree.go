@@ -270,9 +270,9 @@ func (t *Tree) UpsertAt(p *flock.Proc, at set.Position, k, v uint64) (uint64, bo
 }
 
 // Scan implements set.Scanner: an in-order walk of the subtrees whose
-// routing interval intersects [lo, hi], collecting qualifying leaves.
-// Subtrees are not copy-on-write: a subtree the walk loaded through a
-// node that a delete then spliced out stays live, takes the spliced
+// routing interval intersects [lo, hi], appending qualifying leaves to
+// dst. Subtrees are not copy-on-write: a subtree the walk loaded through
+// a node that a delete then spliced out stays live, takes the spliced
 // node's wider interval, and can gain leaves the walk already passed.
 // So the walk carries each position's routing interval down the path
 // and reports a leaf only inside it: for every key, the walk's loads
@@ -282,38 +282,47 @@ func (t *Tree) UpsertAt(p *flock.Proc, at set.Position, k, v uint64) (uint64, bo
 // loads only, run-local accumulation, no locks taken. The inf1/inf2
 // sentinel leaves route above every clamped bound and are never
 // reported.
-func (t *Tree) Scan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
+func (t *Tree) Scan(p *flock.Proc, lo, hi uint64, limit int, dst []set.KV) []set.KV {
 	lo, hi = set.ClampScanBounds(lo, hi)
 	if limit == 0 {
-		return nil
+		return dst
 	}
 	p.Begin()
 	defer p.End()
-	var out []set.KV
-	// walk visits n, whose position routes the keys [lo, hi] (narrowed
-	// to the scan bounds); it returns false once limit is reached.
-	var walk func(n *node, lo, hi uint64) bool
-	walk = func(n *node, lo, hi uint64) bool {
-		if n.leaf {
-			if n.k >= lo && n.k <= hi && n.k < inf1 {
-				out = append(out, set.KV{Key: n.k, Value: n.v})
-				if limit > 0 && len(out) >= limit {
-					return false
-				}
-			}
-			return true
-		}
-		// n.left covers keys < n.k, n.right covers keys >= n.k.
-		if lo < n.k && !walk(n.left.Load(p), lo, min(hi, n.k-1)) {
-			return false
-		}
-		if hi >= n.k {
-			return walk(n.right.Load(p), max(lo, n.k), hi)
+	w := scanWalk{p: p, out: dst, end: len(dst) + limit}
+	w.walk(t.root, lo, hi)
+	return w.out
+}
+
+// scanWalk is one Scan's state. It lives on Scan's stack, so the walk
+// allocates nothing but the growth of out.
+type scanWalk struct {
+	p   *flock.Proc
+	out []set.KV
+	// end is the length of out at which the walk stops. An unbounded
+	// scan (limit < 0) sets it below the starting length, where out
+	// never returns once it has grown.
+	end int
+}
+
+// walk visits n, whose position routes the keys [lo, hi] (narrowed to
+// the scan bounds); it returns false once the limit is reached.
+func (w *scanWalk) walk(n *node, lo, hi uint64) bool {
+	if n.leaf {
+		if n.k >= lo && n.k <= hi && n.k < inf1 {
+			w.out = append(w.out, set.KV{Key: n.k, Value: n.v})
+			return len(w.out) != w.end
 		}
 		return true
 	}
-	walk(t.root, lo, hi)
-	return out
+	// n.left covers keys < n.k, n.right covers keys >= n.k.
+	if lo < n.k && !w.walk(n.left.Load(w.p), lo, min(hi, n.k-1)) {
+		return false
+	}
+	if hi >= n.k {
+		return w.walk(n.right.Load(w.p), max(lo, n.k), hi)
+	}
+	return true
 }
 
 func maxKey(a, b uint64) uint64 {

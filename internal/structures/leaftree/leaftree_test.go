@@ -159,7 +159,7 @@ func TestScanThroughSplicedOutParent(t *testing.T) {
 	// The scan's view: it loaded pp before the delete.
 	view := New(rt)
 	view.root.left.Init(pp)
-	got := view.Scan(p, 0, math.MaxUint64, -1)
+	got := view.Scan(p, 0, math.MaxUint64, -1, nil)
 	want := []set.KV{{Key: 1, Value: 1}, {Key: 3, Value: 3}, {Key: 5, Value: 5}}
 	if len(got) != len(want) {
 		t.Fatalf("scan through spliced-out parent = %v, want %v", got, want)
@@ -360,5 +360,29 @@ func TestAllocsUpsertPresentKey(t *testing.T) {
 	}
 	if got[0] != got[1] || got[0] != 2 {
 		t.Errorf("Upsert of a present key allocates %v per op lock-free, %v blocking, want 2 (leaf + closure) in both", got[0], got[1])
+	}
+}
+
+// TestAllocsScan pins the stack walker: a Scan appending into a dst with
+// room for its result allocates nothing, in either mode.
+func TestAllocsScan(t *testing.T) {
+	for _, blocking := range []bool{false, true} {
+		rt := flock.New()
+		rt.SetBlocking(blocking)
+		p := rt.Register()
+		tr := New(rt)
+		for k := uint64(1); k <= 256; k++ {
+			tr.Insert(p, k, k)
+		}
+		dst := make([]set.KV, 0, 32)
+		op := func() {
+			if dst = tr.Scan(p, 40, math.MaxUint64, 32, dst[:0]); len(dst) != 32 || dst[0].Key != 40 {
+				t.Fatalf("blocking=%v: Scan(40, max, 32) = %v", blocking, dst)
+			}
+		}
+		if n := testing.AllocsPerRun(200, op); n != 0 {
+			t.Errorf("blocking=%v: Scan into a sized dst allocates %v per op, want 0", blocking, n)
+		}
+		p.Unregister()
 	}
 }

@@ -39,29 +39,35 @@ type KV struct {
 	Value uint64
 }
 
-// Scanner is optionally implemented by ordered sets. Scan returns the
-// key-value pairs with lo <= key <= hi in strictly ascending key order,
-// at most limit of them (limit < 0 means unbounded; limit 0 yields an
-// empty result, so callers can pass a computed budget through without
-// special-casing exhaustion). The bounds are
-// first clamped by ClampScanBounds, so the open-interval sentinels 0 and
+// Scanner is optionally implemented by ordered sets. Scan appends the
+// key-value pairs with lo <= key <= hi to dst in strictly ascending key
+// order, at most limit of them, and returns the extended slice, like
+// strconv's Append functions: dst[:len(dst)] is left untouched and
+// limit counts appended pairs only (limit < 0 means unbounded; limit 0
+// returns dst unchanged, so callers can pass a computed budget through
+// without special-casing exhaustion). Passing a previous result's
+// dst[:0] reuses its storage; nil allocates. The bounds are first
+// clamped by ClampScanBounds, so the open-interval sentinels 0 and
 // math.MaxUint64 are always safe to pass and reserved sentinel keys are
 // never returned.
 //
 // Consistency contract (interval semantics): a scan runs as a single
 // idempotent thunk — a pure traversal over logged loads with run-local
 // accumulation — so it may execute at top level (no lock) or nested
-// inside a composed critical section (kv.Scan runs it under shard
-// locks), and helper replays recompute the identical result. Concurrent
-// mutations make a top-level scan weakly consistent rather than an
-// atomic snapshot: every returned pair was present at some instant
-// during the scan, and every in-range key missing from the result was
-// absent at some instant during the scan, but different keys may be
-// observed at different instants (lincheck checks exactly this, per
-// key, against the scan's invocation window; DESIGN.md S12).
+// inside a composed critical section, and helper replays recompute the
+// identical result. Inside a thunk dst must be run-local too (nil, or a
+// buffer the run itself allocated): a helper replaying the thunk runs
+// the same Scan, and two runs appending into one shared buffer would
+// race. Concurrent mutations make a top-level scan weakly consistent
+// rather than an atomic snapshot: every returned pair was present at
+// some instant during the scan, and every in-range key missing from the
+// result was absent at some instant during the scan, but different keys
+// may be observed at different instants (lincheck checks exactly this,
+// per key, against the scan's invocation window; DESIGN.md S12).
 type Scanner interface {
-	// Scan collects the pairs in [lo, hi], ascending, up to limit.
-	Scan(p *flock.Proc, lo, hi uint64, limit int) []KV
+	// Scan appends the pairs in [lo, hi], ascending, up to limit of
+	// them, to dst and returns the extended slice.
+	Scan(p *flock.Proc, lo, hi uint64, limit int, dst []KV) []KV
 }
 
 // MaxKey is the largest key every structure accepts (see the package
@@ -124,7 +130,7 @@ func (c *Cursor) Next(p *flock.Proc, chunk int) []KV {
 	if c.done || chunk <= 0 {
 		return nil
 	}
-	run := c.sc.Scan(p, c.next, c.hi, chunk)
+	run := c.sc.Scan(p, c.next, c.hi, chunk, nil)
 	c.Advance(run, chunk)
 	return run
 }

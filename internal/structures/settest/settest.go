@@ -46,8 +46,9 @@ var Modes = []struct {
 // linearizability passes; structures that implement set.Scanner (the
 // ordered structures) additionally get the scan conformance passes:
 // sequential model scans, the sentinel-bounds pin, the limit-0 pin, the
-// concurrent-mutation differential against a mutex-protected map, and
-// scan linearizability (interval semantics) through lincheck.
+// append-form pin, the concurrent-mutation differential against a
+// mutex-protected map, and scan linearizability (interval semantics)
+// through lincheck.
 // Structures that implement set.Locator get a located-operation model
 // pass. Every structure gets the key-bounds pass.
 func Run(t *testing.T, f Factory) { run(t, f, false) }
@@ -97,6 +98,7 @@ func run(t *testing.T, f Factory, composable bool) {
 				t.Run("ScanModel", func(t *testing.T) { scanModel(t, f, m.Blocking) })
 				t.Run("ScanSentinelBounds", func(t *testing.T) { scanSentinelBounds(t, f, m.Blocking) })
 				t.Run("ScanLimitZero", func(t *testing.T) { scanLimitZero(t, f, m.Blocking) })
+				t.Run("ScanAppend", func(t *testing.T) { scanAppend(t, f, m.Blocking) })
 				t.Run("CursorEquivalence", func(t *testing.T) { cursorEquivalence(t, f, m.Blocking) })
 				t.Run("ScanConcurrentDifferential", func(t *testing.T) { scanConcurrentDifferential(t, f, m.Blocking) })
 				t.Run("ScanLinearizable", func(t *testing.T) { scanLinearizable(t, f, m.Blocking) })
@@ -678,7 +680,7 @@ func scanModel(t *testing.T, f Factory, blocking bool) {
 			if rng.Intn(2) == 0 {
 				limit = rng.Intn(12) + 1
 			}
-			got := sc.Scan(p, lo, hi, limit)
+			got := sc.Scan(p, lo, hi, limit, nil)
 			want := expectedScan(model, lo, hi, limit)
 			if len(got) != len(want) {
 				t.Fatalf("op %d: Scan(%d,%d,%d) = %d pairs, want %d", i, lo, hi, limit, len(got), len(want))
@@ -709,7 +711,7 @@ func scanSentinelBounds(t *testing.T, f Factory, blocking bool) {
 	}
 	check := func(lo, hi uint64, limit int, want ...uint64) {
 		t.Helper()
-		got := sc.Scan(p, lo, hi, limit)
+		got := sc.Scan(p, lo, hi, limit, nil)
 		if len(got) != len(want) {
 			t.Fatalf("Scan(%d,%d,%d) = %v, want keys %v", lo, hi, limit, got, want)
 		}
@@ -761,7 +763,7 @@ func cursorEquivalence(t *testing.T, f Factory, blocking bool) {
 		intervals = append(intervals, [2]uint64{lo, lo + uint64(rng.Intn(keySpace))})
 	}
 	for _, iv := range intervals {
-		want := sc.Scan(p, iv[0], iv[1], -1)
+		want := sc.Scan(p, iv[0], iv[1], -1, nil)
 		for _, chunk := range []int{1, 3, 7, len(want), len(want) + 1, 64} {
 			if chunk <= 0 {
 				continue
@@ -811,7 +813,7 @@ func scanLimitZero(t *testing.T, f Factory, blocking bool) {
 	checkEmpty := func(stage string) {
 		t.Helper()
 		for _, b := range bounds {
-			if got := sc.Scan(p, b[0], b[1], 0); len(got) != 0 {
+			if got := sc.Scan(p, b[0], b[1], 0, nil); len(got) != 0 {
 				t.Fatalf("%s: Scan(%d,%d,0) = %v, want empty", stage, b[0], b[1], got)
 			}
 		}
@@ -822,8 +824,73 @@ func scanLimitZero(t *testing.T, f Factory, blocking bool) {
 	}
 	checkEmpty("populated structure")
 	// limit 0 is not sticky: the same structure still scans normally.
-	if got := sc.Scan(p, 0, math.MaxUint64, -1); len(got) != 64 {
+	if got := sc.Scan(p, 0, math.MaxUint64, -1, nil); len(got) != 64 {
 		t.Fatalf("unbounded scan after limit-0 scans: %d pairs, want 64", len(got))
+	}
+}
+
+// scanAppend pins Scanner's append form on every Scanner: the pairs
+// are appended after dst's prefix, which stays untouched; limit counts
+// appended pairs only; a dirty dst with spare capacity yields the same
+// appended pairs as nil; and limit 0 returns dst itself, unchanged.
+func scanAppend(t *testing.T, f Factory, blocking bool) {
+	s, rt := newSet(f, blocking)
+	sc := s.(set.Scanner)
+	p := rt.Register()
+	defer p.Unregister()
+	model := map[uint64]uint64{}
+	for k := uint64(3); k <= 120; k += 3 {
+		s.Insert(p, k, k*7)
+		model[k] = k * 7
+	}
+	junk := set.KV{Key: math.MaxUint64, Value: 0xbad}
+	prefix := []set.KV{{Key: 900, Value: 1}, {Key: 2, Value: 2}, {Key: 450, Value: 3}}
+	rng := rand.New(rand.NewSource(61))
+	for i := 0; i < 400; i++ {
+		lo := uint64(rng.Intn(130))
+		hi := lo + uint64(rng.Intn(130))
+		if rng.Intn(8) == 0 {
+			lo, hi = 0, math.MaxUint64
+		}
+		limit := rng.Intn(16) - 2 // -2..13: unbounded, zero and bounded
+		want := expectedScan(model, lo, hi, limit)
+		call := fmt.Sprintf("op %d: Scan(%d,%d,%d)", i, lo, hi, limit)
+
+		fromNil := sc.Scan(p, lo, hi, limit, nil)
+		equalKVs(t, call+" into nil", fromNil, want)
+
+		// A dirty dst: a prefix to keep and spare capacity full of junk.
+		dst := make([]set.KV, len(prefix), len(prefix)+8+rng.Intn(64))
+		copy(dst, prefix)
+		for j := len(dst); j < cap(dst); j++ {
+			dst[:cap(dst)][j] = junk
+		}
+		got := sc.Scan(p, lo, hi, limit, dst)
+		if len(got) < len(prefix) {
+			t.Fatalf("%s: result of %d pairs drops the %d-pair prefix", call, len(got), len(prefix))
+		}
+		equalKVs(t, call+" prefix", got[:len(prefix)], prefix)
+		equalKVs(t, call+" prefix (dst)", dst, prefix)
+		equalKVs(t, call+" appended", got[len(prefix):], want)
+		if limit == 0 && (len(got) != len(dst) || cap(got) != cap(dst) || &got[0] != &dst[0]) {
+			t.Fatalf("%s: limit 0 returned a slice other than dst", call)
+		}
+	}
+	if got := sc.Scan(p, 0, math.MaxUint64, 0, nil); got != nil {
+		t.Fatalf("Scan(0,max,0) into nil = %v, want nil", got)
+	}
+}
+
+// equalKVs fails t unless got and want hold the same pairs.
+func equalKVs(t *testing.T, what string, got, want []set.KV) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d pairs, want %d (%v, want %v)", what, len(got), len(want), got, want)
+	}
+	for j := range got {
+		if got[j] != want[j] {
+			t.Fatalf("%s: pair %d = %v, want %v", what, j, got[j], want[j])
+		}
 	}
 }
 
@@ -906,6 +973,7 @@ func scanConcurrentDifferential(t *testing.T, f Factory, blocking bool) {
 			p := rt.Register()
 			defer p.Unregister()
 			rng := rand.New(rand.NewSource(int64(g)*991 + 3))
+			var buf []set.KV // reused: every scan appends over the last one's pairs
 			for {
 				select {
 				case <-done:
@@ -918,7 +986,8 @@ func scanConcurrentDifferential(t *testing.T, f Factory, blocking bool) {
 				if rng.Intn(3) == 0 {
 					limit = rng.Intn(24) + 1
 				}
-				got := scan(p, lo, hi, limit)
+				got := scan(p, lo, hi, limit, buf[:0])
+				buf = got
 				if limit > 0 && len(got) > limit {
 					fail("scan over limit: %d > %d", len(got), limit)
 					return
@@ -975,7 +1044,7 @@ func scanConcurrentDifferential(t *testing.T, f Factory, blocking bool) {
 	// Quiesced: the final full scan must equal the model exactly.
 	p := rt.Register()
 	defer p.Unregister()
-	got := scan(p, 0, math.MaxUint64, -1)
+	got := scan(p, 0, math.MaxUint64, -1, nil)
 	want := expectedScan(model, 0, math.MaxUint64, -1)
 	if len(got) != len(want) {
 		t.Fatalf("final scan: %d pairs, model has %d", len(got), len(want))
@@ -1025,9 +1094,9 @@ func scanLinearizable(t *testing.T, f Factory, blocking bool) {
 					if rng.Intn(3) == 0 {
 						limit = rng.Intn(keys) + 1
 					}
-					scan(p, lo, hi, limit)
+					scan(p, lo, hi, limit, nil)
 				default:
-					scan(p, 0, math.MaxUint64, -1)
+					scan(p, 0, math.MaxUint64, -1, nil)
 				}
 			}
 		}(w)
@@ -1138,7 +1207,7 @@ func optimisticScanModel(t *testing.T, f Factory, blocking bool) {
 					limit = rng.Intn(12) + 1
 				}
 				before := lockCounts(p)
-				got := sc.Scan(p, lo, hi, limit)
+				got := sc.Scan(p, lo, hi, limit, nil)
 				lockFree(t, p, before, fmt.Sprintf("op %d: Scan(%d,%d,%d)", i, lo, hi, limit))
 				want := expectedScan(model, lo, hi, limit)
 				if len(got) != len(want) {
@@ -1179,8 +1248,8 @@ func (n *nested) Delete(p *flock.Proc, k uint64) bool {
 	return n.run(p, k, func(hp *flock.Proc) bool { return n.Set.Delete(hp, k) })
 }
 
-func (n *nested) Scan(p *flock.Proc, lo, hi uint64, limit int) []set.KV {
-	return n.Set.(set.Scanner).Scan(p, lo, hi, limit)
+func (n *nested) Scan(p *flock.Proc, lo, hi uint64, limit int, dst []set.KV) []set.KV {
+	return n.Set.(set.Scanner).Scan(p, lo, hi, limit, dst)
 }
 
 // run retries op's outer critical section until it commits. Each
