@@ -112,6 +112,26 @@ func (p *Proc) drainReuse() {
 	}
 }
 
+// Epoch returns the runtime's global epoch. A layer above the core that
+// recycles objects its thunks capture stamps each one with Epoch when it
+// stops using it and reuses it only once Ripe(stamp) holds (DESIGN.md
+// S10).
+func (p *Proc) Epoch() uint64 { return p.rt.epochs.GlobalEpoch() }
+
+// Ripe reports whether an object stamped with Epoch at e has passed its
+// grace period: every operation, and every helper lowered to the birth
+// epoch of a descriptor it replays, that could still reference the
+// object has finished. Like drainReuse, it tries to advance the epoch
+// once when e is not yet ripe.
+func (p *Proc) Ripe(e uint64) bool {
+	m := p.rt.epochs
+	if e < m.SafeBefore() {
+		return true
+	}
+	m.TryAdvance()
+	return e < m.SafeBefore()
+}
+
 // reuseTickDrain is the per-guard-entry cadence hook called from Begin.
 func (p *Proc) reuseTickDrain() {
 	if len(p.pending) == 0 {

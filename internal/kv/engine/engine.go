@@ -92,16 +92,26 @@ func (e *Engine) ShardIndices(keys []uint64) []int {
 	return out
 }
 
-// Group returns the sorted, deduplicated union of the precomputed
-// shard-index sets — the lock acquisition order for the operation's
-// footprint. A group of length 1 is the planner's single-shard fast
-// path: consumers take the one-lock arm (a single validated read, a
-// single-lock critical section) with no vector or merge machinery.
-// seen is an optional scratch bitmap with one entry per shard, reused
-// across operations (it is only touched at top level, never captured by
-// thunk closures); nil allocates a fresh one. The returned slice is always
-// fresh — thunk closures capture it.
+// Group returns AppendGroup(nil, seen, idxSets...), a fresh slice. No
+// store plans through it; it stays only while perfbench's planner probe
+// calls it, and goes with the next change to perfbench.
 func (e *Engine) Group(seen []bool, idxSets ...[]int) []int {
+	return e.AppendGroup(nil, seen, idxSets...)
+}
+
+// AppendGroup appends to dst the sorted, deduplicated union of the
+// precomputed shard-index sets — the lock acquisition order for the
+// operation's footprint — and returns the extended slice. A group of
+// length 1 is the planner's single-shard fast path: consumers take the
+// one-lock arm (a single validated read, a single-lock critical
+// section) with no vector or merge machinery. seen is a scratch bitmap
+// with one entry per shard, reused across operations (it is only
+// touched at top level, never captured by thunk closures); nil
+// allocates a fresh one. dst may be scratch only if no thunk closure
+// outlives its reuse: the optimistic arm captures nothing, while a
+// composed section's thunks capture the group, so its storage must wait
+// out their grace period (internal/txn's recycled plans).
+func (e *Engine) AppendGroup(dst []int, seen []bool, idxSets ...[]int) []int {
 	if seen == nil {
 		seen = make([]bool, len(e.locks))
 	}
@@ -114,14 +124,14 @@ func (e *Engine) Group(seen []bool, idxSets ...[]int) []int {
 			}
 		}
 	}
-	out := make([]int, 0, n)
+	dst = slices.Grow(dst, n)
 	for s, hit := range seen {
 		if hit {
-			out = append(out, s)
+			dst = append(dst, s)
 			seen[s] = false // reset for the next operation
 		}
 	}
-	return out // ascending by construction
+	return dst // ascending by construction
 }
 
 // AllShards returns the whole-store group 0..n-1 (scans, snapshots).
@@ -147,17 +157,21 @@ func (e *Engine) AllShards() []int { return e.all }
 func (e *Engine) Nest(p *flock.Proc, shards []int, body func(hp *flock.Proc)) bool {
 	p.Begin()
 	defer p.End()
-	var nest func(hp *flock.Proc, i int) bool
-	nest = func(hp *flock.Proc, i int) bool {
-		if i == len(shards) {
-			body(hp)
-			return true
-		}
-		return e.locks[shards[i]].TryLock(hp, func(hp2 *flock.Proc) bool {
-			return nest(hp2, i+1)
-		})
+	return e.nest(p, shards, body)
+}
+
+// nest acquires shards[0] and runs the rest of the chain inside its
+// critical section: one thunk closure per level, capturing only the
+// remaining shards and body.
+func (e *Engine) nest(p *flock.Proc, shards []int, body func(hp *flock.Proc)) bool {
+	if len(shards) == 0 {
+		body(p)
+		return true
 	}
-	return nest(p, 0)
+	rest := shards[1:]
+	return e.locks[shards[0]].TryLock(p, func(hp *flock.Proc) bool {
+		return e.nest(hp, rest, body)
+	})
 }
 
 // backoff spins-then-yields with per-Proc jitter between transactional
@@ -178,11 +192,13 @@ func backoff(p *flock.Proc, attempt int) {
 
 // Atomic retries the composed critical section until the full lock
 // chain is acquired once — the transaction commit arm. mkBody returns a
-// fresh body per attempt: a straggler replaying a *failed* published
-// attempt must find that attempt's buffers, not the next one's
-// (DESIGN.md S11) — and the body must publish its results idempotently
-// (per-attempt atomics). Acquisition success means the body's effects
-// are durably logged, even if the physical completion was a helper's.
+// body per attempt whose buffers no earlier attempt's straggler can
+// reach: a straggler replaying a *failed* published attempt must find
+// that attempt's buffers, not the next one's (DESIGN.md S11), so they
+// are fresh or recycled past their grace period (S10) — and the body
+// must publish its results idempotently (per-attempt atomics).
+// Acquisition success means the body's effects are durably logged, even
+// if the physical completion was a helper's.
 //
 // With obs metrics enabled it records the committed operation's
 // nested-acquire depth (distinct shard locks — len(shards), since the
@@ -192,7 +208,8 @@ func backoff(p *flock.Proc, attempt int) {
 // emits a TxnSpan carrying the depth, the attempt count and the
 // acquire-to-commit duration. The foreign flag is a per-attempt atomic
 // the wrapped body sets idempotently, so helper replays keep the
-// thunk-determinism rules.
+// thunk-determinism rules. The flag and the wrapper are the obs-on cost
+// of an attempt, two allocations (internal/txn's TestAllocsTransfer).
 func (e *Engine) Atomic(p *flock.Proc, shards []int, mkBody func() func(hp *flock.Proc)) {
 	track := obs.On()
 	var t0 int64
@@ -373,10 +390,10 @@ func (e *Engine) optimistic(p *flock.Proc, shards []int, whole bool, read func(s
 
 // MergeRuns merges sorted per-shard runs into one ascending result of
 // at most limit pairs (limit < 0 unbounded, 0 empty). Shard routing
-// partitions the key space, so no key appears in two runs. Shared by
-// the scan path and the snapshot iterator's scatter-gather. The result
-// is always freshly allocated (or nil) and never aliases parts, the
-// one-run fast path included, so callers may reuse their run buffers.
+// partitions the key space, so no key appears in two runs. The scan
+// path merges with it. The result is always freshly allocated (or nil)
+// and never aliases parts, the one-run fast path included, so callers
+// may reuse their run buffers.
 func MergeRuns(parts [][]set.KV, limit int) []set.KV {
 	if limit == 0 {
 		return nil

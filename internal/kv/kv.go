@@ -235,12 +235,14 @@ type Client struct {
 	ops []uint64
 	// Top-level scratch, reused across operations and never captured by
 	// a thunk: a read called inside a thunk may be replayed by a helper,
-	// so it allocates its own. runs holds Scan's per-shard runs, seen
-	// and shardOf MultiGet's planner bitmap and key-to-shard map. None
-	// keeps a buffer above maxScratch elements (retain).
+	// so it allocates its own. runs holds Scan's per-shard runs, seen,
+	// shardOf and group MultiGet's planner bitmap, key-to-shard map and
+	// shard group. None keeps a buffer above maxScratch elements
+	// (retain).
 	runs    [][]set.KV
 	seen    []bool
 	shardOf []int
+	group   []int
 }
 
 // maxScratch caps each scratch buffer a Client keeps between
@@ -515,14 +517,18 @@ func (c *Client) MultiGet(keys []uint64) (vals []uint64, oks []bool) {
 	}
 	st := c.st
 	// The operation's footprint: each key's shard and the involved
-	// group, ascending and duplicate-free, planned in client scratch
-	// (this path runs only at top level).
+	// group, ascending and duplicate-free, planned in client scratch.
+	// This path runs only at top level, and the optimistic arm publishes
+	// neither into a descriptor, so no thunk outlives the call holding
+	// them.
 	shardOf := c.shardOf[:0]
 	for _, k := range keys {
 		shardOf = append(shardOf, st.ShardOf(k))
 	}
 	c.shardOf = retain(shardOf)
-	st.eng.Optimistic(c.p, st.eng.Group(c.seen, shardOf), func(s int) {
+	group := st.eng.AppendGroup(c.group[:0], c.seen, shardOf)
+	c.group = retain(group)
+	st.eng.Optimistic(c.p, group, func(s int) {
 		for i, k := range keys {
 			if shardOf[i] == s {
 				vals[i], oks[i] = st.shards[s].s.Find(c.p, k)

@@ -50,9 +50,10 @@ func TestAllocsScan(t *testing.T) {
 	}
 }
 
-// TestAllocsMultiGet pins a validated MultiGet at three allocations: its
-// two results and the shard group, which thunks may capture. The
-// key-to-shard map and the planner bitmap are client scratch.
+// TestAllocsMultiGet pins a validated MultiGet at two allocations, its
+// two results. The key-to-shard map, the planner bitmap and the shard
+// group are client scratch: the optimistic arm runs at top level and
+// publishes none of them into a descriptor.
 func TestAllocsMultiGet(t *testing.T) {
 	st := kv.NewComposed(leaftreeFactory, kv.Options{Shards: 8})
 	c := st.Register()
@@ -61,9 +62,9 @@ func TestAllocsMultiGet(t *testing.T) {
 		c.Put(k, k)
 	}
 	keys := []uint64{3, 17, 40, 58}
-	c.MultiGet(keys) // warm-up: the key-to-shard map grows once
-	if n := testing.AllocsPerRun(200, func() { c.MultiGet(keys) }); n != 3 {
-		t.Fatalf("validated MultiGet allocates %v per op, want 3", n)
+	c.MultiGet(keys) // warm-up: the key-to-shard map and the group grow once
+	if n := testing.AllocsPerRun(200, func() { c.MultiGet(keys) }); n != 2 {
+		t.Fatalf("validated MultiGet allocates %v per op, want 2", n)
 	}
 }
 

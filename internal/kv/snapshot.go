@@ -55,17 +55,18 @@ package kv
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
 	flock "flock/internal/core"
-	"flock/internal/kv/engine"
 	"flock/internal/structures/set"
 )
 
@@ -266,11 +267,12 @@ func (s *Snapshot) chunk(i int, pos, hi uint64, buf []set.KV) []set.KV {
 // overlay: pre-images replace read values, keys recorded absent at
 // activation are dropped, and overlay-only keys inside the interval
 // (present at activation, deleted since) are merged back in. raw is
-// sorted ascending; the result is too, and is a fresh slice that never
-// aliases raw (the next chunk reuses raw's storage).
-func (s *Snapshot) patch(i int, raw []set.KV, pos, end uint64) []set.KV {
+// sorted ascending; the result is too. It is built in out's storage,
+// which must not alias raw (the next chunk reuses raw's), and returned
+// for the next chunk to reuse.
+func (s *Snapshot) patch(i int, raw []set.KV, pos, end uint64, out []set.KV) []set.KV {
 	over := &s.over[i]
-	out := make([]set.KV, 0, len(raw))
+	out = slices.Grow(out[:0], len(raw))
 	for _, kv := range raw {
 		if e, ok := over.Load(kv.Key); ok {
 			pi := e.(preImage)
@@ -281,7 +283,7 @@ func (s *Snapshot) patch(i int, raw []set.KV, pos, end uint64) []set.KV {
 		}
 		out = append(out, kv)
 	}
-	var extra []set.KV
+	read := len(out)
 	over.Range(func(key, val any) bool {
 		k := key.(uint64)
 		if k < pos || k > end {
@@ -295,20 +297,20 @@ func (s *Snapshot) patch(i int, raw []set.KV, pos, end uint64) []set.KV {
 		if j < len(raw) && raw[j].Key == k {
 			return true // read by the chunk; already patched above
 		}
-		extra = append(extra, set.KV{Key: k, Value: pi.v})
+		out = append(out, set.KV{Key: k, Value: pi.v})
 		return true
 	})
-	if len(extra) == 0 {
-		return out
+	if len(out) > read {
+		slices.SortFunc(out, func(a, b set.KV) int { return cmp.Compare(a.Key, b.Key) })
 	}
-	sort.Slice(extra, func(a, b int) bool { return extra[a].Key < extra[b].Key })
-	return engine.MergeRuns([][]set.KV{out, extra}, -1)
+	return out
 }
 
 // shardSnapIter streams one shard's repaired pairs: a set.Cursor over
 // the raw structure (resumption by key, so nothing is pinned between
-// chunks) feeding patched, buffered runs. raw is the one chunk buffer
-// every read of this iterator reuses.
+// chunks) feeding patched, buffered runs. raw and buf are the buffers
+// every chunk of this iterator reuses: buf is consumed before the next
+// refill, so each patched chunk can overwrite the last.
 type shardSnapIter struct {
 	s   *Snapshot
 	i   int
@@ -331,7 +333,7 @@ func (it *shardSnapIter) head() (set.KV, bool) {
 			end = raw[len(raw)-1].Key
 		}
 		it.cur.Advance(raw, snapChunk)
-		it.buf = it.s.patch(it.i, raw, pos, end)
+		it.buf = it.s.patch(it.i, raw, pos, end, it.buf)
 		it.pos = 0
 	}
 	if it.pos < len(it.buf) {
@@ -355,7 +357,10 @@ func (s *Snapshot) Iterate(lo, hi uint64, fn func(k, v uint64) bool) {
 	}
 	its := make([]*shardSnapIter, len(s.st.shards))
 	for i := range its {
-		its[i] = &shardSnapIter{s: s, i: i, cur: set.NewCursor(s.st.shards[i].sc, lo, hi)}
+		its[i] = &shardSnapIter{
+			s: s, i: i, cur: set.NewCursor(s.st.shards[i].sc, lo, hi),
+			raw: make([]set.KV, 0, snapChunk),
+		}
 	}
 	for {
 		best := -1

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"testing"
 
 	flock "flock/internal/core"
@@ -102,5 +103,76 @@ func TestRestoreRefusesKeysOutsideKeySpace(t *testing.T) {
 	dst := New(func(rt *flock.Runtime, _ uint64) set.Set { return leaftree.New(rt) }, Options{Shards: 2})
 	if n, err := dst.Restore(&buf); err != nil || n != 1 {
 		t.Fatalf("Restore of key MaxKey = (%d, %v), want (1, nil)", n, err)
+	}
+}
+
+// TestSnapshotIterateRepairsChunks iterates a snapshot after every
+// third key was deleted, keys were inserted between the rest and every
+// fifth value was overwritten. Each shard spans several chunks, so the
+// overlay repair merges deleted keys back into chunks whose output
+// buffer the previous chunk filled.
+func TestSnapshotIterateRepairsChunks(t *testing.T) {
+	st := NewComposed(func(rt *flock.Runtime, _ uint64) set.Set { return leaftree.New(rt) },
+		Options{Shards: 2})
+	c := st.Register()
+	defer c.Close()
+	const n = 4 * snapChunk * 2
+	for k := uint64(2); k <= 2*n; k += 2 {
+		c.Put(k, k)
+	}
+	sn := st.Snapshot()
+	defer sn.Close()
+	for k := uint64(2); k <= 2*n; k += 2 {
+		switch {
+		case k%3 == 0:
+			c.Delete(k)
+		case k%5 == 0:
+			c.Put(k, 0)
+		}
+		c.Put(k+1, 1)
+	}
+	want := uint64(2)
+	sn.Iterate(0, math.MaxUint64, func(k, v uint64) bool {
+		if k != want || v != k {
+			t.Fatalf("snapshot yields (%d, %d), want (%d, %d)", k, v, want, want)
+		}
+		want += 2
+		return true
+	})
+	if want != 2*n+2 {
+		t.Fatalf("snapshot ended before key %d", want)
+	}
+}
+
+// TestAllocsSnapshotIterate pins a snapshot iteration over a quiescent
+// 8-shard store at a cost independent of the store's size: at 1K keys
+// every shard is one chunk, at 64K keys 32, and the chunks reuse their
+// iterator's raw, output and overlay buffers.
+func TestAllocsSnapshotIterate(t *testing.T) {
+	allocs := func(keys uint64) float64 {
+		st := NewComposed(func(rt *flock.Runtime, _ uint64) set.Set { return leaftree.New(rt) },
+			Options{Shards: 8, KeyRange: keys})
+		c := st.Register()
+		defer c.Close()
+		// Bit-reversed order keeps the unbalanced leaftree shallow.
+		shift := 64 - bits.Len64(keys-1)
+		for i := uint64(0); i < keys; i++ {
+			k := bits.Reverse64(i)>>shift + 1
+			c.Put(k, k)
+		}
+		sn := st.Snapshot()
+		defer sn.Close()
+		var seen uint64
+		n := testing.AllocsPerRun(5, func() {
+			seen = 0
+			sn.Iterate(0, math.MaxUint64, func(uint64, uint64) bool { seen++; return true })
+		})
+		if seen != keys {
+			t.Fatalf("iteration over %d keys saw %d", keys, seen)
+		}
+		return n
+	}
+	if small, large := allocs(1<<10), allocs(1<<16); small != large {
+		t.Fatalf("snapshot iteration allocates %v at 1K keys and %v at 64K keys, want equal", small, large)
 	}
 }

@@ -110,6 +110,11 @@ const (
 	// of the composed thunk executed on a worker other than the owner —
 	// transactions a helper carried (partly or wholly) to completion.
 	TxnHelped
+	// TxnRecycleMisses counts transaction plans and attempts allocated
+	// fresh because the client's recycling FIFO held none past its grace
+	// period (internal/txn) — the degraded mode in which each one falls
+	// to the garbage collector, like a descriptor pool miss.
+	TxnRecycleMisses
 
 	// NumCounters is the Block size; it must stay last.
 	NumCounters
@@ -126,7 +131,7 @@ var counterNames = [NumCounters]string{
 	"epoch_reclaim_batches", "epoch_reclaim_lag_epochs",
 	"txn_depth_1", "txn_depth_2", "txn_depth_3", "txn_depth_4",
 	"txn_depth_5_8", "txn_depth_9_plus",
-	"txn_helped",
+	"txn_helped", "txn_recycle_misses",
 }
 
 // String returns the counter's snake_case name (the JSONL field name).

@@ -63,6 +63,7 @@ import (
 	flock "flock/internal/core"
 	"flock/internal/kv"
 	"flock/internal/kv/engine"
+	"flock/internal/obs"
 	"flock/internal/structures/set"
 )
 
@@ -160,9 +161,59 @@ type Client struct {
 	eng *engine.Engine
 	// seen is the footprint planner's scratch bitmap. It is reused
 	// across operations — safe because it is only touched at top level,
-	// never captured by a thunk closure (unlike the per-op key copies
-	// and shard lists).
+	// never captured by a thunk closure.
 	seen []bool
+	// plans and attempts hold the client's finished plans and attempts
+	// while they wait out their grace period: a straggler replaying one
+	// of an attempt's descriptors can still reach the attempt and its
+	// plan (DESIGN.md S10).
+	plans    fifo[plan]
+	attempts fifo[attempt]
+}
+
+// recycleCap bounds each of a client's recycling FIFOs. An object that
+// finds its FIFO full, and a plan or attempt that finds no ripe one to
+// reuse, is left to the garbage collector.
+const recycleCap = 64
+
+// fifo is a bounded ring of objects in the order the client stopped
+// using them, each stamped with the global epoch at that moment. Stamps
+// never decrease, so the ripe entries form a prefix.
+type fifo[T any] struct {
+	ring [recycleCap]stamped[T]
+	head int
+	n    int
+}
+
+// stamped is one object waiting out its grace period: every thunk that
+// can reach it belongs to a descriptor born at or before epoch.
+type stamped[T any] struct {
+	v     *T
+	epoch uint64
+}
+
+// push parks v, stamped with epoch; a full FIFO drops it to the GC.
+func (f *fifo[T]) push(v *T, epoch uint64) {
+	if f.n == recycleCap {
+		return
+	}
+	f.ring[(f.head+f.n)%recycleCap] = stamped[T]{v: v, epoch: epoch}
+	f.n++
+}
+
+// pop returns the oldest parked object if it is ripe (flock.Proc.Ripe),
+// else nil. Fresh allocations on nil are counted as
+// obs.TxnRecycleMisses by the caller.
+func (f *fifo[T]) pop(p *flock.Proc) *T {
+	if f.n == 0 || !p.Ripe(f.ring[f.head].epoch) {
+		return nil
+	}
+	e := &f.ring[f.head]
+	v := e.v
+	*e = stamped[T]{}
+	f.head = (f.head + 1) % recycleCap
+	f.n--
+	return v
 }
 
 // Register creates a client handle on the store.
@@ -204,7 +255,9 @@ const (
 // call and shared by every attempt and every run of its body. It holds
 // defensive copies of the keys and values: a straggling helper may
 // replay a completed transaction after the caller reused its slices,
-// and must see the original inputs (DESIGN.md S7/S11).
+// and must see the original inputs (DESIGN.md S7/S11). The lock chain's
+// thunks capture group, so a plan is reused only after the grace period
+// of the last attempt that ran it (Client.done).
 type plan struct {
 	keys   []uint64 // the distinct keys, reads first, in first-seen order
 	shard  []int    // shard index of keys[j], hashed once per call
@@ -220,6 +273,8 @@ type plan struct {
 	shardBuf [maxInline]int
 	readBuf  [maxInline]int
 	writeBuf [maxInline]int
+	groupBuf [maxInline]int
+	valBuf   [maxInline]uint64
 }
 
 // inline returns buf[:n] when n fits the inline array, else a fresh slice.
@@ -233,9 +288,16 @@ func inline[T any](buf []T, n int) []T {
 // newPlan copies the key lists into a plan, maps each key to its
 // distinct-key slot (a key both read and written, as in Transfer, gets
 // one slot and so one located position per attempt) and plans the lock
-// group.
+// group. The plan is a recycled one past its grace period when the
+// client has one.
 func (c *Client) newPlan(readKeys, writeKeys []uint64) *plan {
-	pl := &plan{}
+	pl := c.plans.pop(c.p)
+	if pl == nil {
+		c.p.Obs().Inc(obs.TxnRecycleMisses)
+		pl = &plan{}
+	} else {
+		*pl = plan{}
+	}
 	n := len(readKeys) + len(writeKeys)
 	pl.keys, pl.shard = pl.keyBuf[:0], pl.shardBuf[:0]
 	if n > maxInline {
@@ -249,7 +311,7 @@ func (c *Client) newPlan(readKeys, writeKeys []uint64) *plan {
 	for i, k := range writeKeys {
 		pl.writes[i] = pl.slot(c, k)
 	}
-	pl.group = c.eng.Group(c.seen, pl.shard)
+	pl.group = c.eng.AppendGroup(pl.groupBuf[:0], c.seen, pl.shard)
 	return pl
 }
 
@@ -306,7 +368,8 @@ func (pl *plan) compute(rv []uint64, ro []bool, wv []uint64) bool {
 // immutable input every run of the body sees. Its buffers are the
 // idempotent channels every run publishes through, fresh per attempt: a
 // straggler of a failed published attempt writes into that attempt's
-// buffers, not the next one's (DESIGN.md S11).
+// buffers, not the next one's (DESIGN.md S11). An attempt is reused only
+// after its grace period, when no straggler can reach it.
 type attempt struct {
 	st       *Store
 	pl       *plan
@@ -315,15 +378,29 @@ type attempt struct {
 	oks      []atomic.Bool   // presence of each read key
 	inserted atomic.Uint64   // write keys newly inserted
 	ok       atomic.Bool     // committed (false: aborted)
+	// run is the method value a.body, bound once when the attempt is
+	// first allocated, so every later life hands the engine the same
+	// func value without allocating one.
+	run func(hp *flock.Proc)
 
 	atBuf  [maxInline]set.Position
 	valBuf [maxInline]atomic.Uint64
 	okBuf  [maxInline]atomic.Bool
 }
 
-// newAttempt locates every distinct key of pl, unlogged, at top level.
+// newAttempt locates every distinct key of pl, unlogged, at top level,
+// into a recycled attempt past its grace period when the client has one.
 func (c *Client) newAttempt(pl *plan) *attempt {
-	a := &attempt{st: c.st, pl: pl}
+	a := c.attempts.pop(c.p)
+	if a == nil {
+		c.p.Obs().Inc(obs.TxnRecycleMisses)
+		a = &attempt{st: c.st}
+		a.run = a.body
+	} else {
+		a.inserted.Store(0)
+		a.ok.Store(false)
+	}
+	a.pl = pl
 	a.at = inline(a.atBuf[:], len(pl.keys))
 	a.vals = inline(a.valBuf[:], len(pl.reads))
 	a.oks = inline(a.okBuf[:], len(pl.reads))
@@ -375,32 +452,51 @@ func (a *attempt) body(hp *flock.Proc) {
 // exec runs pl through the engine's transactional arm (engine.Atomic):
 // retried until the full ascending lock chain is acquired once, with
 // jittered backoff between attempts and the obs depth/helped counters
-// and TxnSpan trace emitted there. Each attempt locates its keys afresh.
-// It returns the attempt that committed: acquisition success means its
+// and TxnSpan trace emitted there. Each attempt locates its keys afresh;
+// a failed one is parked for recycling when the next is built. It
+// returns the attempt that committed: acquisition success means its
 // body's effects are durably logged, even if the physical completion
-// was a helper's.
+// was a helper's. The caller reads its results and then hands it and pl
+// to done.
 func (c *Client) exec(pl *plan) *attempt {
 	var last *attempt
 	c.eng.Atomic(c.p, pl.group, func() func(hp *flock.Proc) {
+		if last != nil {
+			c.attempts.push(last, c.p.Epoch())
+		}
 		last = c.newAttempt(pl)
-		return last.body
+		return last.run
 	})
 	return last
 }
 
+// done parks pl and a (nil in NonAtomic mode) for recycling once the
+// caller has copied their results out. The stamp is read after every
+// attempt's lock chain was released, so it is at least the birth epoch
+// of every descriptor whose thunks can reach them, and a straggler
+// replaying one announces at most that birth epoch (DESIGN.md S10).
+func (c *Client) done(pl *plan, a *attempt) {
+	e := c.p.Epoch()
+	if a != nil {
+		c.attempts.push(a, e)
+	}
+	c.plans.push(pl, e)
+}
+
 // run executes pl in the store's mode and returns the reads observed at
-// the serialization point and whether the transaction committed. In
-// NonAtomic mode the reads and writes are per-key operations with no
-// mutual atomicity (the ablation baseline).
+// the serialization point and whether the transaction committed, and
+// parks pl for recycling. In NonAtomic mode the reads and writes are
+// per-key operations with no mutual atomicity (the ablation baseline).
 func (c *Client) run(pl *plan) (vals []uint64, oks []bool, ok bool) {
 	if c.st.mode == NonAtomic {
 		rv, ro := c.kc.GetBatch(pl.keysOf(pl.reads))
 		wv := make([]uint64, len(pl.writes))
-		if !pl.compute(rv, ro, wv) {
-			return rv, ro, false
+		ok = pl.compute(rv, ro, wv)
+		if ok {
+			c.kc.PutBatch(pl.keysOf(pl.writes), wv)
 		}
-		c.kc.PutBatch(pl.keysOf(pl.writes), wv)
-		return rv, ro, true
+		c.done(pl, nil)
+		return rv, ro, ok
 	}
 	a := c.exec(pl)
 	vals = make([]uint64, len(pl.reads))
@@ -409,7 +505,9 @@ func (c *Client) run(pl *plan) (vals []uint64, oks []bool, ok bool) {
 		vals[i] = a.vals[i].Load()
 		oks[i] = a.oks[i].Load()
 	}
-	return vals, oks, a.ok.Load()
+	ok = a.ok.Load()
+	c.done(pl, a)
+	return vals, oks, ok
 }
 
 // Txn runs a generic multi-key transaction: it reads readKeys, applies
@@ -450,8 +548,11 @@ func (c *Client) MultiPut(keys, vals []uint64) int {
 		return c.kc.PutBatch(keys, vals)
 	}
 	pl := c.newPlan(nil, keys)
-	pl.kind, pl.vals = kindSet, append([]uint64(nil), vals...)
-	return int(c.exec(pl).inserted.Load())
+	pl.kind, pl.vals = kindSet, append(pl.valBuf[:0], vals...)
+	a := c.exec(pl)
+	n := int(a.inserted.Load())
+	c.done(pl, a)
+	return n
 }
 
 // MultiCAS atomically compares-and-sets a key set: iff every keys[i] is
@@ -489,7 +590,10 @@ func (c *Client) Transfer(a, b, amount uint64) bool {
 		_, _, ok := c.run(pl)
 		return ok
 	}
-	return c.exec(pl).ok.Load()
+	at := c.exec(pl)
+	ok := at.ok.Load()
+	c.done(pl, at)
+	return ok
 }
 
 // Get is single-key read sugar: in atomic modes a read validated
