@@ -47,8 +47,9 @@
 //	flockbench -figure ext-alloc
 //
 // The transactional extension (DESIGN.md S11) — multi-key atomic
-// operations over the sharded store via composed lock-free locks;
-// blocking and non-atomic ablation arms ride the same flags:
+// operations over the sharded store via composed lock-free locks. The
+// blocking arm rides the same flags, and -nonatomic runs the harness's
+// per-key baseline (per-key kv calls on a plain store, no shard locks):
 //
 //	flockbench -figure ext-txn
 //	flockbench -structure leaftree -txn transfer -shards 8 -threads 16

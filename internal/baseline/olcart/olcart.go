@@ -47,7 +47,6 @@
 package olcart
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -55,44 +54,8 @@ import (
 
 	flock "flock/internal/core"
 	"flock/internal/simd"
+	"flock/internal/structures/artnode"
 )
-
-// Node kinds.
-const (
-	kLeaf = iota
-	k4
-	k16
-	k48
-	k256
-)
-
-func capOf(kind uint8) int {
-	switch kind {
-	case k4:
-		return 4
-	case k16:
-		return 16
-	case k48:
-		return 48
-	default:
-		return 256
-	}
-}
-
-func kindName(kind uint8) string {
-	switch kind {
-	case kLeaf:
-		return "leaf"
-	case k4:
-		return "node4"
-	case k16:
-		return "node16"
-	case k48:
-		return "node48"
-	default:
-		return "node256"
-	}
-}
 
 // slot is the immutable (key byte, child) box used by Node4/Node16.
 type slot struct {
@@ -110,12 +73,12 @@ type node struct {
 	k, v   uint64 // leaf payload
 	prefix []byte // inner: compressed path bytes
 
-	slots    []atomic.Pointer[slot] // k4, k16
-	idx      []atomic.Int32         // k48: byte -> child index+1 (0 = empty)
-	children []atomic.Pointer[node] // k48 (48), k256 (256)
+	slots    []atomic.Pointer[slot] // N4, N16
+	idx      []atomic.Int32         // N48: byte -> child index+1 (0 = empty)
+	children []atomic.Pointer[node] // N48 (48), N256 (256)
 	count    atomic.Int32           // inner: number of children
 
-	// k4/k16 packed key image: lane i's key byte in the pkLo/pkHi pair
+	// N4/N16 packed key image: lane i's key byte in the pkLo/pkHi pair
 	// (laid out by simd.With), occupancy bit i in pkOcc (uint16
 	// range). Written only under the node's version (write) lock, read
 	// by optimistic readers; lanes with a clear occupancy bit may hold
@@ -144,7 +107,7 @@ func (n *node) pkClear(i int) {
 	n.pkOcc.Store(n.pkOcc.Load() &^ (1 << uint(i)))
 }
 
-func (n *node) isLeaf() bool { return n.kind == kLeaf }
+func (n *node) isLeaf() bool { return n.kind == artnode.Leaf }
 
 // rLock waits for the node to be unlocked and returns its version;
 // reports false if the node has been unlinked (caller must restart).
@@ -163,17 +126,17 @@ func (n *node) retire() {
 	n.ver.unlock()
 }
 
-func newLeaf(k, v uint64) *node { return &node{kind: kLeaf, k: k, v: v} }
+func newLeaf(k, v uint64) *node { return &node{kind: artnode.Leaf, k: k, v: v} }
 
 func newInner(kind uint8, prefix []byte) *node {
 	n := &node{kind: kind, prefix: prefix}
 	switch kind {
-	case k4, k16:
-		n.slots = make([]atomic.Pointer[slot], capOf(kind))
-	case k48:
+	case artnode.N4, artnode.N16:
+		n.slots = make([]atomic.Pointer[slot], artnode.Cap(kind))
+	case artnode.N48:
 		n.idx = make([]atomic.Int32, 256)
 		n.children = make([]atomic.Pointer[node], 48)
-	case k256:
+	case artnode.N256:
 		n.children = make([]atomic.Pointer[node], 256)
 	}
 	return n
@@ -183,7 +146,7 @@ func newInner(kind uint8, prefix []byte) *node {
 // optimistically; the caller validates the node's version afterwards.
 func (n *node) getChild(b byte) *node {
 	switch n.kind {
-	case k4, k16:
+	case artnode.N4, artnode.N16:
 		// One SWAR match over the packed key image yields the
 		// candidate lanes; the authoritative slot load confirms. A
 		// packed miss is authoritative for absence (see pkSet/pkClear
@@ -196,7 +159,7 @@ func (n *node) getChild(b byte) *node {
 			}
 		}
 		return nil
-	case k48:
+	case artnode.N48:
 		i := n.idx[b].Load()
 		if i == 0 {
 			return nil
@@ -211,16 +174,16 @@ func (n *node) getChild(b byte) *node {
 // and has verified b is absent and n is not full.
 func (n *node) addChild(b byte, c *node) {
 	switch n.kind {
-	case k4, k16:
+	case artnode.N4, artnode.N16:
 		occ := uint16(n.pkOcc.Load())
 		free := ^occ & uint16(1<<len(n.slots)-1)
 		if free == 0 {
-			panic("olcart: addChild on full " + kindName(n.kind))
+			panic("olcart: addChild on full " + artnode.Name(n.kind))
 		}
 		i := bits.TrailingZeros16(free)
 		n.pkSet(i, b)                       // publish the packed byte first …
 		n.slots[i].Store(&slot{b: b, c: c}) // … then the authoritative slot
-	case k48:
+	case artnode.N48:
 		for i := range n.children {
 			if n.children[i].Load() == nil {
 				n.children[i].Store(c)       // publish the child first
@@ -228,7 +191,7 @@ func (n *node) addChild(b byte, c *node) {
 				return
 			}
 		}
-		panic("olcart: addChild on full " + kindName(n.kind))
+		panic("olcart: addChild on full " + artnode.Name(n.kind))
 	default:
 		n.children[b].Store(c)
 	}
@@ -238,7 +201,7 @@ func (n *node) addChild(b byte, c *node) {
 // n's write lock; b must be present.
 func (n *node) replaceChild(b byte, c *node) {
 	switch n.kind {
-	case k4, k16:
+	case artnode.N4, artnode.N16:
 		// Slot-only update: the key byte is unchanged, so the packed
 		// image needs no maintenance.
 		lo, hi := n.pkLo.Load(), n.pkHi.Load()
@@ -249,8 +212,8 @@ func (n *node) replaceChild(b byte, c *node) {
 				return
 			}
 		}
-		panic("olcart: replaceChild missing byte in " + kindName(n.kind))
-	case k48:
+		panic("olcart: replaceChild missing byte in " + artnode.Name(n.kind))
+	case artnode.N48:
 		n.children[n.idx[b].Load()-1].Store(c)
 	default:
 		n.children[b].Store(c)
@@ -260,7 +223,7 @@ func (n *node) replaceChild(b byte, c *node) {
 // removeChild clears the slot for byte b. Caller holds n's write lock.
 func (n *node) removeChild(b byte) {
 	switch n.kind {
-	case k4, k16:
+	case artnode.N4, artnode.N16:
 		lo, hi := n.pkLo.Load(), n.pkHi.Load()
 		for m := simd.Match(lo, hi, b) & uint16(n.pkOcc.Load()); m != 0; m &= m - 1 {
 			i := bits.TrailingZeros16(m)
@@ -270,7 +233,7 @@ func (n *node) removeChild(b byte) {
 				return
 			}
 		}
-	case k48:
+	case artnode.N48:
 		if i := n.idx[b].Load(); i != 0 {
 			n.idx[b].Store(0) // retract the index first
 			n.children[i-1].Store(nil)
@@ -281,10 +244,7 @@ func (n *node) removeChild(b byte) {
 }
 
 // pair is a collected (byte, child) entry.
-type pair struct {
-	b byte
-	c *node
-}
+type pair = artnode.Pair[*node]
 
 // collect snapshots all present children in byte order. Callers either
 // hold n's write lock (or have exclusive access), or — on the
@@ -296,30 +256,25 @@ type pair struct {
 func (n *node) collect() []pair {
 	var out []pair
 	switch n.kind {
-	case k4, k16:
+	case artnode.N4, artnode.N16:
 		for i := range n.slots {
 			if sv := n.slots[i].Load(); sv != nil {
-				out = append(out, pair{sv.b, sv.c})
+				out = append(out, pair{B: sv.b, C: sv.c})
 			}
 		}
-		// Slot order is insertion order; normalize by byte.
-		for i := 1; i < len(out); i++ {
-			for j := i; j > 0 && out[j-1].b > out[j].b; j-- {
-				out[j-1], out[j] = out[j], out[j-1]
-			}
-		}
-	case k48:
+		artnode.SortByByte(out) // slot order is insertion order
+	case artnode.N48:
 		for b := 0; b < 256; b++ {
 			if i := n.idx[b].Load(); i != 0 {
 				if c := n.children[i-1].Load(); c != nil {
-					out = append(out, pair{byte(b), c})
+					out = append(out, pair{B: byte(b), C: c})
 				}
 			}
 		}
 	default:
 		for b := 0; b < 256; b++ {
 			if c := n.children[b].Load(); c != nil {
-				out = append(out, pair{byte(b), c})
+				out = append(out, pair{B: byte(b), C: c})
 			}
 		}
 	}
@@ -329,41 +284,28 @@ func (n *node) collect() []pair {
 // buildInner constructs a fresh inner node of minimal kind holding
 // pairs. The node is private until published by a locked parent store.
 func buildInner(prefix []byte, pairs []pair) *node {
-	kind := uint8(k4)
-	switch {
-	case len(pairs) > 48:
-		kind = k256
-	case len(pairs) > 16:
-		kind = k48
-	case len(pairs) > 4:
-		kind = k16
-	}
+	kind := artnode.KindFor(len(pairs))
 	n := newInner(kind, prefix)
 	switch kind {
-	case k4, k16:
+	case artnode.N4, artnode.N16:
 		var lo, hi uint64
 		var occ uint32
-		for i := range pairs {
-			n.slots[i].Store(&slot{b: pairs[i].b, c: pairs[i].c})
-			sh := uint(i&7) * 8
-			if i < 8 {
-				lo |= uint64(pairs[i].b) << sh
-			} else {
-				hi |= uint64(pairs[i].b) << sh
-			}
+		for i, pr := range pairs {
+			n.slots[i].Store(&slot{b: pr.B, c: pr.C})
+			lo, hi = simd.With(lo, hi, i, pr.B)
 			occ |= 1 << uint(i)
 		}
 		n.pkLo.Store(lo)
 		n.pkHi.Store(hi)
 		n.pkOcc.Store(occ)
-	case k48:
-		for i := range pairs {
-			n.children[i].Store(pairs[i].c)
-			n.idx[pairs[i].b].Store(int32(i) + 1)
+	case artnode.N48:
+		for i, pr := range pairs {
+			n.children[i].Store(pr.C)
+			n.idx[pr.B].Store(int32(i) + 1)
 		}
 	default:
 		for _, pr := range pairs {
-			n.children[pr.b].Store(pr.c)
+			n.children[pr.B].Store(pr.C)
 		}
 	}
 	n.count.Store(int32(len(pairs)))
@@ -377,7 +319,7 @@ type Tree struct {
 
 // New returns an empty tree.
 func New() *Tree {
-	return &Tree{root: newInner(k256, nil)}
+	return &Tree{root: newInner(artnode.N256, nil)}
 }
 
 // maxOptimistic bounds the number of optimistic restarts a read takes
@@ -385,21 +327,10 @@ func New() *Tree {
 // so tests can force the fallback path.
 var maxOptimistic = 64
 
-func keyBytes(k uint64) [8]byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], k)
-	return b
-}
-
-// commonLen is the length of the longest common prefix of a and b —
-// every descent mismatch check and prefix-split computation routes
-// through the simd package's word-wise Mismatch.
-func commonLen(a, b []byte) int { return simd.Mismatch(a, b) }
-
 // Find reports the value stored under key. Restart-bounded: after
 // maxOptimistic failed optimistic descents it completes pessimistically.
 func (t *Tree) Find(_ *flock.Proc, key uint64) (uint64, bool) {
-	kb := keyBytes(key)
+	kb := artnode.KeyBytes(key)
 	for attempt := 0; attempt < maxOptimistic; attempt++ {
 		if v, present, ok := t.findOpt(&kb, key); ok {
 			return v, present
@@ -418,7 +349,7 @@ func (t *Tree) findOpt(kb *[8]byte, key uint64) (val uint64, present, ok bool) {
 	}
 	depth := 0
 	for {
-		if commonLen(n.prefix, kb[depth:]) != len(n.prefix) {
+		if simd.Mismatch(n.prefix, kb[depth:]) != len(n.prefix) {
 			if !n.ver.validate(vn) {
 				return 0, false, false
 			}
@@ -458,7 +389,7 @@ func (t *Tree) findLocked(kb *[8]byte, key uint64) (uint64, bool) {
 	n.ver.lock()
 	depth := 0
 	for {
-		if commonLen(n.prefix, kb[depth:]) != len(n.prefix) {
+		if simd.Mismatch(n.prefix, kb[depth:]) != len(n.prefix) {
 			n.ver.unlock()
 			return 0, false
 		}
@@ -485,7 +416,7 @@ func (t *Tree) findLocked(kb *[8]byte, key uint64) (uint64, bool) {
 
 // Insert adds (key, val); false if already present (value not updated).
 func (t *Tree) Insert(_ *flock.Proc, key, val uint64) bool {
-	kb := keyBytes(key)
+	kb := artnode.KeyBytes(key)
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 && attempt%spinLimit == 0 {
 			runtime.Gosched()
@@ -507,7 +438,7 @@ func (t *Tree) insertOpt(kb *[8]byte, key, val uint64) (inserted, ok bool) {
 	}
 	depth := 0
 	for {
-		cp := commonLen(n.prefix, kb[depth:])
+		cp := simd.Mismatch(n.prefix, kb[depth:])
 		if cp != len(n.prefix) {
 			// Prefix mismatch: split n's compressed path. The root has
 			// an empty prefix, so par is non-nil here.
@@ -519,7 +450,7 @@ func (t *Tree) insertOpt(kb *[8]byte, key, val uint64) (inserted, ok bool) {
 			}
 			clone := buildInner(cloneBytes(n.prefix[cp+1:]), n.collect())
 			split := buildInner(cloneBytes(n.prefix[:cp]),
-				sortedPairs(pair{n.prefix[cp], clone}, pair{kb[depth+cp], newLeaf(key, val)}))
+				artnode.SortedPairs(pair{B: n.prefix[cp], C: clone}, pair{B: kb[depth+cp], C: newLeaf(key, val)}))
 			par.replaceChild(parB, split)
 			n.retire()
 			par.ver.unlock()
@@ -532,7 +463,7 @@ func (t *Tree) insertOpt(kb *[8]byte, key, val uint64) (inserted, ok bool) {
 			return false, false
 		}
 		if next == nil {
-			if int(n.count.Load()) == capOf(n.kind) {
+			if int(n.count.Load()) == artnode.Cap(n.kind) {
 				// Full: grow to the next kind under the parent's lock.
 				// The root Node256 is never full with a byte absent.
 				if !par.ver.upgrade(vpar) {
@@ -544,11 +475,11 @@ func (t *Tree) insertOpt(kb *[8]byte, key, val uint64) (inserted, ok bool) {
 				// The count said full; assert the occupancy agrees
 				// before rebuilding wider.
 				kids := n.collect()
-				if len(kids) != capOf(n.kind) {
+				if len(kids) != artnode.Cap(n.kind) {
 					panic(fmt.Sprintf("olcart: growing %s with %d/%d children",
-						kindName(n.kind), len(kids), capOf(n.kind)))
+						artnode.Name(n.kind), len(kids), artnode.Cap(n.kind)))
 				}
-				grown := buildInner(n.prefix, append(kids, pair{b, newLeaf(key, val)}))
+				grown := buildInner(n.prefix, append(kids, pair{B: b, C: newLeaf(key, val)}))
 				par.replaceChild(parB, grown)
 				n.retire()
 				par.ver.unlock()
@@ -573,10 +504,10 @@ func (t *Tree) insertOpt(kb *[8]byte, key, val uint64) (inserted, ok bool) {
 			if !n.ver.upgrade(vn) {
 				return false, false
 			}
-			okb := keyBytes(next.k)
-			cp := commonLen(okb[depth+1:], kb[depth+1:])
+			okb := artnode.KeyBytes(next.k)
+			cp := simd.Mismatch(okb[depth+1:], kb[depth+1:])
 			n4 := buildInner(cloneBytes(kb[depth+1:depth+1+cp]),
-				sortedPairs(pair{okb[depth+1+cp], next}, pair{kb[depth+1+cp], newLeaf(key, val)}))
+				artnode.SortedPairs(pair{B: okb[depth+1+cp], C: next}, pair{B: kb[depth+1+cp], C: newLeaf(key, val)}))
 			n.replaceChild(b, n4)
 			n.ver.unlock()
 			return true, true
@@ -593,7 +524,7 @@ func (t *Tree) insertOpt(kb *[8]byte, key, val uint64) (inserted, ok bool) {
 
 // Delete removes key; false if absent.
 func (t *Tree) Delete(_ *flock.Proc, key uint64) bool {
-	kb := keyBytes(key)
+	kb := artnode.KeyBytes(key)
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 && attempt%spinLimit == 0 {
 			runtime.Gosched()
@@ -615,7 +546,7 @@ func (t *Tree) deleteOpt(kb *[8]byte, key uint64) (deleted, ok bool) {
 	}
 	depth := 0
 	for {
-		if commonLen(n.prefix, kb[depth:]) != len(n.prefix) {
+		if simd.Mismatch(n.prefix, kb[depth:]) != len(n.prefix) {
 			if !n.ver.validate(vn) {
 				return false, false
 			}
@@ -647,7 +578,7 @@ func (t *Tree) deleteOpt(kb *[8]byte, key uint64) (deleted, ok bool) {
 		if !n.ver.validate(vn) {
 			return false, false
 		}
-		if n == t.root || rem > shrinkThreshold(n.kind) {
+		if n == t.root || rem > artnode.ShrinkThreshold(n.kind) {
 			// Plain removal under n's lock alone.
 			if !n.ver.upgrade(vn) {
 				return false, false
@@ -665,7 +596,7 @@ func (t *Tree) deleteOpt(kb *[8]byte, key uint64) (deleted, ok bool) {
 			if !n.ver.upgradeOr(vn, &par.ver) {
 				return false, false
 			}
-			small := buildInner(n.prefix, without(n.collect(), b))
+			small := buildInner(n.prefix, artnode.Without(n.collect(), b))
 			par.replaceChild(parB, small)
 			n.retire()
 			par.ver.unlock()
@@ -678,57 +609,25 @@ func (t *Tree) deleteOpt(kb *[8]byte, key uint64) (deleted, ok bool) {
 		if !n.ver.upgradeOr(vn, &par.ver) {
 			return false, false
 		}
-		sib := without(n.collect(), b)[0]
-		if sib.c.isLeaf() {
-			par.replaceChild(parB, sib.c)
+		sib := artnode.Without(n.collect(), b)[0]
+		if sib.C.isLeaf() {
+			par.replaceChild(parB, sib.C)
 		} else {
 			// Merge n's prefix, the sibling's branch byte and the
 			// sibling's prefix into a clone. Locking top-down
-			// (par, n, sib.c) matches every other writer, and sib.c
+			// (par, n, sib.C) matches every other writer, and sib.C
 			// cannot be unlinked while we hold n's lock.
-			sib.c.ver.lock()
-			merged := make([]byte, 0, len(n.prefix)+1+len(sib.c.prefix))
-			merged = append(append(append(merged, n.prefix...), sib.b), sib.c.prefix...)
-			clone := buildInner(merged, sib.c.collect())
+			sib.C.ver.lock()
+			merged := make([]byte, 0, len(n.prefix)+1+len(sib.C.prefix))
+			merged = append(append(append(merged, n.prefix...), sib.B), sib.C.prefix...)
+			clone := buildInner(merged, sib.C.collect())
 			par.replaceChild(parB, clone)
-			sib.c.retire()
+			sib.C.retire()
 		}
 		n.retire()
 		par.ver.unlock()
 		return true, true
 	}
-}
-
-// shrinkThreshold returns the occupancy at which a node collapses to a
-// smaller kind (mirrors the flock arttree's hysteresis).
-func shrinkThreshold(kind uint8) int {
-	switch kind {
-	case k16:
-		return 3
-	case k48:
-		return 12
-	case k256:
-		return 40
-	default:
-		return 1 // k4 only compresses away at a single child
-	}
-}
-
-func sortedPairs(a, b pair) []pair {
-	if a.b > b.b {
-		a, b = b, a
-	}
-	return []pair{a, b}
-}
-
-func without(pairs []pair, b byte) []pair {
-	out := pairs[:0]
-	for _, pr := range pairs {
-		if pr.b != b {
-			out = append(out, pr)
-		}
-	}
-	return out
 }
 
 func cloneBytes(b []byte) []byte {
@@ -748,7 +647,7 @@ func (t *Tree) Keys(_ *flock.Proc) []uint64 {
 			return
 		}
 		for _, pr := range n.collect() {
-			walk(pr.c)
+			walk(pr.C)
 		}
 	}
 	walk(t.root)
@@ -762,8 +661,8 @@ func (t *Tree) CheckInvariants(_ *flock.Proc) error {
 	var walk func(n *node, acc []byte) error
 	walk = func(n *node, acc []byte) error {
 		if n.isLeaf() {
-			kb := keyBytes(n.k)
-			if commonLen(kb[:], acc) != len(acc) {
+			kb := artnode.KeyBytes(n.k)
+			if simd.Mismatch(kb[:], acc) != len(acc) {
 				return fmt.Errorf("olcart: leaf %d under path %v", n.k, acc)
 			}
 			return nil
@@ -779,37 +678,24 @@ func (t *Tree) CheckInvariants(_ *flock.Proc) error {
 		if n != t.root && len(pairs) < 2 {
 			return fmt.Errorf("olcart: inner node with %d children", len(pairs))
 		}
-		if len(pairs) > capOf(n.kind) {
-			return fmt.Errorf("olcart: occupancy %d over capacity %d", len(pairs), capOf(n.kind))
+		if len(pairs) > artnode.Cap(n.kind) {
+			return fmt.Errorf("olcart: occupancy %d over capacity %d", len(pairs), artnode.Cap(n.kind))
 		}
-		if n.kind == k4 || n.kind == k16 {
-			// Quiesced, the packed key image must mirror the slots
-			// exactly: matching bytes on live lanes, occ == occupancy.
-			lo, hi, pkOcc := n.pkLo.Load(), n.pkHi.Load(), uint16(n.pkOcc.Load())
-			var occ uint16
-			for i := range n.slots {
-				sv := n.slots[i].Load()
-				if sv == nil {
-					continue
+		if n.slots != nil {
+			if err := artnode.CheckPacked(n.kind, n.pkLo.Load(), n.pkHi.Load(), uint16(n.pkOcc.Load()), func(i int) (byte, bool) {
+				if sv := n.slots[i].Load(); sv != nil {
+					return sv.b, true
 				}
-				occ |= 1 << i
-				if pkOcc&(1<<i) == 0 {
-					return fmt.Errorf("olcart: %s lane %d live but packed bit clear", kindName(n.kind), i)
-				}
-				if simd.Match(lo, hi, sv.b)&(1<<i) == 0 {
-					return fmt.Errorf("olcart: %s lane %d packed image %#x:%#x misses slot byte %#x",
-						kindName(n.kind), i, hi, lo, sv.b)
-				}
-			}
-			if pkOcc != occ {
-				return fmt.Errorf("olcart: %s packed occ %#x != slot occupancy %#x", kindName(n.kind), pkOcc, occ)
+				return 0, false
+			}); err != nil {
+				return fmt.Errorf("olcart: %w", err)
 			}
 		}
 		if n.dead.Load() {
 			return fmt.Errorf("olcart: reachable dead node")
 		}
 		for _, pr := range pairs {
-			if err := walk(pr.c, append(acc, pr.b)); err != nil {
+			if err := walk(pr.C, append(acc, pr.B)); err != nil {
 				return err
 			}
 		}

@@ -75,22 +75,22 @@ func (t *Tree) scanOpt(lo, hi uint64, end int, dst []set.KV) ([]set.KV, bool) {
 			return false, false
 		}
 		for _, pr := range pairs {
-			kb[d] = pr.b
+			kb[d] = pr.B
 			mn, mx := boundsAt(&kb, d+1)
 			if mx < lo || mn > hi {
 				continue // subtree disjoint from [lo, hi]
 			}
-			if pr.c.isLeaf() {
+			if pr.C.isLeaf() {
 				// Leaves are immutable; membership was pinned above.
-				if pr.c.k >= lo && pr.c.k <= hi {
-					out = append(out, set.KV{Key: pr.c.k, Value: pr.c.v})
+				if pr.C.k >= lo && pr.C.k <= hi {
+					out = append(out, set.KV{Key: pr.C.k, Value: pr.C.v})
 					if len(out) == end {
 						return false, true
 					}
 				}
 				continue
 			}
-			cont, ok := walk(pr.c, d+1)
+			cont, ok := walk(pr.C, d+1)
 			if !ok {
 				return false, false
 			}
@@ -119,14 +119,14 @@ func (t *Tree) scanLocked(lo, hi uint64, end int, dst []set.KV) []set.KV {
 		copy(kb[depth:], n.prefix)
 		d := depth + len(n.prefix)
 		for _, pr := range n.collect() {
-			kb[d] = pr.b
+			kb[d] = pr.B
 			mn, mx := boundsAt(&kb, d+1)
 			if mx < lo || mn > hi {
 				continue
 			}
-			if pr.c.isLeaf() {
-				if pr.c.k >= lo && pr.c.k <= hi {
-					out = append(out, set.KV{Key: pr.c.k, Value: pr.c.v})
+			if pr.C.isLeaf() {
+				if pr.C.k >= lo && pr.C.k <= hi {
+					out = append(out, set.KV{Key: pr.C.k, Value: pr.C.v})
 					if len(out) == end {
 						return false
 					}
@@ -135,9 +135,9 @@ func (t *Tree) scanLocked(lo, hi uint64, end int, dst []set.KV) []set.KV {
 			}
 			// A locked node's children cannot be unlinked (that needs
 			// this lock), so the child is safe to lock in turn.
-			pr.c.ver.lock()
-			cont := walk(pr.c, d+1)
-			pr.c.ver.unlock()
+			pr.C.ver.lock()
+			cont := walk(pr.C, d+1)
+			pr.C.ver.unlock()
 			if !cont {
 				return false
 			}

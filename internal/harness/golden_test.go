@@ -14,7 +14,7 @@ import (
 // (figure, series, x) triple, figures in FigureIDs order. A change to a
 // figure table, a Series or the spec-building path that alters any
 // point's spec changes the digest.
-const goldenSpecDigest = "1a9189876f334161eb00229123c5e04129dc5478686b223051ad61a75ff26042"
+const goldenSpecDigest = "eb90e110431dec71b33fc50dd73c3bc3018649982be10d5b04221dda39678e1e"
 
 // goldenScale is an explicit Scale (DefaultScale depends on GOMAXPROCS).
 func goldenScale() Scale {

@@ -128,9 +128,9 @@ type Spec struct {
 	// transactional path (values < 1 mean 1; transfers always touch 2).
 	TxnSize int
 	// TxnNonAtomic selects the per-key non-atomic ablation arm of the
-	// transactional path (no shard locks; kv batch behaviour). When
-	// false the arm follows Blocking: composed blocking locks vs
-	// composed lock-free locks.
+	// transactional path: the mix runs through PerKey on a plain kv
+	// store, with no shard locks. When false the arm follows Blocking:
+	// composed blocking locks vs composed lock-free locks.
 	TxnNonAtomic bool
 	// SnapshotLoop runs a background goroutine beside the measured
 	// workload that repeatedly takes a whole-store snapshot
@@ -145,11 +145,10 @@ type Spec struct {
 	SnapshotLoop bool
 	// Metrics turns the obs runtime-metrics layer on for the measured
 	// window (restoring the global flag after): counters are snapshotted
-	// at the window edges and sampled every MetricsInterval (values <= 0
-	// mean Duration/8, at least 1ms) into Result.Metrics. Off, the layer
-	// is a cold-bool branch with zero allocations (obs package doc).
-	Metrics         bool
-	MetricsInterval time.Duration
+	// at the window edges and sampled every Duration/8 (at least 1ms)
+	// into Result.Metrics. Off, the layer is a cold-bool branch with
+	// zero allocations (obs package doc).
+	Metrics bool
 	// Trace turns the lock-event flight recorder (internal/obs/trace) on
 	// for the measured window the same way, opens a fresh collection
 	// window with trace.Reset and attaches the stitched snapshot to
@@ -308,17 +307,21 @@ func build(spec Spec) (Worker, window, error) {
 		if _, err := workload.NewTxnMix(spec.TxnMix, spec.KeyRange, spec.Alpha, spec.TxnSize, spec.Seed); err != nil {
 			return nil, nil, err
 		}
-		mode := txn.LockFree
-		if spec.Blocking {
-			mode = txn.Blocking
-		}
+		var register func() txnClient
 		if spec.TxnNonAtomic {
-			mode = txn.NonAtomic
+			st = kv.New(kv.Factory(f), kv.Options{Shards: spec.Shards, KeyRange: spec.KeyRange})
+			register = func() txnClient { return PerKey{st.Register()} }
+		} else {
+			mode := txn.LockFree
+			if spec.Blocking {
+				mode = txn.Blocking
+			}
+			ts := txn.New(kv.Factory(f), txn.Options{Shards: spec.Shards, Mode: mode, KeyRange: spec.KeyRange})
+			st = ts.KV()
+			register = func() txnClient { return ts.Register() }
 		}
-		ts := txn.New(kv.Factory(f), txn.Options{Shards: spec.Shards, Mode: mode, KeyRange: spec.KeyRange})
-		st = ts.KV()
 		worker = func(w uint64) (func(uint64, bool) time.Time, func()) {
-			c := ts.Register()
+			c := register()
 			mix, _ := workload.NewTxnMix(spec.TxnMix, spec.KeyRange, spec.Alpha, spec.TxnSize, seed(w)) // validated above
 			// vbuf is write-value scratch (the client copies its inputs).
 			var vbuf []uint64
@@ -430,6 +433,51 @@ func build(spec Spec) (Worker, window, error) {
 			}
 		}
 	}, nil
+}
+
+// txnClient is what a txn-mix worker drives: a *txn.Client on the
+// atomic arms, PerKey on the non-atomic one.
+type txnClient interface {
+	MultiGet(keys []uint64) ([]uint64, []bool)
+	MultiPut(keys, vals []uint64) int
+	Transfer(a, b, amount uint64) bool
+	Txn(readKeys, writeKeys []uint64, fn txn.TxnFunc) ([]uint64, []bool, bool)
+	Close()
+}
+
+// PerKey is the ext-txn figures' non-atomic arm (Spec.TxnNonAtomic): it
+// issues txn.Client's operations as independent per-key batch calls on
+// a plain kv store, taking no shard lock, so concurrent multi-key
+// writes can tear. Single-threaded it returns what a txn.Client
+// returns. Its MultiGet is kv's, which on a plain store is GetBatch.
+type PerKey struct{ *kv.Client }
+
+// MultiPut writes every key with PutBatch.
+func (c PerKey) MultiPut(keys, vals []uint64) int { return c.PutBatch(keys, vals) }
+
+// Transfer reads a and b, then writes both when they are distinct, both
+// present and a covers amount.
+func (c PerKey) Transfer(a, b, amount uint64) bool {
+	if a == b {
+		return false
+	}
+	keys := []uint64{a, b}
+	vals, oks := c.GetBatch(keys)
+	if !oks[0] || !oks[1] || vals[0] < amount {
+		return false
+	}
+	c.PutBatch(keys, []uint64{vals[0] - amount, vals[1] + amount})
+	return true
+}
+
+// Txn reads readKeys, applies fn and, if it commits, writes writeKeys.
+func (c PerKey) Txn(readKeys, writeKeys []uint64, fn txn.TxnFunc) ([]uint64, []bool, bool) {
+	vals, oks := c.GetBatch(readKeys)
+	wv, commit := fn(vals, oks)
+	if commit {
+		c.PutBatch(writeKeys, wv)
+	}
+	return vals, oks, commit
 }
 
 // txnIncrement is the pure TxnFunc behind the TxnRMW mix operation:
@@ -593,11 +641,7 @@ func measure(spec Spec, worker Worker, win window) Result {
 	var samples []MetricSample
 	var tick <-chan time.Time
 	if spec.Metrics {
-		interval := spec.MetricsInterval
-		if interval <= 0 {
-			interval = max(spec.Duration/8, time.Millisecond)
-		}
-		ticker := time.NewTicker(interval)
+		ticker := time.NewTicker(max(spec.Duration/8, time.Millisecond))
 		defer ticker.Stop()
 		tick = ticker.C
 	}

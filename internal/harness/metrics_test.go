@@ -18,7 +18,7 @@ func TestMetricsWindowCollected(t *testing.T) {
 	spec := Spec{
 		Structure: "leaftree", Threads: 4, KeyRange: 512,
 		UpdatePct: 50, Alpha: 0.9, Duration: 20 * time.Millisecond,
-		Seed: 7, Metrics: true, MetricsInterval: 2 * time.Millisecond,
+		Seed: 7, Metrics: true,
 	}
 	res, err := RunTimed(spec)
 	if err != nil {
@@ -190,7 +190,7 @@ func TestSamplerGCPause(t *testing.T) {
 		}, func() {}
 	}
 	res := measure(Spec{Structure: "synthetic", Threads: 2, Duration: 20 * time.Millisecond,
-		Metrics: true, MetricsInterval: time.Millisecond}, worker, nil)
+		Metrics: true}, worker, nil)
 	if res.Ops == 0 {
 		t.Fatal("no operation ran, so no GC was forced inside the window")
 	}

@@ -174,7 +174,7 @@ func goldenSequence() uint64 {
 	goldenTxn(d, txn.LockFree, 21)
 	goldenTxn(d, txn.LockFree, 22)
 	goldenTxn(d, txn.Blocking, 23)
-	goldenTxn(d, txn.NonAtomic, 24)
+	goldenTxn(d, txn.LockFree, 24)
 	return h.Sum64()
 }
 

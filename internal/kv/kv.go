@@ -455,49 +455,6 @@ func rmw(sh *shard, p *flock.Proc, k uint64, f func(old uint64, present bool) ui
 	}
 }
 
-// byShard visits keys grouped by shard (all of shard 0's keys, then
-// shard 1's, ...) so each shard's structure is walked consecutively.
-// visit receives the original index of each key and its shard index.
-func (c *Client) byShard(keys []uint64, visit func(i, s int, sh *shard)) {
-	n := len(c.st.shards)
-	if n == 1 {
-		sh := &c.st.shards[0]
-		if obs.On() {
-			c.ops[0] += uint64(len(keys))
-		}
-		for i := range keys {
-			visit(i, 0, sh)
-		}
-		return
-	}
-	// Two-pass counting sort of key indices by shard.
-	counts := make([]int, n+1)
-	shardOf := make([]int, len(keys))
-	for i, k := range keys {
-		s := c.st.ShardOf(k)
-		shardOf[i] = s
-		counts[s+1]++
-	}
-	for s := 0; s < n; s++ {
-		counts[s+1] += counts[s]
-	}
-	order := make([]int, len(keys))
-	next := counts
-	for i := range keys {
-		s := shardOf[i]
-		order[next[s]] = i
-		next[s]++
-	}
-	track := obs.On()
-	for _, i := range order {
-		s := shardOf[i]
-		if track {
-			c.ops[s]++
-		}
-		visit(i, s, &c.st.shards[s])
-	}
-}
-
 // MultiGet looks up every key, filling vals and oks (freshly allocated,
 // len(keys) each). On a store built by NewComposed it is an atomic
 // multi-key read: the engine's optimistic arm validates a version vector
@@ -540,46 +497,51 @@ func (c *Client) MultiGet(keys []uint64) (vals []uint64, oks []bool) {
 
 // GetBatch looks up every key, filling vals and oks (which it returns;
 // both are freshly allocated, len(keys) each). The lookups are
-// independent plain reads with no mutual consistency.
+// independent plain reads in input order, with no mutual consistency.
 func (c *Client) GetBatch(keys []uint64) (vals []uint64, oks []bool) {
 	t0 := traceStart()
 	vals = make([]uint64, len(keys))
 	oks = make([]bool, len(keys))
-	c.byShard(keys, func(i, _ int, sh *shard) {
-		vals[i], oks[i] = sh.s.Find(c.p, keys[i])
-	})
+	for i, k := range keys {
+		_, sh := c.route(k)
+		vals[i], oks[i] = sh.s.Find(c.p, k)
+	}
 	traceOp(c.p, t0, multiShard, trace.KVGet)
 	return vals, oks
 }
 
-// PutBatch upserts keys[i] -> vals[i] for every i (len(vals) must equal
-// len(keys)) and returns how many keys were newly inserted.
+// PutBatch upserts keys[i] -> vals[i] for every i in input order (so a
+// later duplicate wins; len(vals) must equal len(keys)) and returns how
+// many keys were newly inserted.
 func (c *Client) PutBatch(keys, vals []uint64) int {
 	if len(keys) != len(vals) {
 		panic("kv: PutBatch length mismatch")
 	}
 	t0 := traceStart()
 	inserted := 0
-	c.byShard(keys, func(i, s int, sh *shard) {
-		c.st.snapRecord(c.p, s, keys[i])
-		if put(sh, c.p, keys[i], vals[i]) {
+	for i, k := range keys {
+		s, sh := c.route(k)
+		c.st.snapRecord(c.p, s, k)
+		if put(sh, c.p, k, vals[i]) {
 			inserted++
 		}
-	})
+	}
 	traceOp(c.p, t0, multiShard, trace.KVPut)
 	return inserted
 }
 
-// DeleteBatch removes every key and returns how many were present.
+// DeleteBatch removes every key in input order and returns how many were
+// present.
 func (c *Client) DeleteBatch(keys []uint64) int {
 	t0 := traceStart()
 	deleted := 0
-	c.byShard(keys, func(i, s int, sh *shard) {
-		c.st.snapRecord(c.p, s, keys[i])
-		if sh.s.Delete(c.p, keys[i]) {
+	for _, k := range keys {
+		s, sh := c.route(k)
+		c.st.snapRecord(c.p, s, k)
+		if sh.s.Delete(c.p, k) {
 			deleted++
 		}
-	})
+	}
 	traceOp(c.p, t0, multiShard, trace.KVDelete)
 	return deleted
 }

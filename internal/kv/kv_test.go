@@ -316,6 +316,21 @@ func TestPutBatchLengthMismatchPanics(t *testing.T) {
 	c.PutBatch([]uint64{1, 2}, []uint64{1})
 }
 
+// TestAllocsBatch pins GetBatch on a plain store at two allocations,
+// its two result slices, for a batch that spans several shards.
+func TestAllocsBatch(t *testing.T) {
+	st := kv.New(leaftreeFactory, kv.Options{Shards: 8})
+	c := st.Register()
+	defer c.Close()
+	for k := uint64(1); k <= 64; k++ {
+		c.Put(k, k)
+	}
+	keys := []uint64{3, 17, 40, 58, 99}
+	if n := testing.AllocsPerRun(200, func() { c.GetBatch(keys) }); n != 2 {
+		t.Fatalf("GetBatch allocates %v per op, want 2 (vals and oks)", n)
+	}
+}
+
 // TestMetricsShardOpsFoldOnClose pins the per-shard op accounting
 // (DESIGN.md S14): client-local counts accrue only while obs is
 // enabled, fold into the store's atomics on Close, and skew toward the

@@ -412,9 +412,9 @@ func batches(t *testing.T, f kv.Factory, opt config) {
 
 		wantIns := 0
 		seen := map[uint64]bool{}
-		// Batches visit keys shard-grouped, not in slice order, so with
-		// in-batch duplicates only the per-key counts are deterministic:
-		// a key is "newly inserted" at most once per batch.
+		// With in-batch duplicates a key is "newly inserted" at most
+		// once per batch: its first occurrence inserts, later ones
+		// replace.
 		for _, k := range keys {
 			if _, had := model[k]; !had && !seen[k] {
 				wantIns++
@@ -477,20 +477,19 @@ func batches(t *testing.T, f kv.Factory, opt config) {
 	}
 }
 
-// batchOrdering is the result-ordering conformance pass: batches
-// execute shard-grouped (not in input order), but their results must
-// still line up with the input — GetBatch's vals[i]/oks[i] belong to
-// keys[i], duplicate keys in a GetBatch all answer, and duplicate keys
-// in a PutBatch resolve to the *input-order-last* value (shard-grouped
-// visiting is index-stable within a shard, and this pins that contract).
+// batchOrdering is the result-ordering conformance pass: batch results
+// line up with the input — GetBatch's vals[i]/oks[i] belong to keys[i],
+// duplicate keys in a GetBatch all answer, and duplicate keys in a
+// PutBatch resolve to the *input-order-last* value (batches run per key
+// in input order, and this pins that contract).
 func batchOrdering(t *testing.T, f kv.Factory, opt config) {
 	st := opt.store(f)
 	c := st.Register()
 	defer c.Close()
 
 	// Keys deliberately interleaved across shards: consecutive input
-	// indices land on different shards, so shard-grouped execution
-	// visits them far from input order.
+	// indices land on different shards, so results that followed shard
+	// order instead of input order would show.
 	keys := make([]uint64, 0, 64)
 	for i := 0; i < 32; i++ {
 		keys = append(keys, uint64(1000+i), uint64(5000+31-i))

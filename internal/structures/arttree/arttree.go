@@ -29,50 +29,13 @@
 package arttree
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 
 	flock "flock/internal/core"
 	"flock/internal/simd"
+	"flock/internal/structures/artnode"
 )
-
-// Node kinds.
-const (
-	kLeaf = iota
-	k4
-	k16
-	k48
-	k256
-)
-
-func capOf(kind uint8) int {
-	switch kind {
-	case k4:
-		return 4
-	case k16:
-		return 16
-	case k48:
-		return 48
-	default:
-		return 256
-	}
-}
-
-func kindName(kind uint8) string {
-	switch kind {
-	case kLeaf:
-		return "leaf"
-	case k4:
-		return "node4"
-	case k16:
-		return "node16"
-	case k48:
-		return "node48"
-	default:
-		return "node256"
-	}
-}
 
 // packed16 is the searchable key image of a Node4/Node16: lane i
 // (laid out by simd.With) holds slots[i]'s key byte, and bit i of occ
@@ -113,17 +76,17 @@ type artNode struct {
 	k, v   uint64 // leaves
 	prefix []byte // inner: compressed path bytes
 
-	slots    []flock.Mutable[slotPair] // k4, k16
-	pk       flock.Mutable[packed16]   // k4, k16: packed key image over slots
-	idx      []flock.Mutable[uint8]    // k48: byte -> child index+1 (0 = empty)
-	children []flock.Mutable[*artNode] // k48 (48), k256 (256)
+	slots    []flock.Mutable[slotPair] // N4, N16
+	pk       flock.Mutable[packed16]   // N4, N16: packed key image over slots
+	idx      []flock.Mutable[uint8]    // N48: byte -> child index+1 (0 = empty)
+	children []flock.Mutable[*artNode] // N48 (48), N256 (256)
 
 	count   flock.Mutable[int] // inner: number of children
 	removed flock.UpdateOnce[bool]
 	lck     flock.Lock
 }
 
-func (n *artNode) isLeaf() bool { return n.kind == kLeaf }
+func (n *artNode) isLeaf() bool { return n.kind == artnode.Leaf }
 
 // Tree is a concurrent ART set. Any uint64 key except 0 is allowed
 // (0 is permitted too, in fact; the set package's [1, set.MaxKey] bound
@@ -139,28 +102,17 @@ func New(rt *flock.Runtime) *Tree {
 	return &Tree{}
 }
 
-func keyBytes(k uint64) [8]byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], k)
-	return b
-}
-
-// commonLen is the length of the longest common prefix of a and b —
-// every descent mismatch check and prefix-split computation routes
-// through the simd package's word-wise Mismatch.
-func commonLen(a, b []byte) int { return simd.Mismatch(a, b) }
-
-func newLeaf(k, v uint64) *artNode { return &artNode{kind: kLeaf, k: k, v: v} }
+func newLeaf(k, v uint64) *artNode { return &artNode{kind: artnode.Leaf, k: k, v: v} }
 
 func newInner(kind uint8, prefix []byte) *artNode {
 	n := &artNode{kind: kind, prefix: prefix}
 	switch kind {
-	case k4, k16:
-		n.slots = make([]flock.Mutable[slotPair], capOf(kind))
-	case k48:
+	case artnode.N4, artnode.N16:
+		n.slots = make([]flock.Mutable[slotPair], artnode.Cap(kind))
+	case artnode.N48:
 		n.idx = make([]flock.Mutable[uint8], 256)
 		n.children = make([]flock.Mutable[*artNode], 48)
-	case k256:
+	case artnode.N256:
 		n.children = make([]flock.Mutable[*artNode], 256)
 	}
 	return n
@@ -170,7 +122,7 @@ func newInner(kind uint8, prefix []byte) *artNode {
 // outside locks (direct loads) and inside thunks (committed loads).
 func (n *artNode) getChild(p *flock.Proc, b byte) *artNode {
 	switch n.kind {
-	case k4, k16:
+	case artnode.N4, artnode.N16:
 		// One packed load + one SWAR match yields the candidate
 		// lanes; each candidate is confirmed by its authoritative slot
 		// load (stale packed lanes fail the confirm). A packed miss is
@@ -184,7 +136,7 @@ func (n *artNode) getChild(p *flock.Proc, b byte) *artNode {
 			}
 		}
 		return nil
-	case k48:
+	case artnode.N48:
 		i := n.idx[b].Load(p)
 		if i == 0 {
 			return nil
@@ -199,16 +151,16 @@ func (n *artNode) getChild(p *flock.Proc, b byte) *artNode {
 // verified b is absent and n is not full.
 func (n *artNode) setChild(hp *flock.Proc, b byte, c *artNode) {
 	switch n.kind {
-	case k4, k16:
+	case artnode.N4, artnode.N16:
 		pk := n.pk.Load(hp)
 		free := ^pk.occ & uint16(1<<len(n.slots)-1)
 		if free == 0 {
-			panic("arttree: setChild on full " + kindName(n.kind))
+			panic("arttree: setChild on full " + artnode.Name(n.kind))
 		}
 		i := bits.TrailingZeros16(free)
 		n.pk.Store(hp, pk.with(i, b))                  // publish the packed byte first …
 		n.slots[i].Store(hp, slotPair{b: b, child: c}) // … then the authoritative slot
-	case k48:
+	case artnode.N48:
 		for i := range n.children {
 			if n.children[i].Load(hp) == nil {
 				n.children[i].Store(hp, c)     // publish child first
@@ -216,7 +168,7 @@ func (n *artNode) setChild(hp *flock.Proc, b byte, c *artNode) {
 				return
 			}
 		}
-		panic("arttree: setChild on full " + kindName(n.kind))
+		panic("arttree: setChild on full " + artnode.Name(n.kind))
 	default:
 		n.children[b].Store(hp, c)
 	}
@@ -226,7 +178,7 @@ func (n *artNode) setChild(hp *flock.Proc, b byte, c *artNode) {
 // n's lock; b must be present.
 func (n *artNode) replaceChild(hp *flock.Proc, b byte, c *artNode) {
 	switch n.kind {
-	case k4, k16:
+	case artnode.N4, artnode.N16:
 		// Slot-only update: the key byte is unchanged, so the packed
 		// image needs no maintenance.
 		pk := n.pk.Load(hp)
@@ -238,8 +190,8 @@ func (n *artNode) replaceChild(hp *flock.Proc, b byte, c *artNode) {
 				return
 			}
 		}
-		panic("arttree: replaceChild missing byte in " + kindName(n.kind))
-	case k48:
+		panic("arttree: replaceChild missing byte in " + artnode.Name(n.kind))
+	case artnode.N48:
 		i := n.idx[b].Load(hp)
 		n.children[i-1].Store(hp, c)
 	default:
@@ -250,7 +202,7 @@ func (n *artNode) replaceChild(hp *flock.Proc, b byte, c *artNode) {
 // removeChild clears the slot for byte b. Caller holds n's lock.
 func (n *artNode) removeChild(hp *flock.Proc, b byte) {
 	switch n.kind {
-	case k4, k16:
+	case artnode.N4, artnode.N16:
 		pk := n.pk.Load(hp)
 		for m := simd.Match(pk.lo, pk.hi, b) & pk.occ; m != 0; m &= m - 1 {
 			i := bits.TrailingZeros16(m)
@@ -261,7 +213,7 @@ func (n *artNode) removeChild(hp *flock.Proc, b byte) {
 				return
 			}
 		}
-	case k48:
+	case artnode.N48:
 		i := n.idx[b].Load(hp)
 		if i != 0 {
 			n.idx[b].Store(hp, 0) // unpublish the index first
@@ -273,42 +225,34 @@ func (n *artNode) removeChild(hp *flock.Proc, b byte) {
 }
 
 // pair is a collected (byte, child) entry.
-type pair struct {
-	b byte
-	c *artNode
-}
+type pair = artnode.Pair[*artNode]
 
 // collectChildren snapshots all present children in byte order. Caller
 // holds n's lock; iteration counts are fixed so replays stay aligned.
 func (n *artNode) collectChildren(hp *flock.Proc) []pair {
 	var out []pair
 	switch n.kind {
-	case k4, k16:
+	case artnode.N4, artnode.N16:
 		for i := range n.slots {
 			sv := n.slots[i].Load(hp)
 			if sv.child != nil {
-				out = append(out, pair{sv.b, sv.child})
+				out = append(out, pair{B: sv.b, C: sv.child})
 			}
 		}
-		// insertion order is arbitrary: normalize by byte
-		for i := 1; i < len(out); i++ {
-			for j := i; j > 0 && out[j-1].b > out[j].b; j-- {
-				out[j-1], out[j] = out[j], out[j-1]
-			}
-		}
-	case k48:
+		artnode.SortByByte(out) // slot order is insertion order
+	case artnode.N48:
 		for b := 0; b < 256; b++ {
 			i := n.idx[b].Load(hp)
 			if i != 0 {
 				if c := n.children[i-1].Load(hp); c != nil {
-					out = append(out, pair{byte(b), c})
+					out = append(out, pair{B: byte(b), C: c})
 				}
 			}
 		}
 	default:
 		for b := 0; b < 256; b++ {
 			if c := n.children[b].Load(hp); c != nil {
-				out = append(out, pair{byte(b), c})
+				out = append(out, pair{B: byte(b), C: c})
 			}
 		}
 	}
@@ -317,33 +261,25 @@ func (n *artNode) collectChildren(hp *flock.Proc) []pair {
 
 // buildInner constructs a fresh inner node of minimal kind holding pairs.
 func buildInner(hp *flock.Proc, prefix []byte, pairs []pair) *artNode {
-	kind := uint8(k4)
-	switch {
-	case len(pairs) > 48:
-		kind = k256
-	case len(pairs) > 16:
-		kind = k48
-	case len(pairs) > 4:
-		kind = k16
-	}
+	kind := artnode.KindFor(len(pairs))
 	return flock.Allocate(hp, func() *artNode {
 		n := newInner(kind, prefix)
 		switch kind {
-		case k4, k16:
+		case artnode.N4, artnode.N16:
 			var pk packed16
 			for i, pr := range pairs {
-				n.slots[i].Init(slotPair{b: pr.b, child: pr.c})
-				pk = pk.with(i, pr.b)
+				n.slots[i].Init(slotPair{b: pr.B, child: pr.C})
+				pk = pk.with(i, pr.B)
 			}
 			n.pk.Init(pk)
-		case k48:
+		case artnode.N48:
 			for i, pr := range pairs {
-				n.children[i].Init(pr.c)
-				n.idx[pr.b].Init(uint8(i) + 1)
+				n.children[i].Init(pr.C)
+				n.idx[pr.B].Init(uint8(i) + 1)
 			}
 		default:
 			for _, pr := range pairs {
-				n.children[pr.b].Init(pr.c)
+				n.children[pr.B].Init(pr.C)
 			}
 		}
 		n.count.Init(len(pairs))
@@ -385,7 +321,7 @@ func (t *Tree) search(p *flock.Proc, kb *[8]byte) path {
 			pa.depth = depth
 			return pa
 		}
-		if commonLen(cur.prefix, kb[depth:]) != len(cur.prefix) {
+		if simd.Mismatch(cur.prefix, kb[depth:]) != len(cur.prefix) {
 			pa.st = stMismatch
 			pa.depth = depth
 			return pa
@@ -413,7 +349,7 @@ func (t *Tree) search(p *flock.Proc, kb *[8]byte) path {
 func (t *Tree) Find(p *flock.Proc, k uint64) (uint64, bool) {
 	p.Begin()
 	defer p.End()
-	kb := keyBytes(k)
+	kb := artnode.KeyBytes(k)
 	pa := t.search(p, &kb)
 	if pa.st == stLeaf && pa.cur.k == k {
 		return pa.cur.v, true
@@ -445,7 +381,7 @@ func (t *Tree) lockSlotOwner(p *flock.Proc, par *artNode, parB byte, n *artNode,
 func (t *Tree) Insert(p *flock.Proc, k, v uint64) bool {
 	p.Begin()
 	defer p.End()
-	kb := keyBytes(k)
+	kb := artnode.KeyBytes(k)
 	for {
 		pa := t.search(p, &kb)
 		switch pa.st {
@@ -468,11 +404,11 @@ func (t *Tree) Insert(p *flock.Proc, k, v uint64) bool {
 			// Split: replace the leaf with a Node4 over the common prefix.
 			depth := pa.depth
 			if t.lockSlotOwner(p, pa.par, pa.parB, leaf, func(hp *flock.Proc, store func(*flock.Proc, *artNode)) bool {
-				okb := keyBytes(leaf.k)
-				cp := commonLen(okb[depth:], kb[depth:])
+				okb := artnode.KeyBytes(leaf.k)
+				cp := simd.Mismatch(okb[depth:], kb[depth:])
 				nl := flock.Allocate(hp, func() *artNode { return newLeaf(k, v) })
 				n4 := buildInner(hp, kb[depth:depth+cp],
-					sortedPairs(pair{okb[depth+cp], leaf}, pair{kb[depth+cp], nl}))
+					artnode.SortedPairs(pair{B: okb[depth+cp], C: leaf}, pair{B: kb[depth+cp], C: nl}))
 				store(hp, n4)
 				return true
 			}) {
@@ -488,7 +424,7 @@ func (t *Tree) Insert(p *flock.Proc, k, v uint64) bool {
 					}
 					cnt := n.count.Load(hp2)
 					nl := flock.Allocate(hp2, func() *artNode { return newLeaf(k, v) })
-					if cnt < capOf(n.kind) {
+					if cnt < artnode.Cap(n.kind) {
 						n.setChild(hp2, b, nl)
 						n.count.Store(hp2, cnt+1)
 						return true
@@ -496,11 +432,11 @@ func (t *Tree) Insert(p *flock.Proc, k, v uint64) bool {
 					// Grow to the next kind. The count said full; assert
 					// the occupancy agrees before rebuilding wider.
 					pairs := n.collectChildren(hp2)
-					if len(pairs) != capOf(n.kind) {
+					if len(pairs) != artnode.Cap(n.kind) {
 						panic(fmt.Sprintf("arttree: growing %s with %d/%d children",
-							kindName(n.kind), len(pairs), capOf(n.kind)))
+							artnode.Name(n.kind), len(pairs), artnode.Cap(n.kind)))
 					}
-					pairs = append(pairs, pair{b, nl})
+					pairs = append(pairs, pair{B: b, C: nl})
 					grown := buildInner(hp2, n.prefix, pairs)
 					n.removed.Store(hp2, true)
 					store(hp2, grown)
@@ -515,13 +451,13 @@ func (t *Tree) Insert(p *flock.Proc, k, v uint64) bool {
 			depth := pa.depth
 			if t.lockSlotOwner(p, pa.par, pa.parB, n, func(hp *flock.Proc, store func(*flock.Proc, *artNode)) bool {
 				return n.lck.TryLock(hp, func(hp2 *flock.Proc) bool {
-					cp := commonLen(n.prefix, kb[depth:])
+					cp := simd.Mismatch(n.prefix, kb[depth:])
 					// Clone n with the tail of its prefix.
 					pairs := n.collectChildren(hp2)
 					clone := buildInner(hp2, n.prefix[cp+1:], pairs)
 					nl := flock.Allocate(hp2, func() *artNode { return newLeaf(k, v) })
 					split := buildInner(hp2, n.prefix[:cp],
-						sortedPairs(pair{n.prefix[cp], clone}, pair{kb[depth+cp], nl}))
+						artnode.SortedPairs(pair{B: n.prefix[cp], C: clone}, pair{B: kb[depth+cp], C: nl}))
 					n.removed.Store(hp2, true)
 					store(hp2, split)
 					return true
@@ -533,33 +469,11 @@ func (t *Tree) Insert(p *flock.Proc, k, v uint64) bool {
 	}
 }
 
-func sortedPairs(a, b pair) []pair {
-	if a.b > b.b {
-		a, b = b, a
-	}
-	return []pair{a, b}
-}
-
-// shrinkThreshold returns the occupancy at which a node collapses to a
-// smaller kind (standard ART hysteresis).
-func shrinkThreshold(kind uint8) int {
-	switch kind {
-	case k16:
-		return 3
-	case k48:
-		return 12
-	case k256:
-		return 40
-	default:
-		return 1 // k4 only compresses away at a single child
-	}
-}
-
 // Delete removes k; false if absent.
 func (t *Tree) Delete(p *flock.Proc, k uint64) bool {
 	p.Begin()
 	defer p.End()
-	kb := keyBytes(k)
+	kb := artnode.KeyBytes(k)
 	for {
 		pa := t.search(p, &kb)
 		if pa.st != stLeaf || pa.cur.k != k {
@@ -587,9 +501,9 @@ func (t *Tree) Delete(p *flock.Proc, k uint64) bool {
 				}
 				cnt := n.count.Load(hp2)
 				if cnt > 2 {
-					if cnt-1 <= shrinkThreshold(n.kind) {
+					if cnt-1 <= artnode.ShrinkThreshold(n.kind) {
 						// Rebuild as a smaller kind without b.
-						pairs := without(n.collectChildren(hp2), b)
+						pairs := artnode.Without(n.collectChildren(hp2), b)
 						small := buildInner(hp2, n.prefix, pairs)
 						n.removed.Store(hp2, true)
 						store(hp2, small)
@@ -600,20 +514,20 @@ func (t *Tree) Delete(p *flock.Proc, k uint64) bool {
 					return true
 				}
 				// cnt == 2: path-compress n away, promoting the sibling.
-				pairs := without(n.collectChildren(hp2), b)
+				pairs := artnode.Without(n.collectChildren(hp2), b)
 				sib := pairs[0]
-				if sib.c.isLeaf() {
+				if sib.C.isLeaf() {
 					n.removed.Store(hp2, true)
-					store(hp2, sib.c)
+					store(hp2, sib.C)
 					return true
 				}
 				// Inner sibling: clone it with the merged prefix.
-				return sib.c.lck.TryLock(hp2, func(hp3 *flock.Proc) bool {
-					merged := make([]byte, 0, len(n.prefix)+1+len(sib.c.prefix))
-					merged = append(append(append(merged, n.prefix...), sib.b), sib.c.prefix...)
-					clone := buildInner(hp3, merged, sib.c.collectChildren(hp3))
+				return sib.C.lck.TryLock(hp2, func(hp3 *flock.Proc) bool {
+					merged := make([]byte, 0, len(n.prefix)+1+len(sib.C.prefix))
+					merged = append(append(append(merged, n.prefix...), sib.B), sib.C.prefix...)
+					clone := buildInner(hp3, merged, sib.C.collectChildren(hp3))
 					n.removed.Store(hp3, true)
-					sib.c.removed.Store(hp3, true)
+					sib.C.removed.Store(hp3, true)
 					store(hp3, clone)
 					return true
 				})
@@ -622,16 +536,6 @@ func (t *Tree) Delete(p *flock.Proc, k uint64) bool {
 			return true
 		}
 	}
-}
-
-func without(pairs []pair, b byte) []pair {
-	out := pairs[:0]
-	for _, pr := range pairs {
-		if pr.b != b {
-			out = append(out, pr)
-		}
-	}
-	return out
 }
 
 // Keys returns the sorted key snapshot (single-threaded use).
@@ -646,17 +550,12 @@ func (t *Tree) Keys(p *flock.Proc) []uint64 {
 			out = append(out, n.k)
 			return
 		}
-		for _, pr := range t.allChildren(p, n) {
-			walk(pr.c)
+		for _, pr := range n.collectChildren(p) {
+			walk(pr.C)
 		}
 	}
 	walk(t.root.Load(p))
 	return out
-}
-
-// allChildren is collectChildren without a lock (single-threaded use).
-func (t *Tree) allChildren(p *flock.Proc, n *artNode) []pair {
-	return n.collectChildren(p)
 }
 
 // CheckInvariants verifies, single-threaded: every leaf's key bytes equal
@@ -666,8 +565,8 @@ func (t *Tree) CheckInvariants(p *flock.Proc) error {
 	var walk func(n *artNode, acc []byte) error
 	walk = func(n *artNode, acc []byte) error {
 		if n.isLeaf() {
-			kb := keyBytes(n.k)
-			if commonLen(kb[:], acc) != len(acc) {
+			kb := artnode.KeyBytes(n.k)
+			if simd.Mismatch(kb[:], acc) != len(acc) {
 				return fmt.Errorf("arttree: leaf %d under path %v", n.k, acc)
 			}
 			return nil
@@ -683,34 +582,20 @@ func (t *Tree) CheckInvariants(p *flock.Proc) error {
 		if len(pairs) < 2 {
 			return fmt.Errorf("arttree: inner node with %d children", len(pairs))
 		}
-		if len(pairs) > capOf(n.kind) {
-			return fmt.Errorf("arttree: occupancy %d over capacity %d", len(pairs), capOf(n.kind))
+		if len(pairs) > artnode.Cap(n.kind) {
+			return fmt.Errorf("arttree: occupancy %d over capacity %d", len(pairs), artnode.Cap(n.kind))
 		}
-		if n.kind == k4 || n.kind == k16 {
-			// Quiesced, the packed key image must mirror the slots
-			// exactly: matching bytes on live lanes, occ == occupancy.
+		if n.slots != nil {
 			pk := n.pk.Load(p)
-			var occ uint16
-			for i := range n.slots {
+			if err := artnode.CheckPacked(n.kind, pk.lo, pk.hi, pk.occ, func(i int) (byte, bool) {
 				sv := n.slots[i].Load(p)
-				if sv.child == nil {
-					continue
-				}
-				occ |= 1 << i
-				if pk.occ&(1<<i) == 0 {
-					return fmt.Errorf("arttree: %s lane %d live but packed bit clear", kindName(n.kind), i)
-				}
-				if simd.Match(pk.lo, pk.hi, sv.b)&(1<<i) == 0 {
-					return fmt.Errorf("arttree: %s lane %d packed image %#x:%#x misses slot byte %#x",
-						kindName(n.kind), i, pk.hi, pk.lo, sv.b)
-				}
-			}
-			if pk.occ != occ {
-				return fmt.Errorf("arttree: %s packed occ %#x != slot occupancy %#x", kindName(n.kind), pk.occ, occ)
+				return sv.b, sv.child != nil
+			}); err != nil {
+				return fmt.Errorf("arttree: %w", err)
 			}
 		}
 		for _, pr := range pairs {
-			if err := walk(pr.c, append(acc, pr.b)); err != nil {
+			if err := walk(pr.C, append(acc, pr.B)); err != nil {
 				return err
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	flock "flock/internal/core"
+	"flock/internal/structures/artnode"
 	"flock/internal/structures/set"
 	"flock/internal/structures/settest"
 )
@@ -32,8 +33,8 @@ func TestNodeGrowthThroughAllKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := tr.root.Load(p)
-	if root.kind != k256 {
-		t.Fatalf("root kind %d, want k256 after 256 branches", root.kind)
+	if root.kind != artnode.N256 {
+		t.Fatalf("root kind %d, want N256 after 256 branches", root.kind)
 	}
 	for i := uint64(0); i < 256; i++ {
 		k := i<<56 | 1
@@ -62,10 +63,10 @@ func TestNodeShrinkThroughAllKinds(t *testing.T) {
 			}
 		}
 	}
-	// Two keys remain; the node is a k4.
+	// Two keys remain; the node is an N4.
 	root := tr.root.Load(p)
-	if root.kind != k4 {
-		t.Fatalf("root kind %d, want k4 with 2 children", root.kind)
+	if root.kind != artnode.N4 {
+		t.Fatalf("root kind %d, want N4 with 2 children", root.kind)
 	}
 	// Deleting one of the two compresses the root to a leaf.
 	if !tr.Delete(p, 0<<56|1) {

@@ -21,8 +21,8 @@
 //
 // Every kv store runs all its shards on one flock.Runtime, so helpers
 // of a composed thunk share one epoch manager, protecting memory retired
-// on any shard, and one mode flag all runs agree on. In the atomic modes
-// New builds its store with kv.NewComposed: transactions are the writers
+// on any shard, and one mode flag all runs agree on. New builds
+// its store with kv.NewComposed: transactions are the writers
 // that take shard locks, so the store's reads (Get, MultiGet, Scan,
 // snapshot chunks) validate against those locks' versions and serialize
 // against them without taking a lock or logging a load.
@@ -49,12 +49,12 @@
 //     same path, and logs O(1) steps per key instead of a descent.
 //
 // Per-shard locking trades intra-shard concurrency for cross-shard
-// atomicity; shard count recovers parallelism. The Blocking and
-// NonAtomic modes keep the same API as ablation arms: Blocking runs the
-// identical composition over test-and-set locks (no helping — a
-// descheduled holder stalls every conflicting transaction), and
-// NonAtomic issues per-key operations with no shard locks at all (the
-// kv batch behaviour: torn multi-writes are observable).
+// atomicity; shard count recovers parallelism. The Blocking mode keeps
+// the same API as an ablation arm: it runs the identical composition
+// over test-and-set locks (no helping — a descheduled holder stalls
+// every conflicting transaction). The ext-txn figures' non-atomic
+// baseline is not a mode: the harness issues the same operations as
+// per-key kv calls on a plain store (DESIGN.md S11).
 package txn
 
 import (
@@ -70,7 +70,7 @@ import (
 // Mode selects a store's concurrency-control arm.
 type Mode int
 
-// The three arms of the ext-txn ablation.
+// The two atomic arms of the ext-txn ablation.
 const (
 	// LockFree composes per-shard lock-free try-locks: atomic,
 	// deadlock-free by sort order, helpers complete stalled
@@ -80,21 +80,13 @@ const (
 	// test-and-set locks: atomic, but a stalled holder blocks every
 	// conflicting transaction for its whole deschedule.
 	Blocking
-	// NonAtomic applies per-key operations without shard locks — the
-	// naive baseline whose multi-key operations can be torn by
-	// concurrent transactions.
-	NonAtomic
 )
 
 func (m Mode) String() string {
-	switch m {
-	case LockFree:
-		return "lockfree"
-	case Blocking:
+	if m == Blocking {
 		return "blocking"
-	default:
-		return "nonatomic"
 	}
+	return "lockfree"
 }
 
 // Options configures a Store.
@@ -105,7 +97,7 @@ type Options struct {
 	Mode Mode
 	// KeyRange is the kv sizing hint (see kv.Options.KeyRange).
 	KeyRange uint64
-	// OptimisticReads is ignored: every atomic-mode store validates its
+	// OptimisticReads is ignored: every store validates its
 	// reads (see MultiGet). The field stays only because perfbench still
 	// sets it; it goes with the next change to perfbench.
 	OptimisticReads bool
@@ -114,8 +106,7 @@ type Options struct {
 // Store is a transactional wrapper around a sharded kv.Store. Create
 // per-goroutine handles with Register.
 type Store struct {
-	kv   *kv.Store
-	mode Mode
+	kv *kv.Store
 }
 
 // New builds a transactional store whose shards each hold a fresh
@@ -126,29 +117,22 @@ type Store struct {
 // must be loggable, deterministically replayable thunk code. Non-flock
 // baselines (which ignore the runtime) and strict-lock variants would
 // silently break atomicity under helping — the harness refuses them
-// (see its txnCapable set). A NonAtomic store takes no shard lock, so it
-// is a plain kv.New store.
+// (see its txnCapable set).
 func New(f kv.Factory, opt Options) *Store {
 	kvOpt := kv.Options{Shards: opt.Shards, Blocking: opt.Mode == Blocking, KeyRange: opt.KeyRange}
-	if opt.Mode == NonAtomic {
-		return &Store{kv: kv.New(f, kvOpt), mode: opt.Mode}
-	}
-	return &Store{kv: kv.NewComposed(f, kvOpt), mode: opt.Mode}
+	return &Store{kv: kv.NewComposed(f, kvOpt)}
 }
 
-// KV exposes the underlying store (prefill, monitoring, and the
-// NonAtomic arm's batch path). Writing through it concurrently with
+// KV exposes the underlying store (prefill and monitoring). Writing
+// through it concurrently with
 // transactions forfeits transactional isolation for those writes —
 // single-key operations stay individually linearizable, but they do not
 // serialize against multi-key transactions.
 func (s *Store) KV() *kv.Store { return s.kv }
 
-// Mode returns the store's concurrency-control arm.
-func (s *Store) Mode() Mode { return s.mode }
-
 // SetStallInjection forwards deschedule injection to the runtime (see
 // flock.Runtime.SetStallInjection). Stalls strike while holding shard
-// locks, which is precisely the event the three modes react to
+// locks, which is precisely the event the two modes react to
 // differently.
 func (s *Store) SetStallInjection(n int) { s.kv.SetStallInjection(n) }
 
@@ -328,15 +312,6 @@ func (pl *plan) slot(c *Client, k uint64) int {
 	return len(pl.keys) - 1
 }
 
-// keysOf returns the keys an index list names (the NonAtomic arm).
-func (pl *plan) keysOf(idx []int) []uint64 {
-	out := make([]uint64, len(idx))
-	for i, j := range idx {
-		out[i] = pl.keys[j]
-	}
-	return out
-}
-
 // compute fills wv, one value per write key, from the reads rv/ro and
 // reports whether to commit. It is pure and retains none of its
 // arguments, so the body can pass run-local arrays; a user TxnFunc gets
@@ -470,44 +445,15 @@ func (c *Client) exec(pl *plan) *attempt {
 	return last
 }
 
-// done parks pl and a (nil in NonAtomic mode) for recycling once the
+// done parks pl and a for recycling once the
 // caller has copied their results out. The stamp is read after every
 // attempt's lock chain was released, so it is at least the birth epoch
 // of every descriptor whose thunks can reach them, and a straggler
 // replaying one announces at most that birth epoch (DESIGN.md S10).
 func (c *Client) done(pl *plan, a *attempt) {
 	e := c.p.Epoch()
-	if a != nil {
-		c.attempts.push(a, e)
-	}
+	c.attempts.push(a, e)
 	c.plans.push(pl, e)
-}
-
-// run executes pl in the store's mode and returns the reads observed at
-// the serialization point and whether the transaction committed, and
-// parks pl for recycling. In NonAtomic mode the reads and writes are
-// per-key operations with no mutual atomicity (the ablation baseline).
-func (c *Client) run(pl *plan) (vals []uint64, oks []bool, ok bool) {
-	if c.st.mode == NonAtomic {
-		rv, ro := c.kc.GetBatch(pl.keysOf(pl.reads))
-		wv := make([]uint64, len(pl.writes))
-		ok = pl.compute(rv, ro, wv)
-		if ok {
-			c.kc.PutBatch(pl.keysOf(pl.writes), wv)
-		}
-		c.done(pl, nil)
-		return rv, ro, ok
-	}
-	a := c.exec(pl)
-	vals = make([]uint64, len(pl.reads))
-	oks = make([]bool, len(pl.reads))
-	for i := range vals {
-		vals[i] = a.vals[i].Load()
-		oks[i] = a.oks[i].Load()
-	}
-	ok = a.ok.Load()
-	c.done(pl, a)
-	return vals, oks, ok
 }
 
 // Txn runs a generic multi-key transaction: it reads readKeys, applies
@@ -515,18 +461,23 @@ func (c *Client) run(pl *plan) (vals []uint64, oks []bool, ok bool) {
 // one serialization point. It returns the read values and presence
 // flags observed at that point and whether the transaction committed.
 // fn must return exactly len(writeKeys) values when committing.
-//
-// In NonAtomic mode the reads and writes are per-key operations with no
-// mutual atomicity (the ablation baseline).
 func (c *Client) Txn(readKeys, writeKeys []uint64, fn TxnFunc) (vals []uint64, oks []bool, committed bool) {
 	pl := c.newPlan(readKeys, writeKeys)
 	pl.fn = fn
-	return c.run(pl)
+	a := c.exec(pl)
+	vals = make([]uint64, len(pl.reads))
+	oks = make([]bool, len(pl.reads))
+	for i := range vals {
+		vals[i] = a.vals[i].Load()
+		oks[i] = a.oks[i].Load()
+	}
+	committed = a.ok.Load()
+	c.done(pl, a)
+	return vals, oks, committed
 }
 
 // MultiGet returns a consistent snapshot of the keys: all values read
-// at one serialization point (in atomic modes; in NonAtomic mode it is
-// kv's shard-grouped batch read). The snapshot is kv's
+// at one serialization point. The snapshot is kv's
 // version-vector-validated read (kv.Client.MultiGet): each shard's
 // version is read before its data loads and is unchanged at the
 // validation pass after all of them, so every shard lock was free at
@@ -539,13 +490,10 @@ func (c *Client) MultiGet(keys []uint64) ([]uint64, []bool) {
 
 // MultiPut atomically upserts keys[i] -> vals[i] for every i (later
 // duplicates win, as in input order) and returns how many keys were
-// newly inserted. In NonAtomic mode it is kv's batch put.
+// newly inserted.
 func (c *Client) MultiPut(keys, vals []uint64) int {
 	if len(keys) != len(vals) {
 		panic("txn: MultiPut length mismatch")
-	}
-	if c.st.mode == NonAtomic {
-		return c.kc.PutBatch(keys, vals)
 	}
 	pl := c.newPlan(nil, keys)
 	pl.kind, pl.vals = kindSet, append(pl.valBuf[:0], vals...)
@@ -586,20 +534,15 @@ func (c *Client) Transfer(a, b, amount uint64) bool {
 	keys := [2]uint64{a, b}
 	pl := c.newPlan(keys[:], keys[:])
 	pl.kind, pl.amount = kindTransfer, amount
-	if c.st.mode == NonAtomic {
-		_, _, ok := c.run(pl)
-		return ok
-	}
 	at := c.exec(pl)
 	ok := at.ok.Load()
 	c.done(pl, at)
 	return ok
 }
 
-// Get is single-key read sugar: in atomic modes a read validated
-// against the key's shard lock (kv.Client.Get), so it serializes against
-// multi-key transactions like MultiGet; a plain kv read in NonAtomic
-// mode.
+// Get is single-key read sugar: a read validated against the key's
+// shard lock (kv.Client.Get), so it serializes against multi-key
+// transactions like MultiGet.
 func (c *Client) Get(k uint64) (uint64, bool) {
 	return c.kc.Get(k)
 }
@@ -607,8 +550,5 @@ func (c *Client) Get(k uint64) (uint64, bool) {
 // Put is single-key upsert sugar with the same serialization contract
 // as Get; it reports whether k was newly inserted.
 func (c *Client) Put(k, v uint64) bool {
-	if c.st.mode == NonAtomic {
-		return c.kc.Put(k, v)
-	}
 	return c.MultiPut([]uint64{k}, []uint64{v}) == 1
 }

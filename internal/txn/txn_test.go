@@ -3,7 +3,9 @@ package txn_test
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -56,8 +58,97 @@ func harnessFactory(name string) (kv.Factory, error) {
 // The conformance suite runs over both native-upsert structures the
 // acceptance criteria name; together with the mode × shard matrix
 // inside, this is the multi-key atomicity verification.
-func TestConformanceLeaftree(t *testing.T)  { txntest.Run(t, leaftreeFactory) }
-func TestConformanceHashtable(t *testing.T) { txntest.Run(t, hashtableFactory) }
+func TestConformanceLeaftree(t *testing.T)  { conformance(t, leaftreeFactory) }
+func TestConformanceHashtable(t *testing.T) { conformance(t, hashtableFactory) }
+
+// conformance runs the suite in both modes, then checks the harness's
+// non-atomic arm against the lock-free one.
+func conformance(t *testing.T, f kv.Factory) {
+	txntest.Run(t, f)
+	t.Run("nonatomic/SequentialModel", func(t *testing.T) { perKeyDifferential(t, f) })
+}
+
+// perKeyDifferential drives one seeded single-threaded op sequence —
+// transfers with covered and uncovered amounts, MultiPuts with duplicate
+// keys, increment Txns (the mix's RMW) and MultiGets — through the
+// harness's non-atomic arm (harness.PerKey on a plain kv store) and a
+// lock-free client on a twin store. Single-threaded, the two must agree
+// on every return value and on the final contents.
+func perKeyDifferential(t *testing.T, f kv.Factory) {
+	const keySpace = 64
+	plain := kv.New(f, kv.Options{Shards: 4, KeyRange: 4096})
+	na := harness.PerKey{Client: plain.Register()}
+	defer na.Close()
+	st := txn.New(f, txn.Options{Shards: 4, Mode: txn.LockFree, KeyRange: 4096})
+	lf := st.Register()
+	defer lf.Close()
+	rng := rand.New(rand.NewSource(37))
+	keys := func(n int) []uint64 {
+		ks := make([]uint64, n)
+		for j := range ks {
+			ks[j] = uint64(rng.Intn(keySpace) + 1)
+		}
+		return ks
+	}
+	increment := func(vals []uint64, _ []bool) ([]uint64, bool) {
+		out := make([]uint64, len(vals))
+		for j, v := range vals {
+			out[j] = v + 1
+		}
+		return out, true
+	}
+	for i := 0; i < 1500; i++ {
+		switch rng.Intn(4) {
+		case 0: // MultiPut, half of them repeating a key
+			ks := keys(rng.Intn(3) + 1)
+			if rng.Intn(2) == 0 {
+				ks = append(ks, ks[0])
+			}
+			vs := make([]uint64, len(ks))
+			for j := range vs {
+				vs[j] = uint64(rng.Intn(100))
+			}
+			if a, b := na.MultiPut(ks, vs), lf.MultiPut(ks, vs); a != b {
+				t.Fatalf("op %d: MultiPut(%v, %v) inserted %d per key, %d lock-free", i, ks, vs, a, b)
+			}
+		case 1: // Transfer: balances below 100, amounts up to 150
+			ks, amt := keys(2), uint64(rng.Intn(150))
+			if a, b := na.Transfer(ks[0], ks[1], amt), lf.Transfer(ks[0], ks[1], amt); a != b {
+				t.Fatalf("op %d: Transfer(%d, %d, %d) = %v per key, %v lock-free", i, ks[0], ks[1], amt, a, b)
+			}
+		case 2: // RMW
+			ks := keys(rng.Intn(3) + 1)
+			av, ao, ac := na.Txn(ks, ks, increment)
+			bv, bo, bc := lf.Txn(ks, ks, increment)
+			if !slices.Equal(av, bv) || !slices.Equal(ao, bo) || ac != bc {
+				t.Fatalf("op %d: Txn(%v) = (%v, %v, %v) per key, (%v, %v, %v) lock-free", i, ks, av, ao, ac, bv, bo, bc)
+			}
+		default:
+			ks := keys(rng.Intn(4) + 1)
+			av, ao := na.MultiGet(ks)
+			bv, bo := lf.MultiGet(ks)
+			if !slices.Equal(av, bv) || !slices.Equal(ao, bo) {
+				t.Fatalf("op %d: MultiGet(%v) = (%v, %v) per key, (%v, %v) lock-free", i, ks, av, ao, bv, bo)
+			}
+		}
+	}
+	all := make([]uint64, keySpace)
+	for j := range all {
+		all[j] = uint64(j + 1)
+	}
+	av, ao := na.MultiGet(all)
+	bv, bo := lf.MultiGet(all)
+	if !slices.Equal(av, bv) || !slices.Equal(ao, bo) {
+		t.Fatalf("final contents differ: per key (%v, %v), lock-free (%v, %v)", av, ao, bv, bo)
+	}
+	if plain.Scannable() {
+		kc := st.KV().Register()
+		defer kc.Close()
+		if a, b := na.Scan(0, math.MaxUint64, -1), kc.Scan(0, math.MaxUint64, -1); !slices.Equal(a, b) {
+			t.Fatalf("final Scan differs: per key %v, lock-free %v", a, b)
+		}
+	}
+}
 
 // Every other structure the harness's txnCapable set vouches for runs
 // the same suite: vouching without verification would let a structure
@@ -93,7 +184,7 @@ func TestConformanceOtherCapableStructures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) { txntest.Run(t, f) })
+		t.Run(name, func(t *testing.T) { conformance(t, f) })
 	}
 }
 
@@ -102,7 +193,7 @@ func newStore(mode txn.Mode, shards int) *txn.Store {
 }
 
 func TestMultiPutDuplicatesLastWins(t *testing.T) {
-	for _, mode := range []txn.Mode{txn.LockFree, txn.Blocking, txn.NonAtomic} {
+	for _, mode := range []txn.Mode{txn.LockFree, txn.Blocking} {
 		st := newStore(mode, 4)
 		c := st.Register()
 		ins := c.MultiPut([]uint64{7, 7, 7}, []uint64{1, 2, 3})
@@ -309,8 +400,8 @@ func TestReadArmFollowsStoreKind(t *testing.T) {
 }
 
 func TestModeString(t *testing.T) {
-	if txn.LockFree.String() != "lockfree" || txn.Blocking.String() != "blocking" || txn.NonAtomic.String() != "nonatomic" {
-		t.Fatalf("mode names: %v %v %v", txn.LockFree, txn.Blocking, txn.NonAtomic)
+	if txn.LockFree.String() != "lockfree" || txn.Blocking.String() != "blocking" {
+		t.Fatalf("mode names: %v %v", txn.LockFree, txn.Blocking)
 	}
 }
 

@@ -20,9 +20,9 @@
 //     injection in lock-free mode so most transactions complete via
 //     helping.
 //
-// The NonAtomic arm runs only the sequential model (it is correct
-// single-threaded by construction); its concurrent torn writes are the
-// ablation's point, not a bug, so nothing asserts their absence.
+// The ext-txn figures' non-atomic baseline (harness.PerKey) is not a
+// store mode, so it is not run here; txn's conformance tests check it
+// single-threaded against a lock-free client.
 package txntest
 
 import (
@@ -60,9 +60,6 @@ func Run(t *testing.T, f kv.Factory) {
 			})
 		}
 	}
-	t.Run("nonatomic/SequentialModel", func(t *testing.T) {
-		sequentialModel(t, f, txn.Options{Shards: 4, Mode: txn.NonAtomic, KeyRange: 4096})
-	})
 }
 
 // sequentialModel drives one client through a scripted mix of every
