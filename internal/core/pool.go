@@ -1,19 +1,23 @@
 package flock
 
 import (
+	"sync/atomic"
+	"unsafe"
+
 	"flock/internal/obs"
 	"flock/internal/obs/trace"
 )
 
 // Per-Proc descriptor pool (§6 of the paper, DESIGN.md S10).
 //
-// Descriptors are the only pooled objects: one per lock acquisition,
-// with the first log block embedded and its spill blocks linked behind
-// it for the descriptor's whole pooled life, so a recycled descriptor
-// brings its log along and a long thunk allocates no blocks once its
-// descriptor has been round the pool. Value boxes and structure nodes
-// are left to the garbage collector, which keeps their addresses unique
-// while a log or helper still holds them (S1).
+// Descriptors are pooled, one per lock acquisition, with the first log
+// block embedded and its spill blocks linked behind it for the
+// descriptor's whole pooled life, so a recycled descriptor brings its
+// log along and a long thunk allocates no blocks once its descriptor
+// has been round the pool. Layers above recycle the records their
+// thunks read through a Recycler, on the same grace period. Value boxes
+// and structure nodes are left to the garbage collector, which keeps
+// their addresses unique while a log or helper still holds them (S1).
 //
 // Reuse is gated by the epoch manager's grace period: a descriptor
 // released from its lock word at global epoch e may be handed back to
@@ -24,10 +28,9 @@ import (
 // descriptor from a log always holds an announcement that blocks its
 // recycling (DESIGN.md S10).
 //
-// The pending list is the only grace-period queue in the repository,
-// so drainReuse is where reclamation is measured: each ripe batch is
-// counted (obs.EpochReclaimBatches, EpochReclaimLagEpochs) and traced
-// (trace.EpochReclaim) on the draining Proc.
+// drainReuse is where descriptor reclamation is measured: each ripe
+// batch is counted (obs.EpochReclaimBatches, EpochReclaimLagEpochs) and
+// traced (trace.EpochReclaim) on the draining Proc.
 //
 // A descriptor that lost its publication CAS was never visible to
 // another thread and is recycled immediately, with no grace period.
@@ -95,6 +98,7 @@ func (p *Proc) drainReuse() {
 		p.rt.epochs.TryAdvance()
 		bound = p.rt.epochs.SafeBefore()
 	}
+	p.ripe = bound
 	i := 0
 	for i < len(p.pending) && p.pending[i].epoch < bound {
 		e, n := p.pending[i].epoch, i
@@ -112,24 +116,88 @@ func (p *Proc) drainReuse() {
 	}
 }
 
-// Epoch returns the runtime's global epoch. A layer above the core that
-// recycles objects its thunks capture stamps each one with Epoch when it
-// stops using it and reuses it only once Ripe(stamp) holds (DESIGN.md
-// S10).
-func (p *Proc) Epoch() uint64 { return p.rt.epochs.GlobalEpoch() }
+// Recycler reuses records of type T: the state a thunk reads through a
+// method value bound once, so no critical section builds a closure
+// (DESIGN.md S10). A helper may run the thunk after its owner returned,
+// so a record put back at global epoch e is reused only once
+// SafeBefore() > e, as a parked descriptor is. Records wait on the Proc
+// that put them back, in one FIFO of reusePendingCap per Recycler; a
+// full FIFO leaves them to the garbage collector.
+type Recycler[T any] struct {
+	id int
+	mk func() *T // makes a fresh record and binds its method values
+}
 
-// Ripe reports whether an object stamped with Epoch at e has passed its
-// grace period: every operation, and every helper lowered to the birth
-// epoch of a descriptor it replays, that could still reference the
-// object has finished. Like drainReuse, it tries to advance the epoch
-// once when e is not yet ripe.
-func (p *Proc) Ripe(e uint64) bool {
-	m := p.rt.epochs
-	if e < m.SafeBefore() {
-		return true
+var recyclers atomic.Int32
+
+// NewRecycler returns a handle with a FIFO on every Proc.
+func NewRecycler[T any](mk func() *T) Recycler[T] {
+	return Recycler[T]{id: int(recyclers.Add(1)) - 1, mk: mk}
+}
+
+// Get returns the oldest parked record if it is ripe, else a fresh one,
+// counted in obs.RecycleMisses.
+func (r Recycler[T]) Get(p *Proc) *T {
+	if x := p.recycled(r.id); x != nil {
+		return (*T)(x)
 	}
-	m.TryAdvance()
-	return e < m.SafeBefore()
+	p.metrics.Inc(obs.RecycleMisses)
+	return r.mk()
+}
+
+// Put parks x, which the calling operation no longer uses. In blocking
+// mode no helper can reach x, so its stamp 0 is ripe at once.
+func (r Recycler[T]) Put(p *Proc, x *T) {
+	for r.id >= len(p.recycle) {
+		p.recycle = append(p.recycle, new(recycleFIFO))
+	}
+	q := p.recycle[r.id]
+	if q.n == reusePendingCap {
+		return
+	}
+	e := &q.ring[(q.head+q.n)%reusePendingCap]
+	e.x, e.epoch = unsafe.Pointer(x), 0
+	if !p.rt.blocking.Load() {
+		e.epoch = p.rt.epochs.GlobalEpoch()
+	}
+	q.n++
+}
+
+// recycleFIFO is one Recycler's ring on a Proc, in stamp order.
+type recycleFIFO struct {
+	ring [reusePendingCap]struct {
+		x     unsafe.Pointer
+		epoch uint64
+	}
+	head, n int
+}
+
+// recycled pops FIFO id's head if it is ripe under p.ripe, the bound the
+// last drain or scan read, or else under a fresh one. A bound covers
+// every record stamped below it, since that record was put back before
+// the bound was read. It never advances the epoch: a lone Proc would
+// then advance it on every operation.
+func (p *Proc) recycled(id int) unsafe.Pointer {
+	if id >= len(p.recycle) || p.recycle[id].n == 0 {
+		return nil
+	}
+	q := p.recycle[id]
+	e := &q.ring[q.head]
+	if e.epoch >= p.ripe {
+		// While the slot that set the bound still announces it, the bound
+		// has not moved: one load instead of a scan, which matters when a
+		// descheduled worker pins the epoch and every Get misses.
+		if p.ripeBy != nil && p.ripeBy.Announced() == p.ripe {
+			return nil
+		}
+		if p.ripe, p.ripeBy = p.rt.epochs.SafeBeforeBy(); e.epoch >= p.ripe {
+			return nil
+		}
+	}
+	q.head, q.n = (q.head+1)%reusePendingCap, q.n-1
+	x := e.x
+	e.x = nil
+	return x
 }
 
 // reuseTickDrain is the per-guard-entry cadence hook called from Begin.

@@ -113,6 +113,11 @@ type Proc struct {
 	dfree     []*descriptor
 	pending   []parked
 	reuseTick uint64
+	// recycle holds each Recycler's parked records (pool.go), ripe the
+	// SafeBefore bound last read and ripeBy the slot that set it.
+	recycle []*recycleFIFO
+	ripe    uint64
+	ripeBy  *epoch.Slot
 
 	_ [32]byte // discourage false sharing between adjacent Procs
 }
@@ -147,12 +152,13 @@ func (rt *Runtime) Register() *Proc {
 
 // Unregister releases the Proc's epoch slot and folds its metrics block
 // into the obs retired totals (so snapshots taken after a worker exits
-// still see its events). Descriptors awaiting reuse are dropped to the
-// garbage collector (their grace periods may not have elapsed, so they
-// cannot join another Proc's freelist).
+// still see its events). Descriptors and records awaiting reuse are
+// dropped to the garbage collector (their grace periods may not have
+// elapsed, so they cannot join another Proc's freelist).
 func (p *Proc) Unregister() {
 	p.slot.Unregister()
 	p.pending = nil
+	p.recycle = nil
 	p.metrics.Release()
 	if p.tring != nil {
 		p.tring.Release()

@@ -8,8 +8,8 @@
 // guard. This package keeps no retire queue of its own: in Go the
 // garbage collector frees unlinked structure nodes (the paper's free),
 // and the only objects whose reuse waits out a grace period are the
-// pooled descriptors of internal/core, whose per-worker pending lists
-// consult SafeBefore (DESIGN.md S10).
+// pooled descriptors and recycled records of internal/core, whose
+// per-worker queues consult SafeBefore (DESIGN.md S10).
 //
 // Two Flock-specific requirements shape the API:
 //
@@ -158,17 +158,6 @@ func (s *Slot) Lower(e uint64) (prev uint64) {
 // Restore resets the announcement after a Lower.
 func (s *Slot) Restore(prev uint64) { s.announced.Store(prev) }
 
-// minAnnounced scans all slots and returns the minimum announced epoch.
-func (m *Manager) minAnnounced() uint64 {
-	min := Quiescent
-	for _, s := range *m.slots.Load() {
-		if a := s.announced.Load(); a < min {
-			min = a
-		}
-	}
-	return min
-}
-
 // TryAdvance bumps the global epoch if every registered slot is either
 // quiescent or has caught up with it. Returns whether it advanced.
 // Attempts and successes are counted on the shared obs block: advancement
@@ -205,8 +194,24 @@ func (m *Manager) TryAdvance() bool {
 // before the current epoch is safe. The flock core gates pooled object
 // reuse on it (its DESIGN.md S10 invariant).
 func (m *Manager) SafeBefore() uint64 {
-	if min := m.minAnnounced(); min != Quiescent {
-		return min
+	b, _ := m.SafeBeforeBy()
+	return b
+}
+
+// SafeBeforeBy is SafeBefore, also returning the slot whose announcement
+// is the bound (nil when every slot is quiescent). While that slot, or
+// any slot, still announces the bound, SafeBefore cannot exceed it, so a
+// caller waiting for the bound to pass can watch one slot instead of
+// scanning them all.
+func (m *Manager) SafeBeforeBy() (uint64, *Slot) {
+	min, by := Quiescent, (*Slot)(nil)
+	for _, s := range *m.slots.Load() {
+		if a := s.announced.Load(); a < min {
+			min, by = a, s
+		}
 	}
-	return m.global.Load()
+	if by == nil {
+		return m.global.Load(), nil
+	}
+	return min, by
 }

@@ -322,7 +322,10 @@ func (c *Client) Get(k uint64) (uint64, bool) {
 // is only a best-effort observation.
 func put(sh *shard, p *flock.Proc, k, v uint64) (inserted bool) {
 	if sh.up != nil {
-		_, present := sh.up.Upsert(p, k, func(uint64, bool) uint64 { return v })
+		a := putArgs.Get(p)
+		a.v = v
+		_, present := sh.up.Upsert(p, k, a.f)
+		putArgs.Put(p, a)
 		return !present
 	}
 	replaced := false
@@ -334,6 +337,22 @@ func put(sh *shard, p *flock.Proc, k, v uint64) (inserted bool) {
 		sh.s.Delete(p, k)
 	}
 }
+
+// putArg is a Put's upsert function, the method value f bound when the
+// putArg is made, so put builds no closure. A helper may call f after
+// put returns, so putArgs reuses it only after its grace period.
+type putArg struct {
+	v uint64
+	f func(uint64, bool) uint64
+}
+
+func (a *putArg) value(uint64, bool) uint64 { return a.v }
+
+var putArgs = flock.NewRecycler(func() *putArg {
+	a := &putArg{}
+	a.f = a.value
+	return a
+})
 
 // Put upserts (k, v) and reports whether k was newly inserted (false
 // means an existing value was replaced).
@@ -353,20 +372,11 @@ func (c *Client) Put(k, v uint64) bool {
 // caller is responsible for routing (ShardOf) and, in transactional
 // use, for holding the relevant shard locks.
 
-// ShardPut upserts (k, v) on shard i with Proc p, reporting whether k
-// was newly inserted. Inside a composed thunk the report is
-// deterministic across helper runs (it flows from logged loads), which
-// is what lets transactions publish insert counts idempotently.
-func (st *Store) ShardPut(i int, p *flock.Proc, k, v uint64) bool {
-	st.snapRecord(p, i, k)
-	return put(&st.shards[i], p, k, v)
-}
-
 // ShardLocate returns k's position on shard i, found by an unlogged
 // search (set.Locator), as input for a later ShardGetAt or ShardPutAt
 // inside a critical section. It must be called at top level. On a
 // structure without the capability it returns the zero Position, with
-// which ShardGetAt is a plain lookup and ShardPutAt is ShardPut.
+// which ShardGetAt and ShardPutAt are a plain lookup and upsert.
 func (st *Store) ShardLocate(i int, p *flock.Proc, k uint64) set.Position {
 	if loc := st.shards[i].loc; loc != nil {
 		return loc.Locate(p, k)
@@ -381,14 +391,17 @@ func (st *Store) ShardGetAt(i int, p *flock.Proc, at set.Position, k uint64) (ui
 	return st.shards[i].findAt(p, at, k)
 }
 
-// ShardPutAt is ShardPut starting from at, a position ShardLocate
-// returned for k on shard i. The snapshot pre-image is read from the
-// same position.
+// ShardPutAt upserts (k, v) on shard i with Proc p, starting from at, a
+// position ShardLocate returned for k there, and reports whether k was
+// newly inserted. Inside a composed thunk the report is deterministic
+// across helper runs (it flows from logged loads), which is what lets
+// transactions publish insert counts idempotently. The snapshot
+// pre-image is read from the same position.
 func (st *Store) ShardPutAt(i int, p *flock.Proc, at set.Position, k, v uint64) bool {
-	if at.Node == nil {
-		return st.ShardPut(i, p, k, v)
-	}
 	st.snapRecordAt(p, i, at, k)
+	if at.Node == nil {
+		return put(&st.shards[i], p, k, v)
+	}
 	_, present := st.shards[i].loc.UpsertAt(p, at, k, v)
 	return !present
 }
@@ -399,12 +412,6 @@ func (sh *shard) findAt(p *flock.Proc, at set.Position, k uint64) (uint64, bool)
 		return sh.s.Find(p, k)
 	}
 	return sh.loc.FindAt(p, at, k)
-}
-
-// ShardDelete removes k on shard i with Proc p.
-func (st *Store) ShardDelete(i int, p *flock.Proc, k uint64) bool {
-	st.snapRecord(p, i, k)
-	return st.shards[i].s.Delete(p, k)
 }
 
 // Delete removes k and reports whether it was present.

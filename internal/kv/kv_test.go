@@ -1,6 +1,7 @@
 package kv_test
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"flock/internal/kv"
 	"flock/internal/kv/kvtest"
 	"flock/internal/obs"
+	"flock/internal/obs/trace"
 	"flock/internal/structures/hashtable"
 	"flock/internal/structures/lazylist"
 	"flock/internal/structures/leaftree"
@@ -328,6 +330,69 @@ func TestAllocsBatch(t *testing.T) {
 	keys := []uint64{3, 17, 40, 58, 99}
 	if n := testing.AllocsPerRun(200, func() { c.GetBatch(keys) }); n != 2 {
 		t.Fatalf("GetBatch allocates %v per op, want 2 (vals and oks)", n)
+	}
+}
+
+// TestAllocsPut pins a present-key Put on a hashtable store at one
+// allocation, the stored value's box, in both modes and with obs and
+// the flight recorder off and on: the hashtable's critical section and
+// put's upsert function are recycled records with bound method values,
+// and the descriptor comes from the pool.
+func TestAllocsPut(t *testing.T) {
+	for _, blocking := range []bool{false, true} {
+		for _, on := range []bool{false, true} {
+			t.Run(fmt.Sprintf("blocking=%v/obs-trace=%v", blocking, on), func(t *testing.T) {
+				prevObs, prevTrace := obs.Enabled(), trace.Enabled()
+				obs.SetEnabled(on)
+				trace.SetEnabled(on)
+				defer func() {
+					obs.SetEnabled(prevObs)
+					trace.SetEnabled(prevTrace)
+				}()
+				c := kv.New(hashtableFactory, kv.Options{Shards: 8, Blocking: blocking, KeyRange: 1 << 10}).Register()
+				defer c.Close()
+				for k := uint64(1); k <= 64; k++ {
+					c.Put(k, k)
+				}
+				v := uint64(0)
+				put := func() {
+					v++
+					if c.Put(17, v) {
+						t.Fatal("Put of a present key inserted it")
+					}
+				}
+				for i := 0; i < 1000; i++ {
+					put() // warm-up: the pools and recyclers fill
+				}
+				if n := testing.AllocsPerRun(500, put); n != 1 {
+					t.Fatalf("Put allocates %v per op, want 1 (the value box)", n)
+				}
+				if got, ok := c.Get(17); !ok || got != v {
+					t.Fatalf("Get(17) = (%d,%v) after the puts, want (%d,true)", got, ok, v)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkPutLF and BenchmarkPutBlocking time a present-key Put on a
+// hashtable store, one client, in each mode: the whole single-key write
+// path, where the per-operation records' cost shows (core's TryLock
+// benchmarks build their thunk once).
+func BenchmarkPutLF(b *testing.B)       { benchmarkPut(b, false) }
+func BenchmarkPutBlocking(b *testing.B) { benchmarkPut(b, true) }
+
+func benchmarkPut(b *testing.B, blocking bool) {
+	const keys = 1 << 12
+	c := kv.New(hashtableFactory, kv.Options{Shards: 8, Blocking: blocking, KeyRange: keys}).Register()
+	defer c.Close()
+	for k := uint64(0); k < keys; k++ {
+		c.Put(k, k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Put(uint64(i)&(keys-1), uint64(i))
 	}
 }
 

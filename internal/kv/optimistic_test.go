@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"flock/internal/kv"
+	"flock/internal/structures/set"
 	"flock/internal/txn"
 	"flock/internal/workload"
 
@@ -50,7 +51,7 @@ func TestOptimisticCapabilityGate(t *testing.T) {
 				wc := st.Register()
 				defer wc.Close()
 				st.Engine().Nest(wc.Proc(), []int{0}, func(hp *flock.Proc) {
-					st.ShardPut(0, hp, key, 2)
+					st.ShardPutAt(0, hp, set.Position{}, key, 2)
 					close(locked)
 					<-release
 				})
@@ -268,7 +269,7 @@ func TestOptimisticGetWaitsOutBlockingHolder(t *testing.T) {
 		wc := st.Register()
 		defer wc.Close()
 		ok := st.Engine().Nest(wc.Proc(), []int{0}, func(hp *flock.Proc) {
-			st.ShardPut(0, hp, key, 2)
+			st.ShardPutAt(0, hp, set.Position{}, key, 2)
 			close(locked)
 			<-release
 		})
@@ -349,7 +350,7 @@ func TestOptimisticGetHelpsHeldLock(t *testing.T) {
 		defer wc.Close()
 		owner := wc.Proc()
 		ok := st.Engine().Nest(owner, []int{0}, func(hp *flock.Proc) {
-			st.ShardPut(0, hp, key, 2)
+			st.ShardPutAt(0, hp, set.Position{}, key, 2)
 			if hp == owner {
 				close(locked)
 				<-release

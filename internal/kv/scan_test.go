@@ -156,7 +156,7 @@ func TestScanReReadOverwritesOwnRun(t *testing.T) {
 		wc := st.Register()
 		defer wc.Close()
 		st.Engine().Nest(wc.Proc(), []int{0}, func(hp *flock.Proc) {
-			st.ShardPut(0, hp, key, 1000)
+			st.ShardPutAt(0, hp, set.Position{}, key, 1000)
 			close(locked)
 			<-release
 		})

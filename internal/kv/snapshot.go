@@ -99,7 +99,6 @@ type Snapshot struct {
 	st     *Store
 	c      *Client    // dedicated handle for iterator reads
 	over   []sync.Map // per-shard overlay: uint64 key -> preImage
-	vers   []uint64   // best-effort activation version vector
 	closed bool
 }
 
@@ -169,7 +168,6 @@ func (st *Store) Snapshot() *Snapshot {
 	}
 	st.installSnaps(sn.c, old, &snapList{snaps: append(snaps, sn)})
 	st.snapMu.Unlock()
-	sn.vers = st.captureVersions()
 	return sn
 }
 
@@ -187,30 +185,6 @@ func (st *Store) installSnaps(c *Client, old, next *snapList) {
 	for !st.eng.Nest(c.p, all, func(*flock.Proc) { st.snaps.CompareAndSwap(old, next) }) {
 		runtime.Gosched() // the failed TryLock already helped the holder
 	}
-}
-
-// captureVersions samples every shard lock's version just after
-// activation, retrying briefly past in-flight critical sections. The
-// vector is observability only (Snapshot.Versions) — the iterator's
-// correctness never depends on it, because versions cannot be read
-// while the activation section itself holds the locks.
-func (st *Store) captureVersions() []uint64 {
-	out := make([]uint64, len(st.shards))
-	for i := range st.shards {
-		for a := 0; a < 16; a++ {
-			if v, ok := st.shards[i].lck.ReadVersion(); ok {
-				out[i] = v
-				break
-			}
-		}
-	}
-	return out
-}
-
-// Versions returns the best-effort per-shard lock version vector
-// sampled at activation (a copy; observability only).
-func (s *Snapshot) Versions() []uint64 {
-	return append([]uint64(nil), s.vers...)
 }
 
 // Close deactivates the snapshot: the registry flips past it inside the

@@ -77,7 +77,7 @@ const (
 	// still held after helping, or its version moved under the read).
 	OptRestarts
 	// PoolHits/PoolMisses count descriptors taken from the freelist vs
-	// allocated fresh (descriptors are the only pooled objects);
+	// allocated fresh (records count in RecycleMisses);
 	// PoolSpills counts descriptors dropped to the GC because the
 	// freelist or the pending list was at capacity, and PoolPendingFull
 	// the part of those spills at the pending list.
@@ -110,11 +110,12 @@ const (
 	// of the composed thunk executed on a worker other than the owner —
 	// transactions a helper carried (partly or wholly) to completion.
 	TxnHelped
-	// TxnRecycleMisses counts transaction plans and attempts allocated
-	// fresh because the client's recycling FIFO held none past its grace
-	// period (internal/txn) — the degraded mode in which each one falls
+	// RecycleMisses counts records (structure operations' critical
+	// section state, kv Put arguments, transaction plans and attempts)
+	// allocated fresh because the Proc's flock.Recycler FIFO held none
+	// past its grace period — the degraded mode in which each one falls
 	// to the garbage collector, like a descriptor pool miss.
-	TxnRecycleMisses
+	RecycleMisses
 
 	// NumCounters is the Block size; it must stay last.
 	NumCounters
@@ -131,7 +132,7 @@ var counterNames = [NumCounters]string{
 	"epoch_reclaim_batches", "epoch_reclaim_lag_epochs",
 	"txn_depth_1", "txn_depth_2", "txn_depth_3", "txn_depth_4",
 	"txn_depth_5_8", "txn_depth_9_plus",
-	"txn_helped", "txn_recycle_misses",
+	"txn_helped", "recycle_misses",
 }
 
 // String returns the counter's snake_case name (the JSONL field name).

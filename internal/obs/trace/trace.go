@@ -279,10 +279,6 @@ func (r *Ring) EmitAt(k Kind, ts int64, lock, a, b uint64) {
 	}
 }
 
-// Written returns the total number of records ever emitted (including
-// overwritten ones).
-func (r *Ring) Written() uint64 { return r.head.Load() }
-
 // Cap returns the ring's record capacity.
 func (r *Ring) Cap() int { return len(r.buf) }
 

@@ -4,6 +4,13 @@
 // take no locks; because chains are short, the fraction of time spent
 // inside critical sections is the highest of all the structures, which is
 // why the paper observes the largest lock-free overhead here (§8).
+//
+// Insert, Delete and Upsert build no closure. Each attempt's critical
+// section keeps its state in an op, whose thunks are method values bound
+// once, and ops are reused per Proc once no helper can still run them
+// (flock.Recycler). An insert builds its node before the attempt, and
+// every run links that node. So a present-key Upsert allocates only the
+// new value's box, in both modes.
 package hashtable
 
 import (
@@ -80,35 +87,81 @@ func (t *Table) Find(p *flock.Proc, k uint64) (uint64, bool) {
 	return 0, false
 }
 
-// Insert adds (k, v); false if already present.
-func (t *Table) Insert(p *flock.Proc, k, v uint64) bool {
-	p.Begin()
-	defer p.End()
-	for {
-		pred, curr := t.locate(p, k)
-		if curr != nil && curr.k == k {
-			if curr.removed.Load(p) {
-				continue
-			}
+// op is one attempt's critical section state. Its thunks, run and
+// unlink, are method values bound when the op is made and on its first
+// Delete (flock.Recycler), and it fits one cache line. Each attempt
+// takes its own op: a straggler replaying an earlier attempt's
+// descriptor must find that attempt's inputs.
+type op struct {
+	pred, curr *node
+	n          *node // the node an insert links, built before the attempt
+	f          func(old uint64, present bool) uint64
+	// prev is the value an Upsert replaced. Every run stores the same
+	// logged value, so the store is idempotent.
+	prev        atomic.Uint64
+	run, unlink flock.Thunk
+}
+
+var ops = flock.NewRecycler(func() *op {
+	o := new(op)
+	o.run = o.section
+	return o
+})
+
+// try runs one attempt's critical section under l on an op over pred
+// and curr that links n, replaces curr's value with f, or unlinks curr.
+// It returns the value an Upsert replaced and whether the section ran
+// and succeeded.
+func try(p *flock.Proc, l *flock.Lock, pred, curr, n *node, f func(uint64, bool) uint64) (uint64, bool) {
+	o := ops.Get(p)
+	o.pred, o.curr, o.n, o.f = pred, curr, n, f
+	if n == nil && f == nil && o.unlink == nil {
+		o.unlink = o.unlinkRun // bound on the op's first Delete
+	}
+	o.prev.Store(0) // what a run whose op lost the descriptor commit reads
+	ok := l.TryLock(p, o.run)
+	ops.Put(p, o) // parked, but not reused before the load below
+	return o.prev.Load(), ok
+}
+
+// section links n after pred under pred's lock, replaces curr's value
+// under curr's lock, or, under pred's lock, takes curr's to unlink it.
+func (o *op) section(hp *flock.Proc) bool {
+	switch {
+	case o.n != nil:
+		if o.pred.removed.Load(hp) || o.pred.next.Load(hp) != o.curr {
 			return false
 		}
-		ok := pred.lck.TryLock(p, func(hp *flock.Proc) bool {
-			if pred.removed.Load(hp) || pred.next.Load(hp) != curr {
-				return false
-			}
-			n := flock.Allocate(hp, func() *node {
-				nn := &node{k: k}
-				nn.v.Init(v)
-				nn.next.Init(curr)
-				return nn
-			})
-			pred.next.Store(hp, n)
-			return true
-		})
-		if ok {
-			return true
+		o.pred.next.Store(hp, o.n)
+		return true
+	case o.f != nil:
+		if o.curr.removed.Load(hp) {
+			return false // deleted under us; revalidate
 		}
+		old := o.curr.v.Load(hp)
+		o.curr.v.Store(hp, o.f(old, true))
+		o.prev.Store(old)
+		return true
+	default:
+		return o.curr.lck.TryLock(hp, o.unlink)
 	}
+}
+
+// unlinkRun splices curr out, under pred's and curr's locks.
+func (o *op) unlinkRun(hp *flock.Proc) bool {
+	if o.pred.removed.Load(hp) || o.pred.next.Load(hp) != o.curr {
+		return false
+	}
+	next := o.curr.next.Load(hp)
+	o.curr.removed.Store(hp, true)
+	o.pred.next.Store(hp, next)
+	return true
+}
+
+// Insert adds (k, v); false if already present.
+func (t *Table) Insert(p *flock.Proc, k, v uint64) bool {
+	_, present := t.update(p, k, v, nil)
+	return !present
 }
 
 // Delete removes k; false if absent.
@@ -120,18 +173,7 @@ func (t *Table) Delete(p *flock.Proc, k uint64) bool {
 		if curr == nil || curr.k != k {
 			return false
 		}
-		ok := pred.lck.TryLock(p, func(hp *flock.Proc) bool {
-			return curr.lck.TryLock(hp, func(hp2 *flock.Proc) bool {
-				if pred.removed.Load(hp2) || pred.next.Load(hp2) != curr {
-					return false
-				}
-				next := curr.next.Load(hp2)
-				curr.removed.Store(hp2, true)
-				pred.next.Store(hp2, next)
-				return true
-			})
-		})
-		if ok {
+		if _, ok := try(p, &pred.lck, pred, curr, nil, nil); ok {
 			return true
 		}
 	}
@@ -145,47 +187,42 @@ func (t *Table) Delete(p *flock.Proc, k uint64) bool {
 // helper runs observe the same value and f (which must be pure) computes
 // the same replacement in every run.
 func (t *Table) Upsert(p *flock.Proc, k uint64, f func(old uint64, present bool) uint64) (uint64, bool) {
+	return t.update(p, k, 0, f)
+}
+
+// update is Upsert, and with f nil Insert of v, which leaves a present
+// key as it is.
+func (t *Table) update(p *flock.Proc, k, v uint64, f func(old uint64, present bool) uint64) (uint64, bool) {
 	p.Begin()
 	defer p.End()
+	var n *node
 	for {
 		pred, curr := t.locate(p, k)
 		if curr != nil && curr.k == k {
 			if curr.removed.Load(p) {
 				continue
 			}
-			// prev is written by whichever runs of the thunk execute
-			// (owner and helpers); the logged load makes them all store
-			// the same value, so the atomic store is idempotent.
-			var prev atomic.Uint64
-			ok := curr.lck.TryLock(p, func(hp *flock.Proc) bool {
-				if curr.removed.Load(hp) {
-					return false // deleted under us; revalidate
-				}
-				old := curr.v.Load(hp)
-				curr.v.Store(hp, f(old, true))
-				prev.Store(old)
-				return true
-			})
-			if ok {
-				return prev.Load(), true
+			if f == nil {
+				return 0, true
+			}
+			if prev, ok := try(p, &curr.lck, pred, curr, nil, f); ok {
+				return prev, true
 			}
 			continue
 		}
-		newv := f(0, false)
-		ok := pred.lck.TryLock(p, func(hp *flock.Proc) bool {
-			if pred.removed.Load(hp) || pred.next.Load(hp) != curr {
-				return false
+		// Every run of the section links this node, and it stays
+		// private until then: a failed attempt never links it (its
+		// descriptor was not installed, or every run failed the same
+		// logged validation), so a retry reuses it.
+		if n == nil {
+			if f != nil {
+				v = f(0, false)
 			}
-			n := flock.Allocate(hp, func() *node {
-				nn := &node{k: k}
-				nn.v.Init(newv)
-				nn.next.Init(curr)
-				return nn
-			})
-			pred.next.Store(hp, n)
-			return true
-		})
-		if ok {
+			n = &node{k: k}
+			n.v.Init(v)
+		}
+		n.next.Init(curr)
+		if _, ok := try(p, &pred.lck, pred, curr, n, nil); ok {
 			return 0, false
 		}
 	}

@@ -72,12 +72,12 @@ func TestAllocsTransfer(t *testing.T) {
 
 // TestStragglerBlocksRecycling parks a helper inside a committed
 // transfer's body, as TestStragglerReplaysLocatedTransfer does, and
-// meanwhile has the owner's client commit more transfers than its
-// recycling FIFOs hold. The helper's announcement is lowered to the
-// birth epoch of the descriptor it replays, which is at most the stamp
-// of every plan and attempt the client finishes from then on, so none
-// may be handed out again while it is parked: every transfer in the
-// window allocates a fresh plan and attempt (obs.TxnRecycleMisses).
+// meanwhile has the owner's client commit a hundred transfers. The
+// helper's announcement is lowered to the birth epoch of the descriptor
+// it replays, which is at most the stamp of every plan and attempt the
+// client finishes from then on, so none may be handed out again while
+// it is parked: every transfer in the window allocates a fresh plan and
+// attempt (obs.RecycleMisses).
 // When the helper resumes, its replay changes no balance and no key,
 // and once it is gone the client recycles again.
 func TestStragglerBlocksRecycling(t *testing.T) {
@@ -146,8 +146,7 @@ func TestStragglerBlocksRecycling(t *testing.T) {
 		t.Fatal("owner's transfer did not commit")
 	}
 
-	// More transfers than a FIFO holds, round the accounts, while the
-	// helper is parked.
+	// A hundred transfers round the accounts while the helper is parked.
 	const window = 100
 	s0 := obs.Snapshot()
 	for i := 0; i < window; i++ {
@@ -156,7 +155,7 @@ func TestStragglerBlocksRecycling(t *testing.T) {
 			t.Fatalf("transfer %d -> %d did not commit", from, to)
 		}
 	}
-	if m := obs.Snapshot().Sub(s0).Get(obs.TxnRecycleMisses); m != 2*window {
+	if m := obs.Snapshot().Sub(s0).Get(obs.RecycleMisses); m != 2*window {
 		t.Fatalf("%d fresh plans and attempts over %d transfers with a straggler parked, want %d: a recycled one was handed out",
 			m, window, 2*window)
 	}
@@ -186,7 +185,7 @@ func TestStragglerBlocksRecycling(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Transfer(a, b, 1)
 	}
-	if m := obs.Snapshot().Sub(s1).Get(obs.TxnRecycleMisses); m != 0 {
+	if m := obs.Snapshot().Sub(s1).Get(obs.RecycleMisses); m != 0 {
 		t.Fatalf("%d fresh plans and attempts after the straggler left, want 0", m)
 	}
 }

@@ -63,7 +63,6 @@ import (
 	flock "flock/internal/core"
 	"flock/internal/kv"
 	"flock/internal/kv/engine"
-	"flock/internal/obs"
 	"flock/internal/structures/set"
 )
 
@@ -147,58 +146,19 @@ type Client struct {
 	// across operations — safe because it is only touched at top level,
 	// never captured by a thunk closure.
 	seen []bool
-	// plans and attempts hold the client's finished plans and attempts
-	// while they wait out their grace period: a straggler replaying one
-	// of an attempt's descriptors can still reach the attempt and its
-	// plan (DESIGN.md S10).
-	plans    fifo[plan]
-	attempts fifo[attempt]
 }
 
-// recycleCap bounds each of a client's recycling FIFOs. An object that
-// finds its FIFO full, and a plan or attempt that finds no ripe one to
-// reuse, is left to the garbage collector.
-const recycleCap = 64
-
-// fifo is a bounded ring of objects in the order the client stopped
-// using them, each stamped with the global epoch at that moment. Stamps
-// never decrease, so the ripe entries form a prefix.
-type fifo[T any] struct {
-	ring [recycleCap]stamped[T]
-	head int
-	n    int
-}
-
-// stamped is one object waiting out its grace period: every thunk that
-// can reach it belongs to a descriptor born at or before epoch.
-type stamped[T any] struct {
-	v     *T
-	epoch uint64
-}
-
-// push parks v, stamped with epoch; a full FIFO drops it to the GC.
-func (f *fifo[T]) push(v *T, epoch uint64) {
-	if f.n == recycleCap {
-		return
-	}
-	f.ring[(f.head+f.n)%recycleCap] = stamped[T]{v: v, epoch: epoch}
-	f.n++
-}
-
-// pop returns the oldest parked object if it is ripe (flock.Proc.Ripe),
-// else nil. Fresh allocations on nil are counted as
-// obs.TxnRecycleMisses by the caller.
-func (f *fifo[T]) pop(p *flock.Proc) *T {
-	if f.n == 0 || !p.Ripe(f.ring[f.head].epoch) {
-		return nil
-	}
-	e := &f.ring[f.head]
-	v := e.v
-	*e = stamped[T]{}
-	f.head = (f.head + 1) % recycleCap
-	f.n--
-	return v
-}
+// plans and attempts recycle finished plans and attempts per Proc after
+// their grace period: a straggler replaying one of an attempt's
+// descriptors can still reach the attempt and its plan (DESIGN.md S10).
+var (
+	plans    = flock.NewRecycler(func() *plan { return &plan{} })
+	attempts = flock.NewRecycler(func() *attempt {
+		a := &attempt{}
+		a.run = a.body
+		return a
+	})
+)
 
 // Register creates a client handle on the store.
 func (s *Store) Register() *Client {
@@ -275,13 +235,8 @@ func inline[T any](buf []T, n int) []T {
 // group. The plan is a recycled one past its grace period when the
 // client has one.
 func (c *Client) newPlan(readKeys, writeKeys []uint64) *plan {
-	pl := c.plans.pop(c.p)
-	if pl == nil {
-		c.p.Obs().Inc(obs.TxnRecycleMisses)
-		pl = &plan{}
-	} else {
-		*pl = plan{}
-	}
+	pl := plans.Get(c.p)
+	*pl = plan{}
 	n := len(readKeys) + len(writeKeys)
 	pl.keys, pl.shard = pl.keyBuf[:0], pl.shardBuf[:0]
 	if n > maxInline {
@@ -366,16 +321,10 @@ type attempt struct {
 // newAttempt locates every distinct key of pl, unlogged, at top level,
 // into a recycled attempt past its grace period when the client has one.
 func (c *Client) newAttempt(pl *plan) *attempt {
-	a := c.attempts.pop(c.p)
-	if a == nil {
-		c.p.Obs().Inc(obs.TxnRecycleMisses)
-		a = &attempt{st: c.st}
-		a.run = a.body
-	} else {
-		a.inserted.Store(0)
-		a.ok.Store(false)
-	}
-	a.pl = pl
+	a := attempts.Get(c.p)
+	a.inserted.Store(0)
+	a.ok.Store(false)
+	a.st, a.pl = c.st, pl
 	a.at = inline(a.atBuf[:], len(pl.keys))
 	a.vals = inline(a.valBuf[:], len(pl.reads))
 	a.oks = inline(a.okBuf[:], len(pl.reads))
@@ -437,7 +386,7 @@ func (c *Client) exec(pl *plan) *attempt {
 	var last *attempt
 	c.eng.Atomic(c.p, pl.group, func() func(hp *flock.Proc) {
 		if last != nil {
-			c.attempts.push(last, c.p.Epoch())
+			attempts.Put(c.p, last)
 		}
 		last = c.newAttempt(pl)
 		return last.run
@@ -445,15 +394,14 @@ func (c *Client) exec(pl *plan) *attempt {
 	return last
 }
 
-// done parks pl and a for recycling once the
-// caller has copied their results out. The stamp is read after every
-// attempt's lock chain was released, so it is at least the birth epoch
-// of every descriptor whose thunks can reach them, and a straggler
-// replaying one announces at most that birth epoch (DESIGN.md S10).
+// done parks pl and a for recycling once the caller has copied their
+// results out. Their stamps are read after every attempt's lock chain
+// was released, so they are at least the birth epoch of every
+// descriptor whose thunks can reach them, and a straggler replaying one
+// announces at most that birth epoch (DESIGN.md S10).
 func (c *Client) done(pl *plan, a *attempt) {
-	e := c.p.Epoch()
-	c.attempts.push(a, e)
-	c.plans.push(pl, e)
+	attempts.Put(c.p, a)
+	plans.Put(c.p, pl)
 }
 
 // Txn runs a generic multi-key transaction: it reads readKeys, applies

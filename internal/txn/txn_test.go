@@ -360,7 +360,7 @@ func TestReadArmFollowsStoreKind(t *testing.T) {
 				wc := st.Register()
 				defer wc.Close()
 				st.Engine().Nest(wc.Proc(), []int{0}, func(hp *flock.Proc) {
-					st.ShardPut(0, hp, key, 2)
+					st.ShardPutAt(0, hp, set.Position{}, key, 2)
 					close(locked)
 					<-release
 				})
