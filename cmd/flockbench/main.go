@@ -73,9 +73,11 @@
 // non-zero.
 //
 // The observability extension (DESIGN.md S14) — obs runtime metrics
-// collected over the measured window: helping/retry/replay rates,
-// pool hit rates, epoch reclamation lag, per-shard op skew, per-thread
-// fairness and a sampled helps/CAS-fails time series. -metrics adds
+// collected over the measured window: helping/retry/replay rates, the
+// pool hit rate over every recycled record (descriptors and the
+// layers' critical-section state), epoch reclamation lag at reuse,
+// per-shard op skew, per-thread fairness and a sampled helps/CAS-fails
+// time series. -metrics adds
 // table sections (and `:metrics` CSV columns, and a "metrics" JSON
 // object); ext-help is the figure built around them:
 //
@@ -145,7 +147,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		overTh    = flags.Int("over", 0, "oversubscribed thread count (paper: 216)")
 		sweep     = flags.String("sweep", "", "comma-separated thread sweep, e.g. 1,2,4,8,16")
 		shards    = flags.Int("shards", 0, "KV shard count (single-point -ycsb/-txn, and the default for ext-ycsb/ext-txn figures)")
-		metrics   = flags.Bool("metrics", false, "collect obs runtime metrics over the measured window (helping/retry rates, fairness, time series); adds table sections, :metrics CSV columns and a 'metrics' JSON object")
+		metrics   = flags.Bool("metrics", false, "collect obs runtime metrics over the measured window (helping/retry rates, pool hit rate over every recycled record, fairness, time series); adds table sections, :metrics CSV columns and a 'metrics' JSON object")
 		tracePath = flags.String("trace", "", "single-point: record the lock-event flight recorder over the measured window and write Chrome trace-event JSON to this file (open in Perfetto / chrome://tracing)")
 		pprofAddr = flags.String("pprof", "", "serve net/http/pprof and a /metrics JSON endpoint on this address (e.g. :6060) for the lifetime of the run")
 		seed      = flags.Uint64("seed", 42, "workload seed")

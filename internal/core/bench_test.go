@@ -15,7 +15,7 @@ import (
 // gap to the blocking variant below is the paper's "overhead of
 // lock-free locks" (§8: descriptor creation + log commits). Each
 // acquisition runs inside Begin/End, as a structure operation does:
-// Begin paces the pending-list drain, so the descriptor comes from the
+// guard entries advance the epoch, so the descriptor comes from the
 // pool instead of the garbage collector. Both variants do so and make
 // their thunk once, so they count only the lock's own allocations and
 // the stored value's box (1 alloc/op in both modes).
@@ -194,8 +194,7 @@ func BenchmarkTryVsStrict(b *testing.B) {
 // and off (noPool, the GC-fresh path). At par=1 the pooled arm
 // allocates only the stored value's box; heavily oversubscribed arms
 // converge (grace periods stretch across scheduler quanta and the pool
-// saturates to the GC fallback), which is why the pending list and
-// freelist are capped.
+// saturates to the GC fallback), which is why the FIFOs are capped.
 func BenchmarkAblationPooling(b *testing.B) {
 	for _, cfg := range []struct {
 		name string
@@ -228,6 +227,32 @@ func BenchmarkAblationPooling(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkTryLocksInOneGuard runs uncontended acquisitions 64 to a
+// guard, as a long composed operation does. The guard's own announcement
+// keeps every descriptor it parks unripe until the next guard, so reuse
+// depends on the epoch advancing between guards; B/op is the measure
+// (the stored value's box alone is 8).
+func BenchmarkTryLocksInOneGuard(b *testing.B) {
+	p := New().Register()
+	defer p.Unregister()
+	var l Lock
+	var c Mutable[uint64]
+	inc := func(hp *Proc) bool {
+		c.Store(hp, c.Load(hp)+1)
+		return true
+	}
+	b.ReportAllocs()
+	p.Begin()
+	for i := 1; i <= b.N; i++ {
+		l.TryLock(p, inc)
+		if i%64 == 0 {
+			p.End()
+			p.Begin()
+		}
+	}
+	p.End()
 }
 
 // BenchmarkHelpingStorm measures throughput when every operation fights

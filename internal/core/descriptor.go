@@ -13,7 +13,7 @@ type Thunk func(*Proc) bool
 // flag, and the epoch at which the owning operation was running (helpers
 // lower themselves to it, §6).
 // The first log block is embedded so descriptor creation is a single
-// allocation — or none: descriptors come from the per-Proc freelist and
+// allocation — or none: descriptors come from a per-Proc Recycler and
 // are recycled after an epoch grace period once the CAS that releases
 // their lock unlinks them from the lock word (an unlocked word never
 // holds a descriptor). A straggling helper that re-runs a
@@ -50,7 +50,7 @@ type descriptor struct {
 // the descriptor for a lock acquisition at version ver. The descriptor
 // pointer itself is committed directly into the log slot — no wrapper
 // allocation — and a descriptor whose commit lost to another run was
-// never published, so it returns to the freelist immediately.
+// never published, so it becomes the Proc's spare at once.
 func (p *Proc) newDescriptor(f Thunk, ver uint64) *descriptor {
 	d := p.allocDescriptor()
 	d.ver = ver

@@ -66,11 +66,11 @@
 // S10): committed pointers (boxes, descriptors, Allocate results) land
 // directly in log slots — no wrapper entries, no interface boxing —
 // with booleans and nil encoded as sentinel addresses, and descriptors
-// (with their log blocks) are recycled through per-Proc freelists gated
-// by the epoch manager's grace periods. Wrap every operation in
+// (with their log blocks) are recycled through per-Proc FIFOs gated by
+// the epoch manager's grace periods (Recycler). Wrap every operation in
 // Proc.Begin/End: the guards delay a descriptor's reuse while a helper
-// might still replay a log that references it. Those pending lists are
-// the only grace-period queue. Value boxes and structure nodes are
+// might still replay a log that references it. Recycler is the only
+// grace-period queue. Value boxes and structure nodes are
 // never pooled: the garbage collector is the paper's free for them, so
 // unlinking one needs no call at all.
 package flock

@@ -86,8 +86,8 @@ func (l *Lock) load(p *Proc) lockState { return decodeWord(l.loadWord(p)) }
 // call's own CAS installed new: exactly one run of a thunk can succeed,
 // and only that run parks the released descriptor and counts a release
 // past the tags (obs.TagOverflows). A locked new state is installed as
-// its descriptor, an unlocked one as unlockedWord; neither enters a
-// freelist or the pending list.
+// its descriptor, an unlocked one as unlockedWord; cas itself parks
+// nothing.
 func (l *Lock) cas(p *Proc, old, new lockState) bool {
 	w := l.loadWord(p)
 	if decodeWord(w) != old {
@@ -271,8 +271,8 @@ func (l *Lock) attempt(p *Proc, f Thunk, cur lockState, spins uint64) (bool, boo
 	if !my.loadStarted(p) && cur2 != myLS {
 		if !swapped && p.blk == nil {
 			// Top level with a failed install: no other run of this
-			// acquisition exists, so my was never published and goes
-			// straight back to the freelist.
+			// acquisition exists, so my was never published and
+			// becomes the spare.
 			p.releaseDescriptor(my)
 		}
 		return false, false, cur2

@@ -8,121 +8,40 @@ import (
 	"flock/internal/obs/trace"
 )
 
-// Per-Proc descriptor pool (§6 of the paper, DESIGN.md S10).
+// Per-Proc grace-period recycling (§6 of the paper, DESIGN.md S10).
 //
-// Descriptors are pooled, one per lock acquisition, with the first log
-// block embedded and its spill blocks linked behind it for the
-// descriptor's whole pooled life, so a recycled descriptor brings its
-// log along and a long thunk allocates no blocks once its descriptor
-// has been round the pool. Layers above recycle the records their
-// thunks read through a Recycler, on the same grace period. Value boxes
-// and structure nodes are left to the garbage collector, which keeps
-// their addresses unique while a log or helper still holds them (S1).
+// Descriptors, and the records layers above core read from their thunks,
+// are reused through one mechanism, Recycler. A record put back at
+// global epoch e waits in a FIFO on the Proc that put it back and is
+// handed out again only once every in-flight operation announces an
+// epoch strictly greater than e (epoch.Manager.SafeBefore). Helpers
+// lower their announcement to the birth epoch of the descriptor they
+// replay (descriptor.run), so a straggler that can still load a
+// recycled record from a log always holds an announcement that blocks
+// its reuse. A descriptor keeps its first log block embedded and its
+// spill blocks linked for its whole pooled life, so a long thunk
+// allocates no blocks once its descriptor has been round the pool.
+// Value boxes and structure nodes are left to the garbage collector,
+// which keeps their addresses unique while a log or helper still holds
+// them (S1).
 //
-// Reuse is gated by the epoch manager's grace period: a descriptor
-// released from its lock word at global epoch e may be handed back to
-// the freelist only once every in-flight operation announces an epoch
-// strictly greater than e (epoch.Manager.SafeBefore). Helpers lower
-// their announcement to the birth epoch of the descriptor they replay
-// (descriptor.run), so a straggler that can still load a recycled
-// descriptor from a log always holds an announcement that blocks its
-// recycling (DESIGN.md S10).
-//
-// drainReuse is where descriptor reclamation is measured: each ripe
-// batch is counted (obs.EpochReclaimBatches, EpochReclaimLagEpochs) and
-// traced (trace.EpochReclaim) on the draining Proc.
-//
-// A descriptor that lost its publication CAS was never visible to
-// another thread and is recycled immediately, with no grace period.
-
-// reuseDrainEvery is the number of guard entries between drain
-// attempts. reusePendingCap bounds the pending list and
-// the freelist: on an oversubscribed machine a preempted worker can pin
-// an old epoch for a whole scheduler quantum, stretching grace periods
-// to milliseconds while releases arrive at memory speed — without a cap
-// the pending list would grow by the thousands. Overflow is dropped to
-// the garbage collector, which is always a correct fallback. The
-// freelist has the pending list's capacity, so a drain of a full
-// pending list spills nothing.
+// recycleCap bounds each FIFO: on an oversubscribed machine a
+// preempted worker can pin an old epoch for a whole scheduler quantum
+// while puts arrive at memory speed. A record put to a full FIFO is
+// left to the garbage collector, which is always correct, and counted
+// (obs.PoolSpills, trace.PoolSpill). advanceEvery is the number of
+// Gets that find a FIFO head unripe between epoch advance attempts.
 const (
-	reuseDrainEvery = 16
-	reusePendingCap = 256
+	recycleCap   = 256
+	advanceEvery = 16
 )
 
-// Spill sites, carried as trace.PoolSpill's A argument.
-const (
-	spillPendingFull = iota // the pending list was full
-	spillFreelistFull
-)
-
-// parked is a descriptor waiting out its grace period before rejoining
-// the freelist. epoch is the global epoch at which it was released.
-type parked struct {
-	d     *descriptor
-	epoch uint64
-}
-
-// deferReuse parks d until the epoch grace period passes. Must be called
-// by the (unique) run whose CAS released d from its lock word, so each
-// descriptor is parked at most once per lifetime. When the pending list
-// is saturated (grace periods outpaced by the release rate), d is
-// dropped to the GC instead — correct, just not recycled. The Begin
-// cadence (reuseTickDrain) keeps attempting drains, so the list
-// unsticks as soon as the epoch moves again.
-func (p *Proc) deferReuse(d *descriptor) {
-	if len(p.pending) >= reusePendingCap {
-		p.metrics.Inc(obs.PoolPendingFull)
-		p.spill(spillPendingFull)
-		return
-	}
-	p.pending = append(p.pending, parked{d: d, epoch: p.rt.epochs.GlobalEpoch()})
-}
-
-// drainReuse moves every ripe pending descriptor onto the freelist. An
-// entry parked at epoch e is ripe once SafeBefore() > e: every operation
-// (or helper lowered to a thunk birth epoch) that could still reference
-// the descriptor has finished. Entries are appended in epoch order, so
-// the ripe ones form a prefix of runs of equal epoch. Each run is one
-// reclaimed batch: it is counted, with its lag bound−e in epochs, and
-// traced as one EpochReclaim event.
-func (p *Proc) drainReuse() {
-	if len(p.pending) == 0 {
-		return
-	}
-	bound := p.rt.epochs.SafeBefore()
-	if p.pending[0].epoch >= bound {
-		// Nothing is ripe at the current epoch. Guard entries advance the
-		// epoch on their own cadence, but a worker running top-level
-		// operations outside guards would otherwise never see progress
-		// and its pending list would grow without bound.
-		p.rt.epochs.TryAdvance()
-		bound = p.rt.epochs.SafeBefore()
-	}
-	p.ripe = bound
-	i := 0
-	for i < len(p.pending) && p.pending[i].epoch < bound {
-		e, n := p.pending[i].epoch, i
-		for ; i < len(p.pending) && p.pending[i].epoch == e; i++ {
-			p.scrubDescriptor(p.pending[i].d)
-		}
-		p.metrics.Inc(obs.EpochReclaimBatches)
-		p.metrics.Add(obs.EpochReclaimLagEpochs, bound-e)
-		p.traceEmit(trace.EpochReclaim, 0, e, uint64(i-n))
-	}
-	if i > 0 {
-		n := copy(p.pending, p.pending[i:])
-		clear(p.pending[n:])
-		p.pending = p.pending[:n]
-	}
-}
-
-// Recycler reuses records of type T: the state a thunk reads through a
-// method value bound once, so no critical section builds a closure
-// (DESIGN.md S10). A helper may run the thunk after its owner returned,
-// so a record put back at global epoch e is reused only once
-// SafeBefore() > e, as a parked descriptor is. Records wait on the Proc
-// that put them back, in one FIFO of reusePendingCap per Recycler; a
-// full FIFO leaves them to the garbage collector.
+// Recycler reuses records of type T: descriptors, and the state a
+// thunk reads through a method value bound once, so no critical section
+// builds a closure (DESIGN.md S10). A helper may run the thunk after
+// its owner returned, so a record put back at global epoch e is reused
+// only once SafeBefore() > e. Records wait on the Proc that put them
+// back, in one FIFO of recycleCap per Recycler.
 type Recycler[T any] struct {
 	id int
 	mk func() *T // makes a fresh record and binds its method values
@@ -135,13 +54,15 @@ func NewRecycler[T any](mk func() *T) Recycler[T] {
 	return Recycler[T]{id: int(recyclers.Add(1)) - 1, mk: mk}
 }
 
-// Get returns the oldest parked record if it is ripe, else a fresh one,
-// counted in obs.RecycleMisses.
+// Get returns the oldest parked record if it is ripe (obs.PoolHits),
+// else a fresh one (obs.PoolMisses). A recycled record comes back as it
+// was put: the caller resets what it reads.
 func (r Recycler[T]) Get(p *Proc) *T {
 	if x := p.recycled(r.id); x != nil {
+		p.metrics.Inc(obs.PoolHits)
 		return (*T)(x)
 	}
-	p.metrics.Inc(obs.RecycleMisses)
+	p.metrics.Inc(obs.PoolMisses)
 	return r.mk()
 }
 
@@ -152,10 +73,12 @@ func (r Recycler[T]) Put(p *Proc, x *T) {
 		p.recycle = append(p.recycle, new(recycleFIFO))
 	}
 	q := p.recycle[r.id]
-	if q.n == reusePendingCap {
+	if q.n == recycleCap {
+		p.metrics.Inc(obs.PoolSpills)
+		p.traceEmit(trace.PoolSpill, 0, 0, 0)
 		return
 	}
-	e := &q.ring[(q.head+q.n)%reusePendingCap]
+	e := &q.ring[(q.head+q.n)%recycleCap]
 	e.x, e.epoch = unsafe.Pointer(x), 0
 	if !p.rt.blocking.Load() {
 		e.epoch = p.rt.epochs.GlobalEpoch()
@@ -163,20 +86,27 @@ func (r Recycler[T]) Put(p *Proc, x *T) {
 	q.n++
 }
 
-// recycleFIFO is one Recycler's ring on a Proc, in stamp order.
+// recycleFIFO is one Recycler's ring on a Proc, in stamp order. last is
+// the stamp of the last record popped, which ends a reclaimed batch.
 type recycleFIFO struct {
-	ring [reusePendingCap]struct {
+	ring [recycleCap]struct {
 		x     unsafe.Pointer
 		epoch uint64
 	}
 	head, n int
+	last    uint64
 }
 
-// recycled pops FIFO id's head if it is ripe under p.ripe, the bound the
-// last drain or scan read, or else under a fresh one. A bound covers
-// every record stamped below it, since that record was put back before
-// the bound was read. It never advances the epoch: a lone Proc would
-// then advance it on every operation.
+// recycled pops FIFO id's head if it is ripe under p.ripe, the bound
+// last read, or else under a fresh one. A bound covers every record
+// stamped below it, since that record was put back before the bound was
+// read. Every advanceEvery-th unripe head tries to advance the epoch: a
+// worker running top-level operations outside guards would otherwise
+// wait for another slot's guard entries, and a lone Proc advancing on
+// every miss would shrink its FIFO to one record.
+//
+// The first record of each run of equal nonzero stamps is one reclaimed
+// batch, counted with its lag at reuse and traced as EpochReclaim.
 func (p *Proc) recycled(id int) unsafe.Pointer {
 	if id >= len(p.recycle) || p.recycle[id].n == 0 {
 		return nil
@@ -184,41 +114,52 @@ func (p *Proc) recycled(id int) unsafe.Pointer {
 	q := p.recycle[id]
 	e := &q.ring[q.head]
 	if e.epoch >= p.ripe {
-		// While the slot that set the bound still announces it, the bound
-		// has not moved: one load instead of a scan, which matters when a
-		// descheduled worker pins the epoch and every Get misses.
-		if p.ripeBy != nil && p.ripeBy.Announced() == p.ripe {
+		if p.unripe++; p.unripe%advanceEvery == 0 {
+			p.rt.epochs.TryAdvance()
+		} else if p.ripeBy != nil && p.ripeBy.Announced() == p.ripe {
+			// While the slot that set the bound still announces it, the
+			// bound has not moved: one load instead of a scan, which
+			// matters when a descheduled worker pins the epoch and every
+			// Get misses.
 			return nil
 		}
 		if p.ripe, p.ripeBy = p.rt.epochs.SafeBeforeBy(); e.epoch >= p.ripe {
 			return nil
 		}
 	}
-	q.head, q.n = (q.head+1)%reusePendingCap, q.n-1
+	if e.epoch != 0 && e.epoch != q.last {
+		q.last = e.epoch
+		p.metrics.Inc(obs.EpochReclaimBatches)
+		p.metrics.Add(obs.EpochReclaimLagEpochs, p.ripe-e.epoch)
+		p.traceEmit(trace.EpochReclaim, 0, e.epoch, p.ripe-e.epoch)
+	}
+	q.head, q.n = (q.head+1)%recycleCap, q.n-1
 	x := e.x
 	e.x = nil
 	return x
 }
 
-// reuseTickDrain is the per-guard-entry cadence hook called from Begin.
-func (p *Proc) reuseTickDrain() {
-	if len(p.pending) == 0 {
-		return
+var descriptors = NewRecycler(func() *descriptor { return new(descriptor) })
+
+// allocDescriptor takes the spare, else a scrubbed recycled or fresh
+// descriptor. The spare counts as a pool hit: every allocation counts
+// one hit or one miss.
+func (p *Proc) allocDescriptor() *descriptor {
+	d := p.spare
+	if d == nil {
+		return descriptors.Get(p).scrub()
 	}
-	p.reuseTick++
-	if p.reuseTick%reuseDrainEvery == 0 {
-		p.drainReuse()
-	}
+	p.spare = nil
+	p.metrics.Inc(obs.PoolHits)
+	return d
 }
 
-// scrubDescriptor resets a retired descriptor past its grace period and
-// returns it to the freelist. Every run commits log positions in order,
-// so the committed slots form a prefix of the log: the scrub clears
-// slots until the first nil one, leaving the spill blocks linked for the
-// next life. The thunk reference is dropped (it may pin arbitrary
-// captured state). Plain stores are safe here — by the S10 invariant
-// nothing can still observe the descriptor.
-func (p *Proc) scrubDescriptor(d *descriptor) {
+// scrub resets a descriptor for its next life; newDescriptor sets the
+// rest. Every run commits log positions in order, so the committed slots
+// form a prefix of the log: the scrub clears slots until the first nil
+// one, leaving the spill blocks linked. Plain stores are safe here: past
+// the grace period nothing can still observe the descriptor (S10).
+func (d *descriptor) scrub() *descriptor {
 scrub:
 	for b := &d.first; b != nil; b = b.next.Load() {
 		for i := range b.entries {
@@ -228,45 +169,19 @@ scrub:
 			b.entries[i].resetPlain()
 		}
 	}
-	d.thunk = nil
-	d.birth = 0
-	d.owner = 0
 	d.finisher.Store(0)
 	d.started.Store(0)
-	p.putDescriptor(d)
+	return d
 }
 
-// allocDescriptor pops a clean descriptor or allocates a fresh one.
-func (p *Proc) allocDescriptor() *descriptor {
-	if n := len(p.dfree); n > 0 {
-		d := p.dfree[n-1]
-		p.dfree[n-1] = nil
-		p.dfree = p.dfree[:n-1]
-		p.metrics.Inc(obs.PoolHits)
-		return d
-	}
-	p.metrics.Inc(obs.PoolMisses)
-	return &descriptor{}
-}
-
-// releaseDescriptor returns a descriptor that was never published (its
-// commit lost to another run) straight to the freelist.
+// releaseDescriptor keeps a descriptor that was never published (its
+// commit or top-level install lost) as the Proc's spare, for the next
+// allocDescriptor. No run of it exists, so it needs no grace period and
+// no scrub.
 func (p *Proc) releaseDescriptor(d *descriptor) {
-	if !p.rt.pooling {
-		return
-	}
-	d.thunk = nil
-	d.birth = 0
-	p.putDescriptor(d)
-}
-
-// putDescriptor pushes a clean descriptor onto the freelist (dropping it
-// when the list is at capacity).
-func (p *Proc) putDescriptor(d *descriptor) {
-	if len(p.dfree) < reusePendingCap {
-		p.dfree = append(p.dfree, d)
-	} else {
-		p.spill(spillFreelistFull)
+	if p.rt.pooling {
+		d.thunk = nil
+		p.spare = d
 	}
 }
 
@@ -275,16 +190,7 @@ func (p *Proc) putDescriptor(d *descriptor) {
 // Reuse waits out the grace period so stragglers replaying it, and its
 // owner still reading it, stay safe (DESIGN.md S7/S10).
 func (p *Proc) retireDescriptor(d *descriptor) {
-	if d == nil || !p.rt.pooling {
-		return
+	if p.rt.pooling {
+		descriptors.Put(p, d)
 	}
-	p.deferReuse(d)
-}
-
-// spill counts and traces one descriptor dropped to the garbage
-// collector because the pending list or the freelist was at capacity;
-// site says which.
-func (p *Proc) spill(site uint64) {
-	p.metrics.Inc(obs.PoolSpills)
-	p.traceEmit(trace.PoolSpill, 0, site, 0)
 }

@@ -7,21 +7,32 @@ import (
 	"flock/internal/obs/trace"
 )
 
-// Tests for the S10 invariant: a descriptor released at epoch e may
-// rejoin the freelist only once every guard (or helper lowered to a
-// thunk birth) from epoch <= e has finished. While such a guard is open
-// the descriptor must sit in the pending list, not the freelist.
+// Tests for the S10 invariant: a descriptor released at epoch e may be
+// handed out again only once every guard (or helper lowered to a thunk
+// birth) from epoch <= e has finished. While such a guard is open the
+// descriptor must stay parked in its Proc's FIFO.
 
-func drainHard(p *Proc) {
+func advanceHard(rt *Runtime) {
 	for i := 0; i < 6; i++ {
-		p.Drain()
+		rt.epochs.TryAdvance()
 	}
 }
 
+// ripe pops every ripe record off p's FIFO for Recycler id and counts
+// them.
+func ripe(p *Proc, id int) int {
+	n := 0
+	for p.recycled(id) != nil {
+		n++
+	}
+	return n
+}
+
+func ripeDescriptors(p *Proc) int { return ripe(p, descriptors.id) }
+
 // holder is one way a worker can still reference a descriptor released
 // by run: hold starts holding and returns the matching release. Each
-// holder must keep the released descriptor out of the freelist until
-// released.
+// holder must keep the released descriptor parked until released.
 type holder struct {
 	name string
 	hold func(rt *Runtime, q *Proc, run func()) (release func())
@@ -52,8 +63,8 @@ var holders = []holder{
 }
 
 // checkReuseWaits runs setup and then run under each holder, and checks
-// that what run releases reaches the freelist (reused reports how much)
-// only after the holder releases.
+// that what run releases ripens (reused pops and counts it) only after
+// the holder releases.
 func checkReuseWaits(t *testing.T, setup func(*Proc) func(), reused func(*Proc) int) {
 	for _, h := range holders {
 		t.Run(h.name, func(t *testing.T) {
@@ -64,18 +75,18 @@ func checkReuseWaits(t *testing.T, setup func(*Proc) func(), reused func(*Proc) 
 			defer q.Unregister()
 
 			release := h.hold(rt, q, setup(p))
-			drainHard(p)
+			advanceHard(rt)
 			held := reused(p)
 			release()
 			if held != 0 {
 				t.Fatalf("recycled %d objects while held", held)
 			}
-			drainHard(p)
+			advanceHard(rt)
 			if n := reused(p); n == 0 {
 				t.Fatal("nothing recycled after release")
 			}
-			if pending := len(p.pending); pending != 0 {
-				t.Fatalf("%d descriptors still pending after release", pending)
+			if n := len(parked(p)); n != 0 {
+				t.Fatalf("%d descriptors still parked after release", n)
 			}
 		})
 	}
@@ -94,13 +105,13 @@ func TestDescriptorReuseWaitsForGuards(t *testing.T) {
 				t.Fatal("second acquisition failed")
 			}
 		}
-	}, func(p *Proc) int { return len(p.dfree) })
+	}, ripeDescriptors)
 }
 
-// TestBeginCadenceRecyclesWithoutDrain: the Begin cadence alone moves
-// ripe pending entries to the freelist — a worker that never calls
-// Drain still reuses its descriptors and never saturates its pending
-// list.
+// TestBeginCadenceRecyclesWithoutDrain: the epoch advances that guard
+// entries and unripe Gets attempt on their own cadences are enough — a
+// worker that never advances the epoch itself still reuses its
+// descriptors and never fills its FIFO.
 func TestBeginCadenceRecyclesWithoutDrain(t *testing.T) {
 	prev := obs.Enabled()
 	obs.SetEnabled(true)
@@ -109,16 +120,16 @@ func TestBeginCadenceRecyclesWithoutDrain(t *testing.T) {
 	defer p.Unregister()
 	var l Lock
 	nop := func(*Proc) bool { return true }
-	for i := 0; i < 4*reusePendingCap; i++ {
+	for i := 0; i < 4*recycleCap; i++ {
 		p.Begin()
 		l.TryLock(p, nop)
 		p.End()
 	}
 	if hits := p.metrics.Load(obs.PoolHits); hits == 0 {
-		t.Fatal("no descriptor was reused without Drain")
+		t.Fatal("no descriptor was reused without an explicit advance")
 	}
 	if spills := p.metrics.Load(obs.PoolSpills); spills != 0 {
-		t.Fatalf("pending list saturated without Drain: %d spills", spills)
+		t.Fatalf("FIFO filled without an explicit advance: %d spills", spills)
 	}
 }
 
@@ -142,9 +153,9 @@ func TestLeakedProcHoldsBackNothing(t *testing.T) {
 		}
 	}
 	l.TryLock(p, nop)
-	drainHard(p)
-	if dfree, pending := len(p.dfree), len(p.pending); dfree == 0 || pending != 0 {
-		t.Fatalf("reuse held back by a leaked Proc: dfree=%d pending=%d", dfree, pending)
+	advanceHard(rt)
+	if ripe, left := ripeDescriptors(p), len(parked(p)); ripe == 0 || left != 0 {
+		t.Fatalf("reuse held back by a leaked Proc: %d ripe, %d still parked", ripe, left)
 	}
 }
 
@@ -174,8 +185,8 @@ func TestPooledValuesStayCorrect(t *testing.T) {
 	if got := c.Load(p); got != n {
 		t.Fatalf("counter %d, want %d (reuse corrupted state)", got, n)
 	}
-	if d, pend := len(p.dfree), len(p.pending); d == 0 && pend == 0 {
-		t.Fatalf("pool never engaged: dfree=%d pending=%d", d, pend)
+	if len(parked(p)) == 0 {
+		t.Fatal("pool never engaged: no descriptor parked")
 	}
 }
 
@@ -201,17 +212,16 @@ func TestNoPoolRuntimeNeverPools(t *testing.T) {
 		l.TryLock(p, f)
 		p.End()
 	}
-	drainHard(p)
-	if d, pend := len(p.dfree), len(p.pending); d != 0 || pend != 0 {
-		t.Fatalf("noPool runtime pooled descriptors: dfree=%d pending=%d", d, pend)
+	if n := len(parked(p)); n != 0 || p.spare != nil {
+		t.Fatalf("noPool runtime pooled descriptors: %d parked, spare %p", n, p.spare)
 	}
 }
 
 // TestSpillBlocksRecycled: spill blocks stay linked to their
 // descriptor through its pooled life, so a thunk whose log spans more
 // than two blocks allocates nothing per op once its descriptors have
-// been round the pool, and a scrubbed descriptor still carries its
-// chain.
+// been round the pool, and the descriptor the next allocation hands out
+// is scrubbed and still carries its chain.
 func TestSpillBlocksRecycled(t *testing.T) {
 	rt := New()
 	p := rt.Register()
@@ -236,52 +246,30 @@ func TestSpillBlocksRecycled(t *testing.T) {
 	if got := testing.AllocsPerRun(500, op); got != 0 {
 		t.Errorf("a thunk logging %d slots allocates %v per op, want 0", loads, got)
 	}
-	drainHard(p)
-	if len(p.dfree) == 0 {
-		t.Fatal("no descriptor recycled")
-	}
+	advanceHard(rt)
 	blocks := 0
-	for b := p.dfree[len(p.dfree)-1].first.next.Load(); b != nil; b = b.next.Load() {
+	for b := &p.allocDescriptor().first; b != nil; b = b.next.Load() {
 		for i := range b.entries {
 			if b.entries[i].load() != nil {
-				t.Fatalf("spill block %d slot %d survived the scrub", blocks, i)
+				t.Fatalf("log block %d slot %d survived the scrub", blocks, i)
 			}
 		}
 		blocks++
 	}
-	if blocks < 2 {
-		t.Fatalf("recycled descriptor carries %d spill blocks, want >= 2", blocks)
+	if blocks < 3 {
+		t.Fatalf("allocated descriptor carries %d spill blocks, want >= 2 (recycled)", blocks-1)
 	}
 }
 
-// TestFullPendingListDrainsWithoutSpill parks as many descriptors as
-// the pending list holds and drains them after the grace period: every
-// one must reach the descriptor freelist, none dropped to the GC.
-func TestFullPendingListDrainsWithoutSpill(t *testing.T) {
-	prev := obs.Enabled()
-	obs.SetEnabled(true)
-	defer obs.SetEnabled(prev)
-	p := New().Register()
-	defer p.Unregister()
-	for i := 0; i < reusePendingCap; i++ {
-		p.retireDescriptor(&descriptor{})
-	}
-	spills := p.metrics.Load(obs.PoolSpills)
-	drainHard(p)
-	if got := p.metrics.Load(obs.PoolSpills) - spills; got != 0 {
-		t.Fatalf("drain spilled %d descriptors", got)
-	}
-	if d, pend := len(p.dfree), len(p.pending); d != reusePendingCap || pend != 0 {
-		t.Fatalf("after the drain dfree=%d pending=%d, want %d and 0", d, pend, reusePendingCap)
-	}
-}
+// records is a layer's Recycler, as kv's or txn's are.
+var records = NewRecycler(func() *int { return new(int) })
 
-// TestFullDescriptorFreelistSpills: a descriptor that finds the
-// freelist or the pending list full is dropped to the GC, counted as one
-// PoolSpill and traced as one PoolSpill event whose A names the site —
-// not dropped silently. Only the pending-list site counts
-// PoolPendingFull.
-func TestFullDescriptorFreelistSpills(t *testing.T) {
+// TestFullFIFOSpills fills one FIFO, of descriptors or of a layer's
+// records, to its cap and puts one more: that one is dropped to the GC,
+// counted as one PoolSpill and traced as one PoolSpill event, not
+// dropped silently. Once the grace period passes every parked one is
+// handed out again.
+func TestFullFIFOSpills(t *testing.T) {
 	prev := obs.Enabled()
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(prev)
@@ -289,51 +277,72 @@ func TestFullDescriptorFreelistSpills(t *testing.T) {
 	defer trace.SetEnabled(false)
 
 	for _, c := range []struct {
-		name        string
-		fill, spill func(p *Proc)
-		site        uint64
-		pendingFull uint64
+		name string
+		put  func(p *Proc)
+		id   int
 	}{
-		{"freelist",
-			func(p *Proc) {
-				for len(p.dfree) < reusePendingCap {
-					p.dfree = append(p.dfree, &descriptor{})
-				}
-			},
-			func(p *Proc) { p.releaseDescriptor(&descriptor{}) },
-			spillFreelistFull, 0},
-		{"pending",
-			func(p *Proc) {
-				for len(p.pending) < reusePendingCap {
-					p.retireDescriptor(&descriptor{})
-				}
-			},
-			func(p *Proc) { p.retireDescriptor(&descriptor{}) },
-			spillPendingFull, 1},
+		{"descriptors", func(p *Proc) { p.retireDescriptor(&descriptor{}) }, descriptors.id},
+		{"records", func(p *Proc) { records.Put(p, new(int)) }, records.id},
 	} {
 		trace.Reset()
-		p := New().Register()
-		c.fill(p)
-		c.spill(p)
+		rt := New()
+		p := rt.Register()
+		for i := 0; i < recycleCap; i++ {
+			c.put(p)
+		}
+		if got := p.metrics.Load(obs.PoolSpills); got != 0 {
+			t.Errorf("%s: PoolSpills = %d with the FIFO just full, want 0", c.name, got)
+		}
+		c.put(p)
 		if got := p.metrics.Load(obs.PoolSpills); got != 1 {
 			t.Errorf("%s: PoolSpills = %d after one overflow, want 1", c.name, got)
 		}
-		if got := p.metrics.Load(obs.PoolPendingFull); got != c.pendingFull {
-			t.Errorf("%s: PoolPendingFull = %d after one overflow, want %d", c.name, got, c.pendingFull)
-		}
-		var sites []uint64
+		var spills int
 		for _, e := range trace.Snapshot().Events {
 			if e.Proc == p.id && e.Kind == trace.PoolSpill {
-				sites = append(sites, e.A)
+				spills++
 			}
 		}
-		if len(sites) != 1 || sites[0] != c.site {
-			t.Errorf("%s: PoolSpill events with sites %v, want one with site %d", c.name, sites, c.site)
+		if spills != 1 {
+			t.Errorf("%s: %d PoolSpill events after one overflow, want 1", c.name, spills)
 		}
-		if len(p.dfree) > reusePendingCap || len(p.pending) > reusePendingCap {
-			t.Errorf("%s: dfree=%d pending=%d grew past the cap %d", c.name, len(p.dfree), len(p.pending), reusePendingCap)
+		advanceHard(rt)
+		if got := ripe(p, c.id); got != recycleCap {
+			t.Errorf("%s: %d of %d parked records reused after the grace period", c.name, got, recycleCap)
 		}
 		p.Unregister()
+	}
+}
+
+// TestSpareDescriptor: a descriptor that was never published is the
+// next one allocated, while one retired from a lock word is not handed
+// out while a guard that entered before the retire is still open.
+func TestSpareDescriptor(t *testing.T) {
+	rt := New()
+	p, q := rt.Register(), rt.Register()
+	defer p.Unregister()
+	defer q.Unregister()
+	nop := func(*Proc) bool { return true }
+
+	d := p.newDescriptor(nop, 1)
+	p.releaseDescriptor(d)
+	if got := p.allocDescriptor(); got != d || got.thunk != nil || got.started.Load() != 0 || got.first.entries[0].load() != nil {
+		t.Fatalf("after a release allocDescriptor returned %p (thunk set %v), want the scrubbed spare %p", got, got.thunk != nil, d)
+	}
+
+	q.Begin()
+	p.retireDescriptor(d)
+	for i := 0; i < 4*advanceEvery; i++ {
+		rt.epochs.TryAdvance()
+		if p.allocDescriptor() == d {
+			q.End()
+			t.Fatalf("allocation %d handed out a retired descriptor inside an older guard", i)
+		}
+	}
+	q.End()
+	advanceHard(rt)
+	if p.allocDescriptor() != d {
+		t.Fatal("the retired descriptor was not reused after the guard closed")
 	}
 }
 

@@ -16,7 +16,7 @@ type Runtime struct {
 	epochs   *epoch.Manager
 	blocking atomic.Bool
 	// avoidCAS (compare-and-compare-and-swap, §6) and pooling
-	// (descriptor reuse through per-Proc freelists gated by epoch grace
+	// (descriptor reuse through per-Proc FIFOs gated by epoch grace
 	// periods, DESIGN.md S10) are always on; core's tests and ablation
 	// benchmarks turn them off to measure what they buy.
 	avoidCAS bool
@@ -74,7 +74,7 @@ func (rt *Runtime) SetStallInjection(n int) {
 
 // Proc is the per-worker execution context: the paper's "process". It
 // carries the current thunk log and position, the worker's epoch slot, a
-// private RNG, and the per-worker descriptor freelist (DESIGN.md S10). A
+// private RNG, and the per-worker recycling FIFOs (DESIGN.md S10). A
 // Proc must only be used by one goroutine at a time.
 type Proc struct {
 	rt     *Runtime
@@ -108,16 +108,15 @@ type Proc struct {
 	// per operation in lock-free mode, biasing the ext-txn comparisons.
 	bheld []blockHeld
 
-	// The descriptor pool (see pool.go): dfree holds clean descriptors,
-	// pending the released ones waiting out their epoch grace period.
-	dfree     []*descriptor
-	pending   []parked
-	reuseTick uint64
 	// recycle holds each Recycler's parked records (pool.go), ripe the
-	// SafeBefore bound last read and ripeBy the slot that set it.
+	// SafeBefore bound last read, ripeBy the slot that set it and unripe
+	// the Gets that found a head unripe. spare is a never-published
+	// descriptor, reused first.
 	recycle []*recycleFIFO
 	ripe    uint64
 	ripeBy  *epoch.Slot
+	unripe  uint64
+	spare   *descriptor
 
 	_ [32]byte // discourage false sharing between adjacent Procs
 }
@@ -154,10 +153,9 @@ func (rt *Runtime) Register() *Proc {
 // into the obs retired totals (so snapshots taken after a worker exits
 // still see its events). Descriptors and records awaiting reuse are
 // dropped to the garbage collector (their grace periods may not have
-// elapsed, so they cannot join another Proc's freelist).
+// elapsed, so they cannot join another Proc's FIFOs).
 func (p *Proc) Unregister() {
 	p.slot.Unregister()
-	p.pending = nil
 	p.recycle = nil
 	p.metrics.Release()
 	if p.tring != nil {
@@ -221,25 +219,14 @@ func (p *Proc) ID() uint64 { return p.id }
 // Begin enters an epoch guard. Every data structure operation must run
 // between Begin and End so that descriptors released by concurrent
 // operations are not reused while this worker might still reference
-// them. Guards nest. Begin also paces the descriptor-reuse drain
-// (pool.go).
-func (p *Proc) Begin() {
-	p.slot.Enter()
-	p.reuseTickDrain()
-}
+// them. Guards nest.
+func (p *Proc) Begin() { p.slot.Enter() }
 
 // End exits the epoch guard opened by Begin.
 func (p *Proc) End() { p.slot.Exit() }
 
 // Runtime returns the Proc's runtime.
 func (p *Proc) Runtime() *Runtime { return p.rt }
-
-// Drain tries to advance the epoch and moves ripe pending descriptors
-// to the freelist, for tests and shutdown paths.
-func (p *Proc) Drain() {
-	p.rt.epochs.TryAdvance()
-	p.drainReuse()
-}
 
 // maybeStall yields the processor (several times, approximating losing a
 // scheduling quantum) on every stallEvery-th call, while the caller holds

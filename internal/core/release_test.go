@@ -15,8 +15,18 @@ import (
 // wordDescriptor returns the descriptor held by l's lock word.
 func wordDescriptor(l *Lock) *descriptor { return decodeWord(l.w.Load()).d }
 
-// pendingDescriptors counts the descriptors p has parked for reuse.
-func pendingDescriptors(p *Proc) int { return len(p.pending) }
+// parked returns the descriptors p has parked for reuse, oldest first.
+func parked(p *Proc) []*descriptor {
+	if descriptors.id >= len(p.recycle) {
+		return nil
+	}
+	q := p.recycle[descriptors.id]
+	out := make([]*descriptor, q.n)
+	for i := range out {
+		out[i] = (*descriptor)(q.ring[(q.head+i)%recycleCap].x)
+	}
+	return out
+}
 
 // TestReleasedWordHoldsNoDescriptor pins that every lock-free release —
 // TryLock's and Lock's scope exit and a hand-over-hand Unlock — leaves
@@ -66,8 +76,9 @@ func TestReleasedWordHoldsNoDescriptor(t *testing.T) {
 
 // TestEachAcquisitionParksOneDescriptor pins exactly-once retirement:
 // every lock-free acquisition adds exactly one descriptor to its Proc's
-// pending list (a nested pair adds two), whether its lock is taken again
-// or never touched after, and with pooling off none is parked.
+// FIFO (a nested pair adds two), whether its lock is taken again or
+// never touched after, and with pooling off none is parked. Another
+// Proc's open guard keeps every parked descriptor from being reused.
 func TestEachAcquisitionParksOneDescriptor(t *testing.T) {
 	const n = 8
 	nop := func(*Proc) bool { return true }
@@ -97,12 +108,14 @@ func TestEachAcquisitionParksOneDescriptor(t *testing.T) {
 			if !pooling {
 				opts = append(opts, noPool())
 			}
-			p := New(opts...).Register()
+			rt := New(opts...)
+			p, q := rt.Register(), rt.Register()
+			q.Begin()
 			locks := make([]Lock, 2*n)
 			for i := 0; i < n; i++ {
-				before := pendingDescriptors(p)
+				before := len(parked(p))
 				c.op(p, locks, i)
-				got := pendingDescriptors(p) - before
+				got := len(parked(p)) - before
 				want := c.per
 				if !pooling {
 					want = 0
@@ -111,6 +124,8 @@ func TestEachAcquisitionParksOneDescriptor(t *testing.T) {
 					t.Fatalf("%s pooling=%v op %d: parked %d descriptors, want %d", c.name, pooling, i, got, want)
 				}
 			}
+			q.End()
+			q.Unregister()
 			p.Unregister()
 		}
 	}
@@ -131,22 +146,38 @@ func holdCapturing(p *Proc, l *Lock, collected chan struct{}) {
 }
 
 // TestReleasedThunkNotRetained pins that a released lock stops pinning
-// its last critical section: once the released descriptor's grace
-// period has passed (pooling) or immediately (pooling off), the thunk and
-// everything it captured are garbage.
+// its last critical section. A parked descriptor keeps its thunk until
+// it is reused, so the thunk and everything it captured are garbage once
+// the descriptor is reused or its Proc unregisters (pooling), or at once
+// (pooling off). At most recycleCap descriptors per Proc are parked.
 func TestReleasedThunkNotRetained(t *testing.T) {
-	for _, pooling := range []bool{true, false} {
-		var opts []Option
-		if !pooling {
-			opts = append(opts, noPool())
-		}
-		p := New(opts...).Register()
+	nop := func(*Proc) bool { return true }
+	for _, c := range []struct {
+		name string
+		opts []Option
+		// drop ends the descriptor's parked life and reports whether it
+		// unregistered p.
+		drop func(rt *Runtime, p *Proc, l *Lock) bool
+	}{
+		{"reused", nil, func(rt *Runtime, p *Proc, l *Lock) bool {
+			rt.epochs.TryAdvance()
+			l.TryLock(p, nop)
+			return false
+		}},
+		{"unregistered", nil, func(_ *Runtime, p *Proc, _ *Lock) bool {
+			p.Unregister()
+			return true
+		}},
+		{"nopool", []Option{noPool()}, func(*Runtime, *Proc, *Lock) bool { return false }},
+	} {
+		rt := New(c.opts...)
+		p := rt.Register()
 		var l Lock
 		collected := make(chan struct{})
 		holdCapturing(p, &l, collected)
+		gone := c.drop(rt, p, &l)
 		freed := false
 		for i := 0; i < 50 && !freed; i++ {
-			p.Drain()
 			runtime.GC()
 			select {
 			case <-collected:
@@ -155,10 +186,12 @@ func TestReleasedThunkNotRetained(t *testing.T) {
 			}
 		}
 		if !freed {
-			t.Fatalf("pooling=%v: the released lock still retains its thunk's captured state", pooling)
+			t.Fatalf("%s: the released lock still retains its thunk's captured state", c.name)
 		}
 		runtime.KeepAlive(&l)
-		p.Unregister()
+		if !gone {
+			p.Unregister()
+		}
 	}
 }
 
@@ -248,10 +281,10 @@ func TestLateHelperSkipsReleasedDescriptor(t *testing.T) {
 		}
 		d.started.Store(1)
 		p.run(d)
-		if len(p.pending) != 1 {
-			t.Fatalf("setup: %d descriptors parked by the owner's run, want the nested one", len(p.pending))
+		if n := len(parked(p)); n != 1 {
+			t.Fatalf("setup: %d descriptors parked by the owner's run, want the nested one", n)
 		}
-		nested := p.pending[0].d
+		nested := parked(p)[0]
 		if !rt.epochs.TryAdvance() {
 			t.Fatal("epoch did not advance")
 		}
@@ -272,7 +305,6 @@ func TestLateHelperSkipsReleasedDescriptor(t *testing.T) {
 		}
 		p.retireDescriptor(d)
 		p.End()
-		p.drainReuse()
 		cur3 := third.load(p)
 		d3 := p.newDescriptor(incr, cur3.ver+1)
 		if d3 != nested {

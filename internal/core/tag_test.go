@@ -22,7 +22,7 @@ func TestReleasedLockHoldsNoHeapMemory(t *testing.T) {
 	defer p.Unregister()
 	nop := func(*Proc) bool { return true }
 	var warm Lock
-	for i := 0; i < 2*reusePendingCap; i++ {
+	for i := 0; i < 2*recycleCap; i++ {
 		warm.TryLock(p, nop)
 	}
 	locks := make([]Lock, n)
@@ -34,7 +34,7 @@ func TestReleasedLockHoldsNoHeapMemory(t *testing.T) {
 			t.Fatalf("TryLock on fresh lock %d failed", i)
 		}
 	}
-	p.Drain()
+	p.rt.epochs.TryAdvance()
 	runtime.GC()
 	runtime.ReadMemStats(&m1)
 	runtime.KeepAlive(locks)
@@ -163,7 +163,7 @@ func TestTagRangeBoundary(t *testing.T) {
 			if v2, _ := l.ReadVersion(); v2 != v {
 				t.Fatalf("blocking=%v cycle %d: optimistic read escalated (version %d -> %d)", blocking, i, v, v2)
 			}
-			p.Drain()
+			rt.epochs.TryAdvance()
 		}
 		p.Unregister()
 	}

@@ -50,12 +50,13 @@ type PointMetrics struct {
 	ReplaysPerOp   float64 `json:"replays_per_op"`
 	CASFailsPerOp  float64 `json:"cas_fails_per_op"`
 	SpinsPerOp     float64 `json:"spins_per_op"`
-	// PoolHitRate is descriptor freelist hits over hits+misses (0 when
-	// the window took no descriptor).
+	// PoolHitRate is recycled records (descriptors and the layers'
+	// critical-section state) over every record taken, hits+misses (0
+	// when the window took none).
 	PoolHitRate float64 `json:"pool_hit_rate"`
 	// EpochAdvances counts global-epoch advancements; EpochLagEpochs is
-	// the mean number of epochs a batch of pooled objects waited in a
-	// pending list between unlink and reuse (obs.EpochReclaim*).
+	// the mean number of epochs a batch of recycled records waited
+	// between being put back and reused (obs.EpochReclaim*).
 	EpochAdvances  uint64  `json:"epoch_advances"`
 	EpochLagEpochs float64 `json:"epoch_lag_epochs"`
 	// OptRestartsPerOp is the obs-mirrored optimistic restart rate (the

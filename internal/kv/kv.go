@@ -16,9 +16,10 @@
 // regime a store is in).
 //
 // Each store kind has one read protocol, fixed when it is built, with no
-// option (DESIGN.md S13). Every shard carries a flock.Lock handle
-// (ShardLock) that internal/txn acquires — nested, in ascending shard
-// order — around the Shard* operations. On a store built by New no
+// option (DESIGN.md S13). Every shard carries a flock.Lock that
+// internal/txn acquires through the store's Engine — nested, in
+// ascending shard order — around the Shard* operations. On a store
+// built by New no
 // writer takes those locks, so Get, MultiGet, Scan and snapshot chunks
 // call the structures directly, with no lock and no validation: the
 // paper's optimistic traversal. On a store built by NewComposed the
@@ -188,11 +189,10 @@ func (st *Store) ShardOps() []uint64 {
 	return out
 }
 
-// ShardLock returns shard i's lock handle. It is the composition point
-// for internal/txn: multi-shard critical sections nest TryLock calls on
-// these handles in ascending shard order. Meaningful serialization
-// against other lock holders only; plain Client operations do not
-// acquire it.
+// ShardLock returns shard i's lock handle. Only tests call it, to
+// inspect or hold a shard lock, because the Engine's locks are
+// unexported; internal/txn takes the shard locks through Engine. Plain
+// Client operations do not acquire it.
 func (st *Store) ShardLock(i int) *flock.Lock { return &st.shards[i].lck }
 
 // NumShards returns the shard count.

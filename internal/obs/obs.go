@@ -76,26 +76,26 @@ const (
 	// OptRestarts counts discarded optimistic shard reads (the lock
 	// still held after helping, or its version moved under the read).
 	OptRestarts
-	// PoolHits/PoolMisses count descriptors taken from the freelist vs
-	// allocated fresh (records count in RecycleMisses);
-	// PoolSpills counts descriptors dropped to the GC because the
-	// freelist or the pending list was at capacity, and PoolPendingFull
-	// the part of those spills at the pending list.
+	// PoolHits/PoolMisses count records taken from a flock.Recycler
+	// (descriptors, structure ops' critical-section state, kv Put
+	// arguments, transaction plans and attempts) reused past their grace
+	// period vs allocated fresh; a miss is the degraded mode in which a
+	// record falls to the garbage collector. PoolSpills counts records
+	// dropped to the GC because their Proc's FIFO was full.
 	PoolHits
 	PoolMisses
 	PoolSpills
-	PoolPendingFull
 	// EpochAdvanceTries/EpochAdvances count epoch.Manager.TryAdvance
 	// calls and the subset that moved the global epoch.
 	EpochAdvanceTries
 	EpochAdvances
-	// EpochReclaimBatches counts batches of descriptors that the reuse
-	// drain moved from a Proc's pending list to its freelist (one batch
-	// per distinct release epoch per drain), and
-	// EpochReclaimLagEpochs sums, over those batches, the number of
-	// epochs between unlink and reuse (the drain's SafeBefore bound
-	// minus the batch epoch) — their ratio is the mean reclamation lag,
-	// the "how long does freed memory wait" figure for the pools.
+	// EpochReclaimBatches counts batches of recycled records, the
+	// records of one FIFO put back in one epoch, counted when the first
+	// is reused, and EpochReclaimLagEpochs sums, over those batches, the
+	// number of epochs between put and reuse (the SafeBefore bound that
+	// ripened the batch minus its epoch) — their ratio is the mean
+	// reclamation lag, the "how long does freed memory wait" figure for
+	// the pools.
 	EpochReclaimBatches
 	EpochReclaimLagEpochs
 	// TxnDepth* histogram the number of distinct shard locks acquired
@@ -110,12 +110,6 @@ const (
 	// of the composed thunk executed on a worker other than the owner —
 	// transactions a helper carried (partly or wholly) to completion.
 	TxnHelped
-	// RecycleMisses counts records (structure operations' critical
-	// section state, kv Put arguments, transaction plans and attempts)
-	// allocated fresh because the Proc's flock.Recycler FIFO held none
-	// past its grace period — the degraded mode in which each one falls
-	// to the garbage collector, like a descriptor pool miss.
-	RecycleMisses
 
 	// NumCounters is the Block size; it must stay last.
 	NumCounters
@@ -127,12 +121,12 @@ var counterNames = [NumCounters]string{
 	"helps_given", "helps_received", "own_completions", "thunk_replays",
 	"install_cas_fails", "strict_spins", "tag_overflows",
 	"opt_restarts",
-	"pool_hits", "pool_misses", "pool_spills", "pool_pending_full",
+	"pool_hits", "pool_misses", "pool_spills",
 	"epoch_advance_tries", "epoch_advances",
 	"epoch_reclaim_batches", "epoch_reclaim_lag_epochs",
 	"txn_depth_1", "txn_depth_2", "txn_depth_3", "txn_depth_4",
 	"txn_depth_5_8", "txn_depth_9_plus",
-	"txn_helped", "recycle_misses",
+	"txn_helped",
 }
 
 // String returns the counter's snake_case name (the JSONL field name).

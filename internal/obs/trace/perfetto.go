@@ -184,7 +184,7 @@ func ExportChrome(w io.Writer, t Trace) error {
 			case EpochAdvance:
 				args = map[string]any{"epoch": ev.A}
 			case EpochReclaim:
-				args = map[string]any{"epoch": ev.A, "objects": ev.B}
+				args = map[string]any{"epoch": ev.A, "lag": ev.B}
 			}
 			out = append(out, instant(ev, args))
 		}

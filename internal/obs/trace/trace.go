@@ -98,14 +98,15 @@ const (
 	// A=0, B=0. Lock is the validated lock (0 for multi-shard
 	// version-vector reads).
 	OptRestart
-	// PoolSpill: a descriptor was dropped to the GC. A=the site: 0 when
-	// the pending list was at capacity, 1 when the freelist was. B=0.
+	// PoolSpill: a recycled record (a descriptor, or a layer's
+	// critical-section state) was dropped to the GC because its FIFO
+	// was full. A=0, B=0.
 	PoolSpill
 	// EpochAdvance: the global epoch advanced. A=the new epoch, B=0.
 	EpochAdvance
-	// EpochReclaim: the reuse drain moved one batch of descriptors, all
-	// released in the same epoch, from the Proc's pending list to its
-	// freelist. A=the batch's release epoch, B=descriptor count.
+	// EpochReclaim: a Proc reused the first record of a batch, the
+	// records of one FIFO put back in the same epoch. A=the batch's
+	// epoch, B=its lag at reuse in epochs.
 	EpochReclaim
 	// KVOp: one KV client operation completed (a span: the event is
 	// emitted at completion and B carries the duration). Lock=shard

@@ -178,10 +178,10 @@ func TestAllocsInsertDelete(t *testing.T) {
 // owner is still inside it) and meanwhile has the owner run a hundred
 // more Upserts. The helper's announcement is lowered to the birth epoch
 // of the descriptor it replays, which is at most the stamp of every op
-// the owner parks from then on, so none may be handed out again while it
-// is parked: every Upsert in the window allocates a fresh op
-// (obs.RecycleMisses). When the helper resumes, its replay changes no
-// value, and once it is gone the owner recycles again.
+// and descriptor the owner parks from then on, so none may be handed out
+// again while it is parked: no Upsert in the window reuses a record
+// (obs.PoolHits). When the helper resumes, its replay changes no value,
+// and once it is gone the owner recycles again.
 func TestStragglerBlocksRecycling(t *testing.T) {
 	prev := obs.Enabled()
 	obs.SetEnabled(true)
@@ -240,9 +240,8 @@ func TestStragglerBlocksRecycling(t *testing.T) {
 	for i := 0; i < window; i++ {
 		tb.Upsert(p, uint64(i%keys)+1, incr)
 	}
-	if m := obs.Snapshot().Sub(s0).Get(obs.RecycleMisses); m != window {
-		t.Fatalf("%d fresh ops over %d Upserts with a straggler parked, want %d: a recycled one was handed out",
-			m, window, window)
+	if h := obs.Snapshot().Sub(s0).Get(obs.PoolHits); h != 0 {
+		t.Fatalf("%d records reused over %d Upserts with a straggler parked, want 0", h, window)
 	}
 	before := contents(tb, p)
 
@@ -262,8 +261,9 @@ func TestStragglerBlocksRecycling(t *testing.T) {
 		t.Fatalf("values sum to %d, want %d", sum, want)
 	}
 
-	// Once the straggler is gone the epoch moves on and the parked ops
-	// ripen; after a short warm-up every Upsert reuses one.
+	// Once the straggler is gone the epoch moves on and the parked
+	// records ripen; after a short warm-up every Upsert reuses its op and
+	// its descriptor.
 	for i := 0; i < 2*window; i++ {
 		tb.Upsert(p, uint64(i%keys)+1, incr)
 	}
@@ -271,8 +271,8 @@ func TestStragglerBlocksRecycling(t *testing.T) {
 	for i := 0; i < window; i++ {
 		tb.Upsert(p, uint64(i%keys)+1, incr)
 	}
-	if m := obs.Snapshot().Sub(s1).Get(obs.RecycleMisses); m != 0 {
-		t.Fatalf("%d fresh ops over %d Upserts after the straggler left, want 0", m, window)
+	if m := obs.Snapshot().Sub(s1).Get(obs.PoolMisses); m != 0 {
+		t.Fatalf("%d fresh records over %d Upserts after the straggler left, want 0", m, window)
 	}
 }
 

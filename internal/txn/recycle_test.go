@@ -74,10 +74,10 @@ func TestAllocsTransfer(t *testing.T) {
 // transfer's body, as TestStragglerReplaysLocatedTransfer does, and
 // meanwhile has the owner's client commit a hundred transfers. The
 // helper's announcement is lowered to the birth epoch of the descriptor
-// it replays, which is at most the stamp of every plan and attempt the
-// client finishes from then on, so none may be handed out again while
-// it is parked: every transfer in the window allocates a fresh plan and
-// attempt (obs.RecycleMisses).
+// it replays, which is at most the stamp of every plan, attempt and
+// descriptor the client finishes from then on, so none may be handed out
+// again while it is parked: no transfer in the window reuses a record
+// (obs.PoolHits).
 // When the helper resumes, its replay changes no balance and no key,
 // and once it is gone the client recycles again.
 func TestStragglerBlocksRecycling(t *testing.T) {
@@ -155,9 +155,8 @@ func TestStragglerBlocksRecycling(t *testing.T) {
 			t.Fatalf("transfer %d -> %d did not commit", from, to)
 		}
 	}
-	if m := obs.Snapshot().Sub(s0).Get(obs.RecycleMisses); m != 2*window {
-		t.Fatalf("%d fresh plans and attempts over %d transfers with a straggler parked, want %d: a recycled one was handed out",
-			m, window, 2*window)
+	if h := obs.Snapshot().Sub(s0).Get(obs.PoolHits); h != 0 {
+		t.Fatalf("%d records reused over %d transfers with a straggler parked, want 0", h, window)
 	}
 	before := snapshot(kvs)
 
@@ -185,7 +184,7 @@ func TestStragglerBlocksRecycling(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Transfer(a, b, 1)
 	}
-	if m := obs.Snapshot().Sub(s1).Get(obs.RecycleMisses); m != 0 {
-		t.Fatalf("%d fresh plans and attempts after the straggler left, want 0", m)
+	if m := obs.Snapshot().Sub(s1).Get(obs.PoolMisses); m != 0 {
+		t.Fatalf("%d fresh records after the straggler left, want 0", m)
 	}
 }

@@ -6,9 +6,9 @@
 // that acquires more try-locks inside.
 //
 // A transaction touching keys on shards {s1 < s2 < ... < sk} acquires
-// the per-shard locks (kv.Store.ShardLock) by nesting TryLock calls in
-// ascending shard order and runs all of its reads and writes in the
-// innermost thunk. The sort order makes lock acquisition conflict-
+// the per-shard locks through the store's engine (kv.Store.Engine,
+// engine.Atomic), nesting TryLock calls in ascending shard order, and
+// runs all of its reads and writes in the innermost thunk. The sort order makes lock acquisition conflict-
 // serializable and livelock-resistant (no cycle of transactions each
 // holding a lower lock while wanting a higher one), and the flock
 // runtime makes the whole composition lock-free end to end: a thread
