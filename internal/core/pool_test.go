@@ -264,12 +264,34 @@ func TestSpillBlocksRecycled(t *testing.T) {
 // records is a layer's Recycler, as kv's or txn's are.
 var records = NewRecycler(func() *int { return new(int) })
 
-// TestFullFIFOSpills fills one FIFO, of descriptors or of a layer's
-// records, to its cap and puts one more: that one is dropped to the GC,
-// counted as one PoolSpill and traced as one PoolSpill event, not
-// dropped silently. Once the grace period passes every parked one is
-// handed out again.
-func TestFullFIFOSpills(t *testing.T) {
+// TestFullPendingListDrainsWithoutSpill parks as many descriptors as
+// one Proc's descriptor FIFO (the pending list of retired descriptors
+// waiting out their grace period) holds: none is dropped to the GC, and
+// once the grace period passes every one is handed out again.
+func TestFullPendingListDrainsWithoutSpill(t *testing.T) {
+	prev := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	rt := New()
+	p := rt.Register()
+	defer p.Unregister()
+	for i := 0; i < recycleCap; i++ {
+		p.retireDescriptor(&descriptor{})
+	}
+	advanceHard(rt)
+	if got := ripeDescriptors(p); got != recycleCap {
+		t.Fatalf("%d of %d parked descriptors reused after the grace period", got, recycleCap)
+	}
+	if got := p.metrics.Load(obs.PoolSpills); got != 0 {
+		t.Fatalf("a full FIFO spilled %d descriptors", got)
+	}
+}
+
+// TestFullDescriptorFreelistSpills fills one FIFO, of descriptors or of
+// a layer's records, to its cap and puts one more: that one is dropped
+// to the GC, counted as one PoolSpill and traced as one PoolSpill
+// event, not dropped silently, and the FIFO does not grow past its cap.
+func TestFullDescriptorFreelistSpills(t *testing.T) {
 	prev := obs.Enabled()
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(prev)
@@ -308,7 +330,7 @@ func TestFullFIFOSpills(t *testing.T) {
 		}
 		advanceHard(rt)
 		if got := ripe(p, c.id); got != recycleCap {
-			t.Errorf("%s: %d of %d parked records reused after the grace period", c.name, got, recycleCap)
+			t.Errorf("%s: %d records reused after the grace period, want the cap %d", c.name, got, recycleCap)
 		}
 		p.Unregister()
 	}
